@@ -21,8 +21,8 @@ from .potentials import (constants_report, potential_from_config,
 from .pressure import (best_pressure, gurevich_estimate, pressure_curve,
                        topological_pressure, transfer_pressure,
                        truncation_curve)
-from .shifts import (FullShiftRule, RenewalRule, compact_approximation,
-                     mixing_certificate, shift_from_config)
+from .shifts import (RULES, compact_approximation, mixing_certificate,
+                     shift_from_config)
 from .zerotemp import zero_temp_report
 
 SCHEMA_VERSION = 1
@@ -47,6 +47,23 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _convert(value, kind, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
+
+
+def _field(cfg: dict, key: str, kind, default=_REQUIRED):
+    """``cfg[key]`` (or ``default``) converted by ``kind``, int or float."""
+    value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    return _convert(value, kind, key)
+
+
 def _check_t(t) -> float:
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise ValidationError("t must be a number")
@@ -59,9 +76,9 @@ def _check_t(t) -> float:
 def _t_grid(cfg) -> list:
     grid = _require(cfg, "t_grid")
     if isinstance(grid, dict):
-        start = float(_require(grid, "start"))
-        stop = float(_require(grid, "stop"))
-        count = int(_require(grid, "count"))
+        start = _field(grid, "start", float)
+        stop = _field(grid, "stop", float)
+        count = _field(grid, "count", int)
         if count < 1 or stop < start:
             raise ValidationError("t_grid: need count >= 1 and stop >= start")
         if count == 1:
@@ -70,7 +87,7 @@ def _t_grid(cfg) -> list:
             step = (stop - start) / (count - 1)
             values = [start + i * step for i in range(count)]
     elif isinstance(grid, list) and grid:
-        values = [float(x) for x in grid]
+        values = [_convert(x, float, "t_grid") for x in grid]
     else:
         raise ValidationError("t_grid must be a nonempty list or a range object")
     return [_check_t(t) for t in values]
@@ -113,7 +130,7 @@ def _cmd_pressure(cfg: dict) -> str:
     shift, pot = _shift_pot(cfg)
     t = _check_t(_require(cfg, "t"))
     route = cfg.get("route", "auto")
-    n_max = int(cfg.get("n_max", 12))
+    n_max = _field(cfg, "n_max", int, 12)
     if route == "auto":
         est = best_pressure(shift, pot, t, n_max=n_max)
     elif route == "gurevich":
@@ -140,8 +157,8 @@ def _cmd_pressure(cfg: dict) -> str:
 def _cmd_curve(cfg: dict) -> str:
     shift, pot = _shift_pot(cfg)
     ts = _t_grid(cfg)
-    n_max = int(cfg.get("n_max", 12))
-    h = float(cfg.get("h", 1e-3))
+    n_max = _field(cfg, "n_max", int, 12)
+    h = _field(cfg, "h", float, 1e-3)
     curve = pressure_curve(shift, pot, ts, n_max=n_max, h=h)
     lines = ["t,P,L,H,second_diff"]
     for i, p in enumerate(curve.points):
@@ -156,11 +173,11 @@ def _cmd_curve(cfg: dict) -> str:
 def _cmd_gibbs(cfg: dict) -> str:
     shift, pot = _shift_pot(cfg)
     t = _check_t(_require(cfg, "t"))
-    n = int(_require(cfg, "n"))
-    m = int(_require(cfg, "m"))
-    depth = int(_require(cfg, "depth"))
-    slack = float(cfg.get("slack", 1e-2))
-    n_max = int(cfg.get("n_max", max(n, 8)))
+    n = _field(cfg, "n", int)
+    m = _field(cfg, "m", int)
+    depth = _field(cfg, "depth", int)
+    slack = _field(cfg, "slack", float, 1e-2)
+    n_max = _field(cfg, "n_max", int, max(n, 8))
     mu = gibbs_construct(shift, pot, t, n, m, depth)
     pressure = best_pressure(shift, pot, t, n_max=n_max).value
     cert = gibbs_certificate(shift, pot, t, mu, pressure,
@@ -194,15 +211,19 @@ def _cmd_approx(cfg: dict) -> str:
     if isinstance(ambient_cfg, dict) and "rule" in ambient_cfg and \
             "truncation" not in ambient_cfg:
         rule_name = ambient_cfg["rule"]
-        if rule_name == "full":
-            ambient = FullShiftRule()
-        elif rule_name == "renewal":
-            ambient = RenewalRule()
-        else:
+        rule = RULES.get(rule_name) if isinstance(rule_name, str) else None
+        if rule is None:
             raise ValidationError(f"ambient.rule: unknown rule {rule_name!r}")
+        ambient = rule()
     else:
         ambient = shift_from_config(ambient_cfg)
-    k_max = int(_require(cfg, "k_max"))
+    k_max = _field(cfg, "k_max", int)
+    # validate the pressure block before the (expensive) construction
+    with_pressure = "potential" in cfg and "t" in cfg
+    if with_pressure:
+        pot = potential_from_config(cfg["potential"])
+        t = _check_t(cfg["t"])
+        n_max = _field(cfg, "n_max", int, 12)
     approx = compact_approximation(ambient, k_max, seed=cfg.get("seed"))
     levels = []
     for level, n_k, conns in zip(approx.levels, approx.n_values,
@@ -224,11 +245,8 @@ def _cmd_approx(cfg: dict) -> str:
         "ambient_mixing_assumed": approx.ambient_mixing_assumed,
         "levels": levels,
     }
-    if "potential" in cfg and "t" in cfg:
-        pot = potential_from_config(cfg["potential"])
-        t = _check_t(cfg["t"])
-        curve = truncation_curve(approx, pot, t,
-                                 n_max=int(cfg.get("n_max", 12)))
+    if with_pressure:
+        curve = truncation_curve(approx, pot, t, n_max=n_max)
         payload["pressure"] = {
             "t": t,
             "sizes": list(curve.sizes),
@@ -242,11 +260,11 @@ def _cmd_approx(cfg: dict) -> str:
 def _cmd_zerotemp(cfg: dict) -> str:
     shift, pot = _shift_pot(cfg)
     ts = _t_grid(cfg)
-    depth = int(cfg.get("depth", 6))
-    delta = float(cfg.get("delta", 1e-4))
-    leak_tol = float(cfg.get("leak_tol", 1e-2))
-    lyap_tol = float(cfg.get("lyap_tol", 1e-2))
-    entropy_tol = float(cfg.get("entropy_tol", 1e-2))
+    depth = _field(cfg, "depth", int, 6)
+    delta = _field(cfg, "delta", float, 1e-4)
+    leak_tol = _field(cfg, "leak_tol", float, 1e-2)
+    lyap_tol = _field(cfg, "lyap_tol", float, 1e-2)
+    entropy_tol = _field(cfg, "entropy_tol", float, 1e-2)
     rep = zero_temp_report(shift, pot, ts, depth=depth, delta=delta,
                            leak_tol=leak_tol)
     checks = {
@@ -284,11 +302,11 @@ def _cmd_zerotemp(cfg: dict) -> str:
 
 def _cmd_certify(cfg: dict) -> str:
     shift, pot = _shift_pot(cfg)
-    depth = int(cfg.get("depth", 6))
+    depth = _field(cfg, "depth", int, 6)
     t = _check_t(cfg.get("t", 1.0))
+    word_budget = _field(cfg, "word_budget", int, 500_000)
     cert = mixing_certificate(shift)
-    rep = constants_report(shift, pot, depth,
-                           word_budget=int(cfg.get("word_budget", 500_000)))
+    rep = constants_report(shift, pot, depth, word_budget=word_budget)
     summ = summability_report(pot, t, shift=shift)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -20,11 +20,6 @@ from .errors import (BudgetExceeded, ConstructionFailure, UnsupportedEnumeration
                      ValidationError)
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float matmul then threshold: uint8 products can wrap around to zero.
-    return (a.astype(np.float64) @ b.astype(np.float64)) > 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftModel:
     """A finite-state topological Markov shift.
@@ -145,11 +140,15 @@ class AmbientRule:
     Concrete rules supply :meth:`edge`; truncations give finite views.  Rules
     shipped here are topologically mixing; that property is recorded as an
     assumption on the truncated models rather than certified.
+
+    :meth:`edge` must also broadcast over integer arrays (returning a boolean
+    array, or a scalar that holds for every pair): :meth:`truncate` evaluates
+    it once on index grids rather than pair by pair.
     """
 
     name = "abstract"
 
-    def edge(self, i: int, j: int) -> bool:
+    def edge(self, i, j):
         raise NotImplementedError
 
     def successors(self, i: int, cap: int) -> tuple[int, ...]:
@@ -161,13 +160,10 @@ class AmbientRule:
     def truncate(self, n: int) -> ShiftModel:
         if n < 1:
             raise ValidationError("truncation size must be at least 1")
-        symbols = tuple(range(1, n + 1))
-        adj = np.zeros((n, n), dtype=np.uint8)
-        for i in symbols:
-            for j in symbols:
-                if self.edge(i, j):
-                    adj[i - 1, j - 1] = 1
-        return ShiftModel(symbols, adj, ambient=self, assumed_mixing=True)
+        idx = np.arange(1, n + 1)
+        adj = np.broadcast_to(self.edge(idx[:, None], idx[None, :]), (n, n))
+        return ShiftModel(tuple(range(1, n + 1)), adj, ambient=self,
+                          assumed_mixing=True)
 
 
 class FullShiftRule(AmbientRule):
@@ -175,7 +171,7 @@ class FullShiftRule(AmbientRule):
 
     name = "full"
 
-    def edge(self, i: int, j: int) -> bool:
+    def edge(self, i, j):
         return True
 
 
@@ -184,8 +180,11 @@ class RenewalRule(AmbientRule):
 
     name = "renewal"
 
-    def edge(self, i: int, j: int) -> bool:
-        return i == 1 or j == i - 1
+    def edge(self, i, j):
+        return (i == 1) | (j == i - 1)
+
+
+RULES = {"full": FullShiftRule, "renewal": RenewalRule}
 
 
 def shift_from_config(cfg: Mapping) -> ShiftModel:
@@ -197,16 +196,15 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
     if not isinstance(cfg, Mapping):
         raise ValidationError("shift: expected an object")
     if "rule" in cfg:
-        rule_name = cfg["rule"]
-        rules = {"full": FullShiftRule, "renewal": RenewalRule}
-        if rule_name not in rules:
-            raise ValidationError(f"shift.rule: unknown rule {rule_name!r}")
+        rule = RULES.get(cfg["rule"]) if isinstance(cfg["rule"], str) else None
+        if rule is None:
+            raise ValidationError(f"shift.rule: unknown rule {cfg['rule']!r}")
         if "truncation" not in cfg:
             raise ValidationError("shift.truncation: required with a rule-based shift")
         n = cfg["truncation"]
         if not isinstance(n, int) or n < 1:
             raise ValidationError("shift.truncation: must be a positive integer")
-        return rules[rule_name]().truncate(n)
+        return rule().truncate(n)
     if "alphabet" not in cfg:
         raise ValidationError("shift.alphabet: required")
     alphabet = cfg["alphabet"]
@@ -394,26 +392,22 @@ def mixing_certificate(shift: ShiftModel, exponent_cap: int | None = None) -> Mi
     cap = exponent_cap if exponent_cap is not None else (m - 1) ** 2 + 1
     cap = max(cap, 1)
     adj = shift.adjacency.astype(bool)
+    adjf = adj.astype(np.float64)
     history: list[np.ndarray] = []
-    power = adj.copy()
+    power = adj
     gamma = None
     for k in range(1, cap + 1):
         history.append(power)
         if power.all():
             gamma = k
             break
-        power = _bool_matmul(power, adj)
+        power = (power @ adjf) > 0.0
     if gamma is None:
         if not _strongly_connected(adj):
             return MixingCertificate("reducible", None, None, cap)
         return MixingCertificate("periodic", None, None, cap)
-    # Smallest L with positivity on every edge count in [L, gamma]; beyond
-    # gamma every power is positive, so this is the true threshold.
-    ok = np.ones((m, m), dtype=bool)
-    edge_threshold = np.full((m, m), gamma, dtype=np.int64)
-    for L in range(gamma, 0, -1):
-        ok = ok & history[L - 1]
-        edge_threshold[ok] = L
+    # Beyond gamma every power is positive, so the sweep gives true thresholds.
+    edge_threshold = _threshold_sweep(history)
     thresholds = {}
     for i, a in enumerate(shift.symbols):
         for j, b in enumerate(shift.symbols):
@@ -441,92 +435,66 @@ class CompactApproximation:
     ambient_mixing_assumed: bool
 
 
-def _edge_thresholds(adj: np.ndarray, pairs: list[tuple[int, int]], cap: int) -> dict:
-    """Per-pair smallest edge count L with paths at every length in [L, cap]."""
+def _threshold_sweep(powers: list[np.ndarray]) -> np.ndarray:
+    """Per entry, the smallest L such that ``powers[l - 1]`` holds for every
+    l in [L, len(powers)]; 0 where the last power does not hold."""
+    ok = np.ones(powers[0].shape, dtype=bool)
+    out = np.zeros(powers[0].shape, dtype=np.int64)
+    for L in range(len(powers), 0, -1):
+        ok &= powers[L - 1]
+        out[ok] = L
+    return out
+
+
+def _edge_thresholds(adjf: np.ndarray, rows: list[int], cap: int) -> dict:
+    """Per pair (u, v) of ``rows``, the smallest edge count L with paths at
+    every length in [L, cap], or None without a path of length cap."""
+    power = adjf[rows] > 0.0
     powers = []
-    power = adj.astype(bool)
     for _ in range(cap):
-        powers.append(power)
-        power = _bool_matmul(power, adj)
-    out = {}
-    needed = set(pairs)
-    ok = {p: True for p in needed}
-    best = {p: None for p in needed}
-    for L in range(cap, 0, -1):
-        mat = powers[L - 1]
-        for p in needed:
-            if ok[p] and mat[p[0], p[1]]:
-                best[p] = L
-            else:
-                ok[p] = False
-    return best
+        powers.append(power[:, rows])
+        power = (power @ adjf) > 0.0
+    best = _threshold_sweep(powers)
+    return {(u, v): int(best[a, b]) or None
+            for a, u in enumerate(rows) for b, v in enumerate(rows)}
 
 
-def _exact_length_interior(succ: list[list[int]], adj: np.ndarray, start: int,
-                           end: int, length: int, fresh: np.ndarray) -> tuple | None:
+def _feasibility(adjf: np.ndarray, ends: list[int], length: int) -> np.ndarray:
+    """feas[k, r, v]: from v, r more interior symbols can be placed and then
+    ``ends[k]`` reached."""
+    feas = np.empty((length + 1, adjf.shape[0], len(ends)), dtype=bool)
+    feas[0] = adjf[:, ends] > 0.0
+    for r in range(1, length + 1):
+        feas[r] = (adjf @ feas[r - 1]) > 0.0
+    return np.ascontiguousarray(feas.transpose(2, 0, 1))
+
+
+def _exact_length_interior(adjf: np.ndarray, feas: np.ndarray, start: int,
+                           length: int, fresh: np.ndarray) -> tuple | None:
     """Lexicographically smallest interior u_1..u_length with start u end
-    admissible, preferring interiors that contain at least one fresh symbol."""
-    if length == 0:
-        return () if adj[start, end] else None
-    n = adj.shape[0]
-    # feas[r][v]: from v, r more interior symbols can be placed and then end reached.
-    feas = [np.zeros(n, dtype=bool) for _ in range(length + 1)]
-    feas[0] = adj[:, end].astype(bool)
-    for r in range(1, length + 1):
-        feas[r] = _bool_matmul(adj.astype(bool), feas[r - 1].reshape(-1, 1)).ravel()
+    admissible, preferring interiors that contain at least one fresh symbol.
+
+    ``adjf`` is the adjacency as floats and ``feas`` the :func:`_feasibility`
+    table of ``end`` (at least ``length + 1`` rows).  Both tables below are
+    exact reachability, so the greedy walk never has to backtrack.
+    """
     # fresh_feas[r][v]: a completion from v with >= 1 fresh symbol exists.
-    fresh_feas = [np.zeros(n, dtype=bool) for _ in range(length + 1)]
+    fresh_feas = np.zeros((length + 1, adjf.shape[0]), dtype=bool)
     for r in range(1, length + 1):
-        for v in range(n):
-            hit = False
-            for s in succ[v]:
-                if (fresh[s] and feas[r - 1][s]) or fresh_feas[r - 1][s]:
-                    hit = True
-                    break
-            fresh_feas[r][v] = hit
-
-    def search(require_fresh: bool) -> tuple | None:
-        word: list[int] = []
-        v = start
-        have_fresh = False
-        # iterative lexicographic DFS with per-depth successor cursors
-        cursors = [0]
-        trail = [(v, have_fresh)]
-        while cursors:
-            depth = len(cursors) - 1
-            v, have_fresh = trail[-1]
-            remaining = length - depth
-            if remaining == 0:
-                return tuple(word)
-            advanced = False
-            options = succ[v]
-            i = cursors[-1]
-            while i < len(options):
-                s = options[i]
-                i += 1
-                if not feas[remaining - 1][s]:
-                    continue
-                ok_fresh = (not require_fresh or have_fresh or fresh[s]
-                            or fresh_feas[remaining - 1][s])
-                if not ok_fresh:
-                    continue
-                cursors[-1] = i
-                word.append(s)
-                trail.append((s, have_fresh or bool(fresh[s])))
-                cursors.append(0)
-                advanced = True
-                break
-            if not advanced:
-                cursors.pop()
-                trail.pop()
-                if word:
-                    word.pop()
+        fresh_feas[r] = (adjf @ ((fresh & feas[r - 1]) | fresh_feas[r - 1])) > 0.0
+    need_fresh = bool(fresh_feas[length, start])
+    if not (need_fresh or feas[length, start]):
         return None
-
-    found = search(require_fresh=True)
-    if found is None:
-        found = search(require_fresh=False)
-    return found
+    word = []
+    v = start
+    for r in range(length, 0, -1):
+        allowed = (adjf[v] > 0.0) & feas[r - 1]
+        if need_fresh:
+            allowed &= fresh | fresh_feas[r - 1]
+        v = int(np.argmax(allowed))
+        need_fresh = need_fresh and not fresh[v]
+        word.append(v)
+    return tuple(word)
 
 
 def compact_approximation(ambient, k_max: int, seed=None,
@@ -585,10 +553,8 @@ def compact_approximation(ambient, k_max: int, seed=None,
         for s in seeds:
             if s not in sym_index:
                 raise ConstructionFailure(f"seed symbol {s!r} missing from working graph")
-        adj = work.adjacency.astype(bool)
-        succ = [list(np.flatnonzero(adj[i])) for i in range(adj.shape[0])]
-        pairs = [(sym_index[a], sym_index[b]) for a in seeds for b in seeds]
-        best = _edge_thresholds(adj, pairs, cap)
+        adjf = work.adjacency.astype(np.float64)
+        best = _edge_thresholds(adjf, [sym_index[s] for s in seeds], cap)
         for (pi, pj), L in best.items():
             if L is None:
                 a, b = work.symbols[pi], work.symbols[pj]
@@ -599,12 +565,15 @@ def compact_approximation(ambient, k_max: int, seed=None,
         fresh = np.array([s not in known for s in work.symbols], dtype=bool)
         level_connectors: dict = {}
         alphabet = set(seeds)
-        for a in sorted(seeds, key=lambda s: sym_index[s]):
-            for b in sorted(seeds, key=lambda s: sym_index[s]):
-                ai, bi = sym_index[a], sym_index[b]
+        order = sorted(seeds, key=lambda s: sym_index[s])
+        # one table per end serves both connector lengths (n_k - 1 is a prefix)
+        feas = _feasibility(adjf, [sym_index[b] for b in order], n_k)
+        for a in order:
+            for b, feas_b in zip(order, feas):
                 found = {}
                 for tag, length in (("e", n_k - 1), ("c", n_k)):
-                    interior = _exact_length_interior(succ, adj, ai, bi, length, fresh)
+                    interior = _exact_length_interior(adjf, feas_b, sym_index[a],
+                                                      length, fresh)
                     if interior is None:
                         raise ConstructionFailure(
                             f"no connector of interior length {length} for pair ({a!r}, {b!r})")

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from thermoshift import cli
 from thermoshift.cli import main
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -183,6 +184,39 @@ def test_approx_with_pressure_block(capsys, tmp_path):
     assert block["sizes"] == [3, 7, 15]
     assert len(block["values"]) == 3
     assert block["values"][-1] >= block["values"][0] - 1e-9
+
+
+def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compact_approximation ran before validation")
+
+    monkeypatch.setattr(cli, "compact_approximation", forbidden)
+    base = {"ambient": {"rule": "full"}, "k_max": 3,
+            "potential": {"family": "decay", "law": "log", "coef": 2.0}}
+    for bad in ({"t": 0.5}, {"t": 2.0, "potential": {"family": "nope"}},
+                {"t": 2.0, "n_max": "x"}):
+        code, out, err = run(capsys, tmp_path, "approx", dict(base, **bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("approx", {"ambient": {"rule": "renewal"}, "k_max": "x"}),
+    ("approx", {"ambient": {"rule": "renewal"}, "k_max": None}),
+    ("pressure", dict(GOLDEN_PRESSURE, n_max="x")),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": [1.0, 2.0], "h": "x"}),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": {"start": 1.0, "stop": 2.0,
+                                             "count": None}}),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": [1.0, "x"]}),
+    ("gibbs", {**GOLDEN_PRESSURE, "n": [4], "m": 1, "depth": 2}),
+    ("gibbs", {**GOLDEN_PRESSURE, "n": 4, "m": 1, "depth": 2, "slack": "x"}),
+    ("zerotemp", {**GOLDEN_PRESSURE, "t_grid": [1.0], "depth": 1e400}),
+    ("certify", {**GOLDEN_PRESSURE, "word_budget": "lots"}),
+])
+def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
+    code, out, err = run(capsys, tmp_path, command, payload)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_certify_reports_constants(capsys, tmp_path):

@@ -18,6 +18,7 @@ from thermoshift import (BudgetExceeded, FullShiftRule, RenewalRule,
                          compact_approximation, count_admissible_words,
                          cylinder_distance, is_primitive, mixing_certificate,
                          periodic_points, shift_from_config)
+from thermoshift.shifts import _exact_length_interior, _feasibility
 
 
 def brute_words(shift, n):
@@ -189,6 +190,8 @@ def test_shift_from_config_rule():
 def test_shift_from_config_errors():
     with pytest.raises(ValidationError, match="rule"):
         shift_from_config({"rule": "nope", "truncation": 3})
+    with pytest.raises(ValidationError, match="rule"):
+        shift_from_config({"rule": ["full"], "truncation": 3})
     with pytest.raises(ValidationError, match="truncation"):
         shift_from_config({"rule": "full"})
     with pytest.raises(ValidationError, match="alphabet"):
@@ -201,6 +204,11 @@ def test_renewal_rule_edges():
     assert not rule.edge(9, 9) and not rule.edge(5, 3)
     trunc = rule.truncate(4)
     assert trunc.symbols == (1, 2, 3, 4)
+    # truncate evaluates edge on index grids; it must agree pair by pair
+    for r in (rule, FullShiftRule()):
+        adj = r.truncate(6).adjacency
+        assert adj.tolist() == [[int(bool(r.edge(i, j))) for j in range(1, 7)]
+                                for i in range(1, 7)]
 
 
 # -- compact approximation -------------------------------------------------
@@ -233,6 +241,37 @@ def test_full_shift_approximation_first_level():
     approx = compact_approximation(FullShiftRule(), 1)
     assert approx.levels[0].symbols == (1, 2, 3)
     assert approx.connectors[0] == {(1, 1): {"e": (2,), "c": (1, 3)}}
+
+
+def test_full_shift_approximation_sizes():
+    approx = compact_approximation(FullShiftRule(), 3)
+    assert tuple(len(level.symbols) for level in approx.levels) == (3, 21, 144)
+    assert approx.n_values == (2, 2, 2)
+
+
+def brute_interior(adj, start, end, length, fresh):
+    """Smallest interior in lexicographic order, one with a fresh symbol first."""
+    admissible = [w for w in itertools.product(range(len(adj)), repeat=length)
+                  if all(adj[u][v] for u, v in zip((start, *w), (*w, end)))]
+    with_fresh = [w for w in admissible if any(fresh[s] for s in w)]
+    return (with_fresh or admissible or [None])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.integers(0, n - 1), st.integers(0, n - 1))),
+    st.integers(0, 4))
+def test_connector_search_matches_enumeration(graph, length):
+    adj, fresh, start, end = graph
+    adjf = np.array(adj, dtype=np.float64)
+    feas = _feasibility(adjf, [end], length)[0]
+    got = _exact_length_interior(adjf, feas, start, length,
+                                 np.array(fresh, dtype=bool))
+    assert got == brute_interior(adj, start, end, length, fresh)
 
 
 def test_finite_ambient_approximation(golden_mean):
