@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, config_number
 from .measures import gibbs_certificate, gibbs_construct
 from .potentials import (constants_report, potential_from_config,
                          summability_report)
@@ -48,20 +48,12 @@ def _require(cfg: dict, key: str):
 
 
 _REQUIRED = object()
-_KINDS = {int: "an integer", float: "a number"}
-
-
-def _convert(value, kind, name: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
 
 
 def _field(cfg: dict, key: str, kind, default=_REQUIRED):
     """``cfg[key]`` (or ``default``) converted by ``kind``, int or float."""
     value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
-    return _convert(value, kind, key)
+    return config_number(value, kind, key)
 
 
 def _check_t(t) -> float:
@@ -87,7 +79,7 @@ def _t_grid(cfg) -> list:
             step = (stop - start) / (count - 1)
             values = [start + i * step for i in range(count)]
     elif isinstance(grid, list) and grid:
-        values = [_convert(x, float, "t_grid") for x in grid]
+        values = [config_number(x, float, "t_grid") for x in grid]
     else:
         raise ValidationError("t_grid must be a nonempty list or a range object")
     return [_check_t(t) for t in values]
@@ -95,14 +87,6 @@ def _t_grid(cfg) -> list:
 
 def _word_key(word) -> str:
     return ",".join(str(s) for s in word)
-
-
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x) or math.isnan(x):
-            return None
-        return x
-    return x
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,8 +97,20 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _finite_or_null(x):
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: every non-finite float, at any nesting, becomes null."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _shift_pot(cfg):
@@ -148,7 +144,7 @@ def _cmd_pressure(cfg: dict) -> str:
         "route": est.route,
         "value": est.value,
         "n_used": est.n_used,
-        "sequence": [[n, _jsonable(v)] for n, v in est.sequence],
+        "sequence": est.sequence,
         "shift_fingerprint": shift.fingerprint(),
     }
     return _json_text(payload)
@@ -289,7 +285,7 @@ def _cmd_zerotemp(cfg: dict) -> str:
         "subshift": {
             "symbols": [str(s) for s in rep.subshift.symbols],
             "edges": [[str(a), str(b)] for a, b in rep.subshift.edges],
-            "entropy": _jsonable(rep.subshift.entropy),
+            "entropy": rep.subshift.entropy,
             "cycles": [[str(s) for s in c] for c in rep.subshift.cycles],
         },
         "rows": [{"t": r.t, "P": r.pressure, "L": r.lyapunov, "H": r.entropy}
@@ -332,8 +328,8 @@ def _cmd_certify(cfg: dict) -> str:
         },
         "summability": {
             "verdict": summ.verdict,
-            "partial_sum": _jsonable(summ.partial_sum),
-            "tail_bound": _jsonable(summ.tail_bound),
+            "partial_sum": summ.partial_sum,
+            "tail_bound": summ.tail_bound,
             "t": summ.t,
             "t_variant_summable": summ.t_variant_summable,
         },

@@ -5,6 +5,8 @@ numerical failures (non-convergence, exhausted budgets) so the CLI can map
 them to distinct exit codes.
 """
 
+import math
+
 
 class ThermoshiftError(Exception):
     """Base class for all package errors."""
@@ -32,3 +34,18 @@ class BudgetExceeded(NumericalError):
 
 class ConditionNotMet(NumericalError):
     """An applicability condition of an estimate does not hold for the inputs."""
+
+
+_KINDS = {int: "an integer", float: "a finite number"}
+
+
+def config_number(value, kind, name: str):
+    """``value`` converted by ``kind`` (int or float) to a finite number;
+    a ValidationError naming the config field ``name`` otherwise."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not math.isfinite(number):
+        raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return number

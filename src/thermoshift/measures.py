@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import dominant_pair
 from .potentials import DecayPotential, Potential
-from .pressure import _first_level, weighted_block_matrix
-from .shifts import ShiftModel, admissible_words, is_primitive
+from .pressure import _spectral_block
+from .shifts import ShiftModel, admissible_words
 
 
 @dataclass
@@ -219,24 +219,13 @@ class RPFEquilibrium:
 
     def lyapunov_exact(self) -> float:
         """integral of f_1 for the stationary chain (additive families)."""
-        return math.fsum(float(self.pi[i]) * _first_level(self.pot, w)
+        return math.fsum(float(self.pi[i]) * self.pot.first_level(w)
                          for i, w in enumerate(self.states))
 
 
 def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
                     depth: int | None = None) -> RPFEquilibrium:
-    if not pot.is_additive or pot.depth is None:
-        raise ValidationError(
-            "spectral equilibrium needs an additive locally constant potential")
-    r = depth if depth is not None else pot.depth
-    if r < pot.depth:
-        raise ValidationError("block depth must cover the potential depth")
-    states, B, adj = weighted_block_matrix(shift, pot, t, depth=r)
-    block = ShiftModel(tuple(states), adj, assumed_mixing=True)
-    if not is_primitive(block):
-        raise ConditionNotMet(
-            f"spectral route at block depth {r} needs a primitive transition "
-            "structure")
+    r, states, B = _spectral_block(shift, pot, t, depth)
     lam, right, left = dominant_pair(B)
     h = right
     pi = left * h

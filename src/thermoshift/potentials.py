@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, config_number
 from .shifts import ShiftModel, admissible_words, count_admissible_words
 
 
@@ -59,6 +59,12 @@ class Potential:
     def at_periodic(self, word: Sequence) -> float:
         """f_n at the periodic point obtained by repeating ``word``."""
         raise NotImplementedError
+
+    def first_level(self, word: Sequence) -> float:
+        """f_1 on the cylinder of the first ``depth`` symbols of ``word``;
+        defined for the additive locally constant families only."""
+        raise ValidationError(
+            f"{self.family} potentials have no locally constant first level")
 
     def scale(self, t: float) -> "Potential":
         """The potential t*F.  Constants scale by |t|."""
@@ -180,6 +186,9 @@ class LocallyConstant(Potential):
         return math.fsum(self._window(tuple(word[(k + i) % n] for i in range(r)))
                          for k in range(n))
 
+    def first_level(self, word) -> float:
+        return self._window(tuple(word[:self._depth]))
+
     def scale(self, t: float) -> "LocallyConstant":
         return LocallyConstant({k: t * v for k, v in self._table.items()}, self._depth)
 
@@ -252,6 +261,9 @@ class DecayPotential(Potential):
 
     def at_periodic(self, word) -> float:
         return self.sup(word)
+
+    def first_level(self, word) -> float:
+        return self.value(word[0])
 
     def scale(self, t: float) -> "DecayPotential":
         if t < 0:
@@ -335,7 +347,11 @@ class MatrixCocycle(Potential):
         mats = {}
         dim = None
         for k, m in matrices.items():
-            arr = np.asarray(m, dtype=np.float64)
+            try:
+                arr = np.asarray(m, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"matrix for symbol {k!r} is not a numeric array") from None
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValidationError(f"matrix for symbol {k!r} is not square")
             if dim is None:
@@ -450,6 +466,9 @@ class AffinePotential(Potential):
     def at_periodic(self, word) -> float:
         return self.mult * self.base.at_periodic(word) + len(word) * self.shift_per_n
 
+    def first_level(self, word) -> float:
+        return self.mult * self.base.first_level(word) + self.shift_per_n
+
     def scale(self, t: float) -> "AffinePotential":
         return AffinePotential(self.base, self.mult * t, self.shift_per_n * t)
 
@@ -468,7 +487,7 @@ def potential_from_config(cfg: Mapping) -> Potential:
         raise ValidationError("potential: expected an object")
     family = cfg.get("family")
     if family == "locally_constant":
-        depth = cfg.get("depth", 1)
+        depth = config_number(cfg.get("depth", 1), int, "potential.depth")
         table = cfg.get("table")
         if not isinstance(table, Mapping) or not table:
             raise ValidationError("potential.table: required mapping")
@@ -476,19 +495,30 @@ def potential_from_config(cfg: Mapping) -> Potential:
         for k, v in table.items():
             parts = str(k).split(",")
             key = tuple(_parse_symbol(p) for p in parts)
-            parsed[key if len(key) > 1 else key[0]] = float(v)
+            parsed[key if len(key) > 1 else key[0]] = config_number(
+                v, float, f"potential.table[{k!r}]")
         return LocallyConstant(parsed, depth=depth)
     if family == "decay":
-        return DecayPotential(cfg.get("law", "log"), cfg.get("coef", 0.0),
-                              cfg.get("offset", 0.0))
+        return DecayPotential(
+            cfg.get("law", "log"),
+            config_number(cfg.get("coef", 0.0), float, "potential.coef"),
+            config_number(cfg.get("offset", 0.0), float, "potential.offset"))
     if family == "matrix_cocycle":
         mats_cfg = cfg.get("matrices")
         if not isinstance(mats_cfg, Mapping) or not mats_cfg:
             raise ValidationError("potential.matrices: required mapping")
         mats = {}
         for k, rows in mats_cfg.items():
-            mats[_parse_symbol(str(k))] = [[float(x) for x in row] for row in rows]
-        return MatrixCocycle(mats, aa_const=cfg.get("aa_const"))
+            name = f"potential.matrices[{k!r}]"
+            if not isinstance(rows, list) or \
+                    not all(isinstance(row, list) for row in rows):
+                raise ValidationError(f"{name}: expected a list of rows")
+            mats[_parse_symbol(str(k))] = [[config_number(x, float, name)
+                                            for x in row] for row in rows]
+        aa_const = cfg.get("aa_const")
+        if aa_const is not None:
+            aa_const = config_number(aa_const, float, "potential.aa_const")
+        return MatrixCocycle(mats, aa_const=aa_const)
     raise ValidationError(f"potential.family: unknown family {family!r}")
 
 
@@ -526,24 +556,16 @@ class ConstantsReport:
             self.bv_emp <= self.declared_bv + 1e-12
 
 
-def _deterministic_extension(shift: ShiftModel, word: tuple, extra: int) -> tuple:
-    out = tuple(word)
-    for _ in range(extra):
-        out = out + (shift.successors(out[-1])[0],)
-    return out
-
-
 def constants_report(shift: ShiftModel, pot: Potential, depth: int,
                      word_budget: int = 500_000) -> ConstantsReport:
     """Scan all admissible words up to ``depth`` and measure additivity
     defects |f_{n+m} - f_n - f_m o sigma^n| at one point per cylinder, plus
-    the variation of f_n over n-cylinders."""
+    the variation of f_n over n-cylinders.
+
+    Additive families satisfy f_{n+m} = f_n + f_m o sigma^n by definition,
+    so their defect is exactly 0 and only the variation is scanned."""
     if depth < 2:
         raise ValidationError("constants_report needs depth >= 2")
-    additive_lc = isinstance(pot, (LocallyConstant, DecayPotential)) or (
-        isinstance(pot, AffinePotential) and pot.is_additive)
-    ext = (pot.depth - 1) if (additive_lc and pot.depth and pot.depth > 1) else 0
-
     aa_emp = 0.0
     bv_emp = 0.0
     variations = []
@@ -563,43 +585,21 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
             s = pot.sup(w, shift)
             v = pot.inf(w, shift)
             var_n = max(var_n, s - v)
-            if not additive_lc:
+            if not pot.is_additive:
                 level_cache[w] = s
         cache[n] = level_cache
         variations.append(var_n)
         bv_emp = max(bv_emp, var_n)
-        if n < 2:
+        if n < 2 or pot.is_additive:
             continue
         for w in words:
-            if additive_lc:
-                full = _deterministic_extension(shift, w, ext) if ext else w
-                if isinstance(pot, AffinePotential):
-                    base = pot.base
-                    terms = [pot.mult * x + pot.shift_per_n
-                             for x in _birkhoff_terms(base, full, n)]
-                else:
-                    terms = [x for x in _birkhoff_terms(pot, full, n)]
-                for k in range(1, n):
-                    # exact cancellation: the same window terms appear on
-                    # both sides of the additivity identity
-                    defect = math.fsum(terms[:n] + [-x for x in terms[:k]]
-                                       + [-x for x in terms[k:n]])
-                    aa_emp = max(aa_emp, abs(defect))
-            else:
-                total = cache[n][w]
-                for k in range(1, n):
-                    fa = cache[k][w[:k]]
-                    fb = cache[n - k][w[k:]]
-                    aa_emp = max(aa_emp, abs(total - fa - fb))
+            total = cache[n][w]
+            for k in range(1, n):
+                fa = cache[k][w[:k]]
+                fb = cache[n - k][w[k:]]
+                aa_emp = max(aa_emp, abs(total - fa - fb))
     return ConstantsReport(aa_emp, bv_emp, pot.sup_f1, tuple(variations),
                            scanned, budget_hit, pot.aa_const, pot.bv_const)
-
-
-def _birkhoff_terms(pot, full: tuple, n: int) -> list[float]:
-    if isinstance(pot, DecayPotential):
-        return [pot.value(s) for s in full[:n]]
-    r = pot.depth
-    return [pot._window(tuple(full[k:k + r])) for k in range(n)]
 
 
 # -- summability -----------------------------------------------------------

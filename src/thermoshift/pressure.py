@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import log_sum_exp, power_iteration
-from .potentials import (AffinePotential, DecayPotential, LocallyConstant,
-                         Potential)
+from .potentials import DecayPotential, Potential
 from .shifts import (CompactApproximation, ShiftModel, admissible_words,
                      is_primitive, periodic_points)
 
@@ -98,7 +97,7 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     B = np.zeros((m, m))
     adj = np.zeros((m, m), dtype=np.uint8)
     for u in states:
-        w_u = math.exp(t * _first_level(pot, u))
+        w_u = math.exp(t * pot.first_level(u))
         for s in shift.successors(u[-1]):
             v = u[1:] + (s,)
             j = idx.get(v)
@@ -108,33 +107,28 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     return states, B, adj
 
 
-def _first_level(pot: Potential, u: tuple) -> float:
-    """Value of f_1 on the cylinder [u], |u| = the potential's depth."""
-    if isinstance(pot, LocallyConstant):
-        return pot._window(tuple(u) if pot.depth > 1 else (u[0],))
-    if isinstance(pot, DecayPotential):
-        return pot.value(u[0])
-    if isinstance(pot, AffinePotential) and pot.is_additive:
-        return pot.mult * _first_level(pot.base, u) + pot.shift_per_n
-    raise ValidationError(
-        "transfer route needs an additive locally constant potential")
+def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
+                    depth: int | None):
+    """(block depth, states, B) of the spectral route, once the potential
+    is additive locally constant and the block structure is primitive."""
+    if not pot.is_additive or pot.depth is None:
+        raise ValidationError(
+            "spectral route needs an additive locally constant potential")
+    r = depth if depth is not None else pot.depth
+    if r < pot.depth:
+        raise ValidationError("block depth must cover the potential depth")
+    states, B, adj = weighted_block_matrix(shift, pot, t, depth=r)
+    if not is_primitive(ShiftModel(tuple(states), adj, assumed_mixing=True)):
+        raise ConditionNotMet(
+            f"spectral route at block depth {r} needs a primitive transition "
+            "structure (strongly connected, aperiodic)")
+    return r, states, B
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
                       depth: int | None = None) -> PressureEstimate:
     """log of the dominant eigenvalue of the weighted block matrix."""
-    if not pot.is_additive or pot.depth is None:
-        raise ValidationError(
-            "transfer route needs an additive locally constant potential")
-    r = depth if depth is not None else pot.depth
-    if r < pot.depth:
-        raise ValidationError("block depth must cover the potential depth")
-    states, B, adj = weighted_block_matrix(shift, pot, t, depth=r)
-    block = ShiftModel(tuple(states), adj, assumed_mixing=True)
-    if not is_primitive(block):
-        raise ConditionNotMet(
-            f"transfer route at block depth {r} needs a primitive transition "
-            "structure (strongly connected, aperiodic)")
+    r, _, B = _spectral_block(shift, pot, t, depth)
     lam, _ = power_iteration(B)
     return PressureEstimate(math.log(lam), "transfer", t, r)
 

@@ -251,12 +251,13 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     cycle data: Lyapunov exponent vs the maximum cycle mean, entropy vs the
     maximizing sub-shift entropy, and the equilibrium mass leaking outside
     the sub-shift."""
-    if trace is None:
-        trace = anneal(shift, pot, ts, depth=depth, delta=delta)
-    elif trace.fingerprint != shift.fingerprint():
+    if trace is not None and trace.fingerprint != shift.fingerprint():
         raise ValidationError(
             "annealing trace belongs to a different transition graph")
+    # the sub-shift is cheap and may reject the shift; anneal only after it
     sub = maximizing_subshift(shift, pot, delta=subshift_delta)
+    if trace is None:
+        trace = anneal(shift, pot, ts, depth=depth, delta=delta)
     cold = trace.rows[0]
     leak = math.fsum(v for w, v in sorted(cold.marginal.items())
                      if not sub.admits(w))

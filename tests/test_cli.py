@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,8 @@ def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     ("gibbs", {**GOLDEN_PRESSURE, "n": 4, "m": 1, "depth": 2, "slack": "x"}),
     ("zerotemp", {**GOLDEN_PRESSURE, "t_grid": [1.0], "depth": 1e400}),
     ("certify", {**GOLDEN_PRESSURE, "word_budget": "lots"}),
+    ("certify", {**GOLDEN_PRESSURE, "potential": {
+        "family": "locally_constant", "table": {"0": "NaN", "1": 0}}}),
 ])
 def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, tmp_path, command, payload)
@@ -235,6 +238,33 @@ def test_certify_reports_constants(capsys, tmp_path):
     assert doc["mixing"]["status"] == "mixing"
     assert doc["constants"]["within_declared"] is True
     assert doc["summability"]["verdict"] == "summable"
+
+
+def _strict(constant):
+    raise ValueError(f"non-JSON constant {constant}")
+
+
+def test_non_finite_values_are_null_in_strict_json(capsys, tmp_path):
+    # no period-1 orbit runs through symbol 1, so the n = 1 entry is -inf
+    cfg = dict(GOLDEN_PRESSURE, route="gurevich", a=1, n_max=4)
+    code, out, err = run(capsys, tmp_path, "pressure", cfg)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["sequence"][0] == [1, None]
+    assert all(v is not None for _, v in doc["sequence"][1:])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_matches_golden_document(capsys, name):
+    command = name.split("_")[0]
+    code = main([command, "--config", str(ROOT / "configs" / f"{name}.json")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (ROOT / "tests" / "golden" / f"{name}.out").read_bytes()
 
 
 def test_unknown_command_rejected(capsys, tmp_path):

@@ -136,6 +136,15 @@ def test_rpf_depth_two_agrees_with_depth_one(golden_mean, bernoulli):
     for w in ((0, 0), (0, 1), (1, 0), (0, 1, 0)):
         assert b.mass(w) == pytest.approx(a.mass(w), abs=1e-12)
     assert b.entropy() == pytest.approx(a.entropy(), abs=1e-10)
+    # a depth-2 potential read through depth-3 blocks
+    d2 = LocallyConstant({(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0}, depth=2)
+    c = rpf_equilibrium(golden_mean, d2, 1.5)
+    d = rpf_equilibrium(golden_mean, d2, 1.5, depth=3)
+    for w in ((0, 0), (0, 1), (1, 0), (0, 1, 0)):
+        assert d.mass(w) == pytest.approx(c.mass(w), abs=1e-12)
+    assert d.pressure == pytest.approx(c.pressure, abs=1e-12)
+    assert d.entropy() == pytest.approx(c.entropy(), abs=1e-10)
+    assert d.lyapunov_exact() == pytest.approx(c.lyapunov_exact(), abs=1e-12)
 
 
 def test_rpf_renewal_tiny_components_survive():

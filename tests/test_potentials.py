@@ -215,6 +215,32 @@ def test_affine_scaling():
     assert twice.base is pot
 
 
+_TABLE2 = {(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0, (1, 1): 0.25}
+_DECAY = DecayPotential("log", 2.0, 0.5)
+
+
+@pytest.mark.parametrize("pot, word, expected", [
+    (LocallyConstant({0: 0.25, 1: -1.5}), (1, 0, 0), -1.5),
+    (LocallyConstant({0: 0.25, 1: -1.5}), (0,), 0.25),
+    (LocallyConstant(_TABLE2, depth=2), (0, 1, 1), _TABLE2[(0, 1)]),
+    (LocallyConstant(_TABLE2, depth=2), (1, 1), _TABLE2[(1, 1)]),
+    (_DECAY, (3, 1), _DECAY.value(3)),
+    (AffinePotential(LocallyConstant(_TABLE2, depth=2), 2.5, -0.75),
+     (1, 0, 1), 2.5 * _TABLE2[(1, 0)] - 0.75),
+    (AffinePotential(_DECAY, 0.5, 1.0), (7,), 0.5 * _DECAY.value(7) + 1.0),
+], ids=["lc1", "lc1-single-symbol", "lc2", "lc2-exact-window", "decay",
+        "affine-lc2", "affine-decay"])
+def test_first_level_reads_the_leading_window(pot, word, expected):
+    assert pot.first_level(word) == expected
+
+
+def test_first_level_needs_an_additive_family():
+    coc = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 2]]})
+    for pot in (coc, coc.scale(2.0)):
+        with pytest.raises(ValidationError):
+            pot.first_level((0, 1))
+
+
 # -- configuration ---------------------------------------------------------
 
 
@@ -228,6 +254,12 @@ def test_potential_from_config_round_trips():
     assert d2.depth == 2
     dec = potential_from_config({"family": "decay", "law": "log", "coef": 2.0})
     assert isinstance(dec, DecayPotential)
+    # numeric strings parse, as in the shipped cocycle config
+    dec2 = potential_from_config({"family": "decay", "coef": "2"})
+    assert dec2.coef == 2.0
+    d2s = potential_from_config({"family": "locally_constant", "depth": "2",
+                                 "table": {"0,0": "-1", "0,1": 0.5}})
+    assert d2s.depth == 2 and d2s.table[(0, 0)] == -1.0
     coc = potential_from_config({
         "family": "matrix_cocycle",
         "matrices": {"0": [["2", "1"], ["1", "1"]],
@@ -243,6 +275,25 @@ def test_potential_from_config_errors():
         potential_from_config({"family": "locally_constant"})
     with pytest.raises(ValidationError, match="matrices"):
         potential_from_config({"family": "matrix_cocycle"})
+    # numeric fields must be finite numbers (numeric strings included)
+    for cfg in [
+        {"family": "locally_constant", "depth": "two", "table": {"0": 0.0}},
+        {"family": "locally_constant", "depth": [1], "table": {"0": 0.0}},
+        {"family": "locally_constant", "table": {"0": "abc", "1": 0.0}},
+        {"family": "locally_constant", "table": {"0": "NaN", "1": 0.0}},
+        {"family": "locally_constant", "table": {"0": math.inf, "1": 0.0}},
+        {"family": "decay", "coef": [2.0]},
+        {"family": "decay", "coef": "Infinity"},
+        {"family": "decay", "coef": 2.0, "offset": None},
+        {"family": "matrix_cocycle", "matrices": {"0": [["x", "1"], ["1", "1"]]}},
+        {"family": "matrix_cocycle", "matrices": {"0": [[1, 1], [1, math.nan]]}},
+        {"family": "matrix_cocycle", "matrices": {"0": 5}},
+        {"family": "matrix_cocycle", "matrices": {"0": [[1, 1], [1]]}},
+        {"family": "matrix_cocycle", "matrices": {"0": [[1]]}, "aa_const": "x"},
+        {"family": "matrix_cocycle", "matrices": {"0": [[1]]}, "aa_const": "-inf"},
+    ]:
+        with pytest.raises(ValidationError):
+            potential_from_config(cfg)
 
 
 # -- empirical constants ---------------------------------------------------
@@ -255,6 +306,16 @@ def test_additive_families_have_exactly_zero_defects(full2, golden_mean):
     trunc = ShiftModel.from_edges((1, 2, 3), [(1, 1), (1, 2), (1, 3), (2, 1), (3, 2)])
     rep2 = constants_report(trunc, DecayPotential("log", 2.0), 5)
     assert rep2.aa_emp == 0.0 and rep2.bv_emp == 0.0
+    lc2 = LocallyConstant({(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0}, depth=2)
+    scaled = AffinePotential(lc2, 2.5, 0.0)
+    for pot, shift in ((scaled, golden_mean), (scaled.normalize(), golden_mean),
+                       (AffinePotential(LocallyConstant({0: 0.3, 1: -0.7}),
+                                        0.5, -1.0), full2),
+                       (AffinePotential(DecayPotential("log", 2.0), 3.0, 0.0),
+                        trunc)):
+        rep3 = constants_report(shift, pot, 5)
+        assert rep3.aa_emp == 0.0
+        assert rep3.within_declared
 
 
 def test_depth2_empirical_variation(golden_mean):

@@ -43,6 +43,12 @@ def test_transfer_block_depth_two_agrees(golden_mean):
     one = transfer_pressure(golden_mean, pot, 1.3)
     two = transfer_pressure(golden_mean, pot, 1.3, depth=2)
     assert two.value == pytest.approx(one.value, abs=1e-11)
+    # a depth-2 potential read through depth-3 blocks
+    d2 = LocallyConstant({(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0}, depth=2)
+    three = transfer_pressure(golden_mean, d2, 1.3, depth=3)
+    assert three.n_used == 3
+    assert three.value == pytest.approx(
+        transfer_pressure(golden_mean, d2, 1.3).value, abs=1e-11)
 
 
 def test_transfer_depth2_potential_against_numpy(golden_mean):

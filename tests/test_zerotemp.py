@@ -11,6 +11,7 @@ from thermoshift import (LocallyConstant, MatrixCocycle, ShiftModel,
                          UnsupportedEnumeration, ValidationError, anneal,
                          max_mean_cycle, maximizing_subshift, simple_cycles,
                          zero_temp_report)
+from thermoshift import zerotemp
 from thermoshift.zerotemp import _karp, _vertex_weights
 
 
@@ -170,6 +171,17 @@ def test_cold_report_accepts_matching_trace(full2, bernoulli):
     rep = zero_temp_report(full2, bernoulli, [], depth=4, trace=tr)
     assert rep.trace is tr
     assert rep.t_max == 6.0
+
+
+def test_cold_report_validates_before_annealing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("anneal ran before validation")
+
+    monkeypatch.setattr(zerotemp, "anneal", forbidden)
+    shift = ShiftModel.full(9)
+    pot = LocallyConstant({s: -0.1 * s for s in shift.symbols})
+    with pytest.raises(UnsupportedEnumeration):
+        zero_temp_report(shift, pot, [1.0, 2.0], depth=6)
 
 
 def test_cold_report_rejects_foreign_trace(golden_mean, full2, bernoulli):
