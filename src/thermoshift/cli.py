@@ -57,9 +57,7 @@ def _field(cfg: dict, key: str, kind, default=_REQUIRED):
 
 
 def _check_t(t) -> float:
-    if not isinstance(t, (int, float)) or isinstance(t, bool):
-        raise ValidationError("t must be a number")
-    t = float(t)
+    t = config_number(t, float, "t")
     if t < 1.0:
         raise ValidationError("t must exceed 1")
     return t
@@ -134,7 +132,10 @@ def _cmd_pressure(cfg: dict) -> str:
     elif route == "topological":
         est = topological_pressure(shift, pot, t, n_max)
     elif route == "transfer":
-        est = transfer_pressure(shift, pot, t, depth=cfg.get("depth"))
+        depth = cfg.get("depth")
+        if depth is not None:
+            depth = config_number(depth, int, "depth")
+        est = transfer_pressure(shift, pot, t, depth=depth)
     else:
         raise ValidationError(f"unknown route {route!r}")
     payload = {

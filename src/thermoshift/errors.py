@@ -41,10 +41,15 @@ _KINDS = {int: "an integer", float: "a finite number"}
 
 def config_number(value, kind, name: str):
     """``value`` converted by ``kind`` (int or float) to a finite number;
-    a ValidationError naming the config field ``name`` otherwise."""
+    a ValidationError naming the config field ``name`` otherwise.
+
+    Booleans are not numbers, and an int field takes only whole numbers
+    (``int`` would truncate 1.7 to 1)."""
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if kind is int and isinstance(value, float) and number != value:
         number = None
     if number is None or not math.isfinite(number):
         raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}")

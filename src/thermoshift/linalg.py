@@ -8,17 +8,17 @@ import numpy as np
 
 from .errors import NumericalError
 
-DEFAULT_TOL = 1e-13
+TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
 
 
-def power_iteration(matrix: np.ndarray, tol: float = DEFAULT_TOL,
+def power_iteration(matrix: np.ndarray,
                     max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and eigenvector of a nonnegative matrix.
 
     Starts from the all-ones vector and renormalizes in L1, so the run is
     deterministic.  Convergence requires the eigenvalue estimate and every
-    significant vector component to settle to relative tolerance ``tol``
+    significant vector component to settle to relative tolerance ``TOL``
     (componentwise, because eigenvector entries can span hundreds of orders
     of magnitude and downstream ratios need their relative accuracy).  On an
     imprimitive matrix the estimates oscillate and the iteration is reported
@@ -39,11 +39,11 @@ def power_iteration(matrix: np.ndarray, tol: float = DEFAULT_TOL,
         if not math.isfinite(s) or s <= 0.0:
             raise NumericalError("power iteration collapsed (zero or non-finite growth)")
         w /= s
-        lam_ok = abs(s - lam_prev) <= tol * max(abs(s), 1.0)
-        if lam_ok and _relative_step(w, v) <= tol:
+        lam_ok = abs(s - lam_prev) <= TOL * max(abs(s), 1.0)
+        if lam_ok and _relative_step(w, v) <= TOL:
             return s, w
         if (lam_ok and v_prev is not None
-                and _relative_step(w, v_prev) <= tol):
+                and _relative_step(w, v_prev) <= TOL):
             # A nearly period-2 matrix leaves an alternating residual pinned
             # at the rounding floor, so consecutive iterates never agree even
             # though the even subsequence has settled.  The residual flips
@@ -66,12 +66,10 @@ def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[sig] / denom[sig]))
 
 
-def dominant_pair(matrix: np.ndarray, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray, np.ndarray]:
+def dominant_pair(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Dominant eigenvalue with right and left eigenvectors (both L1-normalized)."""
-    lam_r, right = power_iteration(matrix, tol=tol, max_iter=max_iter)
-    lam_l, left = power_iteration(np.asarray(matrix, dtype=np.float64).T,
-                                  tol=tol, max_iter=max_iter)
+    lam_r, right = power_iteration(matrix)
+    lam_l, left = power_iteration(np.asarray(matrix, dtype=np.float64).T)
     if abs(lam_r - lam_l) > 1e-9 * max(abs(lam_r), abs(lam_l), 1.0):
         raise NumericalError(
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")

@@ -25,7 +25,7 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import ShiftModel, admissible_words
+from .shifts import WORD_BUDGET, ShiftModel, admissible_words
 
 
 @dataclass
@@ -105,10 +105,10 @@ class CylinderMeasure:
         return max(abs(pre.get(k, 0.0) - short.get(k, 0.0)) for k in keys)
 
 
-def gibbs_weights(shift: ShiftModel, pot: Potential, t: float, n: int,
-                  budget: int | None = 2_000_000) -> CylinderMeasure:
+def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
+                  n: int) -> CylinderMeasure:
     """Mass on depth-n cylinders proportional to exp(t sup f_n|[w])."""
-    words = admissible_words(shift, n, budget=budget)
+    words = admissible_words(shift, n, budget=WORD_BUDGET)
     raw = {w: math.exp(t * pot.sup(w, shift)) for w in words}
     return CylinderMeasure.from_weights(shift, n, raw, source="sup-weight")
 
@@ -129,8 +129,7 @@ def orbit_measure(shift: ShiftModel, word, depth: int) -> CylinderMeasure:
 
 
 def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
-                    m: int, depth: int,
-                    budget: int | None = 2_000_000) -> CylinderMeasure:
+                    m: int, depth: int) -> CylinderMeasure:
     """Average the depth-n sup-weight measure over m shifts, reported on
     depth-``depth`` cylinders.  Needs m < n and depth <= n - m + 1 so every
     shifted cylinder is still determined by the depth-n weights."""
@@ -142,7 +141,7 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
     if depth < 1 or depth > n - m + 1:
         raise ValidationError(
             f"report depth must lie in 1..{n - m + 1} for n={n}, m={m}")
-    nu = gibbs_weights(shift, pot, t, n, budget=budget)
+    nu = gibbs_weights(shift, pot, t, n)
     acc: dict = {}
     inv_m = 1.0 / m
     for u, v in nu.weights.items():
@@ -263,8 +262,7 @@ class EntropyEstimate:
     ratios_monotone: bool
 
 
-def entropy_estimate(shift: ShiftModel, measure, n_max: int,
-                     budget: int | None = 2_000_000) -> EntropyEstimate:
+def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     """Cylinder entropies H_n with the conditional-difference estimator.
 
     H_n / n decreases to the entropy for invariant measures; the difference
@@ -275,7 +273,7 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int,
     prev_H = 0.0
     value = math.nan
     for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=budget)
+        words = admissible_words(shift, n, budget=WORD_BUDGET)
         acc = []
         for w in words:
             mu = measure.mass(w)
@@ -297,8 +295,8 @@ class LyapunovEstimate:
     bias_bound: float        # resolution floor from the variation constant
 
 
-def lyapunov(shift: ShiftModel, pot: Potential, measure, n_max: int,
-             budget: int | None = 2_000_000) -> LyapunovEstimate:
+def lyapunov(shift: ShiftModel, pot: Potential, measure,
+             n_max: int) -> LyapunovEstimate:
     """a_n = (1/n) sum_w mu[w] (sup f_n|[w] + C_aa); almost additivity makes
     the sequence an upper scheme whose running minimum estimates the
     exponent."""
@@ -307,7 +305,7 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure, n_max: int,
     seq = []
     best = math.inf
     for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=budget)
+        words = admissible_words(shift, n, budget=WORD_BUDGET)
         acc = []
         for w in words:
             mu = measure.mass(w)
@@ -336,8 +334,7 @@ class GibbsCertificate:
 
 def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
                       pressure: float, n_range: Sequence[int],
-                      slack: float = 1e-9,
-                      budget: int | None = 2_000_000) -> GibbsCertificate:
+                      slack: float = 1e-9) -> GibbsCertificate:
     """Two-sided cylinder-ratio scan against exp(t C_bv) (1 + slack).
 
     With the running-infimum pressure and sup-weight masses the upper ratio
@@ -347,7 +344,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     c_hi = 0.0
     worst = ()
     for n in n_range:
-        for w in admissible_words(shift, n, budget=budget):
+        for w in admissible_words(shift, n, budget=WORD_BUDGET):
             mu = measure.mass(w)
             if mu <= 0:
                 continue

@@ -74,9 +74,6 @@ class Potential:
         """Subtract n*(sup f_1 + aa_const) from f_n, making every value <= 0."""
         return AffinePotential(self, 1.0, -(self.sup_f1 + self.aa_const))
 
-    def descriptor(self) -> str:
-        raise NotImplementedError
-
 
 def _as_symbol_key(key):
     if isinstance(key, tuple):
@@ -195,11 +192,6 @@ class LocallyConstant(Potential):
     def normalize(self) -> "LocallyConstant":
         c = self.sup_f1 + self.aa_const
         return LocallyConstant({k: v - c for k, v in self._table.items()}, self._depth)
-
-    def descriptor(self) -> str:
-        entries = ",".join(f"{k!r}:{v!r}" for k, v in sorted(self._table.items(),
-                                                             key=lambda kv: repr(kv[0])))
-        return f"locally_constant(depth={self._depth},table={{{entries}}})"
 
 
 def _extensions(shift: ShiftModel, last, length: int) -> list[tuple]:
@@ -327,9 +319,6 @@ class DecayPotential(Potential):
             rem = scale * (c * lin - t * self.offset * geo)
         return partial + max(rem, 0.0)
 
-    def descriptor(self) -> str:
-        return f"decay(law={self.law},coef={self.coef!r},offset={self.offset!r})"
-
 
 class MatrixCocycle(Potential):
     """f_n(x) = log || A_{x_1} ... A_{x_n} || with the max-row-sum norm.
@@ -422,11 +411,6 @@ class MatrixCocycle(Potential):
         return MatrixCocycle({k: m * s for k, m in self._mats.items()},
                              aa_const=self._declared_aa)
 
-    def descriptor(self) -> str:
-        parts = ",".join(f"{k!r}:{np.asarray(m).tolist()!r}"
-                         for k, m in sorted(self._mats.items(), key=lambda kv: repr(kv[0])))
-        return f"matrix_cocycle(aa={self._declared_aa!r},mats={{{parts}}})"
-
 
 class AffinePotential(Potential):
     """mult * f_n + n * shift on top of a base family."""
@@ -475,10 +459,6 @@ class AffinePotential(Potential):
     def normalize(self) -> "AffinePotential":
         return AffinePotential(self.base, self.mult,
                                self.shift_per_n - (self.sup_f1 + self.aa_const))
-
-    def descriptor(self) -> str:
-        return (f"affine(mult={self.mult!r},shift={self.shift_per_n!r},"
-                f"base={self.base.descriptor()})")
 
 
 def potential_from_config(cfg: Mapping) -> Potential:

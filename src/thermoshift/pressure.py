@@ -26,8 +26,8 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import log_sum_exp, power_iteration
 from .potentials import DecayPotential, Potential
-from .shifts import (CompactApproximation, ShiftModel, admissible_words,
-                     is_primitive, periodic_points)
+from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel,
+                     admissible_words, is_primitive, periodic_points)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
 
 
 def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
-                         n_max: int, budget: int | None = 2_000_000
-                         ) -> PressureEstimate:
+                         n_max: int) -> PressureEstimate:
     """Running infimum of (1/n) log sum_w exp(t sup f_n|[w]).
 
     Each term is an upper bound for the pressure, so the running infimum is
@@ -77,7 +76,7 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
     best = math.inf
     n_best = 0
     for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=budget)
+        words = admissible_words(shift, n, budget=WORD_BUDGET)
         est = log_sum_exp([t * pot.sup(w, shift) for w in words]) / n
         seq.append((n, est))
         if est < best:
@@ -95,7 +94,6 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     idx = {w: i for i, w in enumerate(states)}
     m = len(states)
     B = np.zeros((m, m))
-    adj = np.zeros((m, m), dtype=np.uint8)
     for u in states:
         w_u = math.exp(t * pot.first_level(u))
         for s in shift.successors(u[-1]):
@@ -103,8 +101,7 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
             j = idx.get(v)
             if j is not None:
                 B[idx[u], j] = w_u
-                adj[idx[u], j] = 1
-    return states, B, adj
+    return states, B
 
 
 def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
@@ -117,11 +114,13 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
     r = depth if depth is not None else pot.depth
     if r < pot.depth:
         raise ValidationError("block depth must cover the potential depth")
-    states, B, adj = weighted_block_matrix(shift, pot, t, depth=r)
-    if not is_primitive(ShiftModel(tuple(states), adj, assumed_mixing=True)):
+    # The r-block graph of an essential graph has the same cycle lengths, so
+    # it is primitive exactly when the shift is.
+    if not is_primitive(shift):
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
+    states, B = weighted_block_matrix(shift, pot, t, depth=r)
     return r, states, B
 
 
@@ -158,13 +157,12 @@ class TruncationCurve:
 
 
 def truncation_curve(approx: CompactApproximation, pot: Potential,
-                     t: float, n_max: int = 12,
-                     monotone_tol: float = 1e-9) -> TruncationCurve:
+                     t: float, n_max: int = 12) -> TruncationCurve:
     """Pressure along the levels of a compact approximation.
 
     Restriction to a sub-shift can only lower the partition sums, so the
-    sequence must be nondecreasing in the level; a violation beyond
-    ``monotone_tol`` is reported as a numerical failure.
+    sequence must be nondecreasing in the level; a violation beyond 1e-9 is
+    reported as a numerical failure.
     """
     if t <= 1.0:
         raise ValidationError("t must exceed 1")
@@ -178,7 +176,7 @@ def truncation_curve(approx: CompactApproximation, pot: Potential,
         pressures.append(est.value)
         sizes.append(level.n_symbols)
     gaps = [b - a for a, b in zip(pressures, pressures[1:])]
-    monotone = all(g >= -monotone_tol for g in gaps)
+    monotone = all(g >= -1e-9 for g in gaps)
     if not monotone:
         raise NumericalError(
             f"pressure decreased along nested levels: gaps {gaps}")
@@ -202,12 +200,11 @@ class PressureCurve:
 
 
 def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
-                   n_max: int = 12, h: float = 1e-3,
-                   convex_tol: float = 1e-6) -> PressureCurve:
+                   n_max: int = 12, h: float = 1e-3) -> PressureCurve:
     """Sample P(t) on a grid with derivative and Legendre-transform entropy.
 
     P(t) is convex in t, so the discrete second differences on the grid must
-    stay above ``-convex_tol``.
+    stay above -1e-6.
     """
     ts = [float(t) for t in ts]
     if len(ts) < 1:
@@ -228,5 +225,5 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         left = (points[i].pressure - points[i - 1].pressure) / (ts[i] - ts[i - 1])
         right = (points[i + 1].pressure - points[i].pressure) / (ts[i + 1] - ts[i])
         second.append(2.0 * (right - left) / (ts[i + 1] - ts[i - 1]))
-    convex_ok = all(d >= -convex_tol for d in second)
+    convex_ok = all(d >= -1e-6 for d in second)
     return PressureCurve(tuple(points), tuple(second), convex_ok)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (BudgetExceeded, ConstructionFailure, UnsupportedEnumeration,
-                     ValidationError)
+                     ValidationError, config_number)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +202,14 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
             raise ValidationError(f"shift.rule: unknown rule {cfg['rule']!r}")
         if "truncation" not in cfg:
             raise ValidationError("shift.truncation: required with a rule-based shift")
-        n = cfg["truncation"]
-        if not isinstance(n, int) or n < 1:
+        n = config_number(cfg["truncation"], int, "shift.truncation")
+        if n < 1:
             raise ValidationError("shift.truncation: must be a positive integer")
         return rule().truncate(n)
     if "alphabet" not in cfg:
         raise ValidationError("shift.alphabet: required")
     alphabet = cfg["alphabet"]
-    if isinstance(alphabet, int):
+    if isinstance(alphabet, int) and not isinstance(alphabet, bool):
         symbols = tuple(range(alphabet))
     elif isinstance(alphabet, (list, tuple)):
         symbols = tuple(alphabet)
@@ -236,6 +237,10 @@ def _require_finite(shift) -> ShiftModel:
     if not isinstance(shift, ShiftModel):
         raise ValidationError(f"expected a ShiftModel, got {type(shift).__name__}")
     return shift
+
+
+# Word budget of every estimator that enumerates a whole level.
+WORD_BUDGET = 2_000_000
 
 
 def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
@@ -328,91 +333,70 @@ class MixingCertificate:
     status: str  # "mixing" | "periodic" | "reducible"
     primitive_exponent: int | None
     thresholds: dict | None
-    exponent_cap: int
 
     @property
     def mixing(self) -> bool:
         return self.status == "mixing"
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(mat[u]):
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(int(v))
-            frontier = nxt
-        if not seen.all():
-            return False
-    return True
-
-
 def _period(adj: np.ndarray) -> int:
-    """gcd of closed-walk lengths of a strongly connected digraph."""
+    """Period (gcd of cycle lengths) of the digraph ``adj``, or 0 when it is
+    not strongly connected; primitive means period 1.
+
+    BFS levels from vertex 0, forward and backward, decide strong
+    connectivity; every edge u -> v then contributes level[u] + 1 - level[v]
+    to the gcd.
+    """
+    adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in np.flatnonzero(adj[u]):
-            g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return max(g, 1)
+    for mat in (adj.T, adj):
+        level = np.full(n, -1, dtype=np.int64)
+        level[0] = 0
+        frontier = np.zeros(n, dtype=bool)
+        frontier[0] = True
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = mat[frontier].any(axis=0) & (level < 0)
+            level[frontier] = depth
+        if (level < 0).any():
+            return 0
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+
+
+def _mixing_status(adj: np.ndarray) -> str:
+    period = _period(adj)
+    return "mixing" if period == 1 else "periodic" if period else "reducible"
 
 
 def is_primitive(shift: ShiftModel) -> bool:
     """Irreducible and aperiodic, by graph traversal (no matrix powers)."""
-    adj = _require_finite(shift).adjacency.astype(bool)
-    return _strongly_connected(adj) and _period(adj) == 1
+    return _period(_require_finite(shift).adjacency) == 1
 
 
-def mixing_certificate(shift: ShiftModel, exponent_cap: int | None = None) -> MixingCertificate:
+def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
     """Certify topological mixing by locating the primitive exponent.
 
-    The search runs up to the Wielandt bound (m-1)^2 + 1 (or ``exponent_cap``)
-    and classifies failures as periodic or reducible.
+    The graph is classified by :func:`_period` first; only a primitive one
+    enters the power loop, which Wielandt's bound (m-1)^2 + 1 ends.
     """
-    shift = _require_finite(shift)
-    m = shift.n_symbols
-    cap = exponent_cap if exponent_cap is not None else (m - 1) ** 2 + 1
-    cap = max(cap, 1)
-    adj = shift.adjacency.astype(bool)
+    adj = _require_finite(shift).adjacency.astype(bool)
+    status = _mixing_status(adj)
+    if status != "mixing":
+        return MixingCertificate(status, None, None)
     adjf = adj.astype(np.float64)
-    history: list[np.ndarray] = []
-    power = adj
-    gamma = None
-    for k in range(1, cap + 1):
-        history.append(power)
-        if power.all():
-            gamma = k
-            break
-        power = (power @ adjf) > 0.0
-    if gamma is None:
-        if not _strongly_connected(adj):
-            return MixingCertificate("reducible", None, None, cap)
-        return MixingCertificate("periodic", None, None, cap)
-    # Beyond gamma every power is positive, so the sweep gives true thresholds.
+    history = [adj]
+    while not history[-1].all():
+        history.append((history[-1] @ adjf) > 0.0)
+    # Beyond the primitive exponent every power is positive, so the sweep
+    # gives true thresholds.
     edge_threshold = _threshold_sweep(history)
     thresholds = {}
     for i, a in enumerate(shift.symbols):
         for j, b in enumerate(shift.symbols):
             thresholds[(a, b)] = max(2, int(edge_threshold[i, j]) + 1)
-    return MixingCertificate("mixing", gamma, thresholds, cap)
+    return MixingCertificate("mixing", len(history), thresholds)
 
 
 # -- compact approximation -------------------------------------------------
@@ -497,9 +481,7 @@ def _exact_length_interior(adjf: np.ndarray, feas: np.ndarray, start: int,
     return tuple(word)
 
 
-def compact_approximation(ambient, k_max: int, seed=None,
-                          depth_cap: int | None = None,
-                          working_cap: int | None = None) -> CompactApproximation:
+def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximation:
     """Build nested finite mixing subshifts of ``ambient``.
 
     Level 1 starts from a single seed state.  At each level the construction
@@ -522,15 +504,18 @@ def compact_approximation(ambient, k_max: int, seed=None,
         assumed = True
         if seed is None:
             seed = 1
+        elif (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+              or seed < 1):
+            raise ValidationError(
+                f"seed must be a positive integer on a countable shift, got {seed!r}")
     elif isinstance(ambient, ShiftModel):
         rule = None
         assumed = False
-        cert = mixing_certificate(ambient)
-        if not cert.mixing:
+        status = _mixing_status(ambient.adjacency)
+        if status != "mixing":
             raise ValidationError(
-                f"finite ambient shift must be mixing (certificate: {cert.status})")
-        if seed is None:
-            seed = ambient.symbols[0]
+                f"finite ambient shift must be mixing (certificate: {status})")
+        seed = ambient.symbols[0 if seed is None else ambient.index(seed)]
     else:
         raise ValidationError("ambient must be an AmbientRule or a ShiftModel")
 
@@ -542,17 +527,13 @@ def compact_approximation(ambient, k_max: int, seed=None,
     certificates: list[MixingCertificate] = []
 
     for _ in range(k_max):
-        cap = depth_cap if depth_cap is not None else 4 * len(seeds) + 16
+        cap = 4 * len(seeds) + 16
         if rule is not None:
             top = max(int(s) for s in known)
-            size = working_cap if working_cap is not None else 2 * top + cap + 2
-            work = rule.truncate(size)
+            work = rule.truncate(2 * top + cap + 2)
         else:
             work = ambient
         sym_index = {s: i for i, s in enumerate(work.symbols)}
-        for s in seeds:
-            if s not in sym_index:
-                raise ConstructionFailure(f"seed symbol {s!r} missing from working graph")
         adjf = work.adjacency.astype(np.float64)
         best = _edge_thresholds(adjf, [sym_index[s] for s in seeds], cap)
         for (pi, pj), L in best.items():

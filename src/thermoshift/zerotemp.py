@@ -244,8 +244,7 @@ class ZeroTempReport:
 
 
 def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
-                     depth: int = 6, delta: float = 1e-4,
-                     leak_tol: float = 1e-2, subshift_delta: float = 1e-9,
+                     depth: int = 6, delta: float = 1e-4, leak_tol: float = 1e-2,
                      trace: AnnealTrace | None = None) -> ZeroTempReport:
     """Compare the cold end of an annealing trace against the maximizing
     cycle data: Lyapunov exponent vs the maximum cycle mean, entropy vs the
@@ -255,7 +254,7 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError(
             "annealing trace belongs to a different transition graph")
     # the sub-shift is cheap and may reject the shift; anneal only after it
-    sub = maximizing_subshift(shift, pot, delta=subshift_delta)
+    sub = maximizing_subshift(shift, pot, delta=1e-9)
     if trace is None:
         trace = anneal(shift, pot, ts, depth=depth, delta=delta)
     cold = trace.rows[0]

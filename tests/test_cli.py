@@ -215,6 +215,19 @@ def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     ("certify", {**GOLDEN_PRESSURE, "word_budget": "lots"}),
     ("certify", {**GOLDEN_PRESSURE, "potential": {
         "family": "locally_constant", "table": {"0": "NaN", "1": 0}}}),
+    ("pressure", dict(GOLDEN_PRESSURE, t=math.nan)),
+    ("pressure", dict(GOLDEN_PRESSURE, t=True)),
+    ("pressure", dict(GOLDEN_PRESSURE, route="topological", n_max=True)),
+    ("pressure", {**GOLDEN_PRESSURE, "potential": {
+        "family": "locally_constant", "depth": 1.7, "table": {"0": 0, "1": 0}}}),
+    ("pressure", dict(GOLDEN_PRESSURE, shift={"rule": "full", "truncation": True})),
+    ("pressure", dict(GOLDEN_PRESSURE, route="transfer", depth="x")),
+    ("pressure", dict(GOLDEN_PRESSURE, route="transfer", depth=1.5)),
+    ("gibbs", {**GOLDEN_PRESSURE, "n": 4.5, "m": 1, "depth": 2}),
+    ("approx", {"ambient": {"rule": "renewal"}, "k_max": 2, "seed": "x"}),
+    ("approx", {"ambient": {"rule": "renewal"}, "k_max": 2, "seed": 0}),
+    ("approx", {"ambient": {"rule": "renewal"}, "k_max": 2, "seed": True}),
+    ("approx", {"ambient": GOLDEN_PRESSURE["shift"], "k_max": 2, "seed": 7}),
 ])
 def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, tmp_path, command, payload)

@@ -147,12 +147,15 @@ def test_best_pressure_route_selection(golden_mean, full2):
 
 
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
-    states, B, adj = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
+    states, B = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]
     assert B.shape == (3, 3)
     # weight on a row is constant: exp(t f_1 | source state)
     assert B[0].max() == pytest.approx(1.0)
-    assert (adj == (B > 0)).all()
+    # support: v follows u by a one-symbol slide, v == u[1:] + (s,)
+    for i, u in enumerate(states):
+        for j, v in enumerate(states):
+            assert (B[i, j] > 0) == (v == u[1:] + v[-1:])
 
 
 # -- truncation curves -----------------------------------------------------

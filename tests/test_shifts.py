@@ -166,6 +166,72 @@ def test_is_primitive_matches_certificate(full2, golden_mean):
         assert is_primitive(shift) == mixing_certificate(shift).mixing
 
 
+def _essential(adj):
+    """``adj`` with every all-zero row and column given one cycle edge."""
+    n = len(adj)
+    a = np.array(adj, dtype=np.uint8).reshape(n, n)
+    for i in np.flatnonzero(a.sum(axis=1) == 0):
+        a[i, (i + 1) % n] = 1
+    for j in np.flatnonzero(a.sum(axis=0) == 0):
+        a[(j - 1) % n, j] = 1
+    return ShiftModel(tuple(range(n)), a)
+
+
+def random_graphs(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                           min_size=n, max_size=n)).map(_essential)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(6), st.integers(1, 3))
+def test_block_graph_primitive_exactly_when_shift_is(shift, r):
+    # r-block presentation: states are admissible r-words, u -> u[1:] + (s,)
+    states = admissible_words(shift, r)
+    idx = {w: i for i, w in enumerate(states)}
+    adj = np.zeros((len(states), len(states)), dtype=np.uint8)
+    for u in states:
+        for s in shift.successors(u[-1]):
+            adj[idx[u], idx[u[1:] + (s,)]] = 1
+    block = ShiftModel(tuple(states), adj)
+    assert is_primitive(block) == is_primitive(shift)
+
+
+def _bool_power(a, k):
+    p = np.eye(len(a), dtype=bool)
+    for _ in range(k):
+        p = (p.astype(float) @ a.astype(float)) > 0
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs(7))
+def test_mixing_status_matches_matrix_power_oracle(shift):
+    a = shift.adjacency.astype(bool)
+    n = len(a)
+    cert = mixing_certificate(shift)
+    if not _bool_power(a | np.eye(n, dtype=bool), n - 1).all():
+        assert cert.status == "reducible"
+    elif _bool_power(a, (n - 1) ** 2 + 1).all():
+        assert cert.status == "mixing"
+        gamma = next(k for k in range(1, (n - 1) ** 2 + 2)
+                     if _bool_power(a, k).all())
+        assert cert.primitive_exponent == gamma
+    else:
+        assert cert.status == "periodic"
+    assert is_primitive(shift) == cert.mixing
+
+
+def test_large_non_primitive_graphs_classify_without_powers():
+    n = 300
+    cycle = ShiftModel(tuple(range(n)), np.roll(np.eye(n, dtype=np.uint8), 1, axis=1))
+    chain = ShiftModel(tuple(range(n)),
+                       np.eye(n, dtype=np.uint8) + np.eye(n, k=1, dtype=np.uint8))
+    assert mixing_certificate(cycle).status == "periodic"
+    assert mixing_certificate(chain).status == "reducible"
+    assert not is_primitive(cycle) and not is_primitive(chain)
+
+
 # -- configuration ---------------------------------------------------------
 
 
@@ -196,6 +262,11 @@ def test_shift_from_config_errors():
         shift_from_config({"rule": "full"})
     with pytest.raises(ValidationError, match="alphabet"):
         shift_from_config({"edges": []})
+    for bad in (True, 1.5, "x", 0):
+        with pytest.raises(ValidationError, match="truncation"):
+            shift_from_config({"rule": "full", "truncation": bad})
+    with pytest.raises(ValidationError, match="alphabet"):
+        shift_from_config({"alphabet": True, "edges": "full"})
 
 
 def test_renewal_rule_edges():
@@ -285,6 +356,14 @@ def test_approximation_rejects_non_mixing_ambient():
     two_cycle = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])
     with pytest.raises(ValidationError, match="mixing"):
         compact_approximation(two_cycle, 2)
+
+
+def test_approximation_names_the_ambient_status():
+    two_cycle = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])
+    lower = ShiftModel.from_edges((0, 1), [(0, 0), (1, 0), (1, 1)])
+    for ambient, status in ((two_cycle, "periodic"), (lower, "reducible")):
+        with pytest.raises(ValidationError, match=f"must be mixing.*{status}"):
+            compact_approximation(ambient, 1)
 
 
 def test_restrict_keeps_ambient_edges(golden_mean):
