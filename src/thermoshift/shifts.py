@@ -211,19 +211,24 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
     alphabet = cfg["alphabet"]
     if isinstance(alphabet, int) and not isinstance(alphabet, bool):
         symbols = tuple(range(alphabet))
-    elif isinstance(alphabet, (list, tuple)):
+    elif isinstance(alphabet, (list, tuple)) and _symbols(alphabet):
         symbols = tuple(alphabet)
     else:
-        raise ValidationError("shift.alphabet: must be an integer or a list")
+        raise ValidationError("shift.alphabet: must be an integer or a list of symbols")
     if "edges" not in cfg:
         raise ValidationError("shift.edges: required for an explicit shift")
-    if cfg["edges"] == "full":
+    edges = cfg["edges"]
+    if edges == "full":
         edges = [(a, b) for a in symbols for b in symbols]
-    elif isinstance(cfg["edges"], (list, tuple)):
-        edges = [tuple(e) for e in cfg["edges"]]
-    else:
-        raise ValidationError('shift.edges: must be a pair list or "full"')
-    return ShiftModel.from_edges(symbols, edges)
+    elif not isinstance(edges, (list, tuple)) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and _symbols(e) for e in edges):
+        raise ValidationError('shift.edges: must be a list of [a, b] pairs or "full"')
+    return ShiftModel.from_edges(symbols, [tuple(e) for e in edges])
+
+
+def _symbols(items) -> bool:
+    # integers (not booleans) and strings are what potential table keys parse to
+    return all(type(s) in (int, str) for s in items)
 
 
 # -- word enumeration ------------------------------------------------------
@@ -391,11 +396,9 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
         history.append((history[-1] @ adjf) > 0.0)
     # Beyond the primitive exponent every power is positive, so the sweep
     # gives true thresholds.
-    edge_threshold = _threshold_sweep(history)
-    thresholds = {}
-    for i, a in enumerate(shift.symbols):
-        for j, b in enumerate(shift.symbols):
-            thresholds[(a, b)] = max(2, int(edge_threshold[i, j]) + 1)
+    rows = np.maximum(2, _threshold_sweep(history) + 1).tolist()
+    thresholds = {(a, b): n for a, row in zip(shift.symbols, rows)
+                  for b, n in zip(shift.symbols, row)}
     return MixingCertificate("mixing", len(history), thresholds)
 
 

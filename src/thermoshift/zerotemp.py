@@ -20,6 +20,7 @@ from .potentials import Potential
 from .shifts import ShiftModel
 
 _EXHAUSTIVE_LIMIT = 8
+_NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
 
 
 def _vertex_weights(shift: ShiftModel, pot: Potential) -> list[float]:
@@ -60,23 +61,12 @@ def simple_cycles(shift: ShiftModel) -> list[tuple]:
 class MaxMeanCycle:
     beta: float
     cycle: tuple
-    method: str              # "exhaustive" | "karp"
+    method: str              # always "karp"; kept for callers that read it
 
 
 def max_mean_cycle(shift: ShiftModel, pot: Potential) -> MaxMeanCycle:
     """Largest Birkhoff mean over periodic orbits (= over simple cycles)."""
-    g = _vertex_weights(shift, pot)
-    if shift.n_symbols <= _EXHAUSTIVE_LIMIT:
-        best = None
-        for cyc in simple_cycles(shift):
-            mean = math.fsum(g[shift.index(s)] for s in cyc) / len(cyc)
-            key = (-mean, len(cyc), cyc)
-            if best is None or key < best[0]:
-                best = (key, cyc, mean)
-        if best is None:
-            raise NumericalError("transition graph has no cycle")
-        return MaxMeanCycle(best[2], best[1], "exhaustive")
-    beta, cycle = _karp(shift, g)
+    beta, cycle = _karp(shift, _vertex_weights(shift, pot))
     return MaxMeanCycle(beta, cycle, "karp")
 
 
@@ -84,39 +74,25 @@ def _karp(shift: ShiftModel, g: list[float]):
     """Karp's minimax recurrence for the maximum cycle mean, with cycle
     extraction from the optimal length-n walk."""
     n = shift.n_symbols
-    adj = shift.adjacency
-    NEG = -math.inf
-    d = [[NEG] * n for _ in range(n + 1)]
-    parent = [[-1] * n for _ in range(n + 1)]
-    for v in range(n):
-        d[0][v] = 0.0
+    adj = shift.adjacency.astype(bool)
+    gv = np.asarray(g, dtype=np.float64)
+    # d[k, v]: heaviest k-edge walk ending at v; ties keep the first u
+    d = np.zeros((n + 1, n))
+    parent = np.zeros((n + 1, n), dtype=np.int64)
     for k in range(1, n + 1):
-        for v in range(n):
-            for u in range(n):
-                if adj[u, v] and d[k - 1][u] > NEG:
-                    cand = d[k - 1][u] + g[u]
-                    if cand > d[k][v]:
-                        d[k][v] = cand
-                        parent[k][v] = u
-    beta = NEG
-    v_star = -1
-    for v in range(n):
-        if d[n][v] == NEG:
-            continue
-        worst = math.inf
-        for k in range(n):
-            if d[k][v] > NEG:
-                worst = min(worst, (d[n][v] - d[k][v]) / (n - k))
-        if worst > beta:
-            beta, v_star = worst, v
-    if v_star < 0:
-        raise NumericalError("transition graph has no cycle")
+        cand = np.where(adj, (d[k - 1] + gv)[:, None], -np.inf)
+        parent[k] = cand.argmax(axis=0)
+        d[k] = cand.max(axis=0)
+    # a ShiftModel has no all-zero column, so every d[k, v] is finite
+    worst = ((d[n] - d[:n]) / (n - np.arange(n))[:, None]).min(axis=0)
+    v_star = int(worst.argmax())
+    beta = float(worst[v_star])
     walk = [v_star]
     for k in range(n, 0, -1):
-        walk.append(parent[k][walk[-1]])
+        walk.append(int(parent[k, walk[-1]]))
     walk.reverse()
     best_cycle = None
-    best_mean = NEG
+    best_mean = -math.inf
     seen: dict = {}
     for pos, v in enumerate(walk):
         if v in seen:
@@ -132,10 +108,37 @@ def _karp(shift: ShiftModel, g: list[float]):
     return beta, tuple(shift.symbols[i] for i in rotated)
 
 
+def _critical_graph(shift: ShiftModel, g: list[float], beta: float) -> ShiftModel:
+    """Edges on a cycle that weighs at least -2n * _NEAR_OPTIMAL (n symbols)
+    under the weights ``g[u] - beta``: a cycle with mean >= beta -
+    _NEAR_OPTIMAL weighs at least -n * _NEAR_OPTIMAL; the 2 absorbs rounding.
+    ``close`` is the max-plus closure (Floyd-Warshall, the empty path giving
+    the zero diagonal), so ``w[u, v] + close[v, u]`` is the heaviest cycle
+    through u -> v."""
+    n = shift.n_symbols
+    adj = shift.adjacency.astype(bool)
+    w = np.where(adj, (np.asarray(g, dtype=np.float64) - beta)[:, None], -np.inf)
+    close = w.copy()
+    np.fill_diagonal(close, np.maximum(np.diag(close), 0.0))
+    for k in range(n):
+        close = np.maximum(close, close[:, k, None] + close[None, k, :])
+    crit = w + close.T >= -2 * n * _NEAR_OPTIMAL
+    # rounding can strand an edge: trim to where every vertex has one in and out
+    live = np.ones(n, dtype=bool)
+    while True:
+        crit &= live[:, None] & live[None, :]
+        now = crit.any(axis=0) & crit.any(axis=1)
+        if (now == live).all():
+            break
+        live = now
+    idx = np.flatnonzero(live)
+    return ShiftModel(tuple(shift.symbols[i] for i in idx),
+                      crit[np.ix_(idx, idx)])
+
+
 @dataclass(frozen=True)
 class MaximizingSubshift:
     beta: float
-    delta: float
     symbols: tuple
     edges: tuple             # (a, b) pairs, the union of near-optimal cycles
     entropy: float
@@ -149,32 +152,25 @@ class MaximizingSubshift:
         return all((a, b) in edge_set for a, b in zip(word, word[1:]))
 
 
-def maximizing_subshift(shift: ShiftModel, pot: Potential,
-                        delta: float = 1e-9) -> MaximizingSubshift:
-    """Union of the simple cycles with mean >= beta - delta, with the
-    entropy of the resulting edge graph (log of its spectral radius)."""
+def maximizing_subshift(shift: ShiftModel, pot: Potential) -> MaximizingSubshift:
+    """Union of the simple cycles with mean >= beta - 1e-9, with the entropy
+    of the resulting edge graph (log of its spectral radius).
+
+    Only the critical graph of Karp's beta is enumerated, so the cycle cap
+    of :func:`simple_cycles` bounds the maximizing set, not the shift.
+    """
     g = _vertex_weights(shift, pot)
-    cycles = simple_cycles(shift)
-    if not cycles:
-        raise NumericalError("transition graph has no cycle")
+    cycles = simple_cycles(_critical_graph(shift, g, _karp(shift, g)[0]))
     means = [(math.fsum(g[shift.index(s)] for s in c) / len(c), c)
              for c in cycles]
     beta = max(m for m, _ in means)
-    keep = [c for m, c in means if m >= beta - delta]
+    keep = [c for m, c in means if m >= beta - _NEAR_OPTIMAL]
     symbols = sorted({s for c in keep for s in c}, key=shift.index)
-    edges = set()
-    for c in keep:
-        for a, b in zip(c, c[1:] + c[:1]):
-            edges.add((a, b))
-    idx = {s: i for i, s in enumerate(symbols)}
-    m = len(symbols)
-    adj = np.zeros((m, m))
-    for a, b in edges:
-        adj[idx[a], idx[b]] = 1.0
-    rho = max(abs(np.linalg.eigvals(adj))) if m else 0.0
-    entropy = math.log(rho) if rho > 0 else -math.inf
-    return MaximizingSubshift(beta, delta, tuple(symbols),
-                              tuple(sorted(edges)), float(entropy),
+    edges = sorted({(a, b) for c in keep for a, b in zip(c, c[1:] + c[:1])})
+    # a union of cycles: every symbol has an edge in and out, and rho >= 1
+    adj = ShiftModel.from_edges(symbols, edges).adjacency
+    entropy = math.log(max(abs(np.linalg.eigvals(adj))))
+    return MaximizingSubshift(beta, tuple(symbols), tuple(edges), entropy,
                               tuple(keep))
 
 
@@ -254,14 +250,13 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError(
             "annealing trace belongs to a different transition graph")
     # the sub-shift is cheap and may reject the shift; anneal only after it
-    sub = maximizing_subshift(shift, pot, delta=1e-9)
+    sub = maximizing_subshift(shift, pot)
     if trace is None:
         trace = anneal(shift, pot, ts, depth=depth, delta=delta)
     cold = trace.rows[0]
     leak = math.fsum(v for w, v in sorted(cold.marginal.items())
                      if not sub.admits(w))
-    h_sub = sub.entropy if sub.entropy > -math.inf else 0.0
     return ZeroTempReport(sub.beta, sub, cold.t,
                           abs(cold.lyapunov - sub.beta),
-                          abs(cold.entropy - h_sub),
+                          abs(cold.entropy - sub.entropy),
                           leak, leak <= leak_tol, trace)

@@ -3,7 +3,11 @@ and patches.  The harness is not imported here; these names are its
 contract, so a pruning change that breaks one fails in the test suite
 instead of silently in a traced benchmark run."""
 
+import importlib
 import inspect
+import json
+import re
+from pathlib import Path
 
 import thermoshift
 from thermoshift import admissible_words, cli, measures, potentials, pressure
@@ -16,6 +20,11 @@ WORKER_NAMES = (
     "compact_approximation", "RenewalRule", "FullShiftRule",
 )
 FAMILIES = ("LocallyConstant", "DecayPotential", "MatrixCocycle", "AffinePotential")
+# Per-layer names the tracer builds from something other than a public
+# module function: per-word counters and the ``from_weights`` classmethod.
+AGGREGATED = {"potentials.sup", "potentials.inf", "potentials.at_periodic",
+              "measures.rpf_mass", "measures.from_weights"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def test_every_exported_name_resolves():
@@ -46,3 +55,23 @@ def test_traced_attributes_exist(golden_mean, bernoulli):
     # the block-state count is len(result[0])
     states = pressure.weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)[0]
     assert states == admissible_words(golden_mean, 2)
+
+
+def test_per_layer_metrics_name_public_functions():
+    # the tracer reports <module>.<function>.{calls,self_s,s} for every public
+    # function it wraps; a metric whose function is gone stops a traced run
+    spec = json.loads(BENCHMARK.read_text())
+    missing = []
+    for metric in spec["per_layer"]:
+        hit = re.fullmatch(r"(\w+)\.(\w+)\.(calls|self_s|s)", metric["name"])
+        if hit is None:
+            continue
+        mod, fn = hit.group(1), hit.group(2)
+        if f"{mod}.{fn}" in AGGREGATED or (mod == "cli" and fn in cli._COMMANDS):
+            continue
+        module = importlib.import_module(f"thermoshift.{mod}")
+        obj = getattr(module, fn, None)
+        if not (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                and not fn.startswith("_")):
+            missing.append(metric["name"])
+    assert missing == []

@@ -228,6 +228,8 @@ def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     ("approx", {"ambient": {"rule": "renewal"}, "k_max": 2, "seed": 0}),
     ("approx", {"ambient": {"rule": "renewal"}, "k_max": 2, "seed": True}),
     ("approx", {"ambient": GOLDEN_PRESSURE["shift"], "k_max": 2, "seed": 7}),
+    ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [[0], [1]], "edges": "full"})),
+    ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [0, 1], "edges": [[0]]})),
 ])
 def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, tmp_path, command, payload)

@@ -217,6 +217,16 @@ def test_mixing_status_matches_matrix_power_oracle(shift):
         gamma = next(k for k in range(1, (n - 1) ** 2 + 2)
                      if _bool_power(a, k).all())
         assert cert.primitive_exponent == gamma
+        # every power from gamma on is positive, so the smallest e with
+        # A^k[i, j] > 0 for all k in [e, gamma] gives the word length e + 1
+        powers = [_bool_power(a, k) for k in range(1, gamma + 1)]
+        want = {}
+        for (i, x), (j, y) in itertools.product(enumerate(shift.symbols), repeat=2):
+            e = min(e for e in range(1, gamma + 1)
+                    if all(p[i, j] for p in powers[e - 1:]))
+            want[(x, y)] = max(2, e + 1)
+        assert cert.thresholds == want
+        assert list(cert.thresholds) == list(want)
     else:
         assert cert.status == "periodic"
     assert is_primitive(shift) == cert.mixing
@@ -265,8 +275,12 @@ def test_shift_from_config_errors():
     for bad in (True, 1.5, "x", 0):
         with pytest.raises(ValidationError, match="truncation"):
             shift_from_config({"rule": "full", "truncation": bad})
-    with pytest.raises(ValidationError, match="alphabet"):
-        shift_from_config({"alphabet": True, "edges": "full"})
+    for bad in (True, [[0], [1]], [0, 1.5], [True, 2], [0, None]):
+        with pytest.raises(ValidationError, match="alphabet"):
+            shift_from_config({"alphabet": bad, "edges": "full"})
+    for bad in ([[0]], [[0, 1, 1]], [5], [[0, [1]]], [[0, 1.0]], "x", {"0": 1}):
+        with pytest.raises(ValidationError, match="edges"):
+            shift_from_config({"alphabet": [0, 1], "edges": bad})
 
 
 def test_renewal_rule_edges():

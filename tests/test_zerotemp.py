@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,36 @@ def brute_cycles(shift):
     return sorted(out, key=lambda c: (len(c), c))
 
 
+def brute_subshift(shift, vals):
+    """Maximizing sub-shift from every simple cycle of the whole graph:
+    (beta, symbols, edges, entropy, cycles)."""
+    means = [(math.fsum(vals[s] for s in c) / len(c), c)
+             for c in brute_cycles(shift)]
+    beta = max(m for m, _ in means)
+    keep = tuple(c for m, c in means if m >= beta - 1e-9)
+    symbols = tuple(sorted({s for c in keep for s in c}))
+    edges = tuple(sorted({(a, b) for c in keep
+                          for a, b in zip(c, c[1:] + c[:1])}))
+    adj = np.zeros((len(symbols), len(symbols)))
+    for a, b in edges:
+        adj[symbols.index(a), symbols.index(b)] = 1.0
+    return beta, symbols, edges, math.log(max(abs(np.linalg.eigvals(adj)))), keep
+
+
+def assert_brute_subshift(sub, shift, vals):
+    beta, symbols, edges, entropy, cycles = brute_subshift(shift, vals)
+    assert (sub.beta, sub.symbols, sub.edges, sub.cycles) == (
+        beta, symbols, edges, cycles)
+    assert sub.entropy == pytest.approx(entropy, abs=1e-12)
+
+
+def ten_vertex_graph():
+    edges = [(i, (i + 1) % 10) for i in range(10)]
+    edges += [(0, 5), (3, 0), (7, 2), (4, 4)]
+    shift = ShiftModel.from_edges(tuple(range(10)), edges)
+    return shift, {i: math.sin(3.7 * i + 0.4) for i in range(10)}
+
+
 def test_simple_cycles_small_graphs(golden_mean, full2):
     assert simple_cycles(golden_mean) == [(0,), (0, 1)]
     assert simple_cycles(full2) == [(0,), (1,), (0, 1)]
@@ -58,7 +89,7 @@ def test_max_mean_cycle_golden_mean(golden_mean):
     out = max_mean_cycle(golden_mean, LocallyConstant({0: -1.0, 1: 0.0}))
     assert out.beta == pytest.approx(-0.5)
     assert out.cycle == (0, 1)
-    assert out.method == "exhaustive"
+    assert out.method == "karp"
 
 
 def test_max_mean_cycle_prefers_short_cycles_on_ties(full2):
@@ -68,10 +99,7 @@ def test_max_mean_cycle_prefers_short_cycles_on_ties(full2):
 
 
 def test_karp_route_on_ten_vertices():
-    edges = [(i, (i + 1) % 10) for i in range(10)]
-    edges += [(0, 5), (3, 0), (7, 2), (4, 4)]
-    shift = ShiftModel.from_edges(tuple(range(10)), edges)
-    vals = {i: math.sin(3.7 * i + 0.4) for i in range(10)}
+    shift, vals = ten_vertex_graph()
     pot = LocallyConstant(vals)
     out = max_mean_cycle(shift, pot)
     assert out.method == "karp"
@@ -86,7 +114,7 @@ def test_karp_route_on_ten_vertices():
 @given(st.integers(0, 10 ** 9))
 def test_karp_matches_exhaustive_on_random_graphs(seed):
     rng = random.Random(seed)
-    n = rng.randint(2, 6)
+    n = rng.randint(2, 10)
     # a ring keeps every vertex fed; extras on top
     edges = {(i, (i + 1) % n) for i in range(n)}
     edges |= {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
@@ -129,6 +157,43 @@ def test_subshift_constant_potential_is_everything(full2):
     assert sub.symbols == (0, 1)
     assert len(sub.edges) == 4
     assert sub.entropy == pytest.approx(math.log(2), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10 ** 9), st.booleans())
+def test_subshift_matches_brute_force(n, seed, integer):
+    rng = random.Random(seed)
+    p = rng.choice([0.2, 0.4, 0.7])
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
+    shift = ShiftModel.from_edges(tuple(range(n)), sorted(edges))
+    # integer tables give exact ties between cycle means
+    vals = {i: float(rng.randint(-2, 1)) if integer
+            else round(rng.uniform(-1, 1), 6) for i in range(n)}
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    assert_brute_subshift(sub, shift, vals)
+
+
+def test_subshift_on_ten_vertices():
+    # the whole graph is past the cycle cap; its maximizing set is not
+    shift, vals = ten_vertex_graph()
+    pot = LocallyConstant(vals)
+    sub = maximizing_subshift(shift, pot)
+    assert_brute_subshift(sub, shift, vals)
+    rep = zero_temp_report(shift, pot, [1.0, 2.0], depth=2)
+    assert rep.subshift == sub and rep.beta == sub.beta
+
+
+def test_subshift_survives_a_stranded_critical_edge():
+    # the 3-cycle weighs -8e-9 = -2n * 1e-9 up to rounding, which keeps its
+    # edges 1 -> 2 and 2 -> 0 in the critical graph but drops 0 -> 1
+    shift = ShiftModel.from_edges(
+        (0, 1, 2, 3), [(0, 1), (1, 2), (2, 0), (3, 3), (0, 3), (3, 0)])
+    vals = {0: -0.12494864769238608, 1: -0.2921939328002608,
+            2: 0.41714257249264686, 3: 0.0}
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    assert sub.symbols == (3,)
+    assert_brute_subshift(sub, shift, vals)
 
 
 def test_subshift_two_cycle(golden_mean):
@@ -179,7 +244,8 @@ def test_cold_report_validates_before_annealing(monkeypatch):
 
     monkeypatch.setattr(zerotemp, "anneal", forbidden)
     shift = ShiftModel.full(9)
-    pot = LocallyConstant({s: -0.1 * s for s in shift.symbols})
+    # a constant potential makes every cycle maximizing: past the cycle cap
+    pot = LocallyConstant({s: -0.1 for s in shift.symbols})
     with pytest.raises(UnsupportedEnumeration):
         zero_temp_report(shift, pot, [1.0, 2.0], depth=6)
 
