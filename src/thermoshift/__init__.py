@@ -26,7 +26,8 @@ from .shifts import (AmbientRule, CompactApproximation, FullShiftRule,
                      MixingCertificate, RenewalRule, ShiftModel,
                      admissible_words, compact_approximation,
                      count_admissible_words, cylinder_distance, is_primitive,
-                     mixing_certificate, periodic_points, shift_from_config)
+                     mixing_certificate, periodic_points, shift_from_config,
+                     word_levels)
 from .zerotemp import (AnnealRow, AnnealTrace, MaximizingSubshift,
                        MaxMeanCycle, ZeroTempReport, anneal, max_mean_cycle,
                        maximizing_subshift, simple_cycles, zero_temp_report)
@@ -55,5 +56,5 @@ __all__ = [
     "pressure_curve", "rpf_equilibrium", "shift_from_config", "simple_cycles",
     "summability_report", "tight_set", "topological_pressure",
     "transfer_pressure", "truncation_curve", "weighted_block_matrix",
-    "zero_temp_report",
+    "word_levels", "zero_temp_report",
 ]

@@ -76,6 +76,16 @@ def dominant_pair(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return 0.5 * (lam_r + lam_l), right, left
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.log: numpy's log can differ from it in the last bit."""
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.exp: numpy's exp can differ from it in the last bit."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
 def log_sum_exp(values) -> float:
     """log(sum(exp(v))) with the usual max shift; -inf for an empty input."""
     vals = [float(v) for v in values]

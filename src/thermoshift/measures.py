@@ -22,10 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
-from .linalg import dominant_pair
+from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import WORD_BUDGET, ShiftModel, admissible_words
+from .shifts import (WORD_BUDGET, ShiftModel, _locate, _symbol_tuples,
+                     word_levels)
 
 
 @dataclass
@@ -42,7 +43,6 @@ class CylinderMeasure:
     def from_weights(cls, shift: ShiftModel, depth: int, weights: Mapping,
                      source: str = "raw") -> "CylinderMeasure":
         clean = {}
-        total = 0.0
         for w, v in weights.items():
             w = tuple(w)
             if len(w) != depth:
@@ -54,11 +54,25 @@ class CylinderMeasure:
                 raise ValidationError(f"negative mass on {w!r}")
             if v > 0:
                 clean[w] = v
-                total += v
+        return cls._normalised(shift, depth, clean, source)
+
+    @classmethod
+    def _from_level(cls, shift: ShiftModel, words: np.ndarray,
+                    weights: np.ndarray, source: str) -> "CylinderMeasure":
+        """The measure with nonnegative ``weights`` on the rows of an engine
+        level; its words are admissible by construction, so they skip the
+        checks of :meth:`from_weights`."""
+        keep = weights > 0
+        clean = dict(zip(_symbol_tuples(shift, words[keep]),
+                         weights[keep].tolist()))
+        return cls._normalised(shift, words.shape[1], clean, source)
+
+    @classmethod
+    def _normalised(cls, shift, depth, clean: dict, source) -> "CylinderMeasure":
+        total = _running_sum(clean.values())
         if total <= 0:
             raise ValidationError("measure has no mass")
-        norm = {w: v / total for w, v in clean.items()}
-        return cls(shift, depth, norm, source)
+        return cls(shift, depth, {w: v / total for w, v in clean.items()}, source)
 
     def total(self) -> float:
         return math.fsum(self.weights.values())
@@ -105,12 +119,33 @@ class CylinderMeasure:
         return max(abs(pre.get(k, 0.0) - short.get(k, 0.0)) for k in keys)
 
 
+def _running_sum(values) -> float:
+    """Left-to-right float sum (the normalising total of a measure)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _sup_weights(shift: ShiftModel, pot: Potential, t: float, n: int):
+    """Engine levels 1..n and, on level n, exp(t sup f_n|[w] - max over the
+    level): the sup-weight masses up to normalisation, free of overflow."""
+    levels = word_levels(shift, n, budget=WORD_BUDGET)
+    x = t * pot.level_extrema(shift, levels)[-1][0]
+    return levels, np.exp(x - x.max())
+
+
+def _masses(measure, shift: ShiftModel, words: np.ndarray) -> np.ndarray:
+    """``measure.mass`` on every row of an engine level."""
+    return np.array([measure.mass(w) for w in _symbol_tuples(shift, words)],
+                    dtype=np.float64)
+
+
 def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
                   n: int) -> CylinderMeasure:
     """Mass on depth-n cylinders proportional to exp(t sup f_n|[w])."""
-    words = admissible_words(shift, n, budget=WORD_BUDGET)
-    raw = {w: math.exp(t * pot.sup(w, shift)) for w in words}
-    return CylinderMeasure.from_weights(shift, n, raw, source="sup-weight")
+    levels, w = _sup_weights(shift, pot, t, n)
+    return CylinderMeasure._from_level(shift, levels[-1][0], w, "sup-weight")
 
 
 def orbit_measure(shift: ShiftModel, word, depth: int) -> CylinderMeasure:
@@ -141,15 +176,17 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
     if depth < 1 or depth > n - m + 1:
         raise ValidationError(
             f"report depth must lie in 1..{n - m + 1} for n={n}, m={m}")
-    nu = gibbs_weights(shift, pot, t, n)
-    acc: dict = {}
-    inv_m = 1.0 / m
-    for u, v in nu.weights.items():
-        share = v * inv_m
-        for j in range(m):
-            key = u[j:j + depth]
-            acc[key] = acc.get(key, 0.0) + share
-    return CylinderMeasure.from_weights(shift, depth, acc, source="cesaro")
+    levels, w = _sup_weights(shift, pot, t, n)
+    words = levels[-1][0]
+    share = (w / _running_sum(w.tolist())) * (1.0 / m)
+    # window j of word u lands on row at[u, j] of level ``depth``; bincount
+    # adds the shares in the order u, then j
+    at = np.stack([_locate(shift, levels, words[:, j:j + depth])
+                   for j in range(m)], axis=1)
+    acc = np.bincount(at.ravel(), weights=np.repeat(share, m),
+                      minlength=len(levels[depth - 1][0]))
+    return CylinderMeasure._from_level(shift, levels[depth - 1][0], acc,
+                                       "cesaro")
 
 
 # -- spectral equilibrium --------------------------------------------------
@@ -199,10 +236,9 @@ class RPFEquilibrium:
         return mass
 
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
-        words = admissible_words(self.shift, depth)
-        raw = {w: self.mass(w) for w in words}
-        return CylinderMeasure.from_weights(self.shift, depth, raw,
-                                            source="spectral")
+        words = word_levels(self.shift, depth)[-1][0]
+        return CylinderMeasure._from_level(
+            self.shift, words, _masses(self, self.shift, words), "spectral")
 
     def entropy(self) -> float:
         """Exact Kolmogorov-Sinai entropy of the stationary chain."""
@@ -272,14 +308,11 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     seq = []
     prev_H = 0.0
     value = math.nan
-    for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=WORD_BUDGET)
-        acc = []
-        for w in words:
-            mu = measure.mass(w)
-            if mu > 0:
-                acc.append(-mu * math.log(mu))
-        H = math.fsum(acc)
+    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+    for n, (words, _) in enumerate(levels, start=1):
+        mu = _masses(measure, shift, words)
+        mu = mu[mu > 0]
+        H = math.fsum((-mu * _log(mu)).tolist())
         seq.append((n, H, H / n))
         value = H - prev_H
         prev_H = H
@@ -304,14 +337,12 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
         raise ValidationError("n_max must be >= 1")
     seq = []
     best = math.inf
-    for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=WORD_BUDGET)
-        acc = []
-        for w in words:
-            mu = measure.mass(w)
-            if mu > 0:
-                acc.append(mu * (pot.sup(w, shift) + pot.aa_const))
-        a_n = math.fsum(acc) / n
+    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+    for n, ((words, _), (hi, _)) in enumerate(
+            zip(levels, pot.level_extrema(shift, levels)), start=1):
+        mu = _masses(measure, shift, words)
+        keep = mu > 0
+        a_n = math.fsum((mu[keep] * (hi[keep] + pot.aa_const)).tolist()) / n
         seq.append((n, a_n))
         best = min(best, a_n)
     bias = (pot.bv_const + pot.aa_const) / n_max
@@ -340,18 +371,26 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     With the running-infimum pressure and sup-weight masses the upper ratio
     is provably below exp(t C_bv); spectral measures carry their own
     distortion constants and may exceed the tight bound."""
+    ns = list(n_range)
+    if any(n < 1 for n in ns):
+        raise ValidationError("word length must be >= 1")
+    levels = word_levels(shift, max(ns, default=1), budget=WORD_BUDGET)
+    values = pot.level_extrema(shift, levels)
     c_lo = math.inf
     c_hi = 0.0
     worst = ()
-    for n in n_range:
-        for w in admissible_words(shift, n, budget=WORD_BUDGET):
-            mu = measure.mass(w)
-            if mu <= 0:
-                continue
-            ratio = mu * math.exp(n * pressure - t * pot.sup(w, shift))
-            if ratio > c_hi:
-                c_hi, worst = ratio, w
-            c_lo = min(c_lo, ratio)
+    for n in ns:
+        words = levels[n - 1][0]
+        mu = _masses(measure, shift, words)
+        keep = np.flatnonzero(mu > 0)
+        if not len(keep):
+            continue
+        ratio = mu[keep] * _exp(n * pressure - t * values[n - 1][0][keep])
+        top = int(np.argmax(ratio))
+        if ratio[top] > c_hi:
+            c_hi = float(ratio[top])
+            worst = _symbol_tuples(shift, words[keep[top]][None, :])[0]
+        c_lo = min(c_lo, float(ratio.min()))
     if c_hi == 0.0:
         raise NumericalError("measure assigns no mass in the scanned range")
     bound = math.exp(t * pot.bv_const) * (1.0 + slack)
@@ -462,11 +501,13 @@ def marginal_bound_check(pot: Potential, t: float, measure,
     """Check mu[i] <= exp(t C_bv + t f_1|[i] - S) per first-coordinate symbol;
     bounds at or above 1 are vacuous and count as satisfied."""
     marg = measure.marginal_vector(1)
+    shift = measure.shift
+    first = pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
     rows = []
     worst = 0.0
     for sym in sorted(marg):
         mu = marg[sym]
-        bound = math.exp(t * pot.bv_const + t * pot.sup((sym,), measure.shift)
+        bound = math.exp(t * pot.bv_const + t * first[shift.index(sym)]
                          - s_lower)
         ok = bound >= 1.0 or mu <= bound + 1e-15
         if bound > 0:

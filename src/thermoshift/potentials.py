@@ -12,9 +12,11 @@ families shipped:
 * :class:`AffinePotential` — ``mult*f_n + n*shift`` on top of another family
   (used for scaling and normalizing the cocycle family).
 
-``sup``/``inf`` evaluate the cylinder supremum/infimum of f_n on [w] with
-|w| = n; for every family except depth >= 2 locally constant the two agree
-because f_n is constant on n-cylinders.
+``level_extrema`` evaluates the cylinder supremum and infimum of f_n on
+[w] for every word w of whole levels of the word-level engine
+(:func:`~thermoshift.shifts.word_levels`); ``sup``/``inf`` are its one-row
+calls for a single tuple word.  For every family except depth >= 2 locally
+constant the two agree because f_n is constant on n-cylinders.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError, config_number
-from .shifts import ShiftModel, admissible_words, count_admissible_words
+from .linalg import _log
+from .shifts import (ShiftModel, _first_children, _locate, _symbol_tuples,
+                     count_admissible_words, word_levels)
 
 
 class Potential:
@@ -50,11 +54,40 @@ class Potential:
     def sup_f1(self) -> float:
         raise NotImplementedError
 
-    def sup(self, word: Sequence, shift: ShiftModel | None = None) -> float:
+    def level_extrema(self, shift: ShiftModel,
+                      levels: list) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sup, inf) of f_n over the cylinder of every word of every level.
+
+        ``levels`` holds consecutive levels 1..n of ``shift`` as
+        ``(words, parent)`` pairs, as :func:`word_levels` returns them; the
+        result has one pair of arrays per level, aligned with its rows.
+        """
         raise NotImplementedError
 
+    def sup(self, word: Sequence, shift: ShiftModel | None = None) -> float:
+        """sup of f_n on [word], n = len(word): a one-row level_extrema call."""
+        return self._word_extrema(word, shift)[0]
+
     def inf(self, word: Sequence, shift: ShiftModel | None = None) -> float:
-        raise NotImplementedError
+        """inf of f_n on [word], n = len(word)."""
+        return self._word_extrema(word, shift)[1]
+
+    def _word_extrema(self, word, shift) -> tuple[float, float]:
+        word = tuple(word)
+        if not word:
+            return 0.0, 0.0
+        if shift is None:
+            if (self.depth or 1) > 1:
+                raise ValidationError(
+                    "cylinder extrema of a depth >= 2 potential need the shift")
+            # the word is admissible in the full shift on its own symbols
+            own = tuple(dict.fromkeys(word))
+            shift = ShiftModel.full(len(own), own)
+        row = np.array([[shift.index(s) for s in word]])
+        chain = [(row[:, :k], np.zeros(1, dtype=np.intp))
+                 for k in range(1, len(word) + 1)]
+        hi, lo = self.level_extrema(shift, chain)[-1]
+        return float(hi[0]), float(lo[0])
 
     def at_periodic(self, word: Sequence) -> float:
         """f_n at the periodic point obtained by repeating ``word``."""
@@ -142,40 +175,34 @@ class LocallyConstant(Potential):
             raise ValidationError(
                 f"word {key!r} is outside the potential domain") from None
 
-    def _terms(self, full: Sequence, start: int, count: int) -> list[float]:
+    def level_extrema(self, shift, levels):
+        """Window sums along parents, plus for depth r >= 2 the best and worst
+        sum over the r - 1 windows that run past the word, read from per-shift
+        continuation tables.  The table must cover every admissible r-word."""
         r = self._depth
-        return [self._window(tuple(full[k:k + r])) for k in range(start, start + count)]
-
-    def _extreme(self, word, shift, best) -> float:
-        n = len(word)
-        if n == 0:
-            return 0.0
-        r = self._depth
-        if r == 1:
-            return math.fsum(self._window((s,)) for s in word)
-        if n >= r:
-            base = math.fsum(self._terms(word, 0, n - r + 1))
-            open_count = r - 1
-        else:
-            base = 0.0
-            open_count = n
-        if shift is None:
+        blocks = word_levels(shift, r)
+        keys = _symbol_tuples(shift, blocks[-1][0])
+        vals = [self._table.get(k) for k in keys]
+        if None in vals:
             raise ValidationError(
-                "cylinder extrema of a depth >= 2 potential need the shift")
-        exts = _extensions(shift, word[-1], r - 1)
-        if not exts:
-            raise ValidationError("word admits no continuation in this shift")
-        vals = []
-        for u in exts:
-            full = tuple(word) + u
-            vals.append(math.fsum(self._terms(full, n - open_count, open_count)))
-        return base + best(vals)
+                f"word {keys[vals.index(None)]!r} is outside the potential domain")
+        f = np.array(vals)
+        if r == 1:
+            return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
+        best, worst = _continuations(shift, blocks, f)
+        closed = _accumulate(levels, lambda w: (
+            f[_locate(shift, blocks, w[:, -r:])] if w.shape[1] >= r
+            else np.zeros(len(w))))
+        out = []
+        for (words, _), c in zip(levels, closed):
+            k = min(words.shape[1], r - 1)
+            at = _locate(shift, blocks, words[:, -k:])
+            out.append((c + best[k][at], c + worst[k][at]))
+        return out
 
-    def sup(self, word, shift=None) -> float:
-        return self._extreme(word, shift, max)
-
-    def inf(self, word, shift=None) -> float:
-        return self._extreme(word, shift, min)
+    # bound in each family's own class, so per-word calls are told apart
+    sup = Potential.sup
+    inf = Potential.inf
 
     def at_periodic(self, word) -> float:
         n = len(word)
@@ -194,19 +221,43 @@ class LocallyConstant(Potential):
         return LocallyConstant({k: v - c for k, v in self._table.items()}, self._depth)
 
 
-def _extensions(shift: ShiftModel, last, length: int) -> list[tuple]:
-    if length == 0:
-        return [()]
+def _accumulate(levels, step) -> list[np.ndarray]:
+    """Per level, a running sum along parents: the parent's sum plus
+    ``step(words)``."""
     out = []
-    stack = [((), last)]
-    while stack:
-        word, u = stack.pop()
-        if len(word) == length:
-            out.append(word)
-            continue
-        for s in shift.successors(u):
-            stack.append((word + (s,), s))
-    return sorted(out)
+    for words, parent in levels:
+        out.append(step(words) if not out else out[-1][parent] + step(words))
+    return out
+
+
+def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
+    """Best and worst continuation tables of a depth-r potential.
+
+    ``blocks`` are the levels 1..r of the shift and ``f`` the value of every
+    admissible r-word.  ``best[k]`` is indexed by the admissible k-words,
+    k = 1..r-1: for k = r - 1 it is the largest sum of f over the r - 1
+    windows that start inside the word and run past it; for k < r - 1 (a
+    word too short to fill one window) the largest sum over its k windows.
+    ``worst`` holds the minima.
+    """
+    r = len(blocks)
+    # the r-words x are grouped by x[:-1]; x[1:] is where the walk goes next
+    groups = _first_children(blocks[-1][1])
+    nxt = _locate(shift, blocks, blocks[-1][0][:, 1:])
+    tables = []
+    for reduce in (np.maximum.reduceat, np.minimum.reduceat):
+        # walk[j]: extreme sum over j windows continuing each (r-1)-word
+        walk = [np.zeros(len(blocks[-2][0]))]
+        for _ in range(r - 1):
+            walk.append(reduce(f + walk[-1][nxt], groups))
+        table = {r - 1: walk[r - 1]}
+        for k in range(1, r - 1):
+            v = walk[k]
+            for level in range(r - 2, k - 1, -1):  # fold children into parents
+                v = reduce(v, _first_children(blocks[level][1]))
+            table[k] = v
+        tables.append(table)
+    return tables
 
 
 class DecayPotential(Potential):
@@ -246,13 +297,15 @@ class DecayPotential(Potential):
     def sup_f1(self) -> float:
         return self.value(1)
 
-    def sup(self, word, shift=None) -> float:
-        return math.fsum(self.value(s) for s in word)
+    def level_extrema(self, shift, levels):
+        f = np.array([self.value(s) for s in shift.symbols])
+        return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
 
-    inf = sup
+    sup = Potential.sup
+    inf = Potential.inf
 
     def at_periodic(self, word) -> float:
-        return self.sup(word)
+        return math.fsum(self.value(s) for s in word)
 
     def first_level(self, word) -> float:
         return self.value(word[0])
@@ -377,34 +430,39 @@ class MatrixCocycle(Potential):
         return max(float(np.log(np.abs(m).sum(axis=1).max()))
                    for m in self._mats.values())
 
-    def _log_norm_product(self, word) -> float:
-        if len(word) == 0:
-            return 0.0
-        try:
-            prod = self._mats[word[0]].copy()
-        except KeyError:
-            raise ValidationError(
-                f"symbol {word[0]!r} is outside the potential domain") from None
-        logscale = 0.0
-        for s in word[1:]:
-            try:
-                prod = prod @ self._mats[s]
-            except KeyError:
+    def level_extrema(self, shift, levels):
+        """Batched prefix products P[word] = P[parent] @ A[last symbol], each
+        row rescaled by its norm (kept in a log scale) once that leaves
+        [1e-100, 1e100]."""
+        mats = [self._mats.get(s) for s in shift.symbols]
+        missing = np.array([m is None for m in mats])
+        dim = next(iter(self._mats.values())).shape[0]
+        stack = np.stack([np.ones((dim, dim)) if m is None else m for m in mats])
+        out = []
+        for words, parent in levels:
+            last = words[:, -1]
+            if missing[last].any():
+                s = shift.symbols[last[missing[last]][0]]
                 raise ValidationError(
-                    f"symbol {s!r} is outside the potential domain") from None
-            nrm = float(np.abs(prod).sum(axis=1).max())
-            if nrm > 1e100 or nrm < 1e-100:
-                logscale += math.log(nrm)
-                prod = prod / nrm
-        return logscale + math.log(float(np.abs(prod).sum(axis=1).max()))
+                    f"symbol {s!r} is outside the potential domain")
+            if not out:
+                prod, logscale = stack[last], np.zeros(len(last))
+            else:
+                prod, logscale = prod[parent] @ stack[last], logscale[parent]
+                nrm = np.abs(prod).sum(axis=2).max(axis=1)
+                far = (nrm > 1e100) | (nrm < 1e-100)
+                if far.any():
+                    logscale[far] += _log(nrm[far])
+                    prod[far] /= nrm[far, None, None]
+            value = logscale + _log(np.abs(prod).sum(axis=2).max(axis=1))
+            out.append((value, value))
+        return out
 
-    def sup(self, word, shift=None) -> float:
-        return self._log_norm_product(word)
-
-    inf = sup
+    sup = Potential.sup
+    inf = Potential.inf
 
     def at_periodic(self, word) -> float:
-        return self._log_norm_product(word)
+        return self._word_extrema(word, None)[0]
 
     def normalize(self) -> "MatrixCocycle":
         s = math.exp(-(self.sup_f1 + self.aa_const))
@@ -437,15 +495,17 @@ class AffinePotential(Potential):
             raise ValidationError("sup_f1 undefined for negatively scaled families")
         return self.mult * self.base.sup_f1 + self.shift_per_n
 
-    def sup(self, word, shift=None) -> float:
-        n = len(word)
-        inner = self.base.sup(word, shift) if self.mult >= 0 else self.base.inf(word, shift)
-        return self.mult * inner + n * self.shift_per_n
+    def level_extrema(self, shift, levels):
+        out = []
+        for (words, _), (hi, lo) in zip(levels, self.base.level_extrema(shift, levels)):
+            if self.mult < 0:
+                hi, lo = lo, hi
+            drift = words.shape[1] * self.shift_per_n
+            out.append((self.mult * hi + drift, self.mult * lo + drift))
+        return out
 
-    def inf(self, word, shift=None) -> float:
-        n = len(word)
-        inner = self.base.inf(word, shift) if self.mult >= 0 else self.base.sup(word, shift)
-        return self.mult * inner + n * self.shift_per_n
+    sup = Potential.sup
+    inf = Potential.inf
 
     def at_periodic(self, word) -> float:
         return self.mult * self.base.at_periodic(word) + len(word) * self.shift_per_n
@@ -546,38 +606,26 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
     so their defect is exactly 0 and only the variation is scanned."""
     if depth < 2:
         raise ValidationError("constants_report needs depth >= 2")
-    aa_emp = 0.0
-    bv_emp = 0.0
-    variations = []
-    budget_hit = False
     scanned = 0
-    # value cache by length for non-additive families (suffix lookups)
-    cache: dict[int, dict[tuple, float]] = {}
-    for n in range(1, depth + 1):
-        if count_admissible_words(shift, n) > word_budget:
-            budget_hit = True
-            break
-        words = admissible_words(shift, n)
-        scanned = n
-        var_n = 0.0
-        level_cache: dict[tuple, float] = {}
-        for w in words:
-            s = pot.sup(w, shift)
-            v = pot.inf(w, shift)
-            var_n = max(var_n, s - v)
-            if not pot.is_additive:
-                level_cache[w] = s
-        cache[n] = level_cache
-        variations.append(var_n)
-        bv_emp = max(bv_emp, var_n)
-        if n < 2 or pot.is_additive:
-            continue
-        for w in words:
-            total = cache[n][w]
-            for k in range(1, n):
-                fa = cache[k][w[:k]]
-                fb = cache[n - k][w[k:]]
-                aa_emp = max(aa_emp, abs(total - fa - fb))
+    while scanned < depth and \
+            count_admissible_words(shift, scanned + 1) <= word_budget:
+        scanned += 1
+    budget_hit = scanned < depth
+    levels = word_levels(shift, scanned) if scanned else []
+    values = pot.level_extrema(shift, levels)
+    variations = [max(0.0, float((hi - lo).max())) for hi, lo in values]
+    bv_emp = max(variations, default=0.0)
+    aa_emp = 0.0
+    if not pot.is_additive:
+        for n in range(2, scanned + 1):
+            words = levels[n - 1][0]
+            total = values[n - 1][0]
+            prefix = np.arange(len(words))
+            for k in range(n - 1, 0, -1):
+                prefix = levels[k][1][prefix]  # row of w[:k] in level k
+                fa = values[k - 1][0][prefix]
+                fb = values[n - k - 1][0][_locate(shift, levels, words[:, k:])]
+                aa_emp = max(aa_emp, float(np.abs(total - fa - fb).max()))
     return ConstantsReport(aa_emp, bv_emp, pot.sup_f1, tuple(variations),
                            scanned, budget_hit, pot.aa_const, pot.bv_const)
 
@@ -612,7 +660,7 @@ def summability_report(pot: Potential, t: float = 1.0,
         return SummabilityReport(verdict, partial, tail, t, partial_t, tail_t,
                                  pot.summable(t), n)
     if shift is not None:
-        vals = [pot.sup((s,), shift) for s in shift.symbols]
+        vals = pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
         partial = math.fsum(math.exp(v) for v in vals)
         partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)
         return SummabilityReport("summable", partial, 0.0, t, partial_t, 0.0,

@@ -27,7 +27,8 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import log_sum_exp, power_iteration
 from .potentials import DecayPotential, Potential
 from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel,
-                     admissible_words, is_primitive, periodic_points)
+                     admissible_words, is_primitive, periodic_points,
+                     word_levels)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
     seq = []
     best = math.inf
     n_best = 0
-    for n in range(1, n_max + 1):
-        words = admissible_words(shift, n, budget=WORD_BUDGET)
-        est = log_sum_exp([t * pot.sup(w, shift) for w in words]) / n
+    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+    for n, (hi, _) in enumerate(pot.level_extrema(shift, levels), start=1):
+        est = log_sum_exp((t * hi).tolist()) / n
         seq.append((n, est))
         if est < best:
             best, n_best = est, n

@@ -1,10 +1,11 @@
 """Finite Markov shifts, countable-alphabet shift rules, and nested compact
 approximations of a countable shift by finite mixing subshifts.
 
-Words are plain tuples of symbols throughout the package.  Word-length
-conventions: an admissible word of length n corresponds to a path with n-1
-edges, and per-pair mixing thresholds are stored as word lengths (so the
-smallest meaningful threshold is 2).
+Words are plain tuples of symbols at the package's interfaces; inside, the
+word-level engine (:func:`word_levels`) holds whole levels as integer arrays
+of symbol indices.  Word-length conventions: an admissible word of length n
+corresponds to a path with n-1 edges, and per-pair mixing thresholds are
+stored as word lengths (so the smallest meaningful threshold is 2).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,6 +66,12 @@ class ShiftModel:
                      for j in range(adj.shape[0]))
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """Flat indices i*m + j of the edges, ascending: row i holds the
+        successors of symbol i in alphabet order."""
+        return np.flatnonzero(self.adjacency)
 
     # -- basic queries -----------------------------------------------------
 
@@ -248,37 +256,98 @@ def _require_finite(shift) -> ShiftModel:
 WORD_BUDGET = 2_000_000
 
 
-def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
-    """All admissible words of length n, lexicographic in alphabet order."""
+def _levels(shift: ShiftModel, n: int, budget: int | None):
+    """Levels 1..n of :func:`word_levels`, one at a time.
+
+    Each level's size is the sum of the out-degrees of the previous level's
+    last symbols, so the budget is checked before the level is allocated.
+    """
     shift = _require_finite(shift)
     if n < 1:
         raise ValidationError("word length must be >= 1")
-    succ = shift._succ
-    level: list[tuple[int, ...]] = [(i,) for i in range(shift.n_symbols)]
-    for _ in range(n - 1):
-        nxt: list[tuple[int, ...]] = []
-        for w in level:
-            last = w[-1]
-            for j in succ[last]:
-                nxt.append(w + (j,))
-        level = nxt
-        if budget is not None and len(level) > budget:
+    m = shift.n_symbols
+    degree = np.fromiter(map(len, shift._succ), np.intp, m)
+    first_edge = np.cumsum(degree) - degree
+    words = np.arange(m)[:, None]
+    parent = np.zeros(m, dtype=np.intp)
+    yield words, parent
+    for length in range(2, n + 1):
+        counts = degree[words[:, -1]]
+        size = int(counts.sum())
+        if budget is not None and size > budget:
             raise BudgetExceeded(
-                f"admissible word enumeration exceeded budget {budget} at length {len(level[0])}")
-    symbols = shift.symbols
-    return [tuple(symbols[i] for i in w) for w in level]
+                f"admissible word enumeration exceeded budget {budget} at length {length}")
+        parent = np.repeat(np.arange(len(words)), counts)
+        # the r-th child of a word ending in a takes a's r-th successor
+        rank = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        last = shift._edges[first_edge[words[parent, -1]] + rank] % m
+        words = np.concatenate([words[parent], last[:, None]], axis=1)
+        yield words, parent
+
+
+def word_levels(shift: ShiftModel, n: int,
+                budget: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every admissible level of lengths 1..n, as ``(words, parent)`` pairs.
+
+    ``words`` holds one word per row as symbol indices (positions in
+    ``shift.symbols``), in the lexicographic order of
+    :func:`admissible_words`; ``parent[i]`` is the row of ``words[i, :-1]``
+    in the level before (0, the empty word, on level 1).  The children of a
+    word are therefore consecutive rows.  Raises :class:`BudgetExceeded`
+    before building a level of more than ``budget`` words.
+    """
+    return list(_levels(shift, n, budget))
+
+
+def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
+    """All admissible words of length n, lexicographic in alphabet order."""
+    for words, _ in _levels(shift, n, budget):
+        pass  # only the last level is kept
+    return _symbol_tuples(shift, words)
+
+
+def _symbol_tuples(shift: ShiftModel, words: np.ndarray) -> list[tuple]:
+    """Rows of symbol indices as tuples of the shift's symbols."""
+    symbols = np.empty(shift.n_symbols, dtype=object)
+    for i, s in enumerate(shift.symbols):
+        symbols[i] = s
+    return list(map(tuple, symbols[words].tolist()))
+
+
+def _first_children(parent: np.ndarray) -> np.ndarray:
+    """Row of each word's first child, from the ``parent`` array of the
+    level after it (every word has a child: no symbol is a dead end)."""
+    return np.flatnonzero(np.diff(parent, prepend=-1))
+
+
+def _locate(shift: ShiftModel, levels: list, rows: np.ndarray) -> np.ndarray:
+    """Row of each of ``rows`` (words of length k, as symbol indices) in
+    ``levels[k - 1]`` of :func:`word_levels`, found by walking down the
+    prefix tree one symbol at a time."""
+    m = shift.n_symbols
+    edges = shift._edges
+    at = rows[:, 0]
+    for k in range(1, rows.shape[1]):
+        a = rows[:, k - 1]
+        code = a * m + rows[:, k]
+        pos = np.searchsorted(edges, code)
+        if not np.array_equal(edges[np.minimum(pos, len(edges) - 1)], code):
+            raise ValidationError("word is not admissible in this shift")
+        rank = pos - np.searchsorted(edges, a * m)
+        at = _first_children(levels[k][1])[at] + rank
+    return at
 
 
 def count_admissible_words(shift: ShiftModel, n: int) -> int:
-    """Number of admissible words of length n (sum of entries of M^(n-1))."""
+    """Number of admissible words of length n (sum of entries of M^(n-1)),
+    in exact integer arithmetic."""
     shift = _require_finite(shift)
     if n < 1:
         raise ValidationError("word length must be >= 1")
-    M = shift.adjacency.astype(np.float64)
-    v = np.ones(shift.n_symbols)
+    starting = [1] * shift.n_symbols  # words of the current length from each symbol
     for _ in range(n - 1):
-        v = M @ v
-    return int(round(float(v.sum())))
+        starting = [sum(starting[j] for j in row) for row in shift._succ]
+    return sum(starting)
 
 
 def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (NumericalError, UnsupportedEnumeration, ValidationError)
 from .measures import rpf_equilibrium
 from .potentials import Potential
-from .shifts import ShiftModel
+from .shifts import ShiftModel, word_levels
 
 _EXHAUSTIVE_LIMIT = 8
 _NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
@@ -27,7 +27,7 @@ def _vertex_weights(shift: ShiftModel, pot: Potential) -> list[float]:
     if not pot.is_additive or pot.depth != 1:
         raise ValidationError(
             "cycle means need an additive potential of depth 1")
-    return [pot.sup((s,), shift) for s in shift.symbols]
+    return pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
 
 
 def simple_cycles(shift: ShiftModel) -> list[tuple]:

@@ -10,7 +10,8 @@ import re
 from pathlib import Path
 
 import thermoshift
-from thermoshift import admissible_words, cli, measures, potentials, pressure
+from thermoshift import (admissible_words, cli, measures, potentials, pressure,
+                         shifts)
 
 # Package-root names the benchmark worker calls.
 WORKER_NAMES = (
@@ -55,6 +56,15 @@ def test_traced_attributes_exist(golden_mean, bernoulli):
     # the block-state count is len(result[0])
     states = pressure.weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)[0]
     assert states == admissible_words(golden_mean, 2)
+
+
+def test_word_engine_is_a_traced_span(golden_mean):
+    # the tracer wraps every public function of a module in a span; a list
+    # return (not a generator) keeps the enumeration inside that span
+    engine = vars(shifts)["word_levels"]
+    assert inspect.isfunction(engine)
+    assert engine.__module__ == "thermoshift.shifts"
+    assert isinstance(engine(golden_mean, 3), list)
 
 
 def test_per_layer_metrics_name_public_functions():

@@ -155,6 +155,30 @@ def test_gibbs_masses_normalized(capsys, tmp_path):
     assert doc["invariance_defect"] > 0
 
 
+@pytest.mark.parametrize("table", [{"0": 100, "1": 100.5},
+                                   {"0": -100, "1": -99.5}])
+def test_gibbs_survives_large_potential_values(capsys, tmp_path, table):
+    cfg = {
+        "shift": {"alphabet": 2, "edges": "full"},
+        "potential": {"family": "locally_constant", "table": table},
+        "t": 1.0,
+        "n": 8,
+        "m": 2,
+        "depth": 3,
+    }
+    code, out, err = run(capsys, tmp_path, "gibbs", cfg)
+    assert code == 0, err
+    doc = json.loads(out)
+    # the shift-invariant closed form: Bernoulli with p(1) = 1 / (1 + e^-0.5)
+    p1 = 1.0 / (1.0 + math.exp(-0.5))
+    assert len(doc["masses"]) == 8
+    for key, mass in doc["masses"].items():
+        ones = key.split(",").count("1")
+        assert mass == pytest.approx(p1 ** ones * (1 - p1) ** (3 - ones),
+                                     rel=1e-12)
+    assert doc["certificate"]["passed"] is True
+
+
 def test_approx_levels(capsys, tmp_path):
     cfg = {"ambient": {"rule": "renewal"}, "k_max": 3}
     code, out, err = run(capsys, tmp_path, "approx", cfg)

@@ -1,0 +1,189 @@
+"""The word-level engine: whole levels of admissible words as integer arrays
+(``word_levels``) and each family's ``level_extrema`` over them.
+
+The oracles here enumerate words with itertools on the adjacency matrix,
+enumerate cylinder continuations explicitly and multiply matrices with
+``numpy.linalg.multi_dot`` word by word, so they share no code with the
+engine.
+"""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermoshift import (AffinePotential, BudgetExceeded, DecayPotential,
+                         LocallyConstant, MatrixCocycle, RenewalRule,
+                         ShiftModel, admissible_words, count_admissible_words,
+                         is_primitive, word_levels)
+
+LETTERS = "abcde"
+MAX_WORDS = 2000  # keeps the per-word oracles fast
+
+
+@st.composite
+def mixing_graphs(draw):
+    """A primitive graph on 1-5 letters: a Hamiltonian cycle, a self-loop at
+    the first letter and random extra edges."""
+    m = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    adj = np.array(extra, dtype=np.uint8).reshape(m, m)
+    for i in range(m):
+        adj[i, (i + 1) % m] = 1
+    adj[0, 0] = 1
+    shift = ShiftModel(tuple(LETTERS[:m]), adj)
+    assert is_primitive(shift)
+    return shift
+
+
+def oracle_words(shift, n):
+    return [w for w in itertools.product(shift.symbols, repeat=n)
+            if all(shift.is_edge(a, b) for a, b in zip(w, w[1:]))]
+
+
+def scan_length(shift, n):
+    """The longest length <= n whose level stays below MAX_WORDS."""
+    while n > 1 and len(oracle_words(shift, n)) > MAX_WORDS:
+        n -= 1
+    return n
+
+
+def oracle_lc(shift, table, r, word):
+    """(sup, inf) of the window sums of ``word`` over every admissible
+    continuation by r - 1 symbols."""
+    n = len(word)
+    sums = []
+    for ext in itertools.product(shift.symbols, repeat=r - 1):
+        x = tuple(word) + ext
+        if all(shift.is_edge(a, b) for a, b in zip(x, x[1:])):
+            sums.append(math.fsum(table[x[k:k + r]] for k in range(n)))
+    return max(sums), min(sums)
+
+
+def oracle_cocycle(mats, word):
+    prod = mats[word[0]] if len(word) == 1 else \
+        np.linalg.multi_dot([mats[s] for s in word])
+    value = math.log(float(np.abs(prod).sum(axis=1).max()))
+    return value, value
+
+
+def assert_levels_match(shift, pot, n, oracle):
+    levels = word_levels(shift, n)
+    for (words, _), (hi, lo) in zip(levels, pot.level_extrema(shift, levels)):
+        rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
+        want = np.array([oracle(w) for w in rows])
+        np.testing.assert_allclose(hi, want[:, 0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lo, want[:, 1], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixing_graphs(), st.integers(1, 6))
+def test_levels_match_itertools_order_and_parents(shift, n):
+    n = scan_length(shift, n)
+    levels = word_levels(shift, n)
+    assert isinstance(levels, list) and len(levels) == n
+    previous = None
+    for k, (words, parent) in enumerate(levels, start=1):
+        rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
+        assert rows == oracle_words(shift, k) == admissible_words(shift, k)
+        if previous is not None:
+            assert np.array_equal(previous[parent], words[:, :-1])
+        previous = words
+
+
+def table_for(shift, r, values):
+    keys = oracle_words(shift, r)
+    return {w: values[i % len(values)] for i, w in enumerate(keys)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixing_graphs(), st.integers(1, 3), st.integers(1, 6),
+       st.lists(st.floats(-5, 5), min_size=1, max_size=20))
+def test_locally_constant_levels_match_continuation_oracle(shift, r, n, values):
+    n = scan_length(shift, n)
+    table = table_for(shift, r, values)
+    pot = LocallyConstant(table, depth=r)
+    assert_levels_match(shift, pot, n,
+                        lambda w: oracle_lc(shift, table, r, w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 6), st.floats(0.0, 3.0),
+       st.floats(-2.0, 2.0), st.sampled_from(["log", "linear"]))
+def test_decay_levels_match_closed_form_on_renewal(size, n, coef, offset, law):
+    shift = RenewalRule().truncate(size)
+    pot = DecayPotential(law, coef, offset)
+
+    def f1(i):
+        return offset - coef * (math.log(i) if law == "log" else i)
+
+    assert_levels_match(shift, pot, n, lambda w: (math.fsum(map(f1, w)),) * 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixing_graphs(), st.sampled_from([2, 3]), st.integers(1, 6),
+       st.lists(st.floats(0.1, 3.0), min_size=45, max_size=45))
+def test_cocycle_levels_match_multi_dot(shift, dim, n, entries):
+    n = scan_length(shift, n)
+    mats = {s: np.array(entries[9 * i:9 * i + dim * dim]).reshape(dim, dim)
+            for i, s in enumerate(shift.symbols)}
+    pot = MatrixCocycle(mats)
+    assert_levels_match(shift, pot, n, lambda w: oracle_cocycle(mats, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixing_graphs(), st.integers(1, 6),
+       st.lists(st.floats(-5, 5), min_size=1, max_size=20),
+       st.floats(-3, 3).filter(lambda x: x != 0), st.floats(-2, 2))
+def test_affine_levels_swap_extrema_for_negative_multipliers(shift, n, values,
+                                                            mult, drift):
+    n = scan_length(shift, n)
+    table = table_for(shift, 2, values)
+    pot = AffinePotential(LocallyConstant(table, depth=2), mult, drift)
+
+    def oracle(w):
+        hi, lo = oracle_lc(shift, table, 2, w)
+        if mult < 0:
+            hi, lo = lo, hi
+        return mult * hi + len(w) * drift, mult * lo + len(w) * drift
+
+    assert_levels_match(shift, pot, n, oracle)
+
+
+def test_per_word_extrema_are_one_row_levels(golden_mean):
+    table = {(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.25}
+    pot = LocallyConstant(table, depth=2)
+    levels = word_levels(golden_mean, 5)
+    hi, lo = pot.level_extrema(golden_mean, levels)[-1]
+    words = admissible_words(golden_mean, 5)
+    assert [pot.sup(w, golden_mean) for w in words] == pytest.approx(hi.tolist())
+    assert [pot.inf(w, golden_mean) for w in words] == pytest.approx(lo.tolist())
+
+
+def test_budget_raises_before_the_level_is_allocated():
+    shift = ShiftModel.full(400)  # level 2 would hold 160 000 words
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            word_levels(shift, 3, budget=100_000)
+        with pytest.raises(BudgetExceeded):
+            admissible_words(shift, 3, budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_count_admissible_words_is_exact():
+    assert count_admissible_words(ShiftModel.full(3), 40) == 3 ** 40
+    assert count_admissible_words(ShiftModel.full(10), 400) == 10 ** 400
+    fib = [1, 1]
+    while len(fib) < 103:
+        fib.append(fib[-1] + fib[-2])
+    golden_mean = ShiftModel.golden_mean()
+    for n in (1, 2, 10, 50, 100):
+        assert count_admissible_words(golden_mean, n) == fib[n + 1]

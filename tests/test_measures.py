@@ -67,6 +67,27 @@ def test_gibbs_weights_uniform_when_flat(golden_mean, full2):
     assert all(v == pytest.approx(1 / 8) for v in nu.weights.values())
 
 
+def bernoulli_mass(table, t, word):
+    """Closed form of the sup-weight (and Cesaro) masses of a depth-1
+    potential on a full shift: the Bernoulli product measure."""
+    z = math.fsum(math.exp(t * (v - max(table.values()))) for v in table.values())
+    return math.prod(math.exp(t * (table[s] - max(table.values()))) / z
+                     for s in word)
+
+
+@pytest.mark.parametrize("table", [{0: 100.0, 1: 100.5}, {0: -100.0, 1: -99.5}])
+def test_sup_weights_neither_overflow_nor_underflow(full2, table):
+    # exp(t * sup f_8) is about e^{+-800}: past the float range both ways
+    pot = LocallyConstant(table)
+    mu = gibbs_weights(full2, pot, 1.0, 8)
+    assert len(mu.weights) == 2 ** 8
+    for w, v in mu.weights.items():
+        assert v == pytest.approx(bernoulli_mass(table, 1.0, w), rel=1e-12)
+    nu = gibbs_construct(full2, pot, 1.0, 8, 2, 3)
+    for w, v in nu.weights.items():
+        assert v == pytest.approx(bernoulli_mass(table, 1.0, w), rel=1e-12)
+
+
 def test_cesaro_averaging_improves_invariance(golden_mean, bernoulli):
     defects = {m: gibbs_construct(golden_mean, bernoulli, 1.0, 8, m, 4)
                .invariance_defect() for m in (1, 2, 4)}
