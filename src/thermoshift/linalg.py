@@ -1,61 +1,218 @@
-"""Small dense linear-algebra helpers shared by the pressure and measure code."""
+"""The Perron solver and the log-domain helpers shared by the pressure and
+measure code.
+
+Nonnegative operators are held as edge arrays (:class:`EdgeOperator`), with
+log weights so that cold weights exp(t·f) neither under- nor overflow before
+:meth:`EdgeOperator.bellman_scaled` brings every weight into (0, 1].
+"""
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
+from .shifts import _period
 
 TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
 
 
-def power_iteration(matrix: np.ndarray,
-                    max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and eigenvector of a nonnegative matrix.
+class EdgeOperator:
+    """A nonnegative square operator as edge arrays sorted by source:
+    ``(A v)[u]`` is the sum of ``exp(log_weight[e]) * v[dst[e]]`` over the
+    edges ``e`` with ``src[e] == u``.  ``len()`` is the dimension."""
 
-    Starts from the all-ones vector and renormalizes in L1, so the run is
-    deterministic.  Convergence requires the eigenvalue estimate and every
-    significant vector component to settle to relative tolerance ``TOL``
-    (componentwise, because eigenvector entries can span hundreds of orders
-    of magnitude and downstream ratios need their relative accuracy).  On an
-    imprimitive matrix the estimates oscillate and the iteration is reported
-    as failed rather than silently returning a stale value.
+    def __init__(self, size: int, src: np.ndarray, dst: np.ndarray,
+                 log_weight: np.ndarray):
+        self.size = size
+        self.src = src
+        self.dst = dst
+        self.log_weight = log_weight
+
+    def __len__(self) -> int:
+        return self.size
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return np.exp(self.log_weight)
+
+    @cached_property
+    def T(self) -> "EdgeOperator":
+        order = np.argsort(self.dst, kind="stable")
+        return EdgeOperator(self.size, self.dst[order], self.src[order],
+                            self.log_weight[order])
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.src, self.weight * v[self.dst],
+                           minlength=self.size)
+
+    @classmethod
+    def from_dense(cls, matrix) -> "EdgeOperator":
+        """The positive entries of a nonnegative matrix whose support is
+        primitive; anything else raises :class:`NumericalError` up front."""
+        B = np.asarray(matrix, dtype=np.float64)
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
+            raise NumericalError("power iteration needs a nonempty square matrix")
+        if (B < 0).any() or not np.isfinite(B).all():
+            raise NumericalError("power iteration needs a finite nonnegative matrix")
+        if _period(B > 0) != 1:
+            raise NumericalError(
+                "power iteration needs a primitive matrix (strongly connected "
+                "and aperiodic support)")
+        src, dst = np.nonzero(B)
+        return cls(B.shape[0], src, dst, np.log(B[src, dst]))
+
+    def bellman_scaled(self) -> tuple[float, "EdgeOperator"]:
+        """``(beta, S)`` with ``S_uv = A_uv exp(x_v - x_u - beta)``, where
+        ``(beta, x)`` is the max-plus eigenpair of the log weights.
+
+        ``S`` is diagonally similar to ``A / exp(beta)``, so
+        ``log rho(A) = beta + log rho(S)``.  Every weight of ``S`` lies in
+        (0, 1] up to the tolerance of :func:`_howard`, and every cycle of
+        maximal mean weighs 1: nothing under- or overflows at any scale of
+        the log weights.
+        """
+        beta, x = _howard(self)
+        log_s = self.log_weight - beta + (x[self.dst] - x[self.src])
+        return beta, EdgeOperator(self.size, self.src, self.dst, log_s)
+
+    def log_closed_walks(self, starts, n_max: int) -> list[float]:
+        """``log sum_{s in starts} (A^n)_{ss}`` for n = 1..n_max, by n
+        log-domain vector steps: exact at any scale of the log weights, and
+        ``-inf`` for a length with no closed walk."""
+        order = np.argsort(self.dst, kind="stable")
+        src, lw = self.src[order], self.log_weight[order]
+        dst = self.dst[order]
+        heads = np.flatnonzero(np.diff(dst, prepend=-1))
+        targets = dst[heads]
+        seg = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(dst))))
+        starts = np.asarray(starts, dtype=np.intp)
+        cols = np.arange(len(starts))
+        walk = np.full((self.size, len(starts)), -math.inf)
+        walk[starts, cols] = 0.0
+        out = []
+        with np.errstate(divide="ignore"):
+            for _ in range(n_max):
+                vals = walk[src] + lw[:, None]
+                top = np.maximum.reduceat(vals, heads, axis=0)
+                top = np.where(np.isfinite(top), top, 0.0)
+                total = np.add.reduceat(np.exp(vals - top[seg]), heads, axis=0)
+                walk = np.full_like(walk, -math.inf)
+                walk[targets] = top + np.log(total)
+                out.append(log_sum_exp(walk[starts, cols].tolist()))
+        return out
+
+
+def _howard(op: EdgeOperator) -> tuple[float, np.ndarray]:
+    """Max-plus eigenvalue ``beta`` and Bellman vector ``x`` of the log
+    weights of an operator with irreducible support, by Howard policy
+    iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat 1998):
+    ``max_v (log A_uv + x_v) = beta + x_u`` for every state ``u``, up to a
+    tolerance relative to the largest log weight.
+
+    A policy picks one out-edge per state.  Its value is the mean of the
+    cycle each state's policy walk ends in, and ``x`` follows the walk
+    back from that cycle.  A round switches states to edges that reach a
+    larger cycle mean, or else a larger ``log A_uv + x_v``; it stops when
+    no state improves by more than the tolerance.
     """
-    B = np.asarray(matrix, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
-        raise NumericalError("power iteration needs a nonempty square matrix")
-    if (B < 0).any():
-        raise NumericalError("power iteration needs a nonnegative matrix")
-    v = np.ones(B.shape[0], dtype=np.float64)
-    v /= v.sum()
-    v_prev: np.ndarray | None = None
+    m, src, dst, w = op.size, op.src, op.dst, op.log_weight
+    first = np.flatnonzero(np.diff(src, prepend=-1))
+    if len(first) != m:
+        raise NumericalError("max-plus eigenpair needs an out-edge at every state")
+    tol = 1e-12 * m * max(1.0, float(np.abs(w).max()))
+    edge = np.arange(len(w))
+
+    def first_best(vals):
+        best = np.maximum.reduceat(vals, first)
+        return best, np.minimum.reduceat(
+            np.where(vals == best[src], edge, len(w)), first)
+
+    policy = first_best(w + np.maximum.reduceat(w, first)[dst])[1]
+    x = np.zeros(m)
+    for _ in range(m + 100):
+        eta, x = _policy_values(policy, dst, w, x)
+        best_eta, to = first_best(eta[dst])
+        switch = best_eta > eta + tol
+        if not switch.any():
+            val = np.where(eta[dst] >= eta[src] - tol, w + x[dst], -math.inf)
+            best, to = first_best(val)
+            switch = best > w[policy] + x[dst[policy]] + tol
+            if not switch.any():
+                return float(eta.max()), x
+        policy = np.where(switch, to, policy)
+    raise NumericalError("max-plus policy iteration did not settle")
+
+
+def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                   x_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle mean ``eta`` and potential ``x`` of every state under a policy.
+    Each new cycle keeps the previous ``x`` of the state where its walk
+    first closed, so that values only move where the policy did."""
+    nxt = dst[policy].tolist()
+    c = w[policy].tolist()
+    m = len(nxt)
+    x = x_prev.tolist()
+    eta = [0.0] * m
+    mark = [-1] * m         # -1 unseen, else the walk that reached the state
+    for s in range(m):
+        if mark[s] >= 0:
+            continue
+        path = []
+        u = s
+        while mark[u] < 0:
+            mark[u] = s
+            path.append(u)
+            u = nxt[u]
+        if mark[u] == s:    # this walk closed a new cycle at u; x[u] stays
+            cycle = path[path.index(u):]
+            eta[u] = math.fsum(c[v] for v in cycle) / len(cycle)
+        for v in reversed(path):
+            if v != u:
+                eta[v] = eta[nxt[v]]
+                x[v] = c[v] - eta[v] + x[nxt[v]]
+    return np.array(eta), np.array(x)
+
+
+def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
+    """Perron root and right eigenvector of a nonnegative operator.
+
+    ``matrix`` is an :class:`EdgeOperator`, or a dense matrix whose support
+    must be primitive (:meth:`EdgeOperator.from_dense`).  The run starts
+    from the uniform vector, renormalises in L1 and is deterministic.  Each
+    step is the lazy step ``v <- S (S v / s + v)``, ``s`` the current root
+    estimate: ``S/s + I`` maps an eigenvalue ``-s`` to 0, so a nearly
+    periodic spectrum cannot stall the run, and the outer ``S`` keeps the
+    small eigenvector entries converging as fast as plain iteration does.
+    Convergence requires the root estimate and every significant vector
+    component to settle to relative tolerance ``TOL`` (componentwise,
+    because eigenvector entries can span hundreds of orders of magnitude
+    and downstream ratios need their relative accuracy); the root returned
+    is the estimate at the returned vector.  The rate is still the ratio of
+    the two leading eigenvalue moduli, so two maximal cycles that no
+    critical edge joins (their leading eigenvalues merge as the weights
+    cool) can exhaust ``max_iter``.
+    """
+    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
+    v = np.full(op.size, 1.0 / op.size)
     lam_prev = math.inf
     for _ in range(max_iter):
-        w = B @ v
-        s = float(w.sum())
+        u = op.matvec(v)
+        s = float(u.sum())
         if not math.isfinite(s) or s <= 0.0:
             raise NumericalError("power iteration collapsed (zero or non-finite growth)")
-        w /= s
-        lam_ok = abs(s - lam_prev) <= TOL * max(abs(s), 1.0)
-        if lam_ok and _relative_step(w, v) <= TOL:
-            return s, w
-        if (lam_ok and v_prev is not None
-                and _relative_step(w, v_prev) <= TOL):
-            # A nearly period-2 matrix leaves an alternating residual pinned
-            # at the rounding floor, so consecutive iterates never agree even
-            # though the even subsequence has settled.  The residual flips
-            # sign each step; averaging two iterates cancels it.
-            avg = 0.5 * (w + v)
-            return s, avg / avg.sum()
+        w = op.matvec(u / s + v)
+        w /= w.sum()
+        if (abs(s - lam_prev) <= TOL * max(abs(s), 1.0)
+                and _relative_step(w, v) <= TOL):
+            return float(op.matvec(w).sum()), w
         lam_prev = s
-        v_prev = v
         v = w
     raise NumericalError(
-        f"power iteration failed to converge within {max_iter} iterations "
-        "(matrix may be imprimitive)")
+        f"power iteration failed to converge within {max_iter} iterations")
 
 
 def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,10 +223,11 @@ def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[sig] / denom[sig]))
 
 
-def dominant_pair(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with right and left eigenvectors (both L1-normalized)."""
-    lam_r, right = power_iteration(matrix)
-    lam_l, left = power_iteration(np.asarray(matrix, dtype=np.float64).T)
+def dominant_pair(matrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron root with right and left eigenvectors (both L1-normalized)."""
+    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
+    lam_r, right = power_iteration(op)
+    lam_l, left = power_iteration(op.T)
     if abs(lam_r - lam_l) > 1e-9 * max(abs(lam_r), abs(lam_l), 1.0):
         raise NumericalError(
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")

@@ -6,9 +6,9 @@ Three sources:
 * "sup-weight" — mass proportional to exp(t sup f_n|[w]);
 * "cesaro" — a sup-weight measure pushed through an orbit average, the
   constructive route to an invariant limit;
-* "spectral" — the stationary Markov chain from the dominant eigendata of
-  the weighted block matrix (exact equilibrium for additive locally
-  constant potentials).
+* "spectral" — the stationary Markov chain from the Perron eigendata of
+  the Bellman-scaled block operator (exact equilibrium for additive
+  locally constant potentials, at any t).
 
 Entropy and Lyapunov estimators work on anything exposing ``mass(word)``.
 """
@@ -194,8 +194,8 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
 
 @dataclass
 class RPFEquilibrium:
-    """Stationary Markov chain built from the dominant eigendata of the
-    weighted block matrix; its cylinder masses realize the equilibrium
+    """Stationary Markov chain built from the Perron eigendata of the
+    weighted block operator; its cylinder masses realize the equilibrium
     state of t*F for additive locally constant F."""
 
     shift: ShiftModel
@@ -205,11 +205,7 @@ class RPFEquilibrium:
     states: tuple
     pi: np.ndarray
     p: np.ndarray
-    lam: float
-
-    @property
-    def pressure(self) -> float:
-        return math.log(self.lam)
+    pressure: float         # log of the Perron root, kept in log form
 
     def _index(self) -> dict:
         if not hasattr(self, "_idx"):
@@ -241,16 +237,12 @@ class RPFEquilibrium:
             self.shift, words, _masses(self, self.shift, words), "spectral")
 
     def entropy(self) -> float:
-        """Exact Kolmogorov-Sinai entropy of the stationary chain."""
-        acc = []
-        for i in range(len(self.states)):
-            if self.pi[i] <= 0:
-                continue
-            for j in range(len(self.states)):
-                q = self.p[i, j]
-                if q > 0:
-                    acc.append(-self.pi[i] * q * math.log(q))
-        return math.fsum(acc)
+        """Exact Kolmogorov-Sinai entropy of the stationary chain:
+        -sum pi_i p_ij log p_ij over the transitions, in row-major order."""
+        i, j = np.nonzero(self.p)
+        live = self.pi[i] > 0
+        i, q = i[live], self.p[i[live], j[live]]
+        return math.fsum((-self.pi[i] * q * _log(q)).tolist())
 
     def lyapunov_exact(self) -> float:
         """integral of f_1 for the stationary chain (additive families)."""
@@ -260,18 +252,21 @@ class RPFEquilibrium:
 
 def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
                     depth: int | None = None) -> RPFEquilibrium:
-    r, states, B = _spectral_block(shift, pot, t, depth)
-    lam, right, left = dominant_pair(B)
-    h = right
-    pi = left * h
+    """Stationary chain from the left and right Perron vectors of the
+    Bellman-scaled block operator S: the diagonal scaling cancels in
+    pi = left * right and in p_uv = S_uv right_v / (rho right_u)."""
+    r, states, beta, S = _spectral_block(shift, pot, t, depth)
+    rho, right, left = dominant_pair(S)
+    m, src, dst = len(S), S.src, S.dst
+    pi = left * right
     total = float(pi.sum())
     if not math.isfinite(total) or total <= 0:
         raise NumericalError("stationary weights collapsed")
     pi = pi / total
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = B * h[None, :] / (lam * h[:, None])
-    p = np.where(np.isfinite(p), p, 0.0)
-    rowsum = p.sum(axis=1)
+        q = S.weight * right[dst] / (rho * right[src])
+    q = np.where(np.isfinite(q), q, 0.0)
+    rowsum = np.bincount(src, q, minlength=m)
     # Row sums must be 1 where the chain actually lives; states whose
     # eigenvector entries underflowed carry no stationary mass and only get
     # a direction repair below.
@@ -281,10 +276,13 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
         if row_err > 1e-9:
             raise NumericalError(
                 f"stochasticization failed: row sums off by {row_err:.3e}")
-    for i in np.flatnonzero(~(rowsum > 0)):
-        p[i] = B[i] / B[i].sum()
-    p = p / p.sum(axis=1, keepdims=True)
-    return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, p, lam)
+    dead = ~(rowsum > 0)
+    q = np.where(dead[src], S.weight, q)
+    q = q / np.bincount(src, q, minlength=m)[src]
+    p = np.zeros((m, m))
+    p[src, dst] = q
+    return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, p,
+                          beta + math.log(rho))
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

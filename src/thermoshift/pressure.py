@@ -3,11 +3,16 @@
 Three routes, all reporting the pressure of t*F:
 
 * ``gurevich_estimate`` — (1/n) log of periodic sums through a marked state;
+  for additive families read off log-domain closed-walk sums of the block
+  operator, for the cocycle off one word-level engine pass;
 * ``topological_pressure`` — running infimum of (1/n) log of cylinder-sup
   partition sums;
-* ``transfer_pressure`` — log of the dominant eigenvalue of the weighted
-  block transition matrix (exact for additive locally constant potentials
-  on finite shifts).
+* ``transfer_pressure`` — log of the Perron root of the weighted block
+  operator (exact for additive locally constant potentials on finite
+  shifts).  The operator is held as edge arrays with log weights t·f₁ and
+  scaled by its max-plus eigenpair (beta, x) before the solve, so the root
+  is ``beta + log rho(S)`` with every weight of S in (0, 1]: the route
+  works at any t, however cold.
 
 ``best_pressure`` picks the sharpest applicable route, ``truncation_curve``
 tracks pressure along a nested family of finite approximations, and
@@ -24,11 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
-from .linalg import log_sum_exp, power_iteration
+from .linalg import EdgeOperator, log_sum_exp, power_iteration
 from .potentials import DecayPotential, Potential
-from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel,
-                     admissible_words, is_primitive, periodic_points,
-                     word_levels)
+from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel, _locate,
+                     _symbol_tuples, is_primitive, word_levels)
 
 
 @dataclass(frozen=True)
@@ -42,20 +46,32 @@ class PressureEstimate:
 
 def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
                       n_max: int, a=None) -> PressureEstimate:
-    """(1/n) log sum over period-n orbits through ``a`` of exp(t f_n)."""
+    """(1/n) log sum over period-n orbits through ``a`` of exp(t f_n).
+
+    For an additive family the period-n orbits through ``a`` are the
+    closed n-walks of the block operator from the states that begin with
+    ``a``, so the sums come from n log-domain vector steps.  Otherwise f_n
+    is read off level n of the word-level engine, on the words that start
+    with ``a`` and close up (the families without a first level are
+    constant on n-cylinders).
+    """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     if a is None:
         a = shift.symbols[0]
-    shift.index(a)  # validates membership
-    seq = []
-    for n in range(1, n_max + 1):
-        words = periodic_points(shift, n, a)
-        if not words:
-            seq.append((n, -math.inf))
-            continue
-        log_z = log_sum_exp([t * pot.at_periodic(w) for w in words])
-        seq.append((n, log_z / n))
+    ai = shift.index(a)  # validates membership
+    if pot.is_additive and pot.depth is not None:
+        states, B = weighted_block_matrix(shift, pot, t, depth=pot.depth)
+        starts = [i for i, u in enumerate(states) if u[0] == a]
+        log_z = B.log_closed_walks(starts, n_max)
+    else:
+        levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+        closes = shift.adjacency[:, ai].astype(bool)
+        log_z = []
+        for (words, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
+            rows = (words[:, 0] == ai) & closes[words[:, -1]]
+            log_z.append(log_sum_exp((t * hi[rows]).tolist()))
+    seq = [(n, z / n) for n, z in enumerate(log_z, start=1)]
     finite = [(n, v) for n, v in seq if v > -math.inf]
     if not finite:
         raise NumericalError(
@@ -86,29 +102,31 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 
 def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
-                          depth: int = 1):
-    """States = admissible words of length ``depth``; entry (u, v) is
-    exp(t f_1|[u]) when v can follow u by a one-symbol slide."""
-    states = admissible_words(shift, depth)
-    if not states:
-        raise NumericalError("shift has no admissible words at this depth")
-    idx = {w: i for i, w in enumerate(states)}
-    m = len(states)
-    B = np.zeros((m, m))
-    for u in states:
-        w_u = math.exp(t * pot.first_level(u))
-        for s in shift.successors(u[-1]):
-            v = u[1:] + (s,)
-            j = idx.get(v)
-            if j is not None:
-                B[idx[u], j] = w_u
-    return states, B
+                          depth: int = 1) -> tuple[list, EdgeOperator]:
+    """States = admissible words of length ``depth``; the operator has an
+    edge u -> v, of log weight t f_1|[u], when v follows u by a one-symbol
+    slide.
+
+    The edges are the admissible words of length depth + 1: the source is
+    a word's prefix (its parent row in the word-level engine), the target
+    its suffix, so they come sorted by source.
+    """
+    if depth < 1:
+        raise ValidationError("block depth must be >= 1")
+    levels = word_levels(shift, depth + 1)
+    words, parent = levels[depth]
+    dst = _locate(shift, levels, words[:, 1:])
+    states = _symbol_tuples(shift, levels[depth - 1][0])
+    f = np.array([pot.first_level(u) for u in states])
+    return states, EdgeOperator(len(states), parent, dst, t * f[parent])
 
 
 def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
                     depth: int | None):
-    """(block depth, states, B) of the spectral route, once the potential
-    is additive locally constant and the block structure is primitive."""
+    """(block depth, states, beta, S) of the spectral route, once the
+    potential is additive locally constant and the block structure is
+    primitive: S is the block operator scaled by its max-plus eigenpair,
+    and the Perron root of the unscaled operator is exp(beta) rho(S)."""
     if not pot.is_additive or pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -122,15 +140,17 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
     states, B = weighted_block_matrix(shift, pot, t, depth=r)
-    return r, states, B
+    beta, S = B.bellman_scaled()
+    return r, states, beta, S
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
                       depth: int | None = None) -> PressureEstimate:
-    """log of the dominant eigenvalue of the weighted block matrix."""
-    r, _, B = _spectral_block(shift, pot, t, depth)
-    lam, _ = power_iteration(B)
-    return PressureEstimate(math.log(lam), "transfer", t, r)
+    """log of the Perron root of the weighted block operator, as
+    beta + log rho(S) for its Bellman scaling S."""
+    r, _, beta, S = _spectral_block(shift, pot, t, depth)
+    rho, _ = power_iteration(S)
+    return PressureEstimate(beta + math.log(rho), "transfer", t, r)
 
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,

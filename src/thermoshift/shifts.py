@@ -73,6 +73,13 @@ class ShiftModel:
         successors of symbol i in alphabet order."""
         return np.flatnonzero(self.adjacency)
 
+    @cached_property
+    def period(self) -> int:
+        """Period of the transition graph (gcd of its cycle lengths), 0 when
+        it is not strongly connected: the one primitivity decision, made
+        once per shift."""
+        return _period(self.adjacency)
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -439,14 +446,14 @@ def _period(adj: np.ndarray) -> int:
     return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
-def _mixing_status(adj: np.ndarray) -> str:
-    period = _period(adj)
+def _mixing_status(shift: ShiftModel) -> str:
+    period = shift.period
     return "mixing" if period == 1 else "periodic" if period else "reducible"
 
 
 def is_primitive(shift: ShiftModel) -> bool:
     """Irreducible and aperiodic, by graph traversal (no matrix powers)."""
-    return _period(_require_finite(shift).adjacency) == 1
+    return _require_finite(shift).period == 1
 
 
 def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
@@ -455,10 +462,10 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
     The graph is classified by :func:`_period` first; only a primitive one
     enters the power loop, which Wielandt's bound (m-1)^2 + 1 ends.
     """
-    adj = _require_finite(shift).adjacency.astype(bool)
-    status = _mixing_status(adj)
+    status = _mixing_status(_require_finite(shift))
     if status != "mixing":
         return MixingCertificate(status, None, None)
+    adj = shift.adjacency.astype(bool)
     adjf = adj.astype(np.float64)
     history = [adj]
     while not history[-1].all():
@@ -583,7 +590,7 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     elif isinstance(ambient, ShiftModel):
         rule = None
         assumed = False
-        status = _mixing_status(ambient.adjacency)
+        status = _mixing_status(ambient)
         if status != "mixing":
             raise ValidationError(
                 f"finite ambient shift must be mixing (certificate: {status})")

@@ -10,8 +10,8 @@ import re
 from pathlib import Path
 
 import thermoshift
-from thermoshift import (admissible_words, cli, measures, potentials, pressure,
-                         shifts)
+from thermoshift import (admissible_words, cli, linalg, measures, potentials,
+                         pressure, shifts)
 
 # Package-root names the benchmark worker calls.
 WORKER_NAMES = (
@@ -56,6 +56,32 @@ def test_traced_attributes_exist(golden_mean, bernoulli):
     # the block-state count is len(result[0])
     states = pressure.weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)[0]
     assert states == admissible_words(golden_mean, 2)
+
+
+def test_spectral_solves_pass_their_dimension(monkeypatch, golden_mean,
+                                              bernoulli):
+    # the tracer's dim_sum adds len(args[0]) of every power_iteration call,
+    # and its block-state count adds len(weighted_block_matrix(...)[0])
+    seen = []
+    original = linalg.power_iteration
+
+    def spy(*args, **kwargs):
+        seen.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for mod in (thermoshift, linalg, pressure, measures):
+        if vars(mod).get("power_iteration") is original:
+            monkeypatch.setattr(mod, "power_iteration", spy)
+    for depth in (1, 2, 3):
+        states = pressure.weighted_block_matrix(golden_mean, bernoulli, 1.0,
+                                                depth=depth)[0]
+        assert states == admissible_words(golden_mean, depth)
+        seen.clear()
+        pressure.transfer_pressure(golden_mean, bernoulli, 1.0, depth=depth)
+        assert seen == [len(states)]
+        seen.clear()
+        measures.rpf_equilibrium(golden_mean, bernoulli, 1.0, depth=depth)
+        assert seen == [len(states), len(states)]
 
 
 def test_word_engine_is_a_traced_span(golden_mean):

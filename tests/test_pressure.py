@@ -149,13 +149,20 @@ def test_best_pressure_route_selection(golden_mean, full2):
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
     states, B = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]
-    assert B.shape == (3, 3)
+    assert len(B) == 3
+    # the operator holds log weights on edges sorted by source
+    assert list(B.src) == sorted(B.src)
     # weight on a row is constant: exp(t f_1 | source state)
-    assert B[0].max() == pytest.approx(1.0)
+    for i, u in enumerate(states):
+        row = B.weight[B.src == i]
+        assert row == pytest.approx([math.exp(bernoulli.first_level(u))] * len(row))
+    assert B.weight[B.src == 0].max() == pytest.approx(1.0)
     # support: v follows u by a one-symbol slide, v == u[1:] + (s,)
+    support = set(zip(B.src.tolist(), B.dst.tolist()))
+    assert len(support) == len(B.src)
     for i, u in enumerate(states):
         for j, v in enumerate(states):
-            assert (B[i, j] > 0) == (v == u[1:] + v[-1:])
+            assert ((i, j) in support) == (v == u[1:] + v[-1:])
 
 
 # -- truncation curves -----------------------------------------------------
