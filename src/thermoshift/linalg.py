@@ -4,12 +4,22 @@ measure code.
 Nonnegative operators are held as edge arrays (:class:`EdgeOperator`), with
 log weights so that cold weights exp(t·f) neither under- nor overflow before
 :meth:`EdgeOperator.bellman_scaled` brings every weight into (0, 1].
+
+An operator ``A`` has two such scalings, one per side of its Perron problem:
+the row scaling ``S`` (the max-plus eigenpair of ``A``) and the column
+scaling ``C`` (that of ``Aᵀ``), diagonally similar to ``A`` and ``Aᵀ``.  A
+Perron vector converges in as many power steps as information needs to
+cross its scaling's Howard policy forest, and that depth can differ by the
+whole dimension between the two sides: on a renewal chain ``n -> n-1`` it is
+``m - 1`` for ``S`` and 1 for ``C``.  :func:`dominant_pair` therefore solves
+the right vector on ``S`` and the left one on ``C``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,19 +75,21 @@ class EdgeOperator:
         src, dst = np.nonzero(B)
         return cls(B.shape[0], src, dst, np.log(B[src, dst]))
 
-    def bellman_scaled(self) -> tuple[float, "EdgeOperator"]:
-        """``(beta, S)`` with ``S_uv = A_uv exp(x_v - x_u - beta)``, where
+    def bellman_scaled(self) -> "BellmanScaling":
+        """The operator ``S_uv = A_uv exp(x_v - x_u - beta)``, where
         ``(beta, x)`` is the max-plus eigenpair of the log weights.
 
         ``S`` is diagonally similar to ``A / exp(beta)``, so
         ``log rho(A) = beta + log rho(S)``.  Every weight of ``S`` lies in
         (0, 1] up to the tolerance of :func:`_howard`, and every cycle of
         maximal mean weighs 1: nothing under- or overflows at any scale of
-        the log weights.
+        the log weights.  ``self.T.bellman_scaled()`` is the column scaling
+        ``C`` of the module docstring, an operator on the same states.
         """
-        beta, x = _howard(self)
+        beta, x, depth = _howard(self)
         log_s = self.log_weight - beta + (x[self.dst] - x[self.src])
-        return beta, EdgeOperator(self.size, self.src, self.dst, log_s)
+        return BellmanScaling(
+            beta, EdgeOperator(self.size, self.src, self.dst, log_s), x, depth)
 
     def log_closed_walks(self, starts, n_max: int) -> list[float]:
         """``log sum_{s in starts} (A^n)_{ss}`` for n = 1..n_max, by n
@@ -106,12 +118,26 @@ class EdgeOperator:
         return out
 
 
-def _howard(op: EdgeOperator) -> tuple[float, np.ndarray]:
+class BellmanScaling(NamedTuple):
+    """An operator scaled by the max-plus eigenpair ``(beta, potential)`` of
+    its log weights (:meth:`EdgeOperator.bellman_scaled`); ``depth`` is the
+    depth of the final Howard policy forest, the number of steps a power
+    iteration on ``op`` needs to carry information from the policy cycles
+    to every state."""
+
+    beta: float
+    op: EdgeOperator
+    potential: np.ndarray
+    depth: int
+
+
+def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int]:
     """Max-plus eigenvalue ``beta`` and Bellman vector ``x`` of the log
     weights of an operator with irreducible support, by Howard policy
     iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat 1998):
     ``max_v (log A_uv + x_v) = beta + x_u`` for every state ``u``, up to a
-    tolerance relative to the largest log weight.
+    tolerance relative to the largest log weight.  The third value is the
+    depth of the final policy's forest.
 
     A policy picks one out-edge per state.  Its value is the mean of the
     cycle each state's policy walk ends in, and ``x`` follows the walk
@@ -134,7 +160,7 @@ def _howard(op: EdgeOperator) -> tuple[float, np.ndarray]:
     policy = first_best(w + np.maximum.reduceat(w, first)[dst])[1]
     x = np.zeros(m)
     for _ in range(m + 100):
-        eta, x = _policy_values(policy, dst, w, x)
+        eta, x, depth = _policy_values(policy, dst, w, x)
         best_eta, to = first_best(eta[dst])
         switch = best_eta > eta + tol
         if not switch.any():
@@ -142,21 +168,24 @@ def _howard(op: EdgeOperator) -> tuple[float, np.ndarray]:
             best, to = first_best(val)
             switch = best > w[policy] + x[dst[policy]] + tol
             if not switch.any():
-                return float(eta.max()), x
+                return float(eta.max()), x, depth
         policy = np.where(switch, to, policy)
     raise NumericalError("max-plus policy iteration did not settle")
 
 
 def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
-                   x_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle mean ``eta`` and potential ``x`` of every state under a policy.
-    Each new cycle keeps the previous ``x`` of the state where its walk
-    first closed, so that values only move where the policy did."""
+                   x_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cycle mean ``eta`` and potential ``x`` of every state under a policy,
+    and the depth of its forest: the longest walk from a state to the
+    cycle it ends in.  Each new cycle keeps the previous ``x`` of the state
+    where its walk first closed, so that values only move where the policy
+    did."""
     nxt = dst[policy].tolist()
     c = w[policy].tolist()
     m = len(nxt)
     x = x_prev.tolist()
     eta = [0.0] * m
+    depth = [0] * m
     mark = [-1] * m         # -1 unseen, else the walk that reached the state
     for s in range(m):
         if mark[s] >= 0:
@@ -168,13 +197,19 @@ def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
             path.append(u)
             u = nxt[u]
         if mark[u] == s:    # this walk closed a new cycle at u; x[u] stays
-            cycle = path[path.index(u):]
-            eta[u] = math.fsum(c[v] for v in cycle) / len(cycle)
+            k = path.index(u)
+            cycle, path = path[k:], path[:k]
+            e = eta[u] = math.fsum(c[v] for v in cycle) / len(cycle)
+            for v in reversed(cycle[1:]):
+                eta[v] = e
+                x[v] = c[v] - e + x[nxt[v]]
+        # the tail runs into u: walk it back from there
+        e, d, xv = eta[u], depth[u], x[u]
         for v in reversed(path):
-            if v != u:
-                eta[v] = eta[nxt[v]]
-                x[v] = c[v] - eta[v] + x[nxt[v]]
-    return np.array(eta), np.array(x)
+            d += 1
+            xv = c[v] - e + xv
+            eta[v], x[v], depth[v] = e, xv, d
+    return np.array(eta), np.array(x), max(depth)
 
 
 def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
@@ -223,15 +258,34 @@ def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[sig] / denom[sig]))
 
 
-def dominant_pair(matrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """Perron root with right and left eigenvectors (both L1-normalized)."""
+def dominant_pair(matrix) -> tuple[BellmanScaling, float, np.ndarray, np.ndarray]:
+    """Perron data of a nonnegative operator ``A``, each side solved in the
+    Bellman scaling matched to it.
+
+    ``A`` is an :class:`EdgeOperator` or a dense matrix with primitive
+    support.  The right vector is solved on the row scaling ``S`` of ``A``,
+    the left one on its column scaling ``C``, where
+    ``C_vu = A_uv exp(y_u - y_v - beta)`` for the max-plus eigenpair
+    ``(beta, y)`` of ``Aᵀ``.  ``C`` is diagonally similar to ``Aᵀ``, so the
+    left vector of ``S`` is ``exp(x + y)`` times the right vector of ``C``;
+    it is returned in log form because ``x + y`` can exceed the float range.
+
+    Returns ``(S, rho, right, log_left)``: the row scaling, the Perron root
+    of ``S.op`` (``S.beta + log rho`` is ``log rho(A)``), its right vector
+    (L1-normalised) and the log of its left vector up to an additive
+    constant.  The two sides' roots must agree to 1e-9 relative.
+    """
     op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
-    lam_r, right = power_iteration(op)
-    lam_l, left = power_iteration(op.T)
+    S, C = op.bellman_scaled(), op.T.bellman_scaled()
+    lam_r, right = power_iteration(S.op)
+    lam_l, left = power_iteration(C.op)
+    lam_l *= math.exp(C.beta - S.beta)
     if abs(lam_r - lam_l) > 1e-9 * max(abs(lam_r), abs(lam_l), 1.0):
         raise NumericalError(
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")
-    return 0.5 * (lam_r + lam_l), right, left
+    with np.errstate(divide="ignore"):
+        log_left = S.potential + C.potential + np.log(left)
+    return S, 0.5 * (lam_r + lam_l), right, log_left
 
 
 def _log(x: np.ndarray) -> np.ndarray:

@@ -232,9 +232,25 @@ class RPFEquilibrium:
         return mass
 
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
-        words = word_levels(self.shift, depth)[-1][0]
+        levels = word_levels(self.shift, depth)
         return CylinderMeasure._from_level(
-            self.shift, words, _masses(self, self.shift, words), "spectral")
+            self.shift, levels[-1][0], self._level_masses(levels), "spectral")
+
+    def _level_masses(self, levels: list) -> np.ndarray:
+        """:meth:`mass` on every row of the last engine level.  From the
+        block depth on, a row's mass is its parent's times one transition,
+        ``mass[parent] * p[state(parent), state(row)]``: the left-to-right
+        product of :meth:`mass` itself, so the floats are the same."""
+        r = self.depth
+        if len(levels) < r:
+            return _masses(self, self.shift, levels[-1][0])
+        mass = self.pi                  # row i of level r is state i
+        state = np.arange(len(mass))
+        for words, parent in levels[r:]:
+            here = _locate(self.shift, levels, words[:, -r:])
+            mass = mass[parent] * self.p[state[parent], here]
+            state = here
+        return mass
 
     def entropy(self) -> float:
         """Exact Kolmogorov-Sinai entropy of the stationary chain:
@@ -253,18 +269,22 @@ class RPFEquilibrium:
 def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
                     depth: int | None = None) -> RPFEquilibrium:
     """Stationary chain from the left and right Perron vectors of the
-    Bellman-scaled block operator S: the diagonal scaling cancels in
-    pi = left * right and in p_uv = S_uv right_v / (rho right_u)."""
-    r, states, beta, S = _spectral_block(shift, pot, t, depth)
-    rho, right, left = dominant_pair(S)
-    m, src, dst = len(S), S.src, S.dst
-    pi = left * right
+    Bellman-scaled block operator S (:func:`dominant_pair` solves each in
+    the scaling matched to its side): the diagonal scaling cancels in
+    pi = left * right, formed in log form, and in
+    p_uv = S_uv right_v / (rho right_u)."""
+    r, states, B = _spectral_block(shift, pot, t, depth)
+    S, rho, right, log_left = dominant_pair(B)
+    m, src, dst = len(B), S.op.src, S.op.dst
+    with np.errstate(divide="ignore"):
+        log_pi = log_left + np.log(right)
+    pi = np.exp(log_pi - log_pi.max())
     total = float(pi.sum())
     if not math.isfinite(total) or total <= 0:
         raise NumericalError("stationary weights collapsed")
     pi = pi / total
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = S.weight * right[dst] / (rho * right[src])
+        q = S.op.weight * right[dst] / (rho * right[src])
     q = np.where(np.isfinite(q), q, 0.0)
     rowsum = np.bincount(src, q, minlength=m)
     # Row sums must be 1 where the chain actually lives; states whose
@@ -277,12 +297,12 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
             raise NumericalError(
                 f"stochasticization failed: row sums off by {row_err:.3e}")
     dead = ~(rowsum > 0)
-    q = np.where(dead[src], S.weight, q)
+    q = np.where(dead[src], S.op.weight, q)
     q = q / np.bincount(src, q, minlength=m)[src]
     p = np.zeros((m, m))
     p[src, dst] = q
     return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, p,
-                          beta + math.log(rho))
+                          S.beta + math.log(rho))
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

@@ -285,6 +285,13 @@ class DecayPotential(Potential):
             return self.offset - self.coef * math.log(i)
         return self.offset - self.coef * i
 
+    def _values(self, n: int) -> list[float]:
+        """``value(i)`` for i = 1..n: the same float operations, without
+        the per-symbol checks."""
+        if self.law == "log":
+            return [self.offset - self.coef * math.log(i) for i in range(1, n + 1)]
+        return [self.offset - self.coef * i for i in range(1, n + 1)]
+
     @property
     def aa_const(self) -> float:
         return 0.0
@@ -651,10 +658,10 @@ def summability_report(pot: Potential, t: float = 1.0,
     """Partial sums and analytic tail bounds for the summability series."""
     if isinstance(pot, DecayPotential):
         n = terms
-        partial = math.fsum(math.exp(pot.value(i)) for i in range(1, n + 1))
+        vals = pot._values(n)
+        partial = math.fsum(math.exp(v) for v in vals)
         tail = pot.tail_weight_bound(n, 1.0)
-        partial_t = math.fsum((-t * pot.value(i)) * math.exp(t * pot.value(i))
-                              for i in range(1, n + 1))
+        partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)
         tail_t = pot.weighted_log_tail(n, t, terms=0) if pot.summable(t) else math.inf
         verdict = "summable" if pot.summable(1.0) else "not-summable"
         return SummabilityReport(verdict, partial, tail, t, partial_t, tail_t,

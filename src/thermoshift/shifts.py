@@ -60,10 +60,7 @@ class ShiftModel:
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        succ = tuple(tuple(int(j) for j in np.flatnonzero(adj[i]))
-                     for i in range(adj.shape[0]))
-        pred = tuple(tuple(int(i) for i in np.flatnonzero(adj[:, j]))
-                     for j in range(adj.shape[0]))
+        succ, pred = _adjacency_lists(adj)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
 
@@ -71,7 +68,7 @@ class ShiftModel:
     def _edges(self) -> np.ndarray:
         """Flat indices i*m + j of the edges, ascending: row i holds the
         successors of symbol i in alphabet order."""
-        return np.flatnonzero(self.adjacency)
+        return np.flatnonzero(self.adjacency.astype(bool))
 
     @cached_property
     def period(self) -> int:
@@ -426,24 +423,49 @@ def _period(adj: np.ndarray) -> int:
 
     BFS levels from vertex 0, forward and backward, decide strong
     connectivity; every edge u -> v then contributes level[u] + 1 - level[v]
-    to the gcd.
+    to the gcd.  Each BFS visits every edge once, so the cost is
+    O(m + edges) once the adjacency lists are read off ``adj``.
     """
     adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    for mat in (adj.T, adj):
-        level = np.full(n, -1, dtype=np.int64)
-        level[0] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[0] = True
-        depth = 0
-        while frontier.any():
-            depth += 1
-            frontier = mat[frontier].any(axis=0) & (level < 0)
-            level[frontier] = depth
-        if (level < 0).any():
+    succ, pred = _adjacency_lists(adj)
+    for nbrs in (pred, succ):
+        level = _bfs_levels(nbrs)
+        if min(level) < 0:
             return 0
-    u, v = np.nonzero(adj)
+    u, v = np.divmod(np.flatnonzero(adj), len(level))
+    level = np.array(level)
     return int(np.gcd.reduce(level[u] + 1 - level[v]))
+
+
+def _adjacency_lists(adj: np.ndarray) -> tuple[tuple, tuple]:
+    """Successor and predecessor lists of the digraph ``adj`` (a square
+    matrix, nonzero entries are edges): tuples of vertex indices in
+    ascending order, read off one scan of the matrix."""
+    n = adj.shape[0]
+    src, dst = np.divmod(np.flatnonzero(np.asarray(adj, dtype=bool)), n)
+    by_dst = np.argsort(dst, kind="stable")
+
+    def lists(keys, vals):
+        bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
+        vals = vals.tolist()
+        return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
+
+    return lists(src, dst), lists(dst[by_dst], src[by_dst])
+
+
+def _bfs_levels(nbrs: tuple) -> list[int]:
+    """BFS distance of every vertex from vertex 0 along the adjacency lists
+    ``nbrs``, -1 where unreachable."""
+    level = [-1] * len(nbrs)
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        d = level[u] + 1
+        for v in nbrs[u]:
+            if level[v] < 0:
+                level[v] = d
+                queue.append(v)
+    return level
 
 
 def _mixing_status(shift: ShiftModel) -> str:

@@ -108,7 +108,7 @@ def test_howard_matches_karp_and_satisfies_bellman(seed):
     shift = random_primitive(rng, rng.randint(2, 40))
     g = [rng.uniform(-3.0, 1.0) for _ in shift.symbols]
     _, B = weighted_block_matrix(shift, LocallyConstant(dict(zip(shift.symbols, g))), 1.0)
-    beta, x = _howard(B)
+    beta, x, _ = _howard(B)
     karp_beta, _ = _karp(shift, g)
     assert beta == pytest.approx(karp_beta, abs=1e-9)
     # Bellman: max_v (w_uv + x_v) = beta + x_u at every state
@@ -133,7 +133,7 @@ def test_howard_matches_karp_and_satisfies_bellman(seed):
 def test_scaled_weights_lie_in_unit_interval(t):
     shift = RenewalRule().truncate(60)
     _, B = weighted_block_matrix(shift, DecayPotential("log", 2.0), t)
-    beta, S = B.bellman_scaled()
+    beta, S = B.bellman_scaled()[:2]
     assert np.isfinite(S.log_weight).all()
     assert S.log_weight.max() <= 1e-12 * t * 60
     # the critical cycle is the fixed point at symbol 1 (f = 0 there)

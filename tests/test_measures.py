@@ -6,11 +6,12 @@ import pytest
 
 from thermoshift import (ConditionNotMet, CylinderMeasure, DecayPotential,
                          LocallyConstant, RenewalRule, ShiftModel,
-                         ValidationError, entropy_estimate, entropy_tail_bound,
-                         excess_mass, gibbs_certificate, gibbs_construct,
-                         gibbs_weights, lyapunov, marginal_bound_check,
-                         orbit_measure, rpf_equilibrium, tight_set,
-                         topological_pressure, transfer_pressure)
+                         ValidationError, admissible_words, entropy_estimate,
+                         entropy_tail_bound, excess_mass, gibbs_certificate,
+                         gibbs_construct, gibbs_weights, lyapunov,
+                         marginal_bound_check, orbit_measure, rpf_equilibrium,
+                         tight_set, topological_pressure, transfer_pressure,
+                         word_levels)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -175,6 +176,22 @@ def test_rpf_renewal_tiny_components_survive():
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
     assert eq.entropy() + 2.0 * eq.lyapunov_exact() == pytest.approx(
         eq.pressure, abs=1e-9)
+
+
+@pytest.mark.parametrize("depth, n", [(1, 5), (2, 5), (3, 6), (3, 2)])
+def test_spectral_cylinder_masses_are_the_per_word_masses(depth, n):
+    shift = RenewalRule().truncate(7)
+    table = {w: -0.3 * sum(w) + 0.1 * w[-1]
+             for w in admissible_words(shift, depth)}
+    eq = rpf_equilibrium(shift, LocallyConstant(table, depth), 1.7)
+    mu = eq.as_cylinder_measure(n)
+    words = admissible_words(shift, n)
+    total = math.fsum(eq.mass(w) for w in words)
+    assert sorted(mu.weights) == words
+    for w in words:
+        assert mu.weights[w] * total == pytest.approx(eq.mass(w), rel=1e-15)
+    levels = word_levels(shift, n)
+    assert eq._level_masses(levels).tolist() == [eq.mass(w) for w in words]
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

@@ -351,6 +351,16 @@ def test_summability_decay_summable():
     assert rep.partial_sum <= target <= rep.partial_sum + rep.tail_bound
 
 
+@pytest.mark.parametrize("law, coef, offset, t", [
+    ("log", 2.0, 0.0, 1.3), ("log", 1.5, -0.25, 2.0), ("linear", 0.5, 1.0, 3.0)])
+def test_summability_decay_sums_are_the_per_value_sums(law, coef, offset, t):
+    pot = DecayPotential(law, coef, offset)
+    rep = summability_report(pot, t=t, terms=3000)
+    f = [pot.value(i) for i in range(1, 3001)]
+    assert rep.partial_sum == math.fsum(math.exp(v) for v in f)
+    assert rep.partial_sum_t == math.fsum((-t * v) * math.exp(t * v) for v in f)
+
+
 def test_summability_flat_countable_potential_diverges():
     rep = summability_report(DecayPotential("log", 0.0), t=1.0)
     assert rep.verdict == "not-summable"

@@ -18,7 +18,7 @@ from thermoshift import (BudgetExceeded, FullShiftRule, RenewalRule,
                          compact_approximation, count_admissible_words,
                          cylinder_distance, is_primitive, mixing_certificate,
                          periodic_points, shift_from_config)
-from thermoshift.shifts import _exact_length_interior, _feasibility
+from thermoshift.shifts import _exact_length_interior, _feasibility, _period
 
 
 def brute_words(shift, n):
@@ -240,6 +240,61 @@ def test_large_non_primitive_graphs_classify_without_powers():
     assert mixing_certificate(cycle).status == "periodic"
     assert mixing_certificate(chain).status == "reducible"
     assert not is_primitive(cycle) and not is_primitive(chain)
+
+
+def _period_by_dense_levels(adj):
+    """The period by one dense boolean step per BFS level, forward and
+    backward: the traversal that ``_period`` replaced, kept as its oracle."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    for mat in (adj.T, adj):
+        level = np.full(n, -1, dtype=np.int64)
+        level[0] = 0
+        frontier = np.zeros(n, dtype=bool)
+        frontier[0] = True
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = mat[frontier].any(axis=0) & (level < 0)
+            level[frontier] = depth
+        if (level < 0).any():
+            return 0
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+
+
+def _seeded_graphs():
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        out.append(rng.random((n, n)) < rng.uniform(0.02, 0.4))
+    for n, p in ((12, 3), (30, 5), (24, 4)):
+        # a cycle of p layers, edges only from layer k to layer k + 1
+        layer = np.arange(n) % p
+        a = (layer[:, None] + 1) % p == layer[None, :]
+        cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        out.append(a & (rng.random((n, n)) < 0.5) | cycle)
+    for n in (10, 25):
+        # two strongly connected halves joined one way only
+        a = np.zeros((n, n), dtype=bool)
+        h = n // 2
+        a[:h, :h] = rng.random((h, h)) < 0.5
+        a[h:, h:] = rng.random((n - h, n - h)) < 0.5
+        a[0, h] = True
+        out.append(a)
+    out.append(RenewalRule().truncate(300).adjacency)
+    out.append(FullShiftRule().truncate(50).adjacency)
+    return out
+
+
+def test_period_matches_the_dense_level_traversal():
+    periods = []
+    for adj in _seeded_graphs():
+        periods.append(_period(adj))
+        assert periods[-1] == _period_by_dense_levels(adj)
+    # the set covers primitive, periodic and reducible graphs
+    assert {0, 1} <= set(periods) and max(periods) > 1
 
 
 # -- configuration ---------------------------------------------------------
