@@ -1,7 +1,8 @@
 """Cylinder measures, Gibbs constructions and equilibrium statistics.
 
-Measures are stored as weights on depth-n cylinders (words are tuples).
-Three sources:
+A :class:`CylinderMeasure` holds its mass on depth-n cylinders as arrays:
+the words as rows of symbol indices and their normalised masses.  Three
+sources:
 
 * "sup-weight" — mass proportional to exp(t sup f_n|[w]);
 * "cesaro" — a sup-weight measure pushed through an orbit average, the
@@ -10,13 +11,19 @@ Three sources:
   the Bellman-scaled block operator (exact equilibrium for additive
   locally constant potentials, at any t).
 
-Entropy and Lyapunov estimators work on anything exposing ``mass(word)``.
+The estimators (entropy, Lyapunov exponent, Gibbs certificate) read a
+measure through ``level_masses(levels)``: the mass of every row of each
+level of the word-level engine (:func:`~thermoshift.shifts.word_levels`),
+one array per level, as ``Potential.level_extrema`` gives the potential.
+Both measure types provide it, and ``mass(word)`` remains the per-word
+query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,15 +36,23 @@ from .shifts import (WORD_BUDGET, ShiftModel, _locate, _symbol_tuples,
                      word_levels)
 
 
-@dataclass
+@dataclass(eq=False)
 class CylinderMeasure:
-    """A probability vector on depth-``depth`` cylinders."""
+    """A probability vector on depth-``depth`` cylinders.
+
+    The support is held as arrays in insertion order: ``rows`` holds one
+    word per row as symbol indices (positions in ``shift.symbols``) and
+    ``masses`` its normalised mass.  ``_at`` is each row's position in level
+    ``depth`` of :func:`word_levels` when the measure was built on an engine
+    level, else ``None``."""
 
     shift: ShiftModel
     depth: int
-    weights: dict
+    rows: np.ndarray
+    masses: np.ndarray
     source: str = "raw"
-    _levels: dict = field(default_factory=dict, repr=False, compare=False)
+    _at: np.ndarray | None = field(default=None, repr=False)
+    _levels: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_weights(cls, shift: ShiftModel, depth: int, weights: Mapping,
@@ -54,7 +69,10 @@ class CylinderMeasure:
                 raise ValidationError(f"negative mass on {w!r}")
             if v > 0:
                 clean[w] = v
-        return cls._normalised(shift, depth, clean, source)
+        rows = np.array([[shift.index(s) for s in w] for w in clean],
+                        dtype=np.intp).reshape(len(clean), depth)
+        return cls._normalised(shift, rows, np.array(list(clean.values())),
+                               source, None)
 
     @classmethod
     def _from_level(cls, shift: ShiftModel, words: np.ndarray,
@@ -62,20 +80,40 @@ class CylinderMeasure:
         """The measure with nonnegative ``weights`` on the rows of an engine
         level; its words are admissible by construction, so they skip the
         checks of :meth:`from_weights`."""
-        keep = weights > 0
-        clean = dict(zip(_symbol_tuples(shift, words[keep]),
-                         weights[keep].tolist()))
-        return cls._normalised(shift, words.shape[1], clean, source)
+        at = np.flatnonzero(weights > 0)
+        return cls._normalised(shift, words[at], weights[at], source, at)
 
     @classmethod
-    def _normalised(cls, shift, depth, clean: dict, source) -> "CylinderMeasure":
-        total = _running_sum(clean.values())
+    def _normalised(cls, shift, rows, masses, source, at) -> "CylinderMeasure":
+        total = _running_sum(masses)
         if total <= 0:
             raise ValidationError("measure has no mass")
-        return cls(shift, depth, {w: v / total for w, v in clean.items()}, source)
+        return cls(shift, rows.shape[1], rows, masses / total, source, at)
+
+    @cached_property
+    def weights(self) -> dict:
+        """The support as ``{word: mass}``, words as symbol tuples."""
+        return dict(zip(_symbol_tuples(self.shift, self.rows),
+                        self.masses.tolist()))
 
     def total(self) -> float:
-        return math.fsum(self.weights.values())
+        return math.fsum(self.masses.tolist())
+
+    def level_masses(self, levels: list) -> list[np.ndarray]:
+        """Mass of every row of each engine level of this measure's shift,
+        one array per level as :meth:`Potential.level_extrema` returns them.
+        Each support row is mapped to its level-n ancestor and the masses
+        are added in insertion order, the order of :meth:`level`."""
+        top = len(levels)
+        self._require_depth(top)
+        at = (self._at if top == self.depth and self._at is not None
+              else _locate(self.shift, levels, self.rows[:, :top]))
+        out = []
+        for n in range(top, 0, -1):
+            out.append(np.bincount(at, weights=self.masses,
+                                   minlength=len(levels[n - 1][0])))
+            at = levels[n - 1][1][at]
+        return out[::-1]
 
     def level(self, k: int) -> dict:
         """Depth-k marginal, 1 <= k <= depth."""
@@ -84,20 +122,19 @@ class CylinderMeasure:
         if k == self.depth:
             return self.weights
         if k not in self._levels:
-            acc: dict = {}
-            for w, v in self.weights.items():
-                key = w[:k]
-                acc[key] = acc.get(key, 0.0) + v
-            self._levels[k] = acc
+            # the masses of each distinct prefix, added in insertion order
+            keys, inverse = np.unique(self.rows[:, :k], axis=0,
+                                      return_inverse=True)
+            acc = np.bincount(inverse.ravel(), self.masses, minlength=len(keys))
+            self._levels[k] = dict(zip(_symbol_tuples(self.shift, keys),
+                                       acc.tolist()))
         return self._levels[k]
 
     def mass(self, word) -> float:
         word = tuple(word)
         if len(word) == 0:
             return self.total()
-        if len(word) > self.depth:
-            raise ValidationError(
-                f"cylinder of length {len(word)} not determined at depth {self.depth}")
+        self._require_depth(len(word))
         return self.level(len(word)).get(word, 0.0)
 
     def marginal_vector(self, k: int = 1) -> dict:
@@ -110,21 +147,38 @@ class CylinderMeasure:
         """max over (depth-1)-cylinders of |mu(preimage) - mu(cylinder)|."""
         if self.depth < 2:
             return 0.0
-        short = self.level(self.depth - 1)
-        pre: dict = {}
-        for w, v in self.weights.items():
-            key = w[1:]
-            pre[key] = pre.get(key, 0.0) + v
-        keys = set(short) | set(pre)
-        return max(abs(pre.get(k, 0.0) - short.get(k, 0.0)) for k in keys)
+        n = len(self.masses)
+        keys, inverse = np.unique(
+            np.concatenate([self.rows[:, :-1], self.rows[:, 1:]]), axis=0,
+            return_inverse=True)
+        inverse = inverse.ravel()
+        short = np.bincount(inverse[:n], self.masses, minlength=len(keys))
+        pre = np.bincount(inverse[n:], self.masses, minlength=len(keys))
+        return float(np.abs(pre - short).max())
+
+    def _require_depth(self, n: int) -> None:
+        if n > self.depth:
+            raise ValidationError(
+                f"cylinder of length {n} not determined at depth {self.depth}")
+
+    def _check_scan(self, shift: ShiftModel, n: int) -> None:
+        """Reject, before any word is enumerated, a scan of another shift or
+        of words longer than the measure determines."""
+        _check_shift(self.shift, shift)
+        self._require_depth(n)
 
 
-def _running_sum(values) -> float:
+def _check_shift(own: ShiftModel, shift: ShiftModel) -> None:
+    """Reject a scan of ``shift`` by a measure defined on another shift."""
+    if own is not shift and not (
+            own.symbols == shift.symbols
+            and np.array_equal(own.adjacency, shift.adjacency)):
+        raise ValidationError("measure is defined on a different shift")
+
+
+def _running_sum(values: np.ndarray) -> float:
     """Left-to-right float sum (the normalising total of a measure)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _sup_weights(shift: ShiftModel, pot: Potential, t: float, n: int):
@@ -133,12 +187,6 @@ def _sup_weights(shift: ShiftModel, pot: Potential, t: float, n: int):
     levels = word_levels(shift, n, budget=WORD_BUDGET)
     x = t * pot.level_extrema(shift, levels)[-1][0]
     return levels, np.exp(x - x.max())
-
-
-def _masses(measure, shift: ShiftModel, words: np.ndarray) -> np.ndarray:
-    """``measure.mass`` on every row of an engine level."""
-    return np.array([measure.mass(w) for w in _symbol_tuples(shift, words)],
-                    dtype=np.float64)
 
 
 def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
@@ -178,7 +226,7 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
             f"report depth must lie in 1..{n - m + 1} for n={n}, m={m}")
     levels, w = _sup_weights(shift, pot, t, n)
     words = levels[-1][0]
-    share = (w / _running_sum(w.tolist())) * (1.0 / m)
+    share = (w / _running_sum(w)) * (1.0 / m)
     # window j of word u lands on row at[u, j] of level ``depth``; bincount
     # adds the shares in the order u, then j
     at = np.stack([_locate(shift, levels, words[:, j:j + depth])
@@ -196,7 +244,10 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
 class RPFEquilibrium:
     """Stationary Markov chain built from the Perron eigendata of the
     weighted block operator; its cylinder masses realize the equilibrium
-    state of t*F for additive locally constant F."""
+    state of t*F for additive locally constant F.
+
+    ``p`` is the dense transition matrix; ``src``, ``dst`` and ``prob`` hold
+    its transitions as arrays (read off ``p`` when not given)."""
 
     shift: ShiftModel
     pot: Potential
@@ -206,6 +257,14 @@ class RPFEquilibrium:
     pi: np.ndarray
     p: np.ndarray
     pressure: float         # log of the Perron root, kept in log form
+    src: np.ndarray | None = field(default=None, repr=False)
+    dst: np.ndarray | None = field(default=None, repr=False)
+    prob: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.prob is None:
+            self.src, self.dst = np.nonzero(self.p)
+            self.prob = self.p[self.src, self.dst]
 
     def _index(self) -> dict:
         if not hasattr(self, "_idx"):
@@ -234,36 +293,57 @@ class RPFEquilibrium:
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
         levels = word_levels(self.shift, depth)
         return CylinderMeasure._from_level(
-            self.shift, levels[-1][0], self._level_masses(levels), "spectral")
+            self.shift, levels[-1][0], self.level_masses(levels)[-1], "spectral")
 
-    def _level_masses(self, levels: list) -> np.ndarray:
-        """:meth:`mass` on every row of the last engine level.  From the
-        block depth on, a row's mass is its parent's times one transition,
+    def level_masses(self, levels: list) -> list[np.ndarray]:
+        """:meth:`mass` on every row of each engine level, one array per
+        level.  Below the block depth r a row's mass is the ``fsum`` of the
+        stationary weights of the states it prefixes (the states are level r
+        in engine order, so each row's states are consecutive).  From r on a
+        row's mass is its parent's times one transition,
         ``mass[parent] * p[state(parent), state(row)]``: the left-to-right
         product of :meth:`mass` itself, so the floats are the same."""
         r = self.depth
+        out = []
+        shallow = min(len(levels), r - 1)
+        if shallow:
+            blocks = word_levels(self.shift, r)
+            pi = self.pi.tolist()
+            at = np.arange(len(pi))
+            for n in range(r - 1, 0, -1):
+                at = blocks[n][1][at]   # row of each state's length-n prefix
+                if n <= shallow:
+                    cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(),
+                            len(pi)]
+                    out.append(np.array([math.fsum(pi[a:b])
+                                         for a, b in zip(cuts, cuts[1:])]))
+            out.reverse()
         if len(levels) < r:
-            return _masses(self, self.shift, levels[-1][0])
+            return out
         mass = self.pi                  # row i of level r is state i
         state = np.arange(len(mass))
+        out.append(mass)
         for words, parent in levels[r:]:
             here = _locate(self.shift, levels, words[:, -r:])
             mass = mass[parent] * self.p[state[parent], here]
             state = here
-        return mass
+            out.append(mass)
+        return out
 
     def entropy(self) -> float:
         """Exact Kolmogorov-Sinai entropy of the stationary chain:
-        -sum pi_i p_ij log p_ij over the transitions, in row-major order."""
-        i, j = np.nonzero(self.p)
-        live = self.pi[i] > 0
-        i, q = i[live], self.p[i[live], j[live]]
+        -sum pi_i p_ij log p_ij over the transitions."""
+        live = (self.prob != 0) & (self.pi[self.src] > 0)
+        i, q = self.src[live], self.prob[live]
         return math.fsum((-self.pi[i] * q * _log(q)).tolist())
 
     def lyapunov_exact(self) -> float:
         """integral of f_1 for the stationary chain (additive families)."""
         return math.fsum(float(self.pi[i]) * self.pot.first_level(w)
                          for i, w in enumerate(self.states))
+
+    def _check_scan(self, shift: ShiftModel, n: int) -> None:
+        _check_shift(self.shift, shift)
 
 
 def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
@@ -302,7 +382,7 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
     p = np.zeros((m, m))
     p[src, dst] = q
     return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, p,
-                          S.beta + math.log(rho))
+                          S.beta + math.log(rho), src, dst, q)
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------
@@ -323,12 +403,12 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     H_n - H_{n-1} converges faster and is exact for Markov measures."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    measure._check_scan(shift, n_max)
     seq = []
     prev_H = 0.0
     value = math.nan
     levels = word_levels(shift, n_max, budget=WORD_BUDGET)
-    for n, (words, _) in enumerate(levels, start=1):
-        mu = _masses(measure, shift, words)
+    for n, mu in enumerate(measure.level_masses(levels), start=1):
         mu = mu[mu > 0]
         H = math.fsum((-mu * _log(mu)).tolist())
         seq.append((n, H, H / n))
@@ -353,12 +433,13 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
     exponent."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    measure._check_scan(shift, n_max)
     seq = []
     best = math.inf
     levels = word_levels(shift, n_max, budget=WORD_BUDGET)
-    for n, ((words, _), (hi, _)) in enumerate(
-            zip(levels, pot.level_extrema(shift, levels)), start=1):
-        mu = _masses(measure, shift, words)
+    for n, (mu, (hi, _)) in enumerate(
+            zip(measure.level_masses(levels), pot.level_extrema(shift, levels)),
+            start=1):
         keep = mu > 0
         a_n = math.fsum((mu[keep] * (hi[keep] + pot.aa_const)).tolist()) / n
         seq.append((n, a_n))
@@ -390,16 +471,20 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     is provably below exp(t C_bv); spectral measures carry their own
     distortion constants and may exceed the tight bound."""
     ns = list(n_range)
+    if not ns:
+        raise ValidationError("empty range of word lengths")
     if any(n < 1 for n in ns):
         raise ValidationError("word length must be >= 1")
-    levels = word_levels(shift, max(ns, default=1), budget=WORD_BUDGET)
+    measure._check_scan(shift, max(ns))
+    levels = word_levels(shift, max(ns), budget=WORD_BUDGET)
     values = pot.level_extrema(shift, levels)
+    masses = measure.level_masses(levels)
     c_lo = math.inf
     c_hi = 0.0
     worst = ()
     for n in ns:
         words = levels[n - 1][0]
-        mu = _masses(measure, shift, words)
+        mu = masses[n - 1]
         keep = np.flatnonzero(mu > 0)
         if not len(keep):
             continue

@@ -1,9 +1,12 @@
 """Cylinder measures, RPF equilibria and the certificate machinery."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from thermoshift import measures
 from thermoshift import (ConditionNotMet, CylinderMeasure, DecayPotential,
                          LocallyConstant, RenewalRule, ShiftModel,
                          ValidationError, admissible_words, entropy_estimate,
@@ -178,6 +181,22 @@ def test_rpf_renewal_tiny_components_survive():
         eq.pressure, abs=1e-9)
 
 
+@pytest.mark.parametrize("shift, t", [(RenewalRule().truncate(60), 1.5),
+                                      (ShiftModel.golden_mean(), 30.0)])
+def test_rpf_entropy_reads_the_transition_arrays(shift, t):
+    eq = rpf_equilibrium(shift, DecayPotential("log", 2.0)
+                         if shift.ambient else LocallyConstant({0: -1, 1: 0}),
+                         t)
+    assert np.array_equal(eq.p[eq.src, eq.dst], eq.prob)
+    assert np.count_nonzero(eq.p) == np.count_nonzero(eq.prob)
+    i, j = np.nonzero(eq.p)
+    live = eq.pi[i] > 0
+    q = eq.p[i[live], j[live]]
+    dense = math.fsum(-pi * x * math.log(x)
+                      for pi, x in zip(eq.pi[i[live]].tolist(), q.tolist()))
+    assert eq.entropy() == dense
+
+
 @pytest.mark.parametrize("depth, n", [(1, 5), (2, 5), (3, 6), (3, 2)])
 def test_spectral_cylinder_masses_are_the_per_word_masses(depth, n):
     shift = RenewalRule().truncate(7)
@@ -191,7 +210,7 @@ def test_spectral_cylinder_masses_are_the_per_word_masses(depth, n):
     for w in words:
         assert mu.weights[w] * total == pytest.approx(eq.mass(w), rel=1e-15)
     levels = word_levels(shift, n)
-    assert eq._level_masses(levels).tolist() == [eq.mass(w) for w in words]
+    assert eq.level_masses(levels)[-1].tolist() == [eq.mass(w) for w in words]
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------
@@ -222,6 +241,150 @@ def test_lyapunov_matches_exact_mean(full2, bernoulli):
         for _, a_n in est.sequence:
             assert a_n == pytest.approx(eq.lyapunov_exact(), abs=1e-12)
         assert est.bias_bound == 0.0
+
+
+# -- level_masses: the one read path of the estimators ---------------------
+
+
+def random_case(seed):
+    """A primitive shift on 2-4 symbols listed out of sorted order, a
+    locally constant potential of depth 1 or 2 and a temperature."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    adj = np.array([[rng.random() < 0.4 for _ in range(k)] for _ in range(k)],
+                   dtype=np.uint8)
+    for i in range(k):
+        adj[i, (i + 1) % k] = 1
+    adj[0, 0] = 1
+    shift = ShiftModel(("c", "a", "d", "b")[:k], adj)
+    r = rng.randint(1, 2)
+    pot = LocallyConstant({w: rng.uniform(-1.0, 0.0)
+                           for w in admissible_words(shift, r)}, r)
+    return rng, shift, pot, rng.uniform(0.5, 2.5)
+
+
+def measure_sources(seed, depth=5):
+    rng, shift, pot, t = random_case(seed)
+    sup = gibbs_weights(shift, pot, t, depth)
+    items = list(sup.weights.items())
+    rng.shuffle(items)
+    return shift, pot, t, {
+        "from_weights": CylinderMeasure.from_weights(shift, depth, dict(items)),
+        "orbit": orbit_measure(shift, shift.symbols, depth),
+        "sup-weight": sup,
+        "cesaro": gibbs_construct(shift, pot, t, depth + 2, 2, depth),
+        # block depth 3: levels below it and from it on
+        "spectral": rpf_equilibrium(shift, pot, t, depth=3),
+        "spectral-cylinders": rpf_equilibrium(shift, pot, t)
+        .as_cylinder_measure(depth),
+    }
+
+
+def per_word(measure, shift, n):
+    """The per-word read the estimators made before ``level_masses``."""
+    return [measure.mass(w) for w in admissible_words(shift, n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_level_masses_are_the_per_word_masses(seed):
+    shift, _, _, sources = measure_sources(seed)
+    levels = word_levels(shift, 5)
+    for name, mu in sources.items():
+        got = mu.level_masses(levels)
+        assert len(got) == 5, name
+        for n, masses in enumerate(got, start=1):
+            assert masses.tolist() == per_word(mu, shift, n), (name, n)
+        # a scan shallower than the measure
+        assert [m.tolist() for m in mu.level_masses(levels[:2])] == \
+            [m.tolist() for m in got[:2]], name
+
+
+def test_from_weights_keeps_insertion_order_and_depth(golden_mean):
+    items = [((1, 0, 1), 2.0), ((0, 0, 0), 0.0), ((0, 1, 0), 1.0),
+             ((0, 0, 1), 1.0)]
+    mu = CylinderMeasure.from_weights(golden_mean, 3, dict(items))
+    assert list(mu.weights) == [(1, 0, 1), (0, 1, 0), (0, 0, 1)]
+    assert mu.weights == {(1, 0, 1): 0.5, (0, 1, 0): 0.25, (0, 0, 1): 0.25}
+    assert mu.rows.tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValidationError):
+        mu.level_masses(word_levels(golden_mean, 4))
+
+
+def reference_estimates(shift, pot, t, measure, n_max, pressure):
+    """entropy_estimate, lyapunov and gibbs_certificate restated on per-word
+    masses, with math.log/math.exp per value as the package computes them."""
+    H, a, c_lo, c_hi, worst = [], [], math.inf, 0.0, ()
+    levels = word_levels(shift, n_max)
+    for n, (hi, _) in enumerate(pot.level_extrema(shift, levels), start=1):
+        words = admissible_words(shift, n)
+        mu = per_word(measure, shift, n)
+        h_n = math.fsum(-v * math.log(v) for v in mu if v > 0)
+        H.append((n, h_n, h_n / n))
+        a.append((n, math.fsum(v * (x + pot.aa_const)
+                               for v, x in zip(mu, hi.tolist()) if v > 0) / n))
+        for w, v, x in zip(words, mu, hi.tolist()):
+            if v > 0:
+                ratio = v * math.exp(n * pressure - t * x)
+                if ratio > c_hi:
+                    c_hi, worst = ratio, w
+                c_lo = min(c_lo, ratio)
+    return tuple(H), tuple(a), c_lo, c_hi, worst
+
+
+@pytest.mark.parametrize("seed", range(6, 12))
+def test_estimators_equal_the_per_word_reference(seed):
+    shift, pot, t, sources = measure_sources(seed)
+    pressure = topological_pressure(shift, pot, t, 5).value
+    for name, mu in sources.items():
+        H, a, c_lo, c_hi, worst = reference_estimates(shift, pot, t, mu, 5,
+                                                      pressure)
+        est = entropy_estimate(shift, mu, 5)
+        assert est.sequence == H, name
+        assert est.value == H[-1][1] - H[-2][1]
+        assert lyapunov(shift, pot, mu, 5).sequence == a, name
+        cert = gibbs_certificate(shift, pot, t, mu, pressure, range(1, 6))
+        assert (cert.c_lower, cert.c_upper, cert.worst_word) == \
+            (c_lo, c_hi, worst), name
+
+
+def test_estimators_reject_a_measure_of_another_shift(golden_mean,
+                                                      bernoulli):
+    full3 = ShiftModel.full(3)
+    flat = LocallyConstant.constant(full3, 0.0)
+    for mu in (gibbs_construct(full3, flat, 1.0, 6, 2, 4),
+               rpf_equilibrium(full3, flat, 1.0)):
+        with pytest.raises(ValidationError, match="different shift"):
+            entropy_estimate(golden_mean, mu, 2)
+        with pytest.raises(ValidationError, match="different shift"):
+            lyapunov(golden_mean, bernoulli, mu, 2)
+        with pytest.raises(ValidationError, match="different shift"):
+            gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, [1, 2])
+        # an equal shift built separately is the same shift
+        assert entropy_estimate(ShiftModel.full(3), mu, 2).value == \
+            entropy_estimate(full3, mu, 2).value
+    same_symbols = ShiftModel((0, 1, 2), np.eye(3, dtype=np.uint8)[[1, 2, 0]])
+    mu = gibbs_weights(same_symbols, flat, 1.0, 3)
+    with pytest.raises(ValidationError, match="different shift"):
+        entropy_estimate(full3, mu, 2)
+
+
+def test_estimators_reject_depth_overrun_before_enumerating(monkeypatch,
+                                                            golden_mean,
+                                                            bernoulli):
+    mu = gibbs_construct(golden_mean, bernoulli, 1.0, 8, 2, 4)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("words enumerated before the depth check")
+
+    monkeypatch.setattr(measures, "word_levels", no_enumeration)
+    with pytest.raises(ValidationError, match="not determined at depth 4"):
+        entropy_estimate(golden_mean, mu, 5)
+    with pytest.raises(ValidationError, match="not determined at depth 4"):
+        lyapunov(golden_mean, bernoulli, mu, 5)
+    with pytest.raises(ValidationError, match="not determined at depth 4"):
+        gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, [2, 5, 1])
+    with pytest.raises(ValidationError, match="empty range"):
+        gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, range(1, 1))
 
 
 # -- Gibbs certificate -----------------------------------------------------
