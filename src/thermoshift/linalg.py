@@ -12,7 +12,11 @@ Perron vector converges in as many power steps as information needs to
 cross its scaling's Howard policy forest, and that depth can differ by the
 whole dimension between the two sides: on a renewal chain ``n -> n-1`` it is
 ``m - 1`` for ``S`` and 1 for ``C``.  :func:`dominant_pair` therefore solves
-the right vector on ``S`` and the left one on ``C``.
+the side with the shallower forest first, from the uniform vector, and
+starts the deep side from a vector built outward along its own policy
+forest with the root already known: that start is exact at every state
+with one out-edge, so the deep side settles in a few steps instead of
+one per level of its forest.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .shifts import _period
 
 TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
+SIGNIFICANT = 1e-280    # vector entries below this are sub-representable noise
 
 
 class EdgeOperator:
@@ -86,10 +91,10 @@ class EdgeOperator:
         the log weights.  ``self.T.bellman_scaled()`` is the column scaling
         ``C`` of the module docstring, an operator on the same states.
         """
-        beta, x, depth = _howard(self)
+        beta, x, depth, policy = _howard(self)
         log_s = self.log_weight - beta + (x[self.dst] - x[self.src])
-        return BellmanScaling(
-            beta, EdgeOperator(self.size, self.src, self.dst, log_s), x, depth)
+        return BellmanScaling(beta, EdgeOperator(self.size, self.src, self.dst, log_s),
+                              x, depth, policy)
 
     def log_closed_walks(self, starts, n_max: int) -> list[float]:
         """``log sum_{s in starts} (A^n)_{ss}`` for n = 1..n_max, by n
@@ -120,24 +125,27 @@ class EdgeOperator:
 
 class BellmanScaling(NamedTuple):
     """An operator scaled by the max-plus eigenpair ``(beta, potential)`` of
-    its log weights (:meth:`EdgeOperator.bellman_scaled`); ``depth`` is the
-    depth of the final Howard policy forest, the number of steps a power
-    iteration on ``op`` needs to carry information from the policy cycles
-    to every state."""
+    its log weights (:meth:`EdgeOperator.bellman_scaled`).  ``policy`` is the
+    final Howard policy, one edge index of ``op`` per state, and ``depth``
+    the depth of its forest: the number of steps a power iteration on
+    ``op`` needs to carry information from the policy cycles to every
+    state."""
 
     beta: float
     op: EdgeOperator
     potential: np.ndarray
     depth: int
+    policy: np.ndarray
 
 
-def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int]:
+def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int, np.ndarray]:
     """Max-plus eigenvalue ``beta`` and Bellman vector ``x`` of the log
     weights of an operator with irreducible support, by Howard policy
     iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat 1998):
     ``max_v (log A_uv + x_v) = beta + x_u`` for every state ``u``, up to a
-    tolerance relative to the largest log weight.  The third value is the
-    depth of the final policy's forest.
+    tolerance relative to the largest log weight.  The last two values are
+    the depth of the final policy's forest and the policy itself, one edge
+    index per state.
 
     A policy picks one out-edge per state.  Its value is the mean of the
     cycle each state's policy walk ends in, and ``x`` follows the walk
@@ -168,7 +176,7 @@ def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int]:
             best, to = first_best(val)
             switch = best > w[policy] + x[dst[policy]] + tol
             if not switch.any():
-                return float(eta.max()), x, depth
+                return float(eta.max()), x, depth, policy
         policy = np.where(switch, to, policy)
     raise NumericalError("max-plus policy iteration did not settle")
 
@@ -212,16 +220,18 @@ def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
     return np.array(eta), np.array(x), max(depth)
 
 
-def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
+def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER,
+                    start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Perron root and right eigenvector of a nonnegative operator.
 
     ``matrix`` is an :class:`EdgeOperator`, or a dense matrix whose support
     must be primitive (:meth:`EdgeOperator.from_dense`).  The run starts
-    from the uniform vector, renormalises in L1 and is deterministic.  Each
-    step is the lazy step ``v <- S (S v / s + v)``, ``s`` the current root
-    estimate: ``S/s + I`` maps an eigenvalue ``-s`` to 0, so a nearly
-    periodic spectrum cannot stall the run, and the outer ``S`` keeps the
-    small eigenvector entries converging as fast as plain iteration does.
+    from ``start`` (a positive vector; by default the uniform one),
+    renormalises in L1 and is deterministic.  Each step is the lazy step
+    ``v <- S (S v / s + v)``, ``s`` the current root estimate: ``S/s + I``
+    maps an eigenvalue ``-s`` to 0, so a nearly periodic spectrum cannot
+    stall the run, and the outer ``S`` keeps the small eigenvector entries
+    converging as fast as plain iteration does.
     Convergence requires the root estimate and every significant vector
     component to settle to relative tolerance ``TOL`` (componentwise,
     because eigenvector entries can span hundreds of orders of magnitude
@@ -232,7 +242,10 @@ def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np
     cool) can exhaust ``max_iter``.
     """
     op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
-    v = np.full(op.size, 1.0 / op.size)
+    if start is None:
+        v = np.full(op.size, 1.0 / op.size)
+    else:
+        v = start / start.sum()
     lam_prev = math.inf
     for _ in range(max_iter):
         u = op.matvec(v)
@@ -252,40 +265,120 @@ def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np
 
 def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.abs(a), np.abs(b))
-    sig = denom > 1e-280  # entries below this are sub-representable noise
+    sig = denom > SIGNIFICANT
     if not sig.any():
         return 0.0
     return float(np.max(np.abs(a - b)[sig] / denom[sig]))
 
 
-def dominant_pair(matrix) -> tuple[BellmanScaling, float, np.ndarray, np.ndarray]:
+class RootSide(NamedTuple):
+    """The side of the Perron problem of ``A`` solved first: ``first`` is
+    whichever of the row scaling ``S`` and the column scaling ``C`` has the
+    shallower policy forest (ties go to ``S``, and ``row_first`` says which
+    it is), ``second`` the other one, ``rho`` and ``vector`` the Perron root
+    and right vector of ``first.op``.  ``log_root`` is
+    ``first.beta + log rho``, the log of the Perron root of ``A``."""
+
+    row_first: bool
+    first: BellmanScaling
+    second: BellmanScaling
+    rho: float
+    vector: np.ndarray
+
+    @property
+    def log_root(self) -> float:
+        return self.first.beta + math.log(self.rho)
+
+
+def root_side(matrix) -> RootSide:
+    """Solve the Perron root of a nonnegative operator on the side whose
+    Howard policy forest is shallower: that depth is the number of power
+    steps the cold solve needs to reach every state (1 against 1199 on the
+    renewal truncation at 1200 symbols)."""
+    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
+    S, C = op.bellman_scaled(), op.T.bellman_scaled()
+    row_first = S.depth <= C.depth
+    first, second = (S, C) if row_first else (C, S)
+    rho, vector = power_iteration(first.op)
+    return RootSide(row_first, first, second, rho, vector)
+
+
+def _forest_start(side: BellmanScaling, log_rho: float) -> np.ndarray:
+    """A start vector for the Perron vector of ``side.op`` once its root
+    ``exp(log_rho)`` is known, built outward along the Howard policy
+    forest: 0 on the policy cycles and
+    ``log v_u = log(sum_v W_uv) - log_rho + log v_policy(u)``, ``W`` the
+    scaled operator.  It is exact at every state with a single out-edge.
+
+    Both walks double their stride each round, so the pass takes
+    ``log2(depth)`` array steps: once to find the cycles (the image of a
+    policy step longer than the forest is deep is exactly the set of cycle
+    states), once to sum the logs along the paths into them."""
+    op, m = side.op, side.op.size
+    nxt = op.dst[side.policy]
+    rounds = side.depth.bit_length()        # 2**rounds > depth
+    jump = nxt
+    for _ in range(rounds):
+        jump = jump[jump]
+    on_cycle = np.zeros(m, dtype=bool)
+    on_cycle[jump] = True
+    step = np.where(on_cycle, np.arange(m), nxt)
+    log_v = np.log(np.bincount(op.src, op.weight, minlength=m)) - log_rho
+    log_v[on_cycle] = 0.0
+    for _ in range(rounds):
+        log_v = log_v + log_v[step]
+        step = step[step]
+    # no entry starts at zero or below the significance threshold
+    return np.maximum(np.exp(log_v - log_v.max()), 2 * SIGNIFICANT)
+
+
+class PerronPair(NamedTuple):
+    """Perron data of ``A`` in its row scaling ``S`` (:func:`dominant_pair`)."""
+
+    scaling: BellmanScaling     # the row scaling S
+    rho: float                  # Perron root of S.op
+    right: np.ndarray           # right vector of S.op, L1-normalised
+    log_left: np.ndarray        # log left vector of S.op, up to a constant
+    log_root: float             # log rho(A), from the side solved first
+
+
+def dominant_pair(matrix) -> PerronPair:
     """Perron data of a nonnegative operator ``A``, each side solved in the
     Bellman scaling matched to it.
 
     ``A`` is an :class:`EdgeOperator` or a dense matrix with primitive
-    support.  The right vector is solved on the row scaling ``S`` of ``A``,
-    the left one on its column scaling ``C``, where
+    support.  The right vector is the Perron vector of the row scaling
+    ``S`` of ``A``, the left one that of its column scaling ``C``, where
     ``C_vu = A_uv exp(y_u - y_v - beta)`` for the max-plus eigenpair
     ``(beta, y)`` of ``Aᵀ``.  ``C`` is diagonally similar to ``Aᵀ``, so the
     left vector of ``S`` is ``exp(x + y)`` times the right vector of ``C``;
     it is returned in log form because ``x + y`` can exceed the float range.
 
-    Returns ``(S, rho, right, log_left)``: the row scaling, the Perron root
-    of ``S.op`` (``S.beta + log rho`` is ``log rho(A)``), its right vector
-    (L1-normalised) and the log of its left vector up to an additive
-    constant.  The two sides' roots must agree to 1e-9 relative.
+    :func:`root_side` solves the side with the shallower policy forest
+    from the uniform vector; the other side starts from its policy-forest
+    vector (:func:`_forest_start`) with the root moved into its scaling.
+    ``log_root`` is the first side's ``beta + log rho``, the value
+    ``transfer_pressure`` reports.  The two sides' roots must agree to
+    1e-9 relative, and ``rho`` is their mean in the scaling of ``S``.
     """
-    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
-    S, C = op.bellman_scaled(), op.T.bellman_scaled()
-    lam_r, right = power_iteration(S.op)
-    lam_l, left = power_iteration(C.op)
+    side = root_side(matrix)
+    first, second = side.first, side.second
+    # the first root, moved into the second side's scaling
+    log_rho = math.log(side.rho) + first.beta - second.beta
+    lam, vector = power_iteration(second.op, start=_forest_start(second, log_rho))
+    if side.row_first:
+        S, C = first, second
+        (lam_r, right), (lam_l, left) = (side.rho, side.vector), (lam, vector)
+    else:
+        S, C = second, first
+        (lam_r, right), (lam_l, left) = (lam, vector), (side.rho, side.vector)
     lam_l *= math.exp(C.beta - S.beta)
     if abs(lam_r - lam_l) > 1e-9 * max(abs(lam_r), abs(lam_l), 1.0):
         raise NumericalError(
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")
     with np.errstate(divide="ignore"):
         log_left = S.potential + C.potential + np.log(left)
-    return S, 0.5 * (lam_r + lam_l), right, log_left
+    return PerronPair(S, 0.5 * (lam_r + lam_l), right, log_left, side.log_root)
 
 
 def _log(x: np.ndarray) -> np.ndarray:

@@ -246,8 +246,11 @@ class RPFEquilibrium:
     weighted block operator; its cylinder masses realize the equilibrium
     state of t*F for additive locally constant F.
 
-    ``p`` is the dense transition matrix; ``src``, ``dst`` and ``prob`` hold
-    its transitions as arrays (read off ``p`` when not given)."""
+    ``src``, ``dst`` and ``prob`` hold the transitions as arrays, and every
+    query reads them; ``p`` is the dense transition matrix, built on first
+    use from those arrays, or given instead of them for a chain built by
+    hand.  ``f`` holds f_1 on each state (read off the potential when not
+    given)."""
 
     shift: ShiftModel
     pot: Potential
@@ -255,16 +258,38 @@ class RPFEquilibrium:
     depth: int
     states: tuple
     pi: np.ndarray
-    p: np.ndarray
+    dense: np.ndarray | None = field(repr=False)
     pressure: float         # log of the Perron root, kept in log form
     src: np.ndarray | None = field(default=None, repr=False)
     dst: np.ndarray | None = field(default=None, repr=False)
     prob: np.ndarray | None = field(default=None, repr=False)
+    f: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.prob is None:
-            self.src, self.dst = np.nonzero(self.p)
-            self.prob = self.p[self.src, self.dst]
+            self.src, self.dst = np.nonzero(self.dense)
+            self.prob = self.dense[self.src, self.dst]
+
+    @property
+    def p(self) -> np.ndarray:
+        if self.dense is None:
+            m = len(self.states)
+            self.dense = np.zeros((m, m))
+            self.dense[self.src, self.dst] = self.prob
+        return self.dense
+
+    @cached_property
+    def _sorted_transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        key = self.src * len(self.states) + self.dst
+        order = np.argsort(key, kind="stable")
+        return key[order], self.prob[order]
+
+    def _transition(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``p[a, b]`` elementwise, read off the transition arrays."""
+        keys, prob = self._sorted_transitions
+        want = a * len(self.states) + b
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, prob[at], 0.0)
 
     def _index(self) -> dict:
         if not hasattr(self, "_idx"):
@@ -282,12 +307,12 @@ class RPFEquilibrium:
             return math.fsum(self.pi[i] for w, i in idx.items() if w[:n] == word)
         windows = [word[k:k + r] for k in range(n - r + 1)]
         try:
-            path = [idx[w] for w in windows]
+            path = np.array([idx[w] for w in windows])
         except KeyError:
             return 0.0
         mass = float(self.pi[path[0]])
-        for a, b in zip(path, path[1:]):
-            mass *= float(self.p[a, b])
+        for q in self._transition(path[:-1], path[1:]).tolist():
+            mass *= q
         return mass
 
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
@@ -325,7 +350,7 @@ class RPFEquilibrium:
         out.append(mass)
         for words, parent in levels[r:]:
             here = _locate(self.shift, levels, words[:, -r:])
-            mass = mass[parent] * self.p[state[parent], here]
+            mass = mass[parent] * self._transition(state[parent], here)
             state = here
             out.append(mass)
         return out
@@ -339,8 +364,10 @@ class RPFEquilibrium:
 
     def lyapunov_exact(self) -> float:
         """integral of f_1 for the stationary chain (additive families)."""
-        return math.fsum(float(self.pi[i]) * self.pot.first_level(w)
-                         for i, w in enumerate(self.states))
+        f = self.f
+        if f is None:
+            f = np.array([self.pot.first_level(w) for w in self.states])
+        return math.fsum((self.pi * f).tolist())
 
     def _check_scan(self, shift: ShiftModel, n: int) -> None:
         _check_shift(self.shift, shift)
@@ -352,9 +379,11 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
     Bellman-scaled block operator S (:func:`dominant_pair` solves each in
     the scaling matched to its side): the diagonal scaling cancels in
     pi = left * right, formed in log form, and in
-    p_uv = S_uv right_v / (rho right_u)."""
-    r, states, B = _spectral_block(shift, pot, t, depth)
-    S, rho, right, log_left = dominant_pair(B)
+    p_uv = S_uv right_v / (rho right_u).  The chain stays in the edge
+    arrays of S; ``pressure`` is the root of the side solved first, the
+    value :func:`~thermoshift.pressure.transfer_pressure` reports."""
+    r, states, f, B = _spectral_block(shift, pot, t, depth)
+    S, rho, right, log_left, log_root = dominant_pair(B)
     m, src, dst = len(B), S.op.src, S.op.dst
     with np.errstate(divide="ignore"):
         log_pi = log_left + np.log(right)
@@ -379,10 +408,8 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
     dead = ~(rowsum > 0)
     q = np.where(dead[src], S.op.weight, q)
     q = q / np.bincount(src, q, minlength=m)[src]
-    p = np.zeros((m, m))
-    p[src, dst] = q
-    return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, p,
-                          S.beta + math.log(rho), src, dst, q)
+    return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, None, log_root,
+                          src, dst, q, f)
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

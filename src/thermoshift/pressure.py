@@ -17,7 +17,9 @@ Three routes, all reporting the pressure of t*F:
 ``best_pressure`` picks the sharpest applicable route, ``truncation_curve``
 tracks pressure along a nested family of finite approximations, and
 ``pressure_curve`` samples t -> (P, Lyapunov, entropy) with a convexity
-check on the grid.
+check on the grid.  Where the transfer route applies the curve reads each
+point off the equilibrium state mu_t, whose integral of f_1 is dP/dt
+exactly; elsewhere dP/dt is a central difference.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
-from .linalg import EdgeOperator, log_sum_exp, power_iteration
+from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
 from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel, _locate,
                      _symbol_tuples, is_primitive, word_levels)
@@ -102,10 +104,11 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 
 def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
-                          depth: int = 1) -> tuple[list, EdgeOperator]:
+                          depth: int = 1, return_f: bool = False):
     """States = admissible words of length ``depth``; the operator has an
     edge u -> v, of log weight t f_1|[u], when v follows u by a one-symbol
-    slide.
+    slide.  Returns ``(states, operator)``, and with ``return_f`` also the
+    array of the values f_1|[u] per state.
 
     The edges are the admissible words of length depth + 1: the source is
     a word's prefix (its parent row in the word-level engine), the target
@@ -118,14 +121,15 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     dst = _locate(shift, levels, words[:, 1:])
     states = _symbol_tuples(shift, levels[depth - 1][0])
     f = np.array([pot.first_level(u) for u in states])
-    return states, EdgeOperator(len(states), parent, dst, t * f[parent])
+    op = EdgeOperator(len(states), parent, dst, t * f[parent])
+    return (states, op, f) if return_f else (states, op)
 
 
 def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
                     depth: int | None):
-    """(block depth, states, block operator) of the spectral route, once
-    the potential is additive locally constant and the block structure is
-    primitive."""
+    """(block depth, states, first-level values per state, block operator)
+    of the spectral route, once the potential is additive locally constant
+    and the block structure is primitive."""
     if not pot.is_additive or pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -138,8 +142,8 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
-    states, B = weighted_block_matrix(shift, pot, t, depth=r)
-    return r, states, B
+    states, B, f = weighted_block_matrix(shift, pot, t, depth=r, return_f=True)
+    return r, states, f, B
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
@@ -149,14 +153,11 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
 
     The root is the same on both sides of the Perron problem, so it is
     solved on whichever of the row scaling of B and the column scaling (the
-    row scaling of Bᵀ) has the shallower Howard policy forest: that depth
-    is the number of power steps the solve needs to reach every state (1199
-    against 1 on the renewal truncation at 1200 symbols).  Ties go to the
-    row scaling."""
-    r, _, B = _spectral_block(shift, pot, t, depth)
-    side = min(B.bellman_scaled(), B.T.bellman_scaled(), key=lambda s: s.depth)
-    rho, _ = power_iteration(side.op)
-    return PressureEstimate(side.beta + math.log(rho), "transfer", t, r)
+    row scaling of Bᵀ) has the shallower Howard policy forest
+    (:func:`~thermoshift.linalg.root_side`, the first half of
+    :func:`~thermoshift.linalg.dominant_pair`)."""
+    r, _, _, B = _spectral_block(shift, pot, t, depth)
+    return PressureEstimate(root_side(B).log_root, "transfer", t, r)
 
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
@@ -215,7 +216,7 @@ def truncation_curve(approx: CompactApproximation, pot: Potential,
 class CurvePoint:
     t: float
     pressure: float
-    lyapunov: float         # dP/dt by central difference
+    lyapunov: float         # dP/dt: integral of f_1 by mu_t, else central difference
     entropy: float          # P - t * dP/dt
 
 
@@ -230,22 +231,36 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
                    n_max: int = 12, h: float = 1e-3) -> PressureCurve:
     """Sample P(t) on a grid with derivative and Legendre-transform entropy.
 
-    P(t) is convex in t, so the discrete second differences on the grid must
-    stay above -1e-6.
+    Where the spectral route applies (additive locally constant potential,
+    primitive shift) each point is one equilibrium state mu_t
+    (:func:`~thermoshift.measures.rpf_equilibrium`): P(t) is its pressure
+    and dP/dt = integral of f_1 d mu_t exactly.  Otherwise P comes from
+    :func:`best_pressure` and dP/dt by central difference with step ``h``.
+    P(t) is convex in t, so the discrete second differences on the grid
+    must stay above -1e-6.
     """
+    from .measures import rpf_equilibrium     # measures imports this module
+
     ts = [float(t) for t in ts]
     if len(ts) < 1:
         raise ValidationError("empty t grid")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be strictly increasing")
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError("h must be finite and > 0")
+    spectral = pot.is_additive and pot.depth is not None and is_primitive(shift)
 
     def P(t: float) -> float:
         return best_pressure(shift, pot, t, n_max=n_max).value
 
     points = []
     for t in ts:
-        p = P(t)
-        lyap = (P(t + h) - P(t - h)) / (2.0 * h)
+        if spectral:
+            eq = rpf_equilibrium(shift, pot, t)
+            p, lyap = eq.pressure, eq.lyapunov_exact()
+        else:
+            p = P(t)
+            lyap = (P(t + h) - P(t - h)) / (2.0 * h)
         points.append(CurvePoint(t, p, lyap, p - t * lyap))
     second = []
     for i in range(1, len(ts) - 1):

@@ -309,3 +309,11 @@ def test_shipped_config_matches_golden_document(capsys, name):
 def test_unknown_command_rejected(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])
+
+
+@pytest.mark.parametrize("h", [0, -0.001])
+def test_curve_rejects_a_nonpositive_step(capsys, tmp_path, h):
+    cfg = json.loads((ROOT / "configs" / "curve_bernoulli.json").read_text())
+    code, out, err = run(capsys, tmp_path, "curve", dict(cfg, h=h))
+    assert code == 1 and out == ""
+    assert err.startswith("error: h must be")

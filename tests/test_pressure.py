@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoshift import measures, pressure
 from thermoshift import (ConditionNotMet, DecayPotential, LocallyConstant,
                          MatrixCocycle, NumericalError, RenewalRule,
                          ShiftModel, ValidationError, best_pressure,
@@ -203,7 +204,7 @@ def test_pressure_curve_bernoulli_closed_forms(full2, bernoulli):
         t = point.t
         assert point.pressure == pytest.approx(math.log(1 + math.exp(-t)), abs=1e-12)
         lyap = -math.exp(-t) / (1 + math.exp(-t))
-        assert point.lyapunov == pytest.approx(lyap, abs=1e-6)
+        assert point.lyapunov == pytest.approx(lyap, abs=1e-12)
         assert point.entropy == pytest.approx(point.pressure - t * point.lyapunov,
                                               abs=1e-12)
     assert curve.convex_ok
@@ -214,6 +215,47 @@ def test_pressure_curve_grid_validation(full2, bernoulli):
         pressure_curve(full2, bernoulli, [])
     with pytest.raises(ValidationError):
         pressure_curve(full2, bernoulli, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_pressure_curve_rejects_a_bad_step_before_solving(monkeypatch, full2,
+                                                          bernoulli, h):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating h")
+
+    monkeypatch.setattr(pressure, "best_pressure", no_solve)
+    monkeypatch.setattr(measures, "rpf_equilibrium", no_solve)
+    with pytest.raises(ValidationError, match="h must be"):
+        pressure_curve(full2, bernoulli, [1.0, 2.0], h=h)
+
+
+def test_pressure_curve_off_the_spectral_route_takes_central_differences():
+    flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])     # period 2
+    pot, h = LocallyConstant({0: 0.0, 1: -1.0}), 1e-2
+    curve = pressure_curve(flip, pot, [1.0, 2.0], n_max=6, h=h)
+    for point in curve.points:
+        t = point.t
+        assert point.pressure == topological_pressure(flip, pot, t, 6).value
+        diff = (topological_pressure(flip, pot, t + h, 6).value
+                - topological_pressure(flip, pot, t - h, 6).value)
+        assert point.lyapunov == diff / (2.0 * h)
+
+
+def test_pressure_curve_on_the_renewal_is_the_first_return_derivative():
+    # The first returns to 1 are the loops 1 -> n -> n-1 -> ... -> 2 -> 1 of
+    # length n and sum S_n = f(1) + ... + f(n); with w_n = exp(t S_n - n P)
+    # the pressure solves sum w_n = 1, so P'(t) = sum S_n w_n / sum n w_n.
+    size, pot = 200, DecayPotential("log", 2.0)
+    curve = pressure_curve(RenewalRule().truncate(size), pot, [1.2, 1.5, 2.0])
+    sums = list(itertools.accumulate(pot.value(i) for i in range(1, size + 1)))
+    for point in curve.points:
+        w = [math.exp(point.t * s - n * point.pressure)
+             for n, s in enumerate(sums, start=1)]
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+        want = (math.fsum(s * x for s, x in zip(sums, w))
+                / math.fsum(n * x for n, x in enumerate(w, start=1)))
+        assert point.lyapunov == pytest.approx(want, abs=1e-10)
+        assert point.entropy == point.pressure - point.t * point.lyapunov
 
 
 # -- numerics --------------------------------------------------------------

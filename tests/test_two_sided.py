@@ -2,15 +2,18 @@
 
 The block operator B has a row scaling S (Howard on B) and a column scaling
 C (Howard on Bᵀ).  ``dominant_pair`` solves the right vector on S and the
-left one on C; ``transfer_pressure`` solves the root on the side with the
-shallower policy forest.  The oracles are plain power iteration on ``S.T``
-(the left solve the column scaling replaces), the other side's root, and a
-matvec count on the renewal chain.
+left one on C.  It solves the side with the shallower policy forest first,
+which is all ``transfer_pressure`` solves, and starts the other side from its
+policy forest.  The oracles are plain power iteration from the uniform
+vector on ``S`` and ``S.T`` (the left solve the column scaling replaces),
+the other side's root, the dense transition matrix, and matvec and memory
+counts on the renewal chain.
 """
 
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,23 +22,41 @@ from test_cold import COLD, GOLDEN, random_primitive
 from thermoshift import (DecayPotential, LocallyConstant, RenewalRule,
                          admissible_words, dominant_pair, power_iteration,
                          rpf_equilibrium, transfer_pressure,
-                         weighted_block_matrix)
+                         weighted_block_matrix, word_levels)
 from thermoshift.linalg import EdgeOperator
 
 RENEWAL = RenewalRule().truncate(1200)
 DECAY = DecayPotential("log", 2.0)
 
 
-def random_block(seed: int):
-    """A random primitive graph of 2-30 symbols with a random table of
-    depth 1 or 2, and its block operator at a random t."""
+def random_model(seed: int):
+    """(shift, potential, t, depth): a random primitive graph of 2-30
+    symbols with a random table of depth 1 or 2, at a random t."""
     rng = random.Random(seed)
     shift = random_primitive(rng, rng.randint(2, 30))
     depth = 1 + seed % 2
     pot = LocallyConstant({w: rng.uniform(-3.0, 1.0)
                            for w in admissible_words(shift, depth)}, depth)
     t = rng.choice([0.5, 1.0, 3.0, 10.0])
+    return shift, pot, t, depth
+
+
+def random_block(seed: int):
+    """The block operator of :func:`random_model`."""
+    shift, pot, t, depth = random_model(seed)
     return weighted_block_matrix(shift, pot, t, depth=depth)[1]
+
+
+def count_matvecs(monkeypatch) -> list:
+    calls = []
+    original = EdgeOperator.matvec
+
+    def spy(self, v):
+        calls.append(self.size)
+        return original(self, v)
+
+    monkeypatch.setattr(EdgeOperator, "matvec", spy)
+    return calls
 
 
 def left_in_scaled_coordinates(log_left: np.ndarray) -> np.ndarray:
@@ -52,18 +73,18 @@ def assert_componentwise(a: np.ndarray, b: np.ndarray, tol: float) -> None:
 @pytest.mark.parametrize("seed", range(40))
 def test_left_vector_from_column_scaling_matches_row_scaling(seed):
     B = random_block(seed)
-    S, rho, right, log_left = dominant_pair(B)
+    S, rho, right, log_left, _ = dominant_pair(B)
     lam, want = power_iteration(S.op.T)
     assert rho == pytest.approx(lam, rel=1e-12)
     assert_componentwise(left_in_scaled_coordinates(log_left), want, 1e-10)
     _, want_right = power_iteration(S.op)
-    assert np.array_equal(right, want_right)
+    assert_componentwise(right, want_right, 1e-12)
 
 
 @pytest.mark.parametrize("t", [1.0, 17.0, 50.0, 800.0, 1e4])
 def test_left_vector_on_the_cold_golden_mean(t):
     B = weighted_block_matrix(GOLDEN, COLD, t)[1]
-    S, _, _, log_left = dominant_pair(B)
+    S, _, _, log_left, _ = dominant_pair(B)
     _, want = power_iteration(S.op.T)
     assert_componentwise(left_in_scaled_coordinates(log_left), want, 1e-10)
 
@@ -87,14 +108,7 @@ def test_forest_depths_on_the_renewal_chain():
 
 
 def test_renewal_transfer_solve_takes_few_matvecs(monkeypatch):
-    calls = []
-    original = EdgeOperator.matvec
-
-    def spy(self, v):
-        calls.append(self.size)
-        return original(self, v)
-
-    monkeypatch.setattr(EdgeOperator, "matvec", spy)
+    calls = count_matvecs(monkeypatch)
     est = transfer_pressure(RENEWAL, DECAY, 1.2)
     assert 0 < len(calls) <= 100          # 1739 on the row scaling
     monkeypatch.undo()
@@ -115,3 +129,64 @@ def test_renewal_equilibrium_matches_the_row_scaled_left_solve():
     ref = dataclasses.replace(eq, pi=pi / pi.sum())
     assert eq.entropy() == pytest.approx(ref.entropy(), rel=1e-12)
     assert eq.lyapunov_exact() == pytest.approx(ref.lyapunov_exact(), rel=1e-12)
+
+
+def test_renewal_equilibrium_takes_few_matvecs(monkeypatch):
+    calls = count_matvecs(monkeypatch)
+    rpf_equilibrium(RENEWAL, DECAY, 1.2)
+    # 1762 with the deep (row) side started from the uniform vector
+    assert 0 < len(calls) <= 50
+
+
+def test_renewal_equilibrium_holds_no_dense_matrix():
+    rpf_equilibrium(RENEWAL, DECAY, 1.2)    # the shift's cached data
+    tracemalloc.start()
+    try:
+        rpf_equilibrium(RENEWAL, DECAY, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6                       # a dense 1200 x 1200 p is 11.5 MB
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_equilibrium_pressure_is_the_transfer_value(seed):
+    shift, pot, t, depth = random_model(seed)
+    eq = rpf_equilibrium(shift, pot, t, depth=depth)
+    assert eq.pressure == transfer_pressure(shift, pot, t, depth=depth).value
+
+
+@pytest.mark.parametrize("shift, pot, t", [
+    (RENEWAL, DECAY, 1.2),
+    *((GOLDEN, COLD, t) for t in (1.0, 17.0, 50.0, 800.0, 1e4))])
+def test_equilibrium_pressure_is_the_transfer_value_on_the_examples(shift, pot, t):
+    eq = rpf_equilibrium(shift, pot, t)
+    assert eq.pressure == transfer_pressure(shift, pot, t).value
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 3))
+def test_chain_masses_match_the_dense_matrix(seed):
+    shift, pot, t, depth = random_model(seed)
+    eq = rpf_equilibrium(shift, pot, t, depth=depth)
+    p, pi = eq.p.tolist(), eq.pi.tolist()
+    index = {w: i for i, w in enumerate(eq.states)}
+
+    def dense_mass(word):
+        path = [index[word[k:k + depth]] for k in range(len(word) - depth + 1)]
+        mass = pi[path[0]]
+        for a, b in zip(path, path[1:]):
+            mass *= p[a][b]
+        return mass
+
+    levels = word_levels(shift, depth + 2)
+    got = eq.level_masses(levels)
+    for n in range(depth, depth + 3):
+        words = [tuple(shift.symbols[i] for i in row)
+                 for row in levels[n - 1][0].tolist()]
+        want = [dense_mass(w) for w in words]
+        assert got[n - 1].tolist() == want
+        assert [eq.mass(w) for w in words] == want
+    if depth == 1:                          # transitions off the graph too
+        for a in shift.symbols:
+            for b in shift.symbols:
+                assert eq.mass((a, b)) == dense_mass((a, b))
