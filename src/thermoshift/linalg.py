@@ -139,13 +139,16 @@ class BellmanScaling(NamedTuple):
 
 
 def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int, np.ndarray]:
-    """Max-plus eigenvalue ``beta`` and Bellman vector ``x`` of the log
-    weights of an operator with irreducible support, by Howard policy
-    iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick, Quadrat 1998):
-    ``max_v (log A_uv + x_v) = beta + x_u`` for every state ``u``, up to a
-    tolerance relative to the largest log weight.  The last two values are
-    the depth of the final policy's forest and the policy itself, one edge
-    index per state.
+    """Max-plus eigenvalue ``beta`` (the largest cycle mean) and Bellman
+    vector ``x`` of the log weights of an operator with an out-edge at every
+    state, by Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert,
+    McGettrick, Quadrat 1998): ``max_v (log A_uv + x_v) = beta + x_u`` for
+    every state ``u`` of an irreducible support, up to a tolerance relative
+    to the largest log weight; on a reducible one the best cycle mean a
+    state reaches takes the place of ``beta``, and ``v`` ranges over the
+    states that reach as good a cycle.  The last two values are the depth
+    of the final policy's forest and the policy itself, one edge index per
+    state.
 
     A policy picks one out-edge per state.  Its value is the mean of the
     cycle each state's policy walk ends in, and ``x`` follows the walk

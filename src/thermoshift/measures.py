@@ -592,26 +592,6 @@ def _smallest_n(bound, budget: float, cap: int = 10 ** 9) -> int:
 
 
 @dataclass(frozen=True)
-class ExcessMass:
-    total: float
-    per_position: tuple
-    positions_checked: int
-
-
-def excess_mass(measure: CylinderMeasure, cutoffs: Sequence[int]) -> ExcessMass:
-    """Mass escaping the box {x : x_m <= cutoffs[m-1]} positionwise, summed
-    over the coordinates the measure's depth can see."""
-    per = []
-    checked = min(len(cutoffs), measure.depth)
-    for m in range(1, checked + 1):
-        cut = cutoffs[m - 1]
-        w = math.fsum(v for word, v in measure.weights.items()
-                      if word[m - 1] > cut)
-        per.append(w)
-    return ExcessMass(math.fsum(per), tuple(per), checked)
-
-
-@dataclass(frozen=True)
 class MarginalBoundRow:
     symbol: object
     mass: float

@@ -11,7 +11,6 @@ stored as word lengths (so the smallest meaningful threshold is 2).
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -386,15 +385,6 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     return [tuple(symbols[i] for i in w) for w in sorted(out)]
 
 
-def cylinder_distance(x: Sequence, y: Sequence) -> float:
-    """exp(-i) where i is the 1-based index of the first disagreement;
-    0 when the words agree on their shared length."""
-    for i, (a, b) in enumerate(zip(x, y), start=1):
-        if a != b:
-            return math.exp(-i)
-    return 0.0
-
-
 # -- mixing certificates ---------------------------------------------------
 
 
@@ -444,13 +434,15 @@ def _adjacency_lists(adj: np.ndarray) -> tuple[tuple, tuple]:
     n = adj.shape[0]
     src, dst = np.divmod(np.flatnonzero(np.asarray(adj, dtype=bool)), n)
     by_dst = np.argsort(dst, kind="stable")
+    return _grouped(n, src, dst), _grouped(n, dst[by_dst], src[by_dst])
 
-    def lists(keys, vals):
-        bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
-        vals = vals.tolist()
-        return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
 
-    return lists(src, dst), lists(dst[by_dst], src[by_dst])
+def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """Adjacency lists of the vertices 0..n-1 from edge arrays sorted by
+    ``keys``: entry i holds the ``vals`` of the edges whose key is i."""
+    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
+    vals = vals.tolist()
+    return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
 
 
 def _bfs_levels(nbrs: tuple) -> list[int]:
@@ -466,6 +458,40 @@ def _bfs_levels(nbrs: tuple) -> list[int]:
                 level[v] = d
                 queue.append(v)
     return level
+
+
+def _strong_components(nbrs: tuple) -> list[int]:
+    """Strongly connected component of every vertex along the adjacency
+    lists ``nbrs``, labelled by the vertex of it that the search reached
+    first: Tarjan's algorithm with an explicit stack, so a chain of any
+    length needs no recursion, and each edge is looked at once."""
+    n = len(nbrs)
+    order, low, comp = [-1] * n, [0] * n, [-1] * n  # comp -1: unassigned
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        work = [(root, None)] if order[root] < 0 else []
+        while work:
+            u, succ = work.pop()
+            if succ is None:            # first visit
+                order[u] = low[u] = count
+                count += 1
+                stack.append(u)
+                succ = iter(nbrs[u])
+            for v in succ:
+                if order[v] < 0:
+                    work += [(u, succ), (v, None)]
+                    break
+                if comp[v] < 0:         # v is on the stack
+                    low[u] = min(low[u], order[v])
+            else:
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                if low[u] == order[u]:
+                    while comp[u] < 0:
+                        comp[stack.pop()] = u
+    return comp
 
 
 def _mixing_status(shift: ShiftModel) -> str:

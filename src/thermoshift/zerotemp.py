@@ -4,6 +4,11 @@ annealing traces along increasing inverse temperature.
 Everything here expects an additive potential whose first-level function is
 determined by one symbol (depth-1 locally constant or decay law): orbit
 averages then reduce to vertex-weighted cycle means on the transition graph.
+Their max-plus data (the maximum cycle mean beta, a cycle attaining it and
+the critical graph that carries every near-maximal cycle) is read off the
+Bellman scaling of the block operator at t = 1, the Howard policy iteration
+that also scales every transfer solve
+(:meth:`thermoshift.linalg.EdgeOperator.bellman_scaled`).
 """
 
 from __future__ import annotations
@@ -14,20 +19,48 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (NumericalError, UnsupportedEnumeration, ValidationError)
+from .errors import UnsupportedEnumeration, ValidationError
+from .linalg import BellmanScaling
 from .measures import rpf_equilibrium
 from .potentials import Potential
-from .shifts import ShiftModel, word_levels
+from .pressure import weighted_block_matrix
+from .shifts import ShiftModel, _grouped, _strong_components
 
 _EXHAUSTIVE_LIMIT = 8
 _NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
 
 
-def _vertex_weights(shift: ShiftModel, pot: Potential) -> list[float]:
+def _bellman(shift: ShiftModel, pot: Potential) -> tuple[list[float], BellmanScaling]:
+    """The vertex weights ``g`` (per symbol, in alphabet order) and the
+    Bellman scaling of the block operator with log weights ``g``, whose
+    ``beta`` is the maximum cycle mean."""
     if not pot.is_additive or pot.depth != 1:
         raise ValidationError(
             "cycle means need an additive potential of depth 1")
-    return pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
+    _, B, g = weighted_block_matrix(shift, pot, 1.0, return_f=True)
+    return g.tolist(), B.bellman_scaled()
+
+
+def _critical_graph(shift: ShiftModel, S: BellmanScaling) -> ShiftModel:
+    """The critical graph: the edges whose reduced weight ``g_u + x_v - x_u
+    - beta`` (the log weight of ``S.op``) is at least ``-2n *
+    _NEAR_OPTIMAL`` (n symbols) and that lie on a cycle of such edges (both
+    ends in one strongly connected component).  Around a cycle the reduced weights sum to its length times
+    (mean - beta), and none on a cycle exceeds 0 beyond Howard's tolerance,
+    so every cycle of mean >= beta - _NEAR_OPTIMAL is kept whole (the 2
+    absorbs rounding) and every cycle kept has mean >= beta - 2n *
+    _NEAR_OPTIMAL.  The component test drops tight edges that lead off
+    every cycle, such as those between two classes of a reducible shift."""
+    op = S.op
+    tight = op.log_weight >= -2 * op.size * _NEAR_OPTIMAL
+    src, dst = op.src[tight], op.dst[tight]
+    comp = np.array(_strong_components(_grouped(op.size, src, dst)))
+    on_cycle = comp[src] == comp[dst]
+    src, dst = src[on_cycle], dst[on_cycle]
+    idx = np.flatnonzero(np.bincount(src, minlength=op.size))
+    adj = np.zeros((len(idx), len(idx)), dtype=np.uint8)
+    adj[np.searchsorted(idx, src), np.searchsorted(idx, dst)] = 1
+    return ShiftModel(tuple(shift.symbols[i] for i in idx), adj)
 
 
 def simple_cycles(shift: ShiftModel) -> list[tuple]:
@@ -61,79 +94,26 @@ def simple_cycles(shift: ShiftModel) -> list[tuple]:
 class MaxMeanCycle:
     beta: float
     cycle: tuple
-    method: str              # always "karp"; kept for callers that read it
+    method: str              # always "howard"; kept for callers that read it
 
 
 def max_mean_cycle(shift: ShiftModel, pot: Potential) -> MaxMeanCycle:
-    """Largest Birkhoff mean over periodic orbits (= over simple cycles)."""
-    beta, cycle = _karp(shift, _vertex_weights(shift, pot))
-    return MaxMeanCycle(beta, cycle, "karp")
-
-
-def _karp(shift: ShiftModel, g: list[float]):
-    """Karp's minimax recurrence for the maximum cycle mean, with cycle
-    extraction from the optimal length-n walk."""
-    n = shift.n_symbols
-    adj = shift.adjacency.astype(bool)
-    gv = np.asarray(g, dtype=np.float64)
-    # d[k, v]: heaviest k-edge walk ending at v; ties keep the first u
-    d = np.zeros((n + 1, n))
-    parent = np.zeros((n + 1, n), dtype=np.int64)
-    for k in range(1, n + 1):
-        cand = np.where(adj, (d[k - 1] + gv)[:, None], -np.inf)
-        parent[k] = cand.argmax(axis=0)
-        d[k] = cand.max(axis=0)
-    # a ShiftModel has no all-zero column, so every d[k, v] is finite
-    worst = ((d[n] - d[:n]) / (n - np.arange(n))[:, None]).min(axis=0)
-    v_star = int(worst.argmax())
-    beta = float(worst[v_star])
-    walk = [v_star]
-    for k in range(n, 0, -1):
-        walk.append(int(parent[k, walk[-1]]))
-    walk.reverse()
-    best_cycle = None
-    best_mean = -math.inf
-    seen: dict = {}
-    for pos, v in enumerate(walk):
-        if v in seen:
-            cyc = walk[seen[v]:pos]
-            mean = math.fsum(g[u] for u in cyc) / len(cyc)
-            if mean > best_mean:
-                best_mean, best_cycle = mean, cyc
-        seen[v] = pos
-    if best_cycle is None or abs(best_mean - beta) > 1e-9:
-        raise NumericalError("cycle extraction disagrees with the recurrence")
-    m = best_cycle.index(min(best_cycle))
-    rotated = best_cycle[m:] + best_cycle[:m]
-    return beta, tuple(shift.symbols[i] for i in rotated)
-
-
-def _critical_graph(shift: ShiftModel, g: list[float], beta: float) -> ShiftModel:
-    """Edges on a cycle that weighs at least -2n * _NEAR_OPTIMAL (n symbols)
-    under the weights ``g[u] - beta``: a cycle with mean >= beta -
-    _NEAR_OPTIMAL weighs at least -n * _NEAR_OPTIMAL; the 2 absorbs rounding.
-    ``close`` is the max-plus closure (Floyd-Warshall, the empty path giving
-    the zero diagonal), so ``w[u, v] + close[v, u]`` is the heaviest cycle
-    through u -> v."""
-    n = shift.n_symbols
-    adj = shift.adjacency.astype(bool)
-    w = np.where(adj, (np.asarray(g, dtype=np.float64) - beta)[:, None], -np.inf)
-    close = w.copy()
-    np.fill_diagonal(close, np.maximum(np.diag(close), 0.0))
-    for k in range(n):
-        close = np.maximum(close, close[:, k, None] + close[None, k, :])
-    crit = w + close.T >= -2 * n * _NEAR_OPTIMAL
-    # rounding can strand an edge: trim to where every vertex has one in and out
-    live = np.ones(n, dtype=bool)
-    while True:
-        crit &= live[:, None] & live[None, :]
-        now = crit.any(axis=0) & crit.any(axis=1)
-        if (now == live).all():
-            break
-        live = now
-    idx = np.flatnonzero(live)
-    return ShiftModel(tuple(shift.symbols[i] for i in idx),
-                      crit[np.ix_(idx, idx)])
+    """Largest Birkhoff mean over periodic orbits (= over simple cycles):
+    Howard's beta, with the cycle that the policy walk closes from the
+    first state whose policy edge is tight.  Every edge of a policy walk
+    has reduced weight equal to the mean of the cycle it closes minus beta,
+    so that cycle's mean is within _NEAR_OPTIMAL of beta."""
+    _, S = _bellman(shift, pot)
+    nxt = S.op.dst[S.policy].tolist()
+    u = int(np.argmax(S.op.log_weight[S.policy] >= -_NEAR_OPTIMAL))
+    walk: dict = {}
+    while u not in walk:
+        walk[u] = len(walk)
+        u = nxt[u]
+    cycle = list(walk)[walk[u]:]
+    m = cycle.index(min(cycle))
+    return MaxMeanCycle(S.beta, tuple(shift.symbols[i] for i in cycle[m:] + cycle[:m]),
+                        "howard")
 
 
 @dataclass(frozen=True)
@@ -156,11 +136,11 @@ def maximizing_subshift(shift: ShiftModel, pot: Potential) -> MaximizingSubshift
     """Union of the simple cycles with mean >= beta - 1e-9, with the entropy
     of the resulting edge graph (log of its spectral radius).
 
-    Only the critical graph of Karp's beta is enumerated, so the cycle cap
-    of :func:`simple_cycles` bounds the maximizing set, not the shift.
+    Only the critical graph of Howard's beta is enumerated, so the cycle
+    cap of :func:`simple_cycles` bounds the maximizing set, not the shift.
     """
-    g = _vertex_weights(shift, pot)
-    cycles = simple_cycles(_critical_graph(shift, g, _karp(shift, g)[0]))
+    g, S = _bellman(shift, pot)
+    cycles = simple_cycles(_critical_graph(shift, S))
     means = [(math.fsum(g[shift.index(s)] for s in c) / len(c), c)
              for c in cycles]
     beta = max(m for m, _ in means)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _golden_cold_entropy
 from test_engine import mixing_graphs
+from test_zerotemp import karp_beta
 from thermoshift import (AffinePotential, DecayPotential, LocallyConstant,
                          MatrixCocycle, NumericalError, RenewalRule,
                          RPFEquilibrium, ShiftModel, best_pressure, gurevich_estimate,
@@ -26,7 +27,6 @@ from thermoshift import (AffinePotential, DecayPotential, LocallyConstant,
                          shifts, transfer_pressure, weighted_block_matrix)
 from thermoshift.cli import main
 from thermoshift.linalg import _howard
-from thermoshift.zerotemp import _karp
 
 GOLDEN = ShiftModel.golden_mean()
 COLD = LocallyConstant({0: -1.0, 1: 0.0})
@@ -109,8 +109,7 @@ def test_howard_matches_karp_and_satisfies_bellman(seed):
     g = [rng.uniform(-3.0, 1.0) for _ in shift.symbols]
     _, B = weighted_block_matrix(shift, LocallyConstant(dict(zip(shift.symbols, g))), 1.0)
     beta, x, *_ = _howard(B)
-    karp_beta, _ = _karp(shift, g)
-    assert beta == pytest.approx(karp_beta, abs=1e-9)
+    assert beta == pytest.approx(karp_beta(shift, g), abs=1e-9)
     # Bellman: max_v (w_uv + x_v) = beta + x_u at every state
     val = B.log_weight + x[B.dst]
     best = np.full(len(B), -math.inf)

@@ -10,7 +10,7 @@ from thermoshift import measures
 from thermoshift import (ConditionNotMet, CylinderMeasure, DecayPotential,
                          LocallyConstant, RenewalRule, ShiftModel,
                          ValidationError, admissible_words, entropy_estimate,
-                         entropy_tail_bound, excess_mass, gibbs_certificate,
+                         entropy_tail_bound, gibbs_certificate,
                          gibbs_construct, gibbs_weights, lyapunov,
                          marginal_bound_check, orbit_measure, rpf_equilibrium,
                          tight_set, topological_pressure, transfer_pressure,
@@ -442,19 +442,6 @@ def test_tight_set_requires_summability():
         tight_set(DecayPotential("log", 0.9), 1.0, 0.1, 2, 0.0)
     with pytest.raises(ValidationError):
         tight_set(DecayPotential("log", 2.0), 1.0, 1.5, 2, 0.0)
-
-
-def test_excess_mass_hand_measure():
-    shift = RenewalRule().truncate(6)
-    mu = CylinderMeasure.from_weights(shift, 2, {
-        (1, 5): 0.25, (5, 4): 0.25, (2, 1): 0.25, (6, 5): 0.25})
-    out = excess_mass(mu, (4, 4))
-    assert out.per_position == (pytest.approx(0.5), pytest.approx(0.5))
-    assert out.total == pytest.approx(1.0)
-    assert out.positions_checked == 2
-    tight = excess_mass(mu, (6, 6, 6))
-    assert tight.total == 0.0
-    assert tight.positions_checked == 2
 
 
 def test_marginal_bound_check_equality_and_violation():

@@ -6,7 +6,6 @@ they share no code with the library paths under test.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -16,9 +15,10 @@ from hypothesis import strategies as st
 from thermoshift import (BudgetExceeded, FullShiftRule, RenewalRule,
                          ShiftModel, ValidationError, admissible_words,
                          compact_approximation, count_admissible_words,
-                         cylinder_distance, is_primitive, mixing_certificate,
-                         periodic_points, shift_from_config)
-from thermoshift.shifts import _exact_length_interior, _feasibility, _period
+                         is_primitive, mixing_certificate, periodic_points,
+                         shift_from_config)
+from thermoshift.shifts import (_adjacency_lists, _exact_length_interior,
+                                _feasibility, _period, _strong_components)
 
 
 def brute_words(shift, n):
@@ -116,11 +116,28 @@ def test_periodic_point_counts(full2, golden_mean):
     assert counts == [1, 2, 3, 5, 8]
 
 
-def test_cylinder_distance():
-    assert cylinder_distance((0, 1, 0), (0, 1, 0)) == 0.0
-    assert cylinder_distance((0, 1), (0, 1, 1)) == 0.0  # agree on shared length
-    assert cylinder_distance((1, 0), (0, 0)) == pytest.approx(math.exp(-1))
-    assert cylinder_distance((0, 1, 0), (0, 1, 1)) == pytest.approx(math.exp(-3))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10 ** 9))
+def test_strong_components_match_reachability(n, seed):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5])
+    # reach[u, v]: a walk of length >= 0 runs from u to v
+    reach = np.eye(n, dtype=bool) | adj
+    for _ in range(n):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    comp = np.array(_strong_components(_adjacency_lists(adj)[0]))
+    assert np.array_equal(comp[:, None] == comp[None, :], reach & reach.T)
+    # each component is labelled by one of its own vertices
+    assert (comp[comp] == comp).all()
+
+
+def test_strong_components_of_a_long_chain_need_no_recursion():
+    # 5000 -> 4999 -> ... -> 0 -> 5000 deeper than the recursion limit
+    n = 5000
+    ring = tuple(((v - 1) % n,) for v in range(n))
+    assert len(set(_strong_components(ring))) == 1
+    chain = tuple(((v - 1,) if v else ()) for v in range(n))
+    assert _strong_components(chain) == list(range(n))
 
 
 # -- mixing ----------------------------------------------------------------

@@ -8,12 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (LocallyConstant, MatrixCocycle, ShiftModel,
-                         UnsupportedEnumeration, ValidationError, anneal,
-                         max_mean_cycle, maximizing_subshift, simple_cycles,
-                         zero_temp_report)
+from thermoshift import (DecayPotential, LocallyConstant, MatrixCocycle,
+                         RenewalRule, ShiftModel, UnsupportedEnumeration,
+                         ValidationError, anneal, max_mean_cycle,
+                         maximizing_subshift, simple_cycles, zero_temp_report)
 from thermoshift import zerotemp
-from thermoshift.zerotemp import _karp, _vertex_weights
+
+
+def karp_beta(shift, g):
+    """Maximum cycle mean by Karp's recurrence (dense, O(n^3)): an oracle
+    for Howard's beta that never builds the block operator.  ``d[k, v]`` is
+    the heaviest k-edge walk ending at v from any start; every vertex has a
+    predecessor, so each entry is finite."""
+    n = shift.n_symbols
+    adj = shift.adjacency.astype(bool)
+    gv = np.asarray(g, dtype=np.float64)
+    d = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        d[k] = np.where(adj, (d[k - 1] + gv)[:, None], -np.inf).max(axis=0)
+    return float(((d[n] - d[:n]) / (n - np.arange(n))[:, None]).min(axis=0).max())
 
 
 def brute_cycles(shift):
@@ -89,7 +102,7 @@ def test_max_mean_cycle_golden_mean(golden_mean):
     out = max_mean_cycle(golden_mean, LocallyConstant({0: -1.0, 1: 0.0}))
     assert out.beta == pytest.approx(-0.5)
     assert out.cycle == (0, 1)
-    assert out.method == "karp"
+    assert out.method == "howard"
 
 
 def test_max_mean_cycle_prefers_short_cycles_on_ties(full2):
@@ -102,7 +115,7 @@ def test_karp_route_on_ten_vertices():
     shift, vals = ten_vertex_graph()
     pot = LocallyConstant(vals)
     out = max_mean_cycle(shift, pot)
-    assert out.method == "karp"
+    assert out.method == "howard"
     best = max(math.fsum(vals[s] for s in c) / len(c)
                for c in brute_cycles(shift))
     assert out.beta == pytest.approx(best, abs=1e-12)
@@ -110,23 +123,46 @@ def test_karp_route_on_ten_vertices():
     assert cyc_mean == pytest.approx(out.beta, abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_karp_matches_exhaustive_on_random_graphs(seed):
+def random_graph(rng, n, ring):
+    """Random edges on n vertices.  With ``ring`` a cycle through every
+    vertex keeps the graph irreducible; without it a vertex left with no
+    edge in or out only gets one random edge, so the graph is often
+    reducible."""
+    edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.3}
+    if ring:
+        edges |= {(i, (i + 1) % n) for i in range(n)}
+    for v in range(n):
+        if not any(a == v for a, _ in edges):
+            edges.add((v, rng.randrange(n)))
+        if not any(b == v for _, b in edges):
+            edges.add((rng.randrange(n), v))
+    return ShiftModel.from_edges(tuple(range(n)), sorted(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans(), st.booleans())
+def test_karp_matches_exhaustive_on_random_graphs(seed, ring, tied):
     rng = random.Random(seed)
     n = rng.randint(2, 10)
-    # a ring keeps every vertex fed; extras on top
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    edges |= {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
-    shift = ShiftModel.from_edges(tuple(range(n)), sorted(edges))
-    vals = {i: rng.uniform(-3, 3) for i in range(n)}
+    shift = random_graph(rng, n, ring)
+    # a {-1, 0, 1} table ties many cycle means exactly
+    vals = {i: float(rng.randint(-1, 1)) if tied else rng.uniform(-3, 3)
+            for i in range(n)}
+    cycles = brute_cycles(shift)
+    best = max(math.fsum(vals[s] for s in c) / len(c) for c in cycles)
+    assert karp_beta(shift, [vals[s] for s in shift.symbols]) == pytest.approx(
+        best, abs=1e-9)
     pot = LocallyConstant(vals)
-    beta, cycle = _karp(shift, _vertex_weights(shift, pot))
-    best = max(math.fsum(vals[s] for s in c) / len(c)
-               for c in brute_cycles(shift))
-    assert beta == pytest.approx(best, abs=1e-9)
-    assert math.fsum(vals[s] for s in cycle) / len(cycle) == pytest.approx(
-        beta, abs=1e-9)
+    out = max_mean_cycle(shift, pot)
+    assert out.beta == pytest.approx(best, abs=1e-9)
+    assert out.cycle in cycles
+    assert math.fsum(vals[s] for s in out.cycle) / len(out.cycle) == pytest.approx(
+        best, abs=1e-9)
+    if len(brute_subshift(shift, vals)[1]) > zerotemp._EXHAUSTIVE_LIMIT:
+        with pytest.raises(UnsupportedEnumeration):
+            maximizing_subshift(shift, pot)
+    else:
+        assert_brute_subshift(maximizing_subshift(shift, pot), shift, vals)
 
 
 def test_vertex_weights_need_additive_depth_one(full2):
@@ -194,6 +230,43 @@ def test_subshift_survives_a_stranded_critical_edge():
     sub = maximizing_subshift(shift, LocallyConstant(vals))
     assert sub.symbols == (3,)
     assert_brute_subshift(sub, shift, vals)
+
+
+def test_subshift_drops_a_tight_path_off_every_cycle():
+    # loops at 0 and 8 joined by the tight path 0 -> 1 -> ... -> 7 -> 8, which
+    # returns only through the cheap symbol 9: every symbol but 9 has a tight
+    # edge in and out, yet only the loops lie on a cycle of tight edges
+    edges = [(0, 0), (8, 8), (8, 9), (9, 0)] + [(i, i + 1) for i in range(8)]
+    shift = ShiftModel.from_edges(tuple(range(10)), edges)
+    vals = {**{i: 1.0 for i in range(9)}, 9: 0.0}
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    assert sub.symbols == (0, 8)
+    assert sub.cycles == ((0,), (8,))
+    assert_brute_subshift(sub, shift, vals)
+
+
+def test_subshift_on_two_tied_loops():
+    # a -> a, a -> b -> c -> d, d -> d, d -> e -> a with a = d = 1, else 0
+    shift = ShiftModel.from_edges(
+        tuple("abcde"), [("a", "a"), ("a", "b"), ("b", "c"), ("c", "d"),
+                         ("d", "d"), ("d", "e"), ("e", "a")])
+    vals = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 0.0}
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    assert sub.cycles == (("a",), ("d",))
+    assert_brute_subshift(sub, shift, vals)
+    assert max_mean_cycle(shift, LocallyConstant(vals)).cycle == ("a",)
+
+
+def test_subshift_on_the_renewal_truncation_at_1200():
+    # the chain 1200 -> ... -> 2 -> 1 is tight all the way down but lies on
+    # no tight cycle; the fixed point at 1 (f = 0 there) is the only one
+    shift = RenewalRule().truncate(1200)
+    pot = DecayPotential("log", 2)
+    sub = maximizing_subshift(shift, pot)
+    assert sub.beta == 0.0
+    assert sub.symbols == (1,)
+    assert sub.cycles == ((1,),)
+    assert max_mean_cycle(shift, pot) == zerotemp.MaxMeanCycle(0.0, (1,), "howard")
 
 
 def test_subshift_two_cycle(golden_mean):
