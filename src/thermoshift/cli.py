@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invalid input or config, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -349,7 +350,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="thermoshift",
         description="Pressure, Gibbs states and zero-temperature limits on "

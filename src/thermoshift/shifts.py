@@ -172,10 +172,7 @@ class AmbientRule:
     def truncate(self, n: int) -> ShiftModel:
         if n < 1:
             raise ValidationError("truncation size must be at least 1")
-        idx = np.arange(1, n + 1)
-        adj = np.broadcast_to(self.edge(idx[:, None], idx[None, :]), (n, n))
-        return ShiftModel(tuple(range(1, n + 1)), adj, ambient=self,
-                          assumed_mixing=True)
+        return _rule_model(self, range(1, n + 1), assumed_mixing=True)
 
 
 class FullShiftRule(AmbientRule):
@@ -557,20 +554,24 @@ def _threshold_sweep(powers: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _edge_thresholds(adjf: np.ndarray, rows: list[int], cap: int) -> dict:
+def _edge_thresholds(adjf: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
     """Per pair (u, v) of ``rows``, the smallest edge count L with paths at
-    every length in [L, cap], or None without a path of length cap."""
+    every length in [L, cap], 0 without a path of length cap.
+
+    The power loop stops early once ``rows`` reach every vertex: every
+    column of ``adjf`` holds an edge, so each later power is all true too.
+    """
     power = adjf[rows] > 0.0
     powers = []
     for _ in range(cap):
         powers.append(power[:, rows])
+        if power.all():
+            break
         power = (power @ adjf) > 0.0
-    best = _threshold_sweep(powers)
-    return {(u, v): int(best[a, b]) or None
-            for a, u in enumerate(rows) for b, v in enumerate(rows)}
+    return _threshold_sweep(powers)
 
 
-def _feasibility(adjf: np.ndarray, ends: list[int], length: int) -> np.ndarray:
+def _feasibility(adjf: np.ndarray, ends, length: int) -> np.ndarray:
     """feas[k, r, v]: from v, r more interior symbols can be placed and then
     ``ends[k]`` reached."""
     feas = np.empty((length + 1, adjf.shape[0], len(ends)), dtype=bool)
@@ -580,32 +581,73 @@ def _feasibility(adjf: np.ndarray, ends: list[int], length: int) -> np.ndarray:
     return np.ascontiguousarray(feas.transpose(2, 0, 1))
 
 
-def _exact_length_interior(adjf: np.ndarray, feas: np.ndarray, start: int,
-                           length: int, fresh: np.ndarray) -> tuple | None:
-    """Lexicographically smallest interior u_1..u_length with start u end
-    admissible, preferring interiors that contain at least one fresh symbol.
+# Booleans one step of the batched connector walk may hold.
+_WALK_CELLS = 1 << 20
 
-    ``adjf`` is the adjacency as floats and ``feas`` the :func:`_feasibility`
-    table of ``end`` (at least ``length + 1`` rows).  Both tables below are
-    exact reachability, so the greedy walk never has to backtrack.
+
+def _plain_interiors(adj: np.ndarray, feas: np.ndarray, starts: np.ndarray,
+                     length: int) -> np.ndarray:
+    """Lexicographically smallest interior of ``length`` symbols from each
+    of ``starts`` to each end of the :func:`_feasibility` table ``feas``:
+    row ``i * len(feas) + k`` joins ``starts[i]`` to end k (arbitrary where
+    no such interior exists).
+
+    One greedy walk serves every pair at once: at r symbols to go it takes
+    the first successor from which r - 1 more symbols reach the pair's end,
+    so it never backtracks.  The pairs go in blocks, so no step holds more
+    than about ``_WALK_CELLS`` booleans.
     """
-    # fresh_feas[r][v]: a completion from v with >= 1 fresh symbol exists.
-    fresh_feas = np.zeros((length + 1, adjf.shape[0]), dtype=bool)
-    for r in range(1, length + 1):
+    m = adj.shape[0]
+    ends = np.tile(np.arange(len(feas)), len(starts))
+    at = np.repeat(starts, len(feas))
+    words = np.empty((len(at), length), dtype=np.intp)
+    block = max(1, _WALK_CELLS // m)
+    for lo in range(0, len(at), block):
+        v, end = at[lo:lo + block], ends[lo:lo + block]
+        for step in range(length):
+            v = np.argmax(adj[v] & feas[end, length - 1 - step], axis=1)
+            words[lo:lo + block, step] = v
+    return words
+
+
+def _fresh_feasibility(adjf: np.ndarray, feas: np.ndarray,
+                       fresh: np.ndarray) -> np.ndarray:
+    """fresh_feas[r, v]: a completion of r interior symbols from v to the
+    end of ``feas`` (one end's :func:`_feasibility` table) exists with at
+    least one ``fresh`` symbol in it."""
+    fresh_feas = np.zeros(feas.shape, dtype=bool)
+    for r in range(1, len(feas)):
         fresh_feas[r] = (adjf @ ((fresh & feas[r - 1]) | fresh_feas[r - 1])) > 0.0
-    need_fresh = bool(fresh_feas[length, start])
-    if not (need_fresh or feas[length, start]):
-        return None
+    return fresh_feas
+
+
+def _fresh_interior(adj: np.ndarray, feas: np.ndarray, fresh_feas: np.ndarray,
+                    start: int, length: int, fresh: np.ndarray) -> list[int]:
+    """Lexicographically smallest interior of ``length`` symbols from
+    ``start`` to the end of ``feas`` among those with a ``fresh`` symbol;
+    ``fresh_feas`` (its :func:`_fresh_feasibility` table) must hold at
+    ``[length, start]``.  Exact reachability again spares backtracking."""
     word = []
     v = start
+    need_fresh = True
     for r in range(length, 0, -1):
-        allowed = (adjf[v] > 0.0) & feas[r - 1]
+        allowed = adj[v] & feas[r - 1]
         if need_fresh:
             allowed &= fresh | fresh_feas[r - 1]
         v = int(np.argmax(allowed))
         need_fresh = need_fresh and not fresh[v]
         word.append(v)
-    return tuple(word)
+    return word
+
+
+def _rule_model(rule: AmbientRule, symbols: Sequence[int],
+                assumed_mixing: bool) -> ShiftModel:
+    """The finite shift of ``rule`` on ``symbols``, its edges evaluated on
+    one index grid."""
+    idx = np.asarray(symbols)
+    n = len(idx)
+    adj = np.broadcast_to(rule.edge(idx[:, None], idx[None, :]), (n, n))
+    return ShiftModel(tuple(symbols), adj, ambient=rule, assumed_mixing=assumed_mixing)
 
 
 def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximation:
@@ -614,14 +656,22 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     Level 1 starts from a single seed state.  At each level the construction
     takes the largest per-pair connection length N over the current seed set,
     then for every ordered pair finds one connector interior of length N-1
-    and one of length N by exact-length path search (preferring interiors
-    that introduce a symbol not used before, so successive levels keep
-    growing on countable shifts).  The level alphabet is the union of seeds
-    and connector symbols; the level shift inherits every ambient edge on it.
+    and one of length N: the lexicographically smallest one, except that an
+    interior through a symbol no earlier pair or level has used is preferred
+    where one exists, so successive levels keep growing on countable shifts.
+    The pairs are searched in order, each seeing the symbols the ones before
+    it added.  Exact-length reachability tables make every search a greedy
+    walk without backtracking.  The plain walks of all pairs run as one
+    vectorised walk per length; the fresh-preferring walk runs only where a
+    completion through an unused symbol exists, and each such walk adds a
+    symbol, so a level runs at most as many as it gains symbols.  The level
+    alphabet is the union of seeds and connector symbols; the level shift
+    inherits every ambient edge on it.
 
     ``ambient`` may be an :class:`AmbientRule` (countable shift; searches run
-    inside an automatically sized working truncation) or a finite mixing
-    :class:`ShiftModel`.
+    inside an automatically sized working truncation of m symbols, and
+    :class:`BudgetExceeded` is raised before allocating one with m**2 above
+    ``WORD_BUDGET``) or a finite mixing :class:`ShiftModel`.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -647,7 +697,6 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
         raise ValidationError("ambient must be an AmbientRule or a ShiftModel")
 
     seeds: list = [seed]
-    known: set = {seed}
     levels: list[ShiftModel] = []
     n_values: list[int] = []
     connectors: list[dict] = []
@@ -656,48 +705,68 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     for _ in range(k_max):
         cap = 4 * len(seeds) + 16
         if rule is not None:
-            top = max(int(s) for s in known)
-            work = rule.truncate(2 * top + cap + 2)
+            m = 2 * int(max(seeds)) + cap + 2
+            if m * m > WORD_BUDGET:
+                raise BudgetExceeded(
+                    f"working truncation of {m} symbols exceeds budget "
+                    f"{WORD_BUDGET} adjacency entries")
+            work = rule.truncate(m)
         else:
             work = ambient
         sym_index = {s: i for i, s in enumerate(work.symbols)}
-        adjf = work.adjacency.astype(np.float64)
+        adj = work.adjacency.astype(bool)
+        # a sum of nonnegative terms is positive exactly when one term is, so
+        # float32 decides reachability as well as float64 at half the cost
+        adjf = adj.astype(np.float32)
         best = _edge_thresholds(adjf, [sym_index[s] for s in seeds], cap)
-        for (pi, pj), L in best.items():
-            if L is None:
-                a, b = work.symbols[pi], work.symbols[pj]
-                raise ConstructionFailure(
-                    f"no connection length within depth bound {cap} for pair ({a!r}, {b!r})")
-        n_k = max(2, max(int(L) + 1 for L in best.values()))  # word-length convention
+        if not best.all():
+            pi, pj = np.argwhere(best == 0)[0]
+            raise ConstructionFailure(
+                f"no connection length within depth bound {cap} for pair "
+                f"({seeds[pi]!r}, {seeds[pj]!r})")
+        n_k = max(2, int(best.max()) + 1)  # word-length convention
 
-        fresh = np.array([s not in known for s in work.symbols], dtype=bool)
-        level_connectors: dict = {}
-        alphabet = set(seeds)
         order = sorted(seeds, key=lambda s: sym_index[s])
+        idx = np.array([sym_index[s] for s in order])
         # one table per end serves both connector lengths (n_k - 1 is a prefix)
-        feas = _feasibility(adjf, [sym_index[b] for b in order], n_k)
-        for a in order:
-            for b, feas_b in zip(order, feas):
+        feas = _feasibility(adjf, idx, n_k)
+        lengths = {"e": n_k - 1, "c": n_k}
+        # missing[i, k, t]: no interior of length n_k - 1 + t joins the pair
+        missing = ~np.stack([feas[:, n, idx].T for n in lengths.values()], axis=-1)
+        if missing.any():
+            i, k, t = np.argwhere(missing)[0]
+            raise ConstructionFailure(
+                f"no connector of interior length {n_k - 1 + t} for pair "
+                f"({order[i]!r}, {order[k]!r})")
+        plain = {tag: _symbol_tuples(work, _plain_interiors(adj, feas, idx, n))
+                 for tag, n in lengths.items()}
+
+        # Only where a completion through a fresh symbol exists does a
+        # pair's interior differ from its plain one.
+        fresh = np.ones(len(work.symbols), dtype=bool)
+        fresh[idx] = False
+        fresh_tables: dict = {}     # per end, under the current ``fresh``
+        known = set(seeds)
+        level_connectors: dict = {}
+        for i, a in enumerate(order):
+            for k, b in enumerate(order):
                 found = {}
-                for tag, length in (("e", n_k - 1), ("c", n_k)):
-                    interior = _exact_length_interior(adjf, feas_b, sym_index[a],
-                                                      length, fresh)
-                    if interior is None:
-                        raise ConstructionFailure(
-                            f"no connector of interior length {length} for pair ({a!r}, {b!r})")
-                    syms = tuple(work.symbols[i] for i in interior)
-                    found[tag] = syms
-                    for s in syms:
-                        if s not in known:
-                            known.add(s)
-                            fresh[sym_index[s]] = False
-                    alphabet.update(syms)
+                for tag, length in lengths.items():
+                    if k not in fresh_tables:
+                        fresh_tables[k] = _fresh_feasibility(adjf, feas[k], fresh)
+                    if fresh_tables[k][length, idx[i]]:
+                        interior = _fresh_interior(adj, feas[k], fresh_tables[k],
+                                                   idx[i], length, fresh)
+                        fresh[interior] = False
+                        fresh_tables.clear()
+                        found[tag] = tuple(work.symbols[v] for v in interior)
+                        known.update(found[tag])
+                    else:
+                        found[tag] = plain[tag][i * len(order) + k]
                 level_connectors[(a, b)] = found
-        level_symbols = sorted(alphabet)
+        level_symbols = sorted(known)
         if rule is not None:
-            n = max(int(s) for s in level_symbols)
-            base = rule.truncate(max(n, 1))
-            model = base.restrict(level_symbols)
+            model = _rule_model(rule, level_symbols, assumed_mixing=False)
         else:
             model = ambient.restrict(level_symbols)
         cert = mixing_certificate(model)
@@ -708,7 +777,7 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
         n_values.append(n_k)
         connectors.append(level_connectors)
         certificates.append(cert)
-        seeds = list(level_symbols)
+        seeds = level_symbols
 
     # nesting check (guaranteed by construction; kept as a cheap internal audit)
     for a, b in zip(levels, levels[1:]):

@@ -317,3 +317,17 @@ def test_curve_rejects_a_nonpositive_step(capsys, tmp_path, h):
     code, out, err = run(capsys, tmp_path, "curve", dict(cfg, h=h))
     assert code == 1 and out == ""
     assert err.startswith("error: h must be")
+
+
+def test_parser_is_built_once_with_unchanged_messages(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["frobnicate", "--config", "x.json"], ["approx"], ["--help"],
+                 ["curve", "--help"]):
+        texts = []
+        for parse in (lambda: main(argv), lambda: fresh.parse_args(argv)):
+            with pytest.raises(SystemExit) as exc:
+                parse()
+            out = capsys.readouterr()
+            texts.append((exc.value.code, out.out, out.err))
+        assert texts[0] == texts[1]

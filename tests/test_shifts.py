@@ -12,13 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (BudgetExceeded, FullShiftRule, RenewalRule,
-                         ShiftModel, ValidationError, admissible_words,
-                         compact_approximation, count_admissible_words,
-                         is_primitive, mixing_certificate, periodic_points,
+from thermoshift import (BudgetExceeded, ConstructionFailure, FullShiftRule,
+                         RenewalRule, ShiftModel, ValidationError,
+                         admissible_words, compact_approximation,
+                         count_admissible_words, is_primitive,
+                         mixing_certificate, periodic_points,
                          shift_from_config)
-from thermoshift.shifts import (_adjacency_lists, _exact_length_interior,
-                                _feasibility, _period, _strong_components)
+from thermoshift import cli, shifts
+from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _adjacency_lists,
+                                _edge_thresholds, _feasibility,
+                                _fresh_feasibility, _fresh_interior, _period,
+                                _plain_interiors, _strong_components)
 
 
 def brute_words(shift, n):
@@ -414,6 +418,21 @@ def brute_interior(adj, start, end, length, fresh):
     return (with_fresh or admissible or [None])[0]
 
 
+def connector_interior(adj, start, end, length, fresh):
+    """The connector search's interior for one pair: the fresh-preferring
+    walk where a fresh completion exists, the plain batched one otherwise."""
+    adj = np.array(adj, dtype=bool)
+    adjf = adj.astype(np.float32)
+    fresh = np.array(fresh, dtype=bool)
+    feas = _feasibility(adjf, [end], length)
+    fresh_feas = _fresh_feasibility(adjf, feas[0], fresh)
+    if fresh_feas[length, start]:
+        return tuple(_fresh_interior(adj, feas[0], fresh_feas, start, length, fresh))
+    if feas[0, length, start]:
+        return tuple(_plain_interiors(adj, feas, np.array([start]), length)[0].tolist())
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(
@@ -424,11 +443,235 @@ def brute_interior(adj, start, end, length, fresh):
     st.integers(0, 4))
 def test_connector_search_matches_enumeration(graph, length):
     adj, fresh, start, end = graph
-    adjf = np.array(adj, dtype=np.float64)
-    feas = _feasibility(adjf, [end], length)[0]
-    got = _exact_length_interior(adjf, feas, start, length,
-                                 np.array(fresh, dtype=bool))
+    got = connector_interior(adj, start, end, length, fresh)
     assert got == brute_interior(adj, start, end, length, fresh)
+
+
+def test_batched_walk_matches_enumeration_across_blocks(monkeypatch):
+    # blocks of two pairs, so the walk crosses many block boundaries
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        monkeypatch.setattr(shifts, "_WALK_CELLS", 2 * n)
+        adj = rng.random((n, n)) < 0.5
+        starts = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        ends = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        length = int(rng.integers(0, 5))
+        feas = _feasibility(adj.astype(np.float32), ends, length)
+        words = _plain_interiors(adj, feas, starts, length)
+        for i, a in enumerate(starts):
+            for k, b in enumerate(ends):
+                want = brute_interior(adj.tolist(), a, b, length, [False] * n)
+                if want is not None:
+                    assert tuple(words[i * len(ends) + k].tolist()) == want
+
+
+def full_cap_thresholds(adjf, rows, cap):
+    """Per pair of ``rows``, the smallest L with paths of every length in
+    [L, cap], 0 without one of length cap: all cap powers, no early exit."""
+    power = np.eye(len(adjf))[rows]
+    holds = []
+    for _ in range(cap):
+        power = ((power @ adjf) > 0).astype(np.float64)
+        holds.append(power[:, rows] > 0)
+    best = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    every = np.ones_like(holds[0])
+    for L in range(cap, 0, -1):
+        every &= holds[L - 1]
+        best[every] = L
+    return best
+
+
+def test_edge_thresholds_early_exit_matches_full_sweep():
+    # cycles of 2 and 5 through 0: the seed block {0} holds at length 2 but
+    # not at 3, so only the row of every vertex may end the loop
+    two_five = ShiftModel.from_edges(range(6), [(0, 1), (1, 0), (0, 2), (2, 3),
+                                                (3, 4), (4, 5), (5, 0)])
+    graphs = [(two_five, [0], 30), (two_five, [0, 3], 30),
+              (RenewalRule().truncate(60), [0, 4, 9], 28),
+              (FullShiftRule().truncate(5), [2], 20)]
+    rng = np.random.default_rng(11)
+    while len(graphs) < 60:
+        n = int(rng.integers(1, 9))
+        adj = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+        if adj.any(axis=0).all() and adj.any(axis=1).all():
+            rows = sorted(rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist())
+            graphs.append((ShiftModel(tuple(range(n)), adj), rows, int(rng.integers(1, 25))))
+    for shift, rows, cap in graphs:
+        adjf = shift.adjacency.astype(np.float32)
+        assert np.array_equal(_edge_thresholds(adjf, rows, cap),
+                              full_cap_thresholds(adjf, rows, cap))
+
+
+# -- equivalence oracle: the sequential per-pair connector search ----------
+
+
+def reference_interior(succ, feas, fresh_feas, start, length, fresh):
+    """One pair's greedy walk over successor lists: the smallest interior,
+    one with a fresh symbol first where ``fresh_feas`` allows (None without
+    any interior)."""
+    need_fresh = fresh_feas[length][start]
+    if not (need_fresh or feas[length][start]):
+        return None
+    word, v = [], start
+    for r in range(length, 0, -1):
+        reach, reach_fresh = feas[r - 1], fresh_feas[r - 1]
+        for v in succ[v]:
+            if reach[v] and (not need_fresh or fresh[v] or reach_fresh[v]):
+                break
+        need_fresh = need_fresh and not fresh[v]
+        word.append(v)
+    return tuple(word)
+
+
+def reference_tables(adjf, end, length, fresh):
+    """feas[r][v]: v, r more symbols, then ``end``; fresh_feas[r][v]: the
+    same through at least one ``fresh`` symbol.  Lists of lists."""
+    feas = [adjf[:, end] > 0]
+    fresh_feas = [np.zeros(len(adjf), dtype=bool)]
+    for _ in range(length):
+        fresh_feas.append((adjf @ ((fresh & feas[-1]) | fresh_feas[-1])) > 0)
+        feas.append((adjf @ feas[-1]) > 0)
+    return [f.tolist() for f in feas], [f.tolist() for f in fresh_feas]
+
+
+def reference_approximation(ambient, k_max, seed=None):
+    """The compact approximation by one search per ordered seed pair and
+    connector length, pairs in order, each seeing the symbols the ones before
+    it used; thresholds from all ``cap`` powers; a countable level restricted
+    from a truncation.  Returns the fields of the result and whether the
+    fresh symbols ran out with pairs still to go."""
+    rule = ambient if isinstance(ambient, AmbientRule) else None
+    if rule is not None:
+        seed = 1 if seed is None else seed
+    else:
+        seed = ambient.symbols[0 if seed is None else ambient.index(seed)]
+    seeds, known = [seed], {seed}
+    levels, n_values, connectors, certificates = [], [], [], []
+    ran_out = False
+    for _ in range(k_max):
+        cap = 4 * len(seeds) + 16
+        work = rule.truncate(2 * max(known) + cap + 2) if rule else ambient
+        index = {s: i for i, s in enumerate(work.symbols)}
+        adjf = work.adjacency.astype(np.float64)
+        succ = [np.flatnonzero(row).tolist() for row in adjf]
+        best = full_cap_thresholds(adjf, [index[s] for s in seeds], cap)
+        assert best.all()
+        n_k = max(2, int(best.max()) + 1)
+        fresh = [s not in known for s in work.symbols]
+        order = sorted(seeds, key=index.get)
+        alphabet, level = set(seeds), {}
+        tables = {}  # memo: the tables depend on the end and on ``known``
+        for a in order:
+            for b in order:
+                found = {}
+                for tag, length in (("e", n_k - 1), ("c", n_k)):
+                    key = (b, len(known))
+                    if key not in tables:
+                        tables[key] = reference_tables(adjf, index[b], n_k,
+                                                       np.array(fresh))
+                    interior = reference_interior(succ, *tables[key], index[a],
+                                                  length, fresh)
+                    if interior is None:
+                        raise ConstructionFailure(
+                            f"no connector of interior length {length} for "
+                            f"pair ({a!r}, {b!r})")
+                    found[tag] = tuple(work.symbols[v] for v in interior)
+                    for s in found[tag]:
+                        if s not in known:
+                            known.add(s)
+                            fresh[index[s]] = False
+                    alphabet.update(found[tag])
+                    ran_out |= not any(fresh) and (a, b, tag) != (order[-1], order[-1], "c")
+                level[(a, b)] = found
+        symbols = sorted(alphabet)
+        if rule is not None:
+            model = rule.truncate(max(symbols)).restrict(symbols)
+        else:
+            model = ambient.restrict(symbols)
+        levels.append(model)
+        n_values.append(n_k)
+        connectors.append(level)
+        certificates.append(mixing_certificate(model))
+        seeds = symbols
+    return (_level_fields(levels), tuple(n_values), _connector_fields(connectors),
+            _certificate_fields(certificates), rule is not None), ran_out
+
+
+def _level_fields(levels):
+    return [(lv.symbols, lv.adjacency.tolist(), lv.ambient, lv.assumed_mixing)
+            for lv in levels]
+
+
+def _connector_fields(connectors):
+    # items() lists keep the dict order
+    return [list(c.items()) for c in connectors]
+
+
+def _certificate_fields(certificates):
+    return [(c.status, c.primitive_exponent, list(c.thresholds.items()))
+            for c in certificates]
+
+
+def approximation_fields(approx):
+    return (_level_fields(approx.levels), approx.n_values,
+            _connector_fields(approx.connectors),
+            _certificate_fields(approx.certificates), approx.ambient_mixing_assumed)
+
+
+def random_mixing_ambients(count, rng):
+    """Random primitive shifts of 1-8 symbols, in alphabet order, shuffled
+    integers (index order differs from sorted order) and strings."""
+    while count:
+        n = int(rng.integers(1, 9))
+        adj = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+        if not (adj.any(axis=0).all() and adj.any(axis=1).all()):
+            continue
+        symbols = [tuple(range(n)),
+                   tuple(int(x) for x in rng.permutation(np.arange(10, 10 + 3 * n, 3))),
+                   tuple(f"s{int(x)}" for x in rng.permutation(n))][count % 3]
+        shift = ShiftModel(symbols, adj)
+        if is_primitive(shift):
+            seed = symbols[int(rng.integers(n))] if count % 2 else None
+            yield shift, int(rng.integers(1, 5)), seed
+            count -= 1
+
+
+def test_connector_search_matches_sequential_reference_on_finite_ambients():
+    ran_out = 0
+    for ambient, k_max, seed in random_mixing_ambients(320, np.random.default_rng(2026)):
+        want, exhausted = reference_approximation(ambient, k_max, seed)
+        ran_out += exhausted
+        assert approximation_fields(compact_approximation(ambient, k_max, seed)) == want
+    assert ran_out >= 100  # fresh symbols ran out mid-level in most cases
+
+
+@pytest.mark.parametrize("rule", [RenewalRule(), FullShiftRule()], ids=["renewal", "full"])
+def test_connector_search_matches_sequential_reference_on_countable_rules(rule):
+    for seed in range(1, 17):
+        want, _ = reference_approximation(rule, 3, seed)
+        for k in (1, 2, 3):
+            approx = compact_approximation(rule, k, seed)
+            assert approximation_fields(approx) == (
+                want[0][:k], want[1][:k], want[2][:k], want[3][:k], want[4])
+            assert all(level.ambient is rule for level in approx.levels)
+
+
+def test_working_truncation_is_bounded_before_allocation(monkeypatch, capsys, tmp_path):
+    def forbidden(self, n):
+        raise AssertionError(f"truncate({n}) reached")
+
+    monkeypatch.setattr(AmbientRule, "truncate", forbidden)
+    # level 1 works in 2 * seed + 22 symbols: 1416**2 > WORD_BUDGET
+    assert 1416 ** 2 > WORD_BUDGET >= 1414 ** 2
+    with pytest.raises(BudgetExceeded, match="working truncation of 1416 symbols"):
+        compact_approximation(RenewalRule(), 1, seed=697)
+    cfg = tmp_path / "approx.json"
+    cfg.write_text('{"ambient": {"rule": "full"}, "k_max": 2, "seed": 100000}')
+    assert cli.main(["approx", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "working truncation of 200022 symbols" in out.err
 
 
 def test_finite_ambient_approximation(golden_mean):
