@@ -73,11 +73,12 @@ class EdgeOperator:
             raise NumericalError("power iteration needs a nonempty square matrix")
         if (B < 0).any() or not np.isfinite(B).all():
             raise NumericalError("power iteration needs a finite nonnegative matrix")
-        if _period(B > 0) != 1:
+        codes = np.flatnonzero(B > 0)
+        if _period((B.shape[0], codes)) != 1:
             raise NumericalError(
                 "power iteration needs a primitive matrix (strongly connected "
                 "and aperiodic support)")
-        src, dst = np.nonzero(B)
+        src, dst = np.divmod(codes, B.shape[0])
         return cls(B.shape[0], src, dst, np.log(B[src, dst]))
 
     def bellman_scaled(self) -> "BellmanScaling":

@@ -32,6 +32,12 @@ class ShiftModel:
     points back at the generating rule and ``assumed_mixing`` records that
     topological mixing of the ambient shift is an assumption, not a computed
     fact.
+
+    The graph record computed up front is ``_edges``, the flat codes
+    i*m + j of the edges in ascending order (row i holds the successors of
+    symbol i in alphabet order), with the out-degrees ``_degree``; the word
+    engine, the period and the certificate read these arrays.  Successor
+    and predecessor lists are built on first use.
     """
 
     symbols: tuple
@@ -51,30 +57,40 @@ class ShiftModel:
             raise ValidationError("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
             raise ValidationError("alphabet contains duplicate symbols")
-        adj = (adj != 0).astype(np.uint8)
-        if (adj.sum(axis=1) == 0).any():
+        nonzero = adj != 0
+        m = len(symbols)
+        edges = np.flatnonzero(nonzero)
+        degree = np.diff(_row_starts(m, edges))
+        if not degree.all():
             raise ValidationError("adjacency has an all-zero row")
-        if (adj.sum(axis=0) == 0).any():
+        if not nonzero.any(axis=0).all():
             raise ValidationError("adjacency has an all-zero column")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        for array in (nonzero, edges, degree):
+            array.setflags(write=False)
+        object.__setattr__(self, "adjacency", nonzero.view(np.uint8))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        succ, pred = _adjacency_lists(adj)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_degree", degree)
 
     @cached_property
-    def _edges(self) -> np.ndarray:
-        """Flat indices i*m + j of the edges, ascending: row i holds the
-        successors of symbol i in alphabet order."""
-        return np.flatnonzero(self.adjacency.astype(bool))
+    def _succ(self) -> tuple:
+        """Successor index lists, ascending; built on first use."""
+        m = self.n_symbols
+        return _grouped(m, *np.divmod(self._edges, m))
+
+    @cached_property
+    def _pred(self) -> tuple:
+        """Predecessor index lists, ascending; built on first use."""
+        m = self.n_symbols
+        src, dst = np.divmod(self._edges, m)
+        return _grouped(m, *np.divmod(np.sort(dst * m + src), m))
 
     @cached_property
     def period(self) -> int:
         """Period of the transition graph (gcd of its cycle lengths), 0 when
         it is not strongly connected: the one primitivity decision, made
         once per shift."""
-        return _period(self.adjacency)
+        return _period((self.n_symbols, self._edges))
 
     # -- basic queries -----------------------------------------------------
 
@@ -266,7 +282,7 @@ def _levels(shift: ShiftModel, n: int, budget: int | None):
     if n < 1:
         raise ValidationError("word length must be >= 1")
     m = shift.n_symbols
-    degree = np.fromiter(map(len, shift._succ), np.intp, m)
+    degree = shift._degree
     first_edge = np.cumsum(degree) - degree
     words = np.arange(m)[:, None]
     parent = np.zeros(m, dtype=np.intp)
@@ -385,53 +401,58 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
 # -- mixing certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingCertificate:
     """Primitivity evidence for a finite shift.
 
-    ``primitive_exponent`` counts edges (the smallest k with M^k positive);
-    ``thresholds`` maps a symbol pair (a, b) to the smallest word length N
-    such that admissible words from a to b exist at every length >= N
-    (floored at 2).
+    ``primitive_exponent`` counts edges (the smallest k with M^k positive).
+    ``lengths[i, j]`` is the smallest word length N such that admissible
+    words from ``symbols[i]`` to ``symbols[j]`` exist at every length >= N
+    (floored at 2); ``thresholds`` is the same data as a dict keyed by
+    symbol pair, row by row, built on first read.  Both are None when the
+    shift is not mixing.
     """
 
     status: str  # "mixing" | "periodic" | "reducible"
     primitive_exponent: int | None
-    thresholds: dict | None
+    symbols: tuple = ()
+    lengths: np.ndarray | None = None
 
     @property
     def mixing(self) -> bool:
         return self.status == "mixing"
 
+    @cached_property
+    def thresholds(self) -> dict | None:
+        if self.lengths is None:
+            return None
+        return {(a, b): n for a, row in zip(self.symbols, self.lengths.tolist())
+                for b, n in zip(self.symbols, row)}
 
-def _period(adj: np.ndarray) -> int:
-    """Period (gcd of cycle lengths) of the digraph ``adj``, or 0 when it is
-    not strongly connected; primitive means period 1.
 
-    BFS levels from vertex 0, forward and backward, decide strong
-    connectivity; every edge u -> v then contributes level[u] + 1 - level[v]
-    to the gcd.  Each BFS visits every edge once, so the cost is
-    O(m + edges) once the adjacency lists are read off ``adj``.
+def _period(graph: tuple[int, np.ndarray]) -> int:
+    """Period (gcd of cycle lengths) of a digraph, or 0 when it is not
+    strongly connected; primitive means period 1.
+
+    ``graph`` is ``(n, codes)``: vertices 0..n-1 and the flat codes
+    u*n + v of the edges u -> v in ascending order.  BFS levels from vertex
+    0, backward and forward, decide strong connectivity; every edge u -> v
+    then contributes level[u] + 1 - level[v] to the gcd.
     """
-    adj = np.asarray(adj, dtype=bool)
-    succ, pred = _adjacency_lists(adj)
-    for nbrs in (pred, succ):
-        level = _bfs_levels(nbrs)
-        if min(level) < 0:
+    n, codes = graph
+    src, dst = np.divmod(codes, n)
+    for walk in (np.sort(dst * n + src), codes):    # backward, then forward
+        level = _bfs_levels(n, walk)
+        if level is None:
             return 0
-    u, v = np.divmod(np.flatnonzero(adj), len(level))
     level = np.array(level)
-    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
-def _adjacency_lists(adj: np.ndarray) -> tuple[tuple, tuple]:
-    """Successor and predecessor lists of the digraph ``adj`` (a square
-    matrix, nonzero entries are edges): tuples of vertex indices in
-    ascending order, read off one scan of the matrix."""
-    n = adj.shape[0]
-    src, dst = np.divmod(np.flatnonzero(np.asarray(adj, dtype=bool)), n)
-    by_dst = np.argsort(dst, kind="stable")
-    return _grouped(n, src, dst), _grouped(n, dst[by_dst], src[by_dst])
+def _row_starts(n: int, codes: np.ndarray) -> np.ndarray:
+    """Where each vertex's edges start in the ascending flat codes u*n + v
+    of a digraph on 0..n-1, then ``len(codes)``: each row is one run."""
+    return np.searchsorted(codes, np.arange(0, n * n + 1, n))
 
 
 def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
@@ -442,19 +463,28 @@ def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
     return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
 
 
-def _bfs_levels(nbrs: tuple) -> list[int]:
-    """BFS distance of every vertex from vertex 0 along the adjacency lists
-    ``nbrs``, -1 where unreachable."""
-    level = [-1] * len(nbrs)
+def _bfs_levels(n: int, codes: np.ndarray) -> list[int] | None:
+    """BFS distance of every vertex from vertex 0 along the edges ``codes``
+    (ascending flat codes u*n + v), or None when one is unreachable.
+
+    A vertex's level is final once assigned, so the walk stops as soon as
+    every vertex has one: on a complete graph it reads one row.
+    """
+    starts = _row_starts(n, codes).tolist()
+    level = [-1] * n
     level[0] = 0
     queue = [0]
+    unseen = n - 1
     for u in queue:
+        if not unseen:
+            break
         d = level[u] + 1
-        for v in nbrs[u]:
+        for v in (codes[starts[u]:starts[u + 1]] - u * n).tolist():
             if level[v] < 0:
                 level[v] = d
                 queue.append(v)
-    return level
+                unseen -= 1
+    return None if unseen else level
 
 
 def _strong_components(nbrs: tuple) -> list[int]:
@@ -509,7 +539,7 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
     """
     status = _mixing_status(_require_finite(shift))
     if status != "mixing":
-        return MixingCertificate(status, None, None)
+        return MixingCertificate(status, None)
     adj = shift.adjacency.astype(bool)
     adjf = adj.astype(np.float64)
     history = [adj]
@@ -517,10 +547,9 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
         history.append((history[-1] @ adjf) > 0.0)
     # Beyond the primitive exponent every power is positive, so the sweep
     # gives true thresholds.
-    rows = np.maximum(2, _threshold_sweep(history) + 1).tolist()
-    thresholds = {(a, b): n for a, row in zip(shift.symbols, rows)
-                  for b, n in zip(shift.symbols, row)}
-    return MixingCertificate("mixing", len(history), thresholds)
+    lengths = np.maximum(2, _threshold_sweep(history) + 1)
+    lengths.setflags(write=False)
+    return MixingCertificate("mixing", len(history), shift.symbols, lengths)
 
 
 # -- compact approximation -------------------------------------------------
@@ -764,7 +793,8 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
                     else:
                         found[tag] = plain[tag][i * len(order) + k]
                 level_connectors[(a, b)] = found
-        level_symbols = sorted(known)
+        # by type first: a finite alphabet may mix integers and strings
+        level_symbols = sorted(known, key=lambda s: (type(s).__name__, s))
         if rule is not None:
             model = _rule_model(rule, level_symbols, assumed_mixing=False)
         else:

@@ -211,6 +211,17 @@ def test_approx_with_pressure_block(capsys, tmp_path):
     assert block["values"][-1] >= block["values"][0] - 1e-9
 
 
+def test_approx_on_an_alphabet_of_integers_and_strings(capsys, tmp_path):
+    # shift_from_config accepts such an alphabet; the level order sorts
+    # integers before strings
+    cfg = {"ambient": {"alphabet": [0, "a"], "edges": "full"}, "k_max": 1}
+    code, out, err = run(capsys, tmp_path, "approx", cfg)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["levels"][0]["alphabet"] == ["0", "a"]
+    assert doc["levels"][0]["connectors"]["0->0"] == {"c": ["0", "0"], "e": ["a"]}
+
+
 def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("compact_approximation ran before validation")

@@ -19,9 +19,9 @@ from thermoshift import (BudgetExceeded, ConstructionFailure, FullShiftRule,
                          mixing_certificate, periodic_points,
                          shift_from_config)
 from thermoshift import cli, shifts
-from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _adjacency_lists,
-                                _edge_thresholds, _feasibility,
-                                _fresh_feasibility, _fresh_interior, _period,
+from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _edge_thresholds,
+                                _feasibility, _fresh_feasibility,
+                                _fresh_interior, _grouped, _period,
                                 _plain_interiors, _strong_components)
 
 
@@ -129,7 +129,7 @@ def test_strong_components_match_reachability(n, seed):
     reach = np.eye(n, dtype=bool) | adj
     for _ in range(n):
         reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
-    comp = np.array(_strong_components(_adjacency_lists(adj)[0]))
+    comp = np.array(_strong_components(_grouped(n, *np.nonzero(adj))))
     assert np.array_equal(comp[:, None] == comp[None, :], reach & reach.T)
     # each component is labelled by one of its own vertices
     assert (comp[comp] == comp).all()
@@ -305,15 +305,56 @@ def _seeded_graphs():
         a[0, h] = True
         out.append(a)
     out.append(RenewalRule().truncate(300).adjacency)
+    out.append(RenewalRule().truncate(1200).adjacency)
+    for n in (2, 40, 1200):
+        chain = np.eye(n, k=1, dtype=bool)
+        out.append(chain)                              # open at both ends
+        out.append(chain | np.eye(n, dtype=bool))      # a loop at every state
+        ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        out.append(ring)                               # period n
+        chord = ring.copy()
+        chord[0, n // 2] = True                        # period gcd(n, n - n//2 + 1)
+        out.append(chord)
     out.append(FullShiftRule().truncate(50).adjacency)
+    out.append(np.ones((1, 1), dtype=bool))
+    out.append(np.ones((200, 200), dtype=bool))
     return out
+
+
+def _thresholds_by_dense_powers(symbols, adj):
+    """Mixing thresholds from every boolean power up to the primitive
+    exponent: a pair's word length is the last edge count with no path
+    between them, plus 2 (floored at 2)."""
+    a = adj.astype(np.float64)
+    power, last_gap, k = adj, np.zeros(adj.shape, dtype=np.int64), 1
+    while not power.all():
+        last_gap[~power] = k
+        power, k = (power @ a) > 0, k + 1
+    rows = np.maximum(2, last_gap + 2).tolist()
+    return {(x, y): rows[i][j] for i, x in enumerate(symbols)
+            for j, y in enumerate(symbols)}
 
 
 def test_period_matches_the_dense_level_traversal():
     periods = []
     for adj in _seeded_graphs():
-        periods.append(_period(adj))
+        n = len(adj)
+        periods.append(_period((n, np.flatnonzero(adj))))
         assert periods[-1] == _period_by_dense_levels(adj)
+        if not (adj.any(axis=0).all() and adj.any(axis=1).all()):
+            continue
+        # a shift: its lists, period and thresholds against the dense rows
+        symbols = tuple(range(100, 100 + n))
+        shift = ShiftModel(symbols, adj)
+        assert shift.period == periods[-1]
+        for i, a in enumerate(symbols):
+            assert shift.successors(a) == tuple(symbols[j] for j in np.flatnonzero(adj[i]))
+            assert shift.predecessors(a) == tuple(symbols[j] for j in np.flatnonzero(adj[:, i]))
+        if n <= 200:    # the power loops of larger primitive graphs run long
+            cert = mixing_certificate(shift)
+            want = _thresholds_by_dense_powers(symbols, adj) if cert.mixing else None
+            assert cert.thresholds == want
+            assert want is None or list(cert.thresholds.items()) == list(want.items())
     # the set covers primitive, periodic and reducible graphs
     assert {0, 1} <= set(periods) and max(periods) > 1
 
@@ -672,6 +713,18 @@ def test_working_truncation_is_bounded_before_allocation(monkeypatch, capsys, tm
     out = capsys.readouterr()
     assert out.out == ""
     assert "working truncation of 200022 symbols" in out.err
+
+
+def test_compact_approximation_builds_no_lists_or_threshold_dicts(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(shifts, "_grouped", forbidden)
+    approx = compact_approximation(FullShiftRule(), 3)
+    assert [level.n_symbols for level in approx.levels] == [3, 21, 144]
+    assert all("thresholds" not in vars(cert) for cert in approx.certificates)
+    # the dict is still built on request
+    assert set(approx.certificates[-1].thresholds.values()) == {2}
 
 
 def test_finite_ambient_approximation(golden_mean):
