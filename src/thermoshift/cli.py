@@ -19,9 +19,9 @@ from .errors import NumericalError, ValidationError, config_number
 from .measures import gibbs_certificate, gibbs_construct
 from .potentials import (constants_report, potential_from_config,
                          summability_report)
-from .pressure import (best_pressure, gurevich_estimate, pressure_curve,
-                       topological_pressure, transfer_pressure,
-                       truncation_curve)
+from .pressure import (_check_truncation_t, best_pressure,
+                       gurevich_estimate, pressure_curve, topological_pressure,
+                       transfer_pressure, truncation_curve)
 from .shifts import (RULES, compact_approximation, mixing_certificate,
                      shift_from_config)
 from .zerotemp import zero_temp_report
@@ -60,7 +60,7 @@ def _field(cfg: dict, key: str, kind, default=_REQUIRED):
 def _check_t(t) -> float:
     t = config_number(t, float, "t")
     if t < 1.0:
-        raise ValidationError("t must exceed 1")
+        raise ValidationError("t must be at least 1")
     return t
 
 
@@ -222,6 +222,7 @@ def _cmd_approx(cfg: dict) -> str:
         pot = potential_from_config(cfg["potential"])
         t = _check_t(cfg["t"])
         n_max = _field(cfg, "n_max", int, 12)
+        _check_truncation_t(pot, t)
     approx = compact_approximation(ambient, k_max, seed=cfg.get("seed"))
     levels = []
     for level, n_k, conns in zip(approx.levels, approx.n_values,

@@ -8,8 +8,9 @@ sources:
 * "cesaro" — a sup-weight measure pushed through an orbit average, the
   constructive route to an invariant limit;
 * "spectral" — the stationary Markov chain from the Perron eigendata of
-  the Bellman-scaled block operator (exact equilibrium for additive
-  locally constant potentials, at any t).
+  the Bellman-scaled block operator (exact equilibrium for the additive
+  families, those with a finite ``depth``, at any t), held as transition
+  edge arrays with the f_1 value of every block state.
 
 The estimators (entropy, Lyapunov exponent, Gibbs certificate) read a
 measure through ``level_masses(levels)``: the mass of every row of each
@@ -247,36 +248,26 @@ class RPFEquilibrium:
     state of t*F for additive locally constant F.
 
     ``src``, ``dst`` and ``prob`` hold the transitions as arrays, and every
-    query reads them; ``p`` is the dense transition matrix, built on first
-    use from those arrays, or given instead of them for a chain built by
-    hand.  ``f`` holds f_1 on each state (read off the potential when not
-    given)."""
+    query reads them; ``p`` is the dense transition matrix, built from them
+    on first read.  ``f`` holds f_1 on each state."""
 
     shift: ShiftModel
-    pot: Potential
     t: float
     depth: int
     states: tuple
     pi: np.ndarray
-    dense: np.ndarray | None = field(repr=False)
     pressure: float         # log of the Perron root, kept in log form
-    src: np.ndarray | None = field(default=None, repr=False)
-    dst: np.ndarray | None = field(default=None, repr=False)
-    prob: np.ndarray | None = field(default=None, repr=False)
-    f: np.ndarray | None = field(default=None, repr=False)
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    prob: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.prob is None:
-            self.src, self.dst = np.nonzero(self.dense)
-            self.prob = self.dense[self.src, self.dst]
-
-    @property
+    @cached_property
     def p(self) -> np.ndarray:
-        if self.dense is None:
-            m = len(self.states)
-            self.dense = np.zeros((m, m))
-            self.dense[self.src, self.dst] = self.prob
-        return self.dense
+        m = len(self.states)
+        p = np.zeros((m, m))
+        p[self.src, self.dst] = self.prob
+        return p
 
     @cached_property
     def _sorted_transitions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,16 +282,15 @@ class RPFEquilibrium:
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[at] == want, prob[at], 0.0)
 
+    @cached_property
     def _index(self) -> dict:
-        if not hasattr(self, "_idx"):
-            self._idx = {w: i for i, w in enumerate(self.states)}
-        return self._idx
+        return {w: i for i, w in enumerate(self.states)}
 
     def mass(self, word) -> float:
         word = tuple(word)
         n = len(word)
         r = self.depth
-        idx = self._index()
+        idx = self._index
         if n == 0:
             return 1.0
         if n < r:
@@ -363,11 +353,8 @@ class RPFEquilibrium:
         return math.fsum((-self.pi[i] * q * _log(q)).tolist())
 
     def lyapunov_exact(self) -> float:
-        """integral of f_1 for the stationary chain (additive families)."""
-        f = self.f
-        if f is None:
-            f = np.array([self.pot.first_level(w) for w in self.states])
-        return math.fsum((self.pi * f).tolist())
+        """integral of f_1 for the stationary chain."""
+        return math.fsum((self.pi * self.f).tolist())
 
     def _check_scan(self, shift: ShiftModel, n: int) -> None:
         _check_shift(self.shift, shift)
@@ -408,8 +395,8 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
     dead = ~(rowsum > 0)
     q = np.where(dead[src], S.op.weight, q)
     q = q / np.bincount(src, q, minlength=m)[src]
-    return RPFEquilibrium(shift, pot, t, r, tuple(states), pi, None, log_root,
-                          src, dst, q, f)
+    return RPFEquilibrium(shift, t, r, tuple(states), pi, log_root, src, dst,
+                          q, f)
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

@@ -17,6 +17,10 @@ families shipped:
 (:func:`~thermoshift.shifts.word_levels`); ``sup``/``inf`` are its one-row
 calls for a single tuple word.  For every family except depth >= 2 locally
 constant the two agree because f_n is constant on n-cylinders.
+
+The additive families (finite ``depth``) give f_1 on every row of a level
+at least that deep as one array, ``first_level``: the values the spectral
+route weights its block operator with.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ class Potential:
     """Common interface; see module docstring for the families."""
 
     family: str = "abstract"
-    is_additive: bool = False
-    depth: int | None = None  # locally-constant depth, if any
+    depth: int | None = None  # locally-constant depth of the additive families
 
     @property
     def aa_const(self) -> float:
@@ -93,9 +96,11 @@ class Potential:
         """f_n at the periodic point obtained by repeating ``word``."""
         raise NotImplementedError
 
-    def first_level(self, word: Sequence) -> float:
-        """f_1 on the cylinder of the first ``depth`` symbols of ``word``;
-        defined for the additive locally constant families only."""
+    def first_level(self, shift: ShiftModel, levels: list) -> np.ndarray:
+        """f_1 on every row of the last of ``levels`` (consecutive levels
+        1..n of ``shift``, n >= ``depth``, as :func:`word_levels` returns
+        them): its value on the cylinder of the row's first ``depth``
+        symbols.  Defined for the additive families only."""
         raise ValidationError(
             f"{self.family} potentials have no locally constant first level")
 
@@ -118,8 +123,6 @@ class LocallyConstant(Potential):
     """Additive potential whose first-level function depends on ``depth``
     leading symbols.  The table maps depth-tuples (or bare symbols when
     depth is 1) to values."""
-
-    is_additive = True
 
     def __init__(self, table: Mapping, depth: int = 1):
         if depth < 1:
@@ -181,12 +184,7 @@ class LocallyConstant(Potential):
         continuation tables.  The table must cover every admissible r-word."""
         r = self._depth
         blocks = word_levels(shift, r)
-        keys = _symbol_tuples(shift, blocks[-1][0])
-        vals = [self._table.get(k) for k in keys]
-        if None in vals:
-            raise ValidationError(
-                f"word {keys[vals.index(None)]!r} is outside the potential domain")
-        f = np.array(vals)
+        f = self.first_level(shift, blocks)
         if r == 1:
             return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
         best, worst = _continuations(shift, blocks, f)
@@ -210,8 +208,22 @@ class LocallyConstant(Potential):
         return math.fsum(self._window(tuple(word[(k + i) % n] for i in range(r)))
                          for k in range(n))
 
-    def first_level(self, word) -> float:
-        return self._window(tuple(word[:self._depth]))
+    def first_level(self, shift, levels):
+        """The table read once on level ``depth`` and carried down the
+        parent arrays: a row's first ``depth`` symbols are its ancestor
+        there.  The table must cover every row of that level."""
+        r = self._depth
+        if len(levels) < r:
+            raise ValidationError("block depth must cover the potential depth")
+        keys = _symbol_tuples(shift, levels[r - 1][0])
+        vals = [self._table.get(k) for k in keys]
+        if None in vals:
+            raise ValidationError(
+                f"word {keys[vals.index(None)]!r} is outside the potential domain")
+        f = np.array(vals)
+        for _, parent in levels[r:]:
+            f = f[parent]
+        return f
 
     def scale(self, t: float) -> "LocallyConstant":
         return LocallyConstant({k: t * v for k, v in self._table.items()}, self._depth)
@@ -264,7 +276,6 @@ class DecayPotential(Potential):
     """Additive depth-1 potential on the alphabet 1, 2, 3, ... with
     f_1|[i] = offset - coef*log(i) (law "log") or offset - coef*i ("linear")."""
 
-    is_additive = True
     depth = 1
 
     def __init__(self, law: str, coef: float, offset: float = 0.0):
@@ -305,7 +316,7 @@ class DecayPotential(Potential):
         return self.value(1)
 
     def level_extrema(self, shift, levels):
-        f = np.array([self.value(s) for s in shift.symbols])
+        f = self.first_level(shift, word_levels(shift, 1))  # one per symbol
         return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
 
     sup = Potential.sup
@@ -314,8 +325,11 @@ class DecayPotential(Potential):
     def at_periodic(self, word) -> float:
         return math.fsum(self.value(s) for s in word)
 
-    def first_level(self, word) -> float:
-        return self.value(word[0])
+    def first_level(self, shift, levels):
+        """``value`` of each row's first symbol: one value per alphabet
+        symbol, read through the rows' first column."""
+        f = np.array([self.value(s) for s in shift.symbols])
+        return f[levels[-1][0][:, 0]]
 
     def scale(self, t: float) -> "DecayPotential":
         if t < 0:
@@ -388,9 +402,6 @@ class MatrixCocycle(Potential):
     positive matrices ||PQ|| >= ||P|| ||Q|| * min/max entry ratio of Q's
     first factor, and ||PQ|| <= ||P|| ||Q|| always.
     """
-
-    is_additive = False
-    depth = None
 
     def __init__(self, matrices: Mapping, aa_const: float | None = None):
         mats = {}
@@ -485,7 +496,6 @@ class AffinePotential(Potential):
         self.mult = float(mult)
         self.shift_per_n = float(shift)
         self.family = f"affine({base.family})"
-        self.is_additive = base.is_additive
         self.depth = base.depth
 
     @property
@@ -517,8 +527,8 @@ class AffinePotential(Potential):
     def at_periodic(self, word) -> float:
         return self.mult * self.base.at_periodic(word) + len(word) * self.shift_per_n
 
-    def first_level(self, word) -> float:
-        return self.mult * self.base.first_level(word) + self.shift_per_n
+    def first_level(self, shift, levels):
+        return self.mult * self.base.first_level(shift, levels) + self.shift_per_n
 
     def scale(self, t: float) -> "AffinePotential":
         return AffinePotential(self.base, self.mult * t, self.shift_per_n * t)
@@ -623,7 +633,7 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
     variations = [max(0.0, float((hi - lo).max())) for hi, lo in values]
     bv_emp = max(variations, default=0.0)
     aa_emp = 0.0
-    if not pot.is_additive:
+    if pot.depth is None:
         for n in range(2, scanned + 1):
             words = levels[n - 1][0]
             total = values[n - 1][0]

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
@@ -62,8 +60,8 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
     if a is None:
         a = shift.symbols[0]
     ai = shift.index(a)  # validates membership
-    if pot.is_additive and pot.depth is not None:
-        states, B = weighted_block_matrix(shift, pot, t, depth=pot.depth)
+    if pot.depth is not None:
+        states, B, _ = weighted_block_matrix(shift, pot, t, depth=pot.depth)
         starts = [i for i, u in enumerate(states) if u[0] == a]
         log_z = B.log_closed_walks(starts, n_max)
     else:
@@ -104,11 +102,11 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 
 def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
-                          depth: int = 1, return_f: bool = False):
+                          depth: int = 1):
     """States = admissible words of length ``depth``; the operator has an
     edge u -> v, of log weight t f_1|[u], when v follows u by a one-symbol
-    slide.  Returns ``(states, operator)``, and with ``return_f`` also the
-    array of the values f_1|[u] per state.
+    slide.  Returns ``(states, operator, f)``, f the array of the values
+    f_1|[u] per state (:meth:`Potential.first_level` on the states' level).
 
     The edges are the admissible words of length depth + 1: the source is
     a word's prefix (its parent row in the word-level engine), the target
@@ -120,9 +118,8 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     words, parent = levels[depth]
     dst = _locate(shift, levels, words[:, 1:])
     states = _symbol_tuples(shift, levels[depth - 1][0])
-    f = np.array([pot.first_level(u) for u in states])
-    op = EdgeOperator(len(states), parent, dst, t * f[parent])
-    return (states, op, f) if return_f else (states, op)
+    f = pot.first_level(shift, levels[:depth])
+    return states, EdgeOperator(len(states), parent, dst, t * f[parent]), f
 
 
 def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
@@ -130,7 +127,7 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
     """(block depth, states, first-level values per state, block operator)
     of the spectral route, once the potential is additive locally constant
     and the block structure is primitive."""
-    if not pot.is_additive or pot.depth is None:
+    if pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
     r = depth if depth is not None else pot.depth
@@ -142,7 +139,7 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
-    states, B, f = weighted_block_matrix(shift, pot, t, depth=r, return_f=True)
+    states, B, f = weighted_block_matrix(shift, pot, t, depth=r)
     return r, states, f, B
 
 
@@ -163,7 +160,7 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
                   n_max: int = 12) -> PressureEstimate:
     """Transfer route when exact, otherwise the topological scan."""
-    if pot.is_additive and pot.depth is not None:
+    if pot.depth is not None:
         try:
             return transfer_pressure(shift, pot, t)
         except ConditionNotMet:
@@ -184,6 +181,16 @@ class TruncationCurve:
         return self.pressures[-1]
 
 
+def _check_truncation_t(pot: Potential, t: float) -> None:
+    """The preconditions of :func:`truncation_curve`, which need no levels:
+    t > 1, and a convergent t-scaled first-level series for a decay law."""
+    if t <= 1.0:
+        raise ValidationError("t must exceed 1")
+    if isinstance(pot, DecayPotential) and not pot.summable(t):
+        raise ConditionNotMet(
+            "the t-scaled first-level series diverges at this t")
+
+
 def truncation_curve(approx: CompactApproximation, pot: Potential,
                      t: float, n_max: int = 12) -> TruncationCurve:
     """Pressure along the levels of a compact approximation.
@@ -192,11 +199,7 @@ def truncation_curve(approx: CompactApproximation, pot: Potential,
     sequence must be nondecreasing in the level; a violation beyond 1e-9 is
     reported as a numerical failure.
     """
-    if t <= 1.0:
-        raise ValidationError("t must exceed 1")
-    if isinstance(pot, DecayPotential) and not pot.summable(t):
-        raise ConditionNotMet(
-            "the t-scaled first-level series diverges at this t")
+    _check_truncation_t(pot, t)
     pressures = []
     sizes = []
     for level in approx.levels:
@@ -248,7 +251,7 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError("t grid must be strictly increasing")
     if not (math.isfinite(h) and h > 0):
         raise ValidationError("h must be finite and > 0")
-    spectral = pot.is_additive and pot.depth is not None and is_primitive(shift)
+    spectral = pot.depth is not None and is_primitive(shift)
 
     def P(t: float) -> float:
         return best_pressure(shift, pot, t, n_max=n_max).value

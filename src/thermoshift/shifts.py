@@ -179,12 +179,6 @@ class AmbientRule:
     def edge(self, i, j):
         raise NotImplementedError
 
-    def successors(self, i: int, cap: int) -> tuple[int, ...]:
-        return tuple(j for j in range(1, cap + 1) if self.edge(i, j))
-
-    def predecessors(self, j: int, cap: int) -> tuple[int, ...]:
-        return tuple(i for i in range(1, cap + 1) if self.edge(i, j))
-
     def truncate(self, n: int) -> ShiftModel:
         if n < 1:
             raise ValidationError("truncation size must be at least 1")
@@ -237,6 +231,12 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
         symbols = tuple(range(alphabet))
     elif isinstance(alphabet, (list, tuple)) and _symbols(alphabet):
         symbols = tuple(alphabet)
+        # documents name symbols by str(); 1 and "1" would share a name
+        named: dict = {}
+        for s in symbols:
+            if named.setdefault(str(s), s) != s:
+                raise ValidationError(
+                    f"shift.alphabet: symbols {named[str(s)]!r} and {s!r} print the same")
     else:
         raise ValidationError("shift.alphabet: must be an integer or a list of symbols")
     if "edges" not in cfg:
@@ -540,16 +540,15 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
     status = _mixing_status(_require_finite(shift))
     if status != "mixing":
         return MixingCertificate(status, None)
-    adj = shift.adjacency.astype(bool)
-    adjf = adj.astype(np.float64)
-    history = [adj]
-    while not history[-1].all():
-        history.append((history[-1] @ adjf) > 0.0)
-    # Beyond the primitive exponent every power is positive, so the sweep
-    # gives true thresholds.
-    lengths = np.maximum(2, _threshold_sweep(history) + 1)
+    # The walk ends at the primitive exponent, within Wielandt's bound, so
+    # the thresholds are the true ones and the largest is the exponent.
+    lengths = _edge_thresholds(shift.adjacency.astype(np.float32),
+                               slice(None), (shift.n_symbols - 1) ** 2 + 1)
+    exponent = int(lengths.max())
+    lengths += 1                    # edge counts to word lengths
+    np.maximum(lengths, 2, out=lengths)
     lengths.setflags(write=False)
-    return MixingCertificate("mixing", len(history), shift.symbols, lengths)
+    return MixingCertificate("mixing", exponent, shift.symbols, lengths)
 
 
 # -- compact approximation -------------------------------------------------
@@ -572,32 +571,28 @@ class CompactApproximation:
     ambient_mixing_assumed: bool
 
 
-def _threshold_sweep(powers: list[np.ndarray]) -> np.ndarray:
-    """Per entry, the smallest L such that ``powers[l - 1]`` holds for every
-    l in [L, len(powers)]; 0 where the last power does not hold."""
-    ok = np.ones(powers[0].shape, dtype=bool)
-    out = np.zeros(powers[0].shape, dtype=np.int64)
-    for L in range(len(powers), 0, -1):
-        ok &= powers[L - 1]
-        out[ok] = L
-    return out
+def _edge_thresholds(adjf: np.ndarray, rows, cap: int) -> np.ndarray:
+    """Per pair (u, v) of ``rows`` (indices, or a slice, into the 0/1
+    float32 matrix ``adjf``), the smallest edge count L with paths at every
+    length in [L, cap], 0 without a path of length cap.
 
-
-def _edge_thresholds(adjf: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
-    """Per pair (u, v) of ``rows``, the smallest edge count L with paths at
-    every length in [L, cap], 0 without a path of length cap.
-
-    The power loop stops early once ``rows`` reach every vertex: every
-    column of ``adjf`` holds an edge, so each later power is all true too.
+    The walk holds one power at a time and records, per entry, the last
+    length at which it had no path.  It stops early once ``rows`` reach
+    every vertex: every column of ``adjf`` holds an edge, so each later
+    power is all positive too.
     """
-    power = adjf[rows] > 0.0
-    powers = []
-    for _ in range(cap):
-        powers.append(power[:, rows])
+    power = adjf[rows]
+    failed = np.zeros(power[:, rows].shape, dtype=np.int64)
+    for k in range(1, cap + 1):
+        failed[power[:, rows] == 0.0] = k
         if power.all():
             break
-        power = (power @ adjf) > 0.0
-    return _threshold_sweep(powers)
+        # a sum of nonnegative terms is positive exactly when one term is
+        power = power @ adjf
+        np.minimum(power, 1.0, out=power)
+    failed += 1
+    failed[failed > k] = 0          # no path at length k
+    return failed
 
 
 def _feasibility(adjf: np.ndarray, ends, length: int) -> np.ndarray:

@@ -34,10 +34,10 @@ def _bellman(shift: ShiftModel, pot: Potential) -> tuple[list[float], BellmanSca
     """The vertex weights ``g`` (per symbol, in alphabet order) and the
     Bellman scaling of the block operator with log weights ``g``, whose
     ``beta`` is the maximum cycle mean."""
-    if not pot.is_additive or pot.depth != 1:
+    if pot.depth != 1:
         raise ValidationError(
             "cycle means need an additive potential of depth 1")
-    _, B, g = weighted_block_matrix(shift, pot, 1.0, return_f=True)
+    _, B, g = weighted_block_matrix(shift, pot, 1.0)
     return g.tolist(), B.bellman_scaled()
 
 

@@ -46,7 +46,7 @@ def test_pressure_rejects_low_t(capsys, tmp_path):
     cfg = dict(GOLDEN_PRESSURE, t=0.5)
     code, out, err = run(capsys, tmp_path, "pressure", cfg)
     assert code == 1
-    assert "t must exceed 1" in err
+    assert "t must be at least 1" in err
 
 
 def test_missing_field_is_a_usage_error(capsys, tmp_path):
@@ -234,6 +234,21 @@ def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, tmp_path, "approx", dict(base, **bad))
         assert code == 1 and out == ""
         assert err.startswith("error:")
+    # the truncation curve's own preconditions, checked up front too
+    code, out, err = run(capsys, tmp_path, "approx", dict(base, t=1.0))
+    assert (code, out) == (1, "") and "t must exceed 1" in err
+    divergent = {"family": "decay", "law": "log", "coef": 0.6}
+    code, out, err = run(capsys, tmp_path, "approx",
+                         dict(base, t=1.5, potential=divergent))
+    assert (code, out) == (2, "") and "series diverges" in err
+
+
+def test_approx_rejects_symbols_that_print_the_same(capsys, tmp_path):
+    # 1 and "1" would share one alphabet entry and one connector key
+    cfg = {"ambient": {"alphabet": [1, "1"], "edges": "full"}, "k_max": 2}
+    code, out, err = run(capsys, tmp_path, "approx", cfg)
+    assert (code, out) == (1, "")
+    assert "print the same" in err
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -107,7 +107,7 @@ def test_howard_matches_karp_and_satisfies_bellman(seed):
     rng = random.Random(seed)
     shift = random_primitive(rng, rng.randint(2, 40))
     g = [rng.uniform(-3.0, 1.0) for _ in shift.symbols]
-    _, B = weighted_block_matrix(shift, LocallyConstant(dict(zip(shift.symbols, g))), 1.0)
+    _, B, _ = weighted_block_matrix(shift, LocallyConstant(dict(zip(shift.symbols, g))), 1.0)
     beta, x, *_ = _howard(B)
     assert beta == pytest.approx(karp_beta(shift, g), abs=1e-9)
     # Bellman: max_v (w_uv + x_v) = beta + x_u at every state
@@ -131,7 +131,7 @@ def test_howard_matches_karp_and_satisfies_bellman(seed):
 @pytest.mark.parametrize("t", [1.0, 17.0, 800.0, 1e4])
 def test_scaled_weights_lie_in_unit_interval(t):
     shift = RenewalRule().truncate(60)
-    _, B = weighted_block_matrix(shift, DecayPotential("log", 2.0), t)
+    _, B, _ = weighted_block_matrix(shift, DecayPotential("log", 2.0), t)
     beta, S = B.bellman_scaled()[:2]
     assert np.isfinite(S.log_weight).all()
     assert S.log_weight.max() <= 1e-12 * t * 60
@@ -178,19 +178,18 @@ def test_period_is_decided_once_per_shift(monkeypatch):
 def test_rpf_entropy_equals_the_double_loop(shift, depth, data):
     # a chain on the block graph's support with weights down to e^-700 and
     # some states without stationary mass
-    states, B = weighted_block_matrix(shift, LocallyConstant.constant(shift, 0.0),
-                                      1.0, depth)
+    states, B, f = weighted_block_matrix(shift, LocallyConstant.constant(shift, 0.0),
+                                         1.0, depth)
     m = len(states)
     logs = data.draw(st.lists(st.floats(-700.0, 0.0), min_size=len(B.src),
                               max_size=len(B.src)))
     q = np.exp(logs)
     q /= np.bincount(B.src, q, minlength=m)[B.src]
-    p = np.zeros((m, m))
-    p[B.src, B.dst] = q
     pi = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-300, 0.3, 1.0]) | st.floats(0.0, 1.0),
                                      min_size=m, max_size=m)))
     pi = pi / pi.sum() if pi.sum() > 0 else pi
-    eq = RPFEquilibrium(shift, None, 1.0, depth, tuple(states), pi, p, 0.0)
+    eq = RPFEquilibrium(shift, 1.0, depth, tuple(states), pi, 0.0, B.src, B.dst,
+                        q, f)
     acc = []
     for i in range(len(eq.states)):
         if eq.pi[i] <= 0:

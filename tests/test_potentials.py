@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (AffinePotential, DecayPotential, LocallyConstant,
-                         MatrixCocycle, ShiftModel, ValidationError,
-                         constants_report, potential_from_config,
-                         summability_report)
+from thermoshift import (AffinePotential, DecayPotential, FullShiftRule,
+                         LocallyConstant, MatrixCocycle, RenewalRule,
+                         ShiftModel, ValidationError, admissible_words,
+                         compact_approximation, constants_report,
+                         potential_from_config, summability_report,
+                         weighted_block_matrix, word_levels)
 
 
 def test_depth1_values(golden_mean):
@@ -231,14 +233,71 @@ _DECAY = DecayPotential("log", 2.0, 0.5)
 ], ids=["lc1", "lc1-single-symbol", "lc2", "lc2-exact-window", "decay",
         "affine-lc2", "affine-decay"])
 def test_first_level_reads_the_leading_window(pot, word, expected):
-    assert pot.first_level(word) == expected
+    # the one-row engine levels of the word, on the full shift on its symbols
+    own = tuple(dict.fromkeys(word))
+    shift = ShiftModel.full(len(own), own)
+    row = np.array([[shift.index(s) for s in word]])
+    levels = [(row[:, :k], np.zeros(1, dtype=np.intp))
+              for k in range(1, len(word) + 1)]
+    assert pot.first_level(shift, levels).tolist() == [expected]
 
 
 def test_first_level_needs_an_additive_family():
     coc = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 2]]})
+    shift = ShiftModel.full(2)
     for pot in (coc, coc.scale(2.0)):
         with pytest.raises(ValidationError):
-            pot.first_level((0, 1))
+            pot.first_level(shift, word_levels(shift, 2))
+
+
+def test_first_level_needs_a_level_as_deep_as_the_table():
+    shift = ShiftModel.full(2)
+    with pytest.raises(ValidationError, match="cover the potential depth"):
+        LocallyConstant(_TABLE2, depth=2).first_level(shift, word_levels(shift, 1))
+
+
+def _random_primitive(rng, m):
+    """A Hamiltonian cycle, a self-loop at 0 and random extra edges."""
+    adj = (rng.random((m, m)) < 0.3).astype(np.uint8)
+    adj[np.arange(m), (np.arange(m) + 1) % m] = 1
+    adj[0, 0] = 1
+    return ShiftModel(tuple(range(m)), adj)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_level_arrays_equal_table_reads(seed):
+    # bitwise: the array route reads the same floats as a per-word lookup
+    rng = np.random.default_rng(seed)
+    shift = _random_primitive(rng, int(rng.integers(2, 6)))
+    for r in (1, 2, 3):
+        table = {w: float(rng.normal()) for w in admissible_words(shift, r)}
+        pot = LocallyConstant(table, depth=r)
+        affine = AffinePotential(pot, -1.7, 0.3)
+        for d in range(r, r + 3):
+            states = admissible_words(shift, d)
+            want = np.array([table[u[:r]] for u in states])
+            got = pot.first_level(shift, word_levels(shift, d))
+            assert np.array_equal(got, want)
+            assert np.array_equal(weighted_block_matrix(shift, pot, 1.0, d)[2], want)
+            assert np.array_equal(affine.first_level(shift, word_levels(shift, d)),
+                                  np.array([-1.7 * v + 0.3 for v in want.tolist()]))
+
+
+@pytest.mark.parametrize("shift", [
+    RenewalRule().truncate(60),
+    # a sparse level alphabet, (1, 2, 7)
+    compact_approximation(FullShiftRule(), 1, seed=7).levels[0],
+], ids=["renewal", "approx-level"])
+def test_decay_first_level_arrays_equal_value_reads(shift):
+    decay = DecayPotential("log", 2.0, 0.5)
+    linear = DecayPotential("linear", 0.3, -1.0)
+    for pot, value in [(decay, decay.value), (linear, linear.value),
+                       (AffinePotential(decay, 2.5, -0.75),
+                        lambda i: 2.5 * decay.value(i) - 0.75)]:
+        for d in (1, 2):
+            want = np.array([value(u[0]) for u in admissible_words(shift, d)])
+            assert np.array_equal(pot.first_level(shift, word_levels(shift, d)), want)
+            assert np.array_equal(weighted_block_matrix(shift, pot, 1.0, d)[2], want)
 
 
 # -- configuration ---------------------------------------------------------

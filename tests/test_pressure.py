@@ -148,15 +148,17 @@ def test_best_pressure_route_selection(golden_mean, full2):
 
 
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
-    states, B = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
+    states, B, f = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]
     assert len(B) == 3
+    # f_1 per state: the table value of its first symbol
+    assert f.tolist() == [0.0, 0.0, -1.0]
     # the operator holds log weights on edges sorted by source
     assert list(B.src) == sorted(B.src)
     # weight on a row is constant: exp(t f_1 | source state)
     for i, u in enumerate(states):
         row = B.weight[B.src == i]
-        assert row == pytest.approx([math.exp(bernoulli.first_level(u))] * len(row))
+        assert row == pytest.approx([math.exp(f[i])] * len(row))
     assert B.weight[B.src == 0].max() == pytest.approx(1.0)
     # support: v follows u by a one-symbol slide, v == u[1:] + (s,)
     support = set(zip(B.src.tolist(), B.dst.tolist()))

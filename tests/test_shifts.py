@@ -6,6 +6,7 @@ they share no code with the library paths under test.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_mixing_certificate_periodic_and_reducible():
     assert not is_primitive(two_cycle)
     lower = ShiftModel.from_edges((0, 1), [(0, 0), (1, 0), (1, 1)])
     assert mixing_certificate(lower).status == "reducible"
+
+
+def test_mixing_certificate_holds_one_power_at_a_time():
+    # the renewal truncation's exponent is its size; all 150 boolean powers
+    # of 150 x 150 would take 3.4 MB
+    shift = RenewalRule().truncate(150)
+    assert shift.period == 1                # the cached traversal
+    tracemalloc.start()
+    try:
+        cert = mixing_certificate(shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.primitive_exponent == 150
+    assert cert.thresholds == _thresholds_by_dense_powers(shift.symbols,
+                                                          shift.adjacency.astype(bool))
+    assert peak < 1e6
 
 
 def exists_path_of_length(shift, a, b, edges):
