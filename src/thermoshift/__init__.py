@@ -11,7 +11,7 @@ from .measures import (CylinderMeasure, EntropyEstimate, EntropyTailBound,
                        RPFEquilibrium, TightSet, entropy_estimate,
                        entropy_tail_bound, gibbs_certificate, gibbs_construct,
                        gibbs_weights, lyapunov, marginal_bound_check,
-                       orbit_measure, rpf_equilibrium, tight_set)
+                       rpf_equilibrium, tight_set)
 from .potentials import (AffinePotential, ConstantsReport, DecayPotential,
                          LocallyConstant, MatrixCocycle, Potential,
                          SummabilityReport, constants_report,
@@ -49,7 +49,7 @@ __all__ = [
     "gibbs_certificate", "gibbs_construct", "gibbs_weights",
     "gurevich_estimate", "is_primitive", "log_sum_exp", "lyapunov",
     "marginal_bound_check", "max_mean_cycle", "maximizing_subshift",
-    "mixing_certificate", "orbit_measure", "periodic_points",
+    "mixing_certificate", "periodic_points",
     "potential_from_config", "power_iteration", "pressure_curve",
     "rpf_equilibrium", "shift_from_config", "simple_cycles",
     "summability_report", "tight_set", "topological_pressure",

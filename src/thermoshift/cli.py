@@ -304,8 +304,10 @@ def _cmd_certify(cfg: dict) -> str:
     depth = _field(cfg, "depth", int, 6)
     t = _check_t(cfg.get("t", 1.0))
     word_budget = _field(cfg, "word_budget", int, 500_000)
-    cert = mixing_certificate(shift)
+    # constants_report checks depth before any work, so a bad depth costs
+    # no certificate
     rep = constants_report(shift, pot, depth, word_budget=word_budget)
+    cert = mixing_certificate(shift)
     summ = summability_report(pot, t, shift=shift)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -197,21 +197,6 @@ def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
     return CylinderMeasure._from_level(shift, levels[-1][0], w, "sup-weight")
 
 
-def orbit_measure(shift: ShiftModel, word, depth: int) -> CylinderMeasure:
-    """Depth-d marginals of the periodic orbit obtained by repeating ``word``."""
-    word = tuple(word)
-    n = len(word)
-    if n == 0:
-        raise ValidationError("empty orbit word")
-    if not shift.is_admissible(word) or not shift.is_edge(word[-1], word[0]):
-        raise ValidationError(f"word {word!r} does not close an admissible loop")
-    acc: dict = {}
-    for k in range(n):
-        cyl = tuple(word[(k + i) % n] for i in range(depth))
-        acc[cyl] = acc.get(cyl, 0.0) + 1.0 / n
-    return CylinderMeasure.from_weights(shift, depth, acc, source="orbit")
-
-
 def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
                     m: int, depth: int) -> CylinderMeasure:
     """Average the depth-n sup-weight measure over m shifts, reported on
@@ -229,9 +214,12 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
     words = levels[-1][0]
     share = (w / _running_sum(w)) * (1.0 / m)
     # window j of word u lands on row at[u, j] of level ``depth``; bincount
-    # adds the shares in the order u, then j
-    at = np.stack([_locate(shift, levels, words[:, j:j + depth])
-                   for j in range(m)], axis=1)
+    # adds the shares in the order u, then j.  Window 0 is u's ancestor there.
+    first = np.arange(len(words))
+    for _, parent in reversed(levels[depth:]):
+        first = parent[first]
+    at = np.stack([first] + [_locate(shift, levels, words[:, j:j + depth])
+                             for j in range(1, m)], axis=1)
     acc = np.bincount(at.ravel(), weights=np.repeat(share, m),
                       minlength=len(levels[depth - 1][0]))
     return CylinderMeasure._from_level(shift, levels[depth - 1][0], acc,
@@ -562,13 +550,13 @@ def tight_set(pot: DecayPotential, t: float, eps: float, m_max: int,
 
 
 def _smallest_n(bound, budget: float, cap: int = 10 ** 9) -> int:
-    if bound(1) <= budget:
-        return 1
-    lo, hi = 1, 2
+    """Smallest n in 1..cap with ``bound(n) <= budget``, for a nonincreasing
+    ``bound``: doubling, then bisection.  Raises when there is none."""
+    lo, hi = 0, 1
     while bound(hi) > budget:
-        lo, hi = hi, hi * 2
-        if hi > cap:
+        if hi >= cap:
             raise NumericalError("tail cutoff search exceeded its cap")
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bound(mid) <= budget:
@@ -642,11 +630,13 @@ def entropy_tail_bound(pot: DecayPotential, t: float, n: int, cutoff: int,
                  + t * (n - 1) * pot.sup_f1 - n * pressure)
     edge = C * math.exp(t * pot.value(cutoff + 1))
     if edge >= 1.0 / math.e:
-        needed = cutoff + 1
-        while C * math.exp(t * pot.value(needed + 1)) >= 1.0 / math.e:
-            needed += 1
-            if needed > 10 ** 9:
-                raise NumericalError("no workable cutoff below the search cap")
+        # the smallest k > cutoff with C exp(t f_1|[k+1]) < 1/e, k <= 10^9
+        try:
+            needed = cutoff + _smallest_n(
+                lambda k: C * math.exp(t * pot.value(cutoff + k + 1)),
+                math.nextafter(1.0 / math.e, 0.0), cap=10 ** 9 - cutoff)
+        except NumericalError:
+            raise NumericalError("no workable cutoff below the search cap") from None
         raise ConditionNotMet(
             f"cutoff {cutoff} too small for the -x log x regime; "
             f"smallest workable cutoff is {needed}")

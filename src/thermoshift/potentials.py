@@ -9,8 +9,7 @@ families shipped:
   decay law on a countable alphabet (``-coef*log i`` or ``-coef*i``);
 * :class:`MatrixCocycle` — log of the max-row-sum norm of an ordered product
   of strictly positive matrices (almost additive but not additive);
-* :class:`AffinePotential` — ``mult*f_n + n*shift`` on top of another family
-  (used for scaling and normalizing the cocycle family).
+* :class:`AffinePotential` — ``mult*f_n + n*shift`` on top of another family.
 
 ``level_extrema`` evaluates the cylinder supremum and infimum of f_n on
 [w] for every word w of whole levels of the word-level engine
@@ -104,14 +103,6 @@ class Potential:
         raise ValidationError(
             f"{self.family} potentials have no locally constant first level")
 
-    def scale(self, t: float) -> "Potential":
-        """The potential t*F.  Constants scale by |t|."""
-        return AffinePotential(self, float(t), 0.0)
-
-    def normalize(self) -> "Potential":
-        """Subtract n*(sup f_1 + aa_const) from f_n, making every value <= 0."""
-        return AffinePotential(self, 1.0, -(self.sup_f1 + self.aa_const))
-
 
 def _as_symbol_key(key):
     if isinstance(key, tuple):
@@ -147,10 +138,6 @@ class LocallyConstant(Potential):
     @property
     def depth(self) -> int:  # type: ignore[override]
         return self._depth
-
-    @depth.setter
-    def depth(self, _):  # pragma: no cover - dataclass-style guard
-        raise AttributeError("depth is read-only")
 
     @property
     def table(self) -> dict:
@@ -224,13 +211,6 @@ class LocallyConstant(Potential):
         for _, parent in levels[r:]:
             f = f[parent]
         return f
-
-    def scale(self, t: float) -> "LocallyConstant":
-        return LocallyConstant({k: t * v for k, v in self._table.items()}, self._depth)
-
-    def normalize(self) -> "LocallyConstant":
-        c = self.sup_f1 + self.aa_const
-        return LocallyConstant({k: v - c for k, v in self._table.items()}, self._depth)
 
 
 def _accumulate(levels, step) -> list[np.ndarray]:
@@ -330,14 +310,6 @@ class DecayPotential(Potential):
         symbol, read through the rows' first column."""
         f = np.array([self.value(s) for s in shift.symbols])
         return f[levels[-1][0][:, 0]]
-
-    def scale(self, t: float) -> "DecayPotential":
-        if t < 0:
-            raise ValidationError("decay potentials scale by nonnegative t only")
-        return DecayPotential(self.law, self.coef * t, self.offset * t)
-
-    def normalize(self) -> "DecayPotential":
-        return DecayPotential(self.law, self.coef, self.offset - self.sup_f1)
 
     # -- analytic tails ----------------------------------------------------
 
@@ -482,11 +454,6 @@ class MatrixCocycle(Potential):
     def at_periodic(self, word) -> float:
         return self._word_extrema(word, None)[0]
 
-    def normalize(self) -> "MatrixCocycle":
-        s = math.exp(-(self.sup_f1 + self.aa_const))
-        return MatrixCocycle({k: m * s for k, m in self._mats.items()},
-                             aa_const=self._declared_aa)
-
 
 class AffinePotential(Potential):
     """mult * f_n + n * shift on top of a base family."""
@@ -529,13 +496,6 @@ class AffinePotential(Potential):
 
     def first_level(self, shift, levels):
         return self.mult * self.base.first_level(shift, levels) + self.shift_per_n
-
-    def scale(self, t: float) -> "AffinePotential":
-        return AffinePotential(self.base, self.mult * t, self.shift_per_n * t)
-
-    def normalize(self) -> "AffinePotential":
-        return AffinePotential(self.base, self.mult,
-                               self.shift_per_n - (self.sup_f1 + self.aa_const))
 
 
 def potential_from_config(cfg: Mapping) -> Potential:

@@ -37,7 +37,7 @@ class ShiftModel:
     i*m + j of the edges in ascending order (row i holds the successors of
     symbol i in alphabet order), with the out-degrees ``_degree``; the word
     engine, the period and the certificate read these arrays.  Successor
-    and predecessor lists are built on first use.
+    lists are built on first use.
     """
 
     symbols: tuple
@@ -79,13 +79,6 @@ class ShiftModel:
         return _grouped(m, *np.divmod(self._edges, m))
 
     @cached_property
-    def _pred(self) -> tuple:
-        """Predecessor index lists, ascending; built on first use."""
-        m = self.n_symbols
-        src, dst = np.divmod(self._edges, m)
-        return _grouped(m, *np.divmod(np.sort(dst * m + src), m))
-
-    @cached_property
     def period(self) -> int:
         """Period of the transition graph (gcd of its cycle lengths), 0 when
         it is not strongly connected: the one primitivity decision, made
@@ -109,9 +102,6 @@ class ShiftModel:
 
     def successors(self, a) -> tuple:
         return tuple(self.symbols[j] for j in self._succ[self.index(a)])
-
-    def predecessors(self, b) -> tuple:
-        return tuple(self.symbols[i] for i in self._pred[self.index(b)])
 
     def is_admissible(self, word: Sequence) -> bool:
         if len(word) == 0:
@@ -368,34 +358,17 @@ def count_admissible_words(shift: ShiftModel, n: int) -> int:
 
 def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     """Length-n cyclic words through ``a``: w admissible, w[0] == a, and the
-    wrap edge w[-1] -> w[0] admissible.  Lexicographic order."""
+    wrap edge w[-1] -> w[0] admissible.  They are the rows of level n of the
+    word-level engine that start with ``a`` and whose last symbol has an
+    edge back to it, so they come in lexicographic order."""
     shift = _require_finite(shift)
     if n < 1:
         raise ValidationError("period must be >= 1")
     ai = shift.index(a)
-    adj = shift.adjacency.astype(bool)
-    # reach[r][u]: a path of exactly r edges from u back to a exists.
-    reach = [np.zeros(shift.n_symbols, dtype=bool) for _ in range(n + 1)]
-    reach[0][ai] = True
-    for r in range(1, n + 1):
-        reach[r] = adj @ reach[r - 1]
-    if not reach[n][ai]:
-        return []
-    succ = shift._succ
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((ai,), ai)]
-    while stack:
-        word, u = stack.pop()
-        p = len(word)
-        if p == n:
-            out.append(word)
-            continue
-        # descend in reverse so the stack pops in lexicographic order
-        for j in reversed(succ[u]):
-            if reach[n - p][j]:
-                stack.append((word + (j,), j))
-    symbols = shift.symbols
-    return [tuple(symbols[i] for i in w) for w in sorted(out)]
+    for words, _ in _levels(shift, n, WORD_BUDGET):
+        pass  # only the last level is kept
+    closes = shift.adjacency[words[:, -1], ai].astype(bool)
+    return _symbol_tuples(shift, words[(words[:, 0] == ai) & closes])
 
 
 # -- mixing certificates ---------------------------------------------------

@@ -172,7 +172,6 @@ class AnnealTrace:
     clusters: tuple          # tuples of t sharing a marginal within delta
     depth: int
     delta: float
-    fingerprint: str
 
 
 def _marginal_distance(a: dict, b: dict) -> float:
@@ -203,8 +202,7 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
             clusters.append(tuple(r.t for r in current))
             current = [row]
     clusters.append(tuple(r.t for r in current))
-    return AnnealTrace(tuple(rows), tuple(clusters), depth, delta,
-                       shift.fingerprint())
+    return AnnealTrace(tuple(rows), tuple(clusters), depth, delta)
 
 
 @dataclass
@@ -220,19 +218,15 @@ class ZeroTempReport:
 
 
 def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
-                     depth: int = 6, delta: float = 1e-4, leak_tol: float = 1e-2,
-                     trace: AnnealTrace | None = None) -> ZeroTempReport:
+                     depth: int = 6, delta: float = 1e-4,
+                     leak_tol: float = 1e-2) -> ZeroTempReport:
     """Compare the cold end of an annealing trace against the maximizing
     cycle data: Lyapunov exponent vs the maximum cycle mean, entropy vs the
     maximizing sub-shift entropy, and the equilibrium mass leaking outside
     the sub-shift."""
-    if trace is not None and trace.fingerprint != shift.fingerprint():
-        raise ValidationError(
-            "annealing trace belongs to a different transition graph")
     # the sub-shift is cheap and may reject the shift; anneal only after it
     sub = maximizing_subshift(shift, pot)
-    if trace is None:
-        trace = anneal(shift, pot, ts, depth=depth, delta=delta)
+    trace = anneal(shift, pot, ts, depth=depth, delta=delta)
     cold = trace.rows[0]
     leak = math.fsum(v for w, v in sorted(cold.marginal.items())
                      if not sub.admits(w))

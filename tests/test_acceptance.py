@@ -20,7 +20,7 @@ from thermoshift import (DecayPotential, LocallyConstant, MatrixCocycle,
                          RenewalRule, ShiftModel, compact_approximation,
                          constants_report, gibbs_certificate, gibbs_weights,
                          gurevich_estimate, marginal_bound_check,
-                         maximizing_subshift, orbit_measure, rpf_equilibrium,
+                         maximizing_subshift, rpf_equilibrium,
                          tight_set, topological_pressure, transfer_pressure,
                          truncation_curve, zero_temp_report)
 

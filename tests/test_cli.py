@@ -305,6 +305,20 @@ def test_certify_reports_constants(capsys, tmp_path):
     assert doc["summability"]["verdict"] == "summable"
 
 
+def test_certify_validates_depth_before_the_certificate(capsys, tmp_path,
+                                                       monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mixing_certificate ran before validation")
+
+    monkeypatch.setattr(cli, "mixing_certificate", forbidden)
+    cfg = {"shift": {"rule": "renewal", "truncation": 400},
+           "potential": {"family": "decay", "law": "log", "coef": 2.0},
+           "depth": 1}
+    code, out, err = run(capsys, tmp_path, "certify", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: constants_report needs depth >= 2\n"
+
+
 def _strict(constant):
     raise ValueError(f"non-JSON constant {constant}")
 

@@ -2,17 +2,18 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from thermoshift import measures
 from thermoshift import (ConditionNotMet, CylinderMeasure, DecayPotential,
-                         LocallyConstant, RenewalRule, ShiftModel,
-                         ValidationError, admissible_words, entropy_estimate,
+                         LocallyConstant, NumericalError, RenewalRule,
+                         ShiftModel, ValidationError, admissible_words, entropy_estimate,
                          entropy_tail_bound, gibbs_certificate,
                          gibbs_construct, gibbs_weights, lyapunov,
-                         marginal_bound_check, orbit_measure, rpf_equilibrium,
+                         marginal_bound_check, rpf_equilibrium,
                          tight_set, topological_pressure, transfer_pressure,
                          word_levels)
 
@@ -52,14 +53,6 @@ def test_levels_sum_like_brute_force(golden_mean, bernoulli):
     assert mu.mass(()) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         mu.mass((0, 1, 0, 1, 0))
-
-
-def test_orbit_measure_is_shift_invariant(golden_mean):
-    mu = orbit_measure(golden_mean, (0, 0, 1), depth=3)
-    assert mu.invariance_defect() == 0.0
-    assert mu.mass((0, 0)) == pytest.approx(1 / 3)
-    with pytest.raises(ValidationError):
-        orbit_measure(golden_mean, (1, 1), depth=2)
 
 
 def test_gibbs_weights_uniform_when_flat(golden_mean, full2):
@@ -268,9 +261,12 @@ def measure_sources(seed, depth=5):
     sup = gibbs_weights(shift, pot, t, depth)
     items = list(sup.weights.items())
     rng.shuffle(items)
+    # the periodic orbit of the cycle through every symbol: its windows
+    cycle = shift.symbols * depth
+    orbit = {cycle[k:k + depth]: 1.0 for k in range(shift.n_symbols)}
     return shift, pot, t, {
         "from_weights": CylinderMeasure.from_weights(shift, depth, dict(items)),
-        "orbit": orbit_measure(shift, shift.symbols, depth),
+        "orbit": CylinderMeasure.from_weights(shift, depth, orbit, "orbit"),
         "sup-weight": sup,
         "cesaro": gibbs_construct(shift, pot, t, depth + 2, 2, depth),
         # block depth 3: levels below it and from it on
@@ -501,6 +497,24 @@ def test_entropy_tail_bound_names_workable_cutoff():
         needed = int(str(err).rsplit(" ", 1)[-1])
     assert needed == 2
     assert entropy_tail_bound(pot, 2.0, 3, needed, -1.0).applicable
+
+
+def test_entropy_tail_bound_bisects_for_the_workable_cutoff():
+    # the workable cutoff grows like exp(-2P/3) here: a one-symbol-at-a-time
+    # scan took over a second for P = -2 and did not end for n = 20
+    pot = DecayPotential("log", 1.5)
+    for pressure, needed in ((-0.5, 54), (-1.0, 1530), (-2.0, 1202604)):
+        with pytest.raises(ConditionNotMet,
+                           match=f"smallest workable cutoff is {needed}$"):
+            entropy_tail_bound(pot, 1.0, 10, 1, pressure)
+    with pytest.raises(ConditionNotMet, match="workable cutoff is 54$"):
+        entropy_tail_bound(pot, 1.0, 10, 53, -0.5)
+    assert entropy_tail_bound(pot, 1.0, 10, 54, -0.5).applicable
+    start = time.perf_counter()
+    with pytest.raises(NumericalError,
+                       match="no workable cutoff below the search cap"):
+        entropy_tail_bound(pot, 1.0, 20, 1, -2.0)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_entropy_tail_bound_rejects_divergent_series():

@@ -26,14 +26,6 @@ def test_depth1_values(golden_mean):
     assert pot.aa_const == 0.0 and pot.bv_const == 0.0
 
 
-def test_depth1_scale_and_normalize():
-    pot = LocallyConstant({0: 0.25, 1: -1.5})
-    assert pot.scale(3.0).sup((1,)) == pytest.approx(-4.5)
-    norm = pot.normalize()
-    assert norm.sup_f1 == 0.0
-    assert norm.sup((0, 0, 1)) == pytest.approx(pot.sup((0, 0, 1)) - 3 * 0.25)
-
-
 def brute_depth2_extreme(shift, table, word, pick):
     """Maximize/minimize the window sum over one-symbol extensions."""
     vals = []
@@ -98,16 +90,8 @@ def test_decay_log_values():
         pot.value(0)
     with pytest.raises(ValidationError):
         pot.sup((1.5,))
-
-
-def test_decay_scale_normalize():
-    pot = DecayPotential("linear", 0.5, offset=1.0)
-    assert pot.value(3) == pytest.approx(1.0 - 1.5)
-    scaled = pot.scale(2.0)
-    assert scaled.value(3) == pytest.approx(2.0 * pot.value(3))
-    norm = pot.normalize()
-    assert norm.sup_f1 == pytest.approx(0.0)
-    assert norm.value(4) == pytest.approx(pot.value(4) - pot.sup_f1)
+    assert DecayPotential("linear", 0.5, offset=1.0).value(3) == \
+        pytest.approx(1.0 - 1.5)
 
 
 def test_decay_summability_thresholds():
@@ -196,8 +180,9 @@ def test_cocycle_almost_additivity_within_declared(word, split, entries):
 
 
 def test_cocycle_normalize_nonpositive():
+    # ||A_1 ... A_n|| <= prod ||A_i||, so f_n <= n (sup f_1 + C_aa)
     pot = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 2]]})
-    norm = pot.normalize()
+    norm = AffinePotential(pot, 1.0, -(pot.sup_f1 + pot.aa_const))
     assert norm.aa_const == pot.aa_const
     for word in [(0,), (1,), (0, 1), (1, 0, 0, 1)]:
         assert norm.sup(word) <= 1e-12
@@ -207,14 +192,9 @@ def test_cocycle_normalize_nonpositive():
 
 def test_affine_scaling():
     pot = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 2]]})
-    scaled = pot.scale(2.5)
-    assert isinstance(scaled, AffinePotential)
+    scaled = AffinePotential(pot, 2.5, 0.0)
     assert scaled.sup((0, 1)) == pytest.approx(2.5 * pot.sup((0, 1)))
     assert scaled.aa_const == pytest.approx(2.5 * pot.aa_const)
-    # scaling a scaled potential collapses into one wrapper
-    twice = scaled.scale(2.0)
-    assert twice.sup((0, 1)) == pytest.approx(5.0 * pot.sup((0, 1)))
-    assert twice.base is pot
 
 
 _TABLE2 = {(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0, (1, 1): 0.25}
@@ -245,7 +225,7 @@ def test_first_level_reads_the_leading_window(pot, word, expected):
 def test_first_level_needs_an_additive_family():
     coc = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 2]]})
     shift = ShiftModel.full(2)
-    for pot in (coc, coc.scale(2.0)):
+    for pot in (coc, AffinePotential(coc, 2.0, 0.0)):
         with pytest.raises(ValidationError):
             pot.first_level(shift, word_levels(shift, 2))
 
@@ -367,7 +347,8 @@ def test_additive_families_have_exactly_zero_defects(full2, golden_mean):
     assert rep2.aa_emp == 0.0 and rep2.bv_emp == 0.0
     lc2 = LocallyConstant({(0, 0): -1.0, (0, 1): 0.5, (1, 0): 0.0}, depth=2)
     scaled = AffinePotential(lc2, 2.5, 0.0)
-    for pot, shift in ((scaled, golden_mean), (scaled.normalize(), golden_mean),
+    for pot, shift in ((scaled, golden_mean),
+                       (AffinePotential(lc2, 2.5, -1.25), golden_mean),
                        (AffinePotential(LocallyConstant({0: 0.3, 1: -0.7}),
                                         0.5, -1.0), full2),
                        (AffinePotential(DecayPotential("log", 2.0), 3.0, 0.0),

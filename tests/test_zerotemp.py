@@ -304,13 +304,6 @@ def test_cold_report_closed_forms(full2, bernoulli):
     assert rep.leak_ok
 
 
-def test_cold_report_accepts_matching_trace(full2, bernoulli):
-    tr = anneal(full2, bernoulli, [2, 6], depth=4)
-    rep = zero_temp_report(full2, bernoulli, [], depth=4, trace=tr)
-    assert rep.trace is tr
-    assert rep.t_max == 6.0
-
-
 def test_cold_report_validates_before_annealing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("anneal ran before validation")
@@ -322,8 +315,3 @@ def test_cold_report_validates_before_annealing(monkeypatch):
     with pytest.raises(UnsupportedEnumeration):
         zero_temp_report(shift, pot, [1.0, 2.0], depth=6)
 
-
-def test_cold_report_rejects_foreign_trace(golden_mean, full2, bernoulli):
-    tr = anneal(full2, bernoulli, [2, 6], depth=4)
-    with pytest.raises(ValidationError):
-        zero_temp_report(golden_mean, bernoulli, [], depth=4, trace=tr)
