@@ -237,7 +237,10 @@ class RPFEquilibrium:
 
     ``src``, ``dst`` and ``prob`` hold the transitions as arrays, and every
     query reads them; ``p`` is the dense transition matrix, built from them
-    on first read.  ``f`` holds f_1 on each state."""
+    on first read.  ``f`` holds f_1 on each state.  State i is row i of
+    engine level ``depth`` and edge e is row e of level ``depth + 1``
+    (``src`` its parent, ``dst`` the row of its suffix), so the keys
+    ``src * len(states) + dst`` ascend."""
 
     shift: ShiftModel
     t: float
@@ -258,17 +261,8 @@ class RPFEquilibrium:
         return p
 
     @cached_property
-    def _sorted_transitions(self) -> tuple[np.ndarray, np.ndarray]:
-        key = self.src * len(self.states) + self.dst
-        order = np.argsort(key, kind="stable")
-        return key[order], self.prob[order]
-
-    def _transition(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``p[a, b]`` elementwise, read off the transition arrays."""
-        keys, prob = self._sorted_transitions
-        want = a * len(self.states) + b
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[at] == want, prob[at], 0.0)
+    def _keys(self) -> np.ndarray:
+        return self.src * len(self.states) + self.dst
 
     @cached_property
     def _index(self) -> dict:
@@ -288,8 +282,10 @@ class RPFEquilibrium:
             path = np.array([idx[w] for w in windows])
         except KeyError:
             return 0.0
+        keys, want = self._keys, path[:-1] * len(self.states) + path[1:]
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         mass = float(self.pi[path[0]])
-        for q in self._transition(path[:-1], path[1:]).tolist():
+        for q in np.where(keys[at] == want, self.prob[at], 0.0).tolist():
             mass *= q
         return mass
 
@@ -303,9 +299,10 @@ class RPFEquilibrium:
         level.  Below the block depth r a row's mass is the ``fsum`` of the
         stationary weights of the states it prefixes (the states are level r
         in engine order, so each row's states are consecutive).  From r on a
-        row's mass is its parent's times one transition,
-        ``mass[parent] * p[state(parent), state(row)]``: the left-to-right
-        product of :meth:`mass` itself, so the floats are the same."""
+        row's mass is its parent's times one transition, the edge its last
+        r + 1 symbols spell: ``mass[parent] * prob[edge row]``, the
+        left-to-right product of :meth:`mass` itself, so the floats are the
+        same."""
         r = self.depth
         out = []
         shallow = min(len(levels), r - 1)
@@ -324,12 +321,10 @@ class RPFEquilibrium:
         if len(levels) < r:
             return out
         mass = self.pi                  # row i of level r is state i
-        state = np.arange(len(mass))
         out.append(mass)
         for words, parent in levels[r:]:
-            here = _locate(self.shift, levels, words[:, -r:])
-            mass = mass[parent] * self._transition(state[parent], here)
-            state = here
+            edge = _locate(self.shift, levels, words[:, -r - 1:])
+            mass = mass[parent] * self.prob[edge]
             out.append(mass)
         return out
 
@@ -501,7 +496,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     bound = math.exp(t * pot.bv_const) * (1.0 + slack)
     passed = c_hi <= bound and c_lo > 0.0
     return GibbsCertificate(c_lo, c_hi, bound, slack, passed,
-                            tuple(n_range), worst)
+                            tuple(ns), worst)
 
 
 # -- tightness on countable alphabets --------------------------------------
@@ -621,25 +616,35 @@ def entropy_tail_bound(pot: DecayPotential, t: float, n: int, cutoff: int,
     Uses mu[w] <= C exp(t sup f_n|[w]) with
     C = exp(t C_bv + n t C_aa + t (n-1) sup f_1 - n P) and the monotonicity
     of -x log x below 1/e.  Raises when C exp(t f_1|[cutoff+1]) >= 1/e, naming
-    the smallest workable cutoff."""
+    the smallest workable cutoff.  Where C overflows a float the edge test
+    and the cutoff search run on log C, and a cutoff that passes them
+    raises, since C itself cannot be reported."""
     if not isinstance(pot, DecayPotential):
         raise ValidationError("entropy tail bounds need a decay-law potential")
     if not pot.summable(t):
         raise ConditionNotMet("the t-scaled series diverges at this t")
-    C = math.exp(t * pot.bv_const + n * t * pot.aa_const
-                 + t * (n - 1) * pot.sup_f1 - n * pressure)
-    edge = C * math.exp(t * pot.value(cutoff + 1))
-    if edge >= 1.0 / math.e:
+    log_c = (t * pot.bv_const + n * t * pot.aa_const
+             + t * (n - 1) * pot.sup_f1 - n * pressure)
+    try:
+        C = math.exp(log_c)
+        edge, limit = (lambda k: C * math.exp(t * pot.value(k))), 1.0 / math.e
+    except OverflowError:
+        C = None
+        edge, limit = (lambda k: log_c + t * pot.value(k)), -1.0
+    if edge(cutoff + 1) >= limit:
         # the smallest k > cutoff with C exp(t f_1|[k+1]) < 1/e, k <= 10^9
         try:
             needed = cutoff + _smallest_n(
-                lambda k: C * math.exp(t * pot.value(cutoff + k + 1)),
-                math.nextafter(1.0 / math.e, 0.0), cap=10 ** 9 - cutoff)
+                lambda k: edge(cutoff + k + 1),
+                math.nextafter(limit, -math.inf), cap=10 ** 9 - cutoff)
         except NumericalError:
             raise NumericalError("no workable cutoff below the search cap") from None
         raise ConditionNotMet(
             f"cutoff {cutoff} too small for the -x log x regime; "
             f"smallest workable cutoff is {needed}")
+    if C is None:
+        raise NumericalError(
+            f"the cylinder-mass constant C = exp({log_c!r}) overflows a float")
     W = pot.tail_weight_numeric(cutoff, t, terms=terms)
     G = pot.weighted_log_tail(cutoff, t, terms=terms)
     value = n * C * ((-math.log(C)) * W + G)

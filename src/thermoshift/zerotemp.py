@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import UnsupportedEnumeration, ValidationError
 from .linalg import BellmanScaling
-from .measures import rpf_equilibrium
+from .measures import _running_sum, rpf_equilibrium
 from .potentials import Potential
 from .pressure import weighted_block_matrix
-from .shifts import ShiftModel, _grouped, _strong_components
+from .shifts import (WORD_BUDGET, ShiftModel, _grouped, _strong_components,
+                     _symbol_tuples, word_levels)
 
 _EXHAUSTIVE_LIMIT = 8
 _NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
@@ -174,35 +175,36 @@ class AnnealTrace:
     delta: float
 
 
-def _marginal_distance(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
 def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
            depth: int = 6, delta: float = 1e-4) -> AnnealTrace:
     """Equilibrium statistics along a temperature schedule, with greedy
     clustering of the depth-d marginals (descending t, new cluster when the
-    max cylinder-mass gap to the cluster representative exceeds delta)."""
+    max cylinder-mass gap to the cluster representative exceeds delta).
+    Level d of the word-level engine is enumerated once, under the word
+    budget; a marginal is the masses of its rows, and ``marginal`` maps the
+    words of the positive rows, in level order, to them."""
     ts = sorted({float(t) for t in ts}, reverse=True)
     if not ts:
         raise ValidationError("empty temperature schedule")
-    rows = []
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
+    levels = word_levels(shift, depth, budget=WORD_BUDGET)
+    words = _symbol_tuples(shift, levels[-1][0])
+    rows, clusters = [], []
     for t in ts:
         eq = rpf_equilibrium(shift, pot, t)
-        marg = eq.as_cylinder_measure(depth).weights
-        rows.append(AnnealRow(t, eq.pressure, eq.lyapunov_exact(),
-                              eq.entropy(), marg))
-    clusters = []
-    current = [rows[0]]
-    for row in rows[1:]:
-        if _marginal_distance(current[0].marginal, row.marginal) <= delta:
-            current.append(row)
+        mu = eq.level_masses(levels)[-1]
+        live = np.flatnonzero(mu > 0)   # before dividing, as _from_level
+        mu = mu / _running_sum(mu)
+        rows.append(AnnealRow(t, eq.pressure, eq.lyapunov_exact(), eq.entropy(),
+                              dict(zip([words[i] for i in live],
+                                       mu[live].tolist()))))
+        if clusters and float(np.abs(head - mu).max()) <= delta:
+            clusters[-1].append(t)
         else:
-            clusters.append(tuple(r.t for r in current))
-            current = [row]
-    clusters.append(tuple(r.t for r in current))
-    return AnnealTrace(tuple(rows), tuple(clusters), depth, delta)
+            clusters.append([t])
+            head = mu
+    return AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta)
 
 
 @dataclass

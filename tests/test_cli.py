@@ -280,6 +280,7 @@ def test_approx_rejects_symbols_that_print_the_same(capsys, tmp_path):
     ("approx", {"ambient": GOLDEN_PRESSURE["shift"], "k_max": 2, "seed": 7}),
     ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [[0], [1]], "edges": "full"})),
     ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [0, 1], "edges": [[0]]})),
+    ("zerotemp", {**GOLDEN_PRESSURE, "t_grid": [1.0], "delta": -1}),
 ])
 def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, tmp_path, command, payload)

@@ -295,6 +295,21 @@ def test_level_masses_are_the_per_word_masses(seed):
             [m.tolist() for m in got[:2]], name
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_rpf_edges_are_the_rows_of_the_next_level(seed):
+    """Edge e of the chain is row e of level depth + 1: its parent is the
+    source state and the row of its suffix the target, so the keys
+    src * m + dst strictly increase and ``mass`` can search them as is."""
+    _, shift, pot, t = random_case(seed)
+    r = max(pot.depth, 1 + seed % 3)
+    eq = rpf_equilibrium(shift, pot, t, depth=r)
+    levels = word_levels(shift, r + 1)
+    words, parent = levels[r]
+    assert np.array_equal(eq.src, parent)
+    assert np.array_equal(eq.dst, measures._locate(shift, levels, words[:, 1:]))
+    assert np.all(np.diff(eq.src * len(eq.states) + eq.dst) > 0)
+
+
 def test_from_weights_keeps_insertion_order_and_depth(golden_mean):
     items = [((1, 0, 1), 2.0), ((0, 0, 0), 0.0), ((0, 1, 0), 1.0),
              ((0, 0, 1), 1.0)]
@@ -395,6 +410,10 @@ def test_certificate_tight_for_product_equilibrium(full2, bernoulli):
     assert cert.c_upper == pytest.approx(1.0, abs=1e-12)
     assert cert.c_lower == pytest.approx(1.0, abs=1e-12)
     assert cert.bound == pytest.approx(1.0 + 1e-9)
+    # a one-shot iterator is read once, and the range it gave is reported
+    again = gibbs_certificate(full2, bernoulli, t, eq.as_cylinder_measure(6),
+                              eq.pressure, (n for n in range(1, 7)))
+    assert again == cert and again.n_range == (1, 2, 3, 4, 5, 6)
 
 
 def test_certificate_rejects_wrong_pressure(full2, bernoulli):
@@ -515,6 +534,21 @@ def test_entropy_tail_bound_bisects_for_the_workable_cutoff():
                        match="no workable cutoff below the search cap"):
         entropy_tail_bound(pot, 1.0, 20, 1, -2.0)
     assert time.perf_counter() - start < 0.1
+
+
+def test_entropy_tail_bound_handles_an_unrepresentable_constant():
+    # n |P| = 2000: C = exp(2000) and more is past the float range, so the
+    # edge test and the cutoff search run on log C
+    with pytest.raises(NumericalError,
+                       match="no workable cutoff below the search cap"):
+        entropy_tail_bound(DecayPotential("log", 1.5), 1.0, 1000, 1, -2.0)
+    # log C = 2000 - 999 = 1001, and 1001 - k < -1 first at k = 1003
+    linear = DecayPotential("linear", 1.0)
+    with pytest.raises(ConditionNotMet,
+                       match="smallest workable cutoff is 1002$"):
+        entropy_tail_bound(linear, 1.0, 1000, 1, -2.0)
+    with pytest.raises(NumericalError, match=r"C = exp\(1001.0\) overflows"):
+        entropy_tail_bound(linear, 1.0, 1000, 1002, -2.0)
 
 
 def test_entropy_tail_bound_rejects_divergent_series():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (DecayPotential, LocallyConstant, MatrixCocycle,
-                         RenewalRule, ShiftModel, UnsupportedEnumeration,
-                         ValidationError, anneal, max_mean_cycle,
-                         maximizing_subshift, simple_cycles, zero_temp_report)
+from thermoshift import (BudgetExceeded, DecayPotential, LocallyConstant,
+                         MatrixCocycle, RenewalRule, ShiftModel,
+                         UnsupportedEnumeration, ValidationError, anneal,
+                         max_mean_cycle, maximizing_subshift, rpf_equilibrium,
+                         simple_cycles, zero_temp_report)
 from thermoshift import zerotemp
 
 
@@ -289,6 +290,72 @@ def test_anneal_sorts_and_clusters(full2, bernoulli):
     assert coarse.clusters == ((10.0, 8.0, 5.0), (3.0,), (2.0,), (1.0,))
     with pytest.raises(ValidationError):
         anneal(full2, bernoulli, [])
+
+
+def reference_anneal(shift, pot, ts, depth, delta):
+    """The dict route anneal took before it read engine rows: each marginal
+    is ``as_cylinder_measure(depth).weights`` and the gap to a cluster's
+    representative is taken over the union of the two supports."""
+    def gap(a, b):
+        return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+    rows = []
+    for t in sorted({float(t) for t in ts}, reverse=True):
+        eq = rpf_equilibrium(shift, pot, t)
+        rows.append((t, eq.pressure, eq.lyapunov_exact(), eq.entropy(),
+                     eq.as_cylinder_measure(depth).weights))
+    clusters, current = [], [rows[0]]
+    for row in rows[1:]:
+        if gap(current[0][4], row[4]) <= delta:
+            current.append(row)
+        else:
+            clusters.append(tuple(r[0] for r in current))
+            current = [row]
+    clusters.append(tuple(r[0] for r in current))
+    return rows, tuple(clusters)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_anneal_matches_the_dict_reference_bit_for_bit(seed):
+    rng = random.Random(seed)
+    shift = random_graph(rng, rng.randint(2, 5), ring=True)
+    shift = ShiftModel(shift.symbols, np.maximum(shift.adjacency, np.eye(
+        shift.n_symbols, dtype=np.uint8)))           # loops make it primitive
+    pot = LocallyConstant({s: rng.uniform(-3.0, 0.0) for s in shift.symbols})
+    # t = 400 is cold enough that depth-4 masses underflow to 0, so the
+    # rows' supports differ and dict and array gaps cover different words
+    ts = [1.0, 2.0, 3.0, 30.0, 400.0]
+    delta = rng.choice([0.0, 1e-4, 0.05])
+    tr = anneal(shift, pot, ts, depth=4, delta=delta)
+    rows, clusters = reference_anneal(shift, pot, ts, 4, delta)
+    assert len({len(r.marginal) for r in tr.rows}) > 1
+    assert tr.clusters == clusters
+    for got, (t, p, lyap, h, marginal) in zip(tr.rows, rows, strict=True):
+        assert (got.t, got.pressure, got.lyapunov, got.entropy) == (t, p, lyap, h)
+        assert list(got.marginal.items()) == list(marginal.items())
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+def test_anneal_rejects_a_bad_delta_before_solving(monkeypatch, full2,
+                                                   bernoulli, delta):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before validation")
+
+    monkeypatch.setattr(zerotemp, "rpf_equilibrium", forbidden)
+    with pytest.raises(ValidationError, match="delta"):
+        anneal(full2, bernoulli, [1.0, 2.0], delta=delta)
+
+
+def test_anneal_enumerates_its_level_under_the_word_budget(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before the level was enumerated")
+
+    monkeypatch.setattr(zerotemp, "rpf_equilibrium", forbidden)
+    shift = ShiftModel.full(9)
+    pot = LocallyConstant({s: -0.1 * s for s in shift.symbols})
+    # the 9^7 words of length 7 exceed the budget; levels 1..6 take ~25 MB
+    with pytest.raises(BudgetExceeded, match="at length 7"):
+        anneal(shift, pot, [1.0], depth=8)
 
 
 def test_cold_report_closed_forms(full2, bernoulli):
