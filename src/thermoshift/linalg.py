@@ -17,6 +17,11 @@ starts the deep side from a vector built outward along its own policy
 forest with the root already known: that start is exact at every state
 with one out-edge, so the deep side settles in a few steps instead of
 one per level of its forest.
+
+Both scalings are built once per operator.  An operator whose log weights
+are ``t·w`` has the scalings of ``w`` with every log weight and potential
+multiplied by t (:meth:`BellmanScaling.at`), so one Howard run per side
+serves every t.
 """
 
 from __future__ import annotations
@@ -137,6 +142,14 @@ class BellmanScaling(NamedTuple):
     potential: np.ndarray
     depth: int
     policy: np.ndarray
+
+    def at(self, t: float) -> "BellmanScaling":
+        """This scaling for the log weights ``t·w``, t >= 0: ``t·(w - beta
+        + x[dst] - x[src])`` is a diagonal similarity of ``exp(t·w)``."""
+        op = self.op
+        return BellmanScaling(t * self.beta, EdgeOperator(op.size, op.src, op.dst,
+                                                          t * op.log_weight),
+                              t * self.potential, self.depth, self.policy)
 
 
 def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int, np.ndarray]:
@@ -275,36 +288,17 @@ def _relative_step(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[sig] / denom[sig]))
 
 
-class RootSide(NamedTuple):
-    """The side of the Perron problem of ``A`` solved first: ``first`` is
-    whichever of the row scaling ``S`` and the column scaling ``C`` has the
-    shallower policy forest (ties go to ``S``, and ``row_first`` says which
-    it is), ``second`` the other one, ``rho`` and ``vector`` the Perron root
-    and right vector of ``first.op``.  ``log_root`` is
-    ``first.beta + log rho``, the log of the Perron root of ``A``."""
-
-    row_first: bool
-    first: BellmanScaling
-    second: BellmanScaling
-    rho: float
-    vector: np.ndarray
-
-    @property
-    def log_root(self) -> float:
-        return self.first.beta + math.log(self.rho)
-
-
-def root_side(matrix) -> RootSide:
-    """Solve the Perron root of a nonnegative operator on the side whose
-    Howard policy forest is shallower: that depth is the number of power
-    steps the cold solve needs to reach every state (1 against 1199 on the
-    renewal truncation at 1200 symbols)."""
-    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
-    S, C = op.bellman_scaled(), op.T.bellman_scaled()
-    row_first = S.depth <= C.depth
-    first, second = (S, C) if row_first else (C, S)
+def root_side(S: BellmanScaling,
+              C: BellmanScaling) -> tuple[BellmanScaling, float, np.ndarray]:
+    """The side of ``A``'s row and column scalings whose Howard policy
+    forest is shallower (ties go to ``S``), with the Perron root ``rho``
+    and right vector of its ``op``: ``side.beta + log rho`` is the log of
+    the Perron root of ``A``.  The depth is the number of power steps the
+    cold solve needs to reach every state (1 against 1199 on the renewal
+    truncation at 1200 symbols)."""
+    first = S if S.depth <= C.depth else C
     rho, vector = power_iteration(first.op)
-    return RootSide(row_first, first, second, rho, vector)
+    return first, rho, vector
 
 
 def _forest_start(side: BellmanScaling, log_rho: float) -> np.ndarray:
@@ -346,17 +340,16 @@ class PerronPair(NamedTuple):
     log_root: float             # log rho(A), from the side solved first
 
 
-def dominant_pair(matrix) -> PerronPair:
-    """Perron data of a nonnegative operator ``A``, each side solved in the
-    Bellman scaling matched to it.
+def dominant_pair(S: BellmanScaling, C: BellmanScaling) -> PerronPair:
+    """Perron data of a nonnegative operator ``A`` from its row scaling
+    ``S`` and column scaling ``C``, each side solved in its own scaling.
 
-    ``A`` is an :class:`EdgeOperator` or a dense matrix with primitive
-    support.  The right vector is the Perron vector of the row scaling
-    ``S`` of ``A``, the left one that of its column scaling ``C``, where
-    ``C_vu = A_uv exp(y_u - y_v - beta)`` for the max-plus eigenpair
-    ``(beta, y)`` of ``Aᵀ``.  ``C`` is diagonally similar to ``Aᵀ``, so the
-    left vector of ``S`` is ``exp(x + y)`` times the right vector of ``C``;
-    it is returned in log form because ``x + y`` can exceed the float range.
+    The right vector is the Perron vector of ``S``, the left one that of
+    ``C``, where ``C_vu = A_uv exp(y_u - y_v - beta)`` for the max-plus
+    eigenpair ``(beta, y)`` of ``Aᵀ``.  ``C`` is diagonally similar to
+    ``Aᵀ``, so the left vector of ``S`` is ``exp(x + y)`` times the right
+    vector of ``C``; it is returned in log form because ``x + y`` can
+    exceed the float range.
 
     :func:`root_side` solves the side with the shallower policy forest
     from the uniform vector; the other side starts from its policy-forest
@@ -365,24 +358,21 @@ def dominant_pair(matrix) -> PerronPair:
     ``transfer_pressure`` reports.  The two sides' roots must agree to
     1e-9 relative, and ``rho`` is their mean in the scaling of ``S``.
     """
-    side = root_side(matrix)
-    first, second = side.first, side.second
+    first, rho, vector = root_side(S, C)
+    second = C if first is S else S
     # the first root, moved into the second side's scaling
-    log_rho = math.log(side.rho) + first.beta - second.beta
-    lam, vector = power_iteration(second.op, start=_forest_start(second, log_rho))
-    if side.row_first:
-        S, C = first, second
-        (lam_r, right), (lam_l, left) = (side.rho, side.vector), (lam, vector)
-    else:
-        S, C = second, first
-        (lam_r, right), (lam_l, left) = (lam, vector), (side.rho, side.vector)
+    log_rho = math.log(rho) + first.beta - second.beta
+    lam, other = power_iteration(second.op, start=_forest_start(second, log_rho))
+    sides = [(rho, vector), (lam, other)]
+    (lam_r, right), (lam_l, left) = sides if first is S else sides[::-1]
     lam_l *= math.exp(C.beta - S.beta)
     if abs(lam_r - lam_l) > 1e-9 * max(abs(lam_r), abs(lam_l), 1.0):
         raise NumericalError(
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")
     with np.errstate(divide="ignore"):
         log_left = S.potential + C.potential + np.log(left)
-    return PerronPair(S, 0.5 * (lam_r + lam_l), right, log_left, side.log_root)
+    return PerronPair(S, 0.5 * (lam_r + lam_l), right, log_left,
+                      first.beta + math.log(rho))
 
 
 def _log(x: np.ndarray) -> np.ndarray:

@@ -290,7 +290,7 @@ class RPFEquilibrium:
         return mass
 
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
-        levels = word_levels(self.shift, depth)
+        levels = word_levels(self.shift, depth, budget=WORD_BUDGET)
         return CylinderMeasure._from_level(
             self.shift, levels[-1][0], self.level_masses(levels)[-1], "spectral")
 
@@ -352,9 +352,14 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
     p_uv = S_uv right_v / (rho right_u).  The chain stays in the edge
     arrays of S; ``pressure`` is the root of the side solved first, the
     value :func:`~thermoshift.pressure.transfer_pressure` reports."""
-    r, states, f, B = _spectral_block(shift, pot, t, depth)
-    S, rho, right, log_left, log_root = dominant_pair(B)
-    m, src, dst = len(B), S.op.src, S.op.dst
+    return _equilibrium(shift, _spectral_block(shift, pot, depth, [t]), t)
+
+
+def _equilibrium(shift: ShiftModel, block: tuple, t: float) -> RPFEquilibrium:
+    """:func:`rpf_equilibrium` at t on a block of ``_spectral_block``."""
+    r, states, f, S1, C1 = block
+    S, rho, right, log_left, log_root = dominant_pair(S1.at(t), C1.at(t))
+    m, src, dst = len(states), S.op.src, S.op.dst
     with np.errstate(divide="ignore"):
         log_pi = log_left + np.log(right)
     pi = np.exp(log_pi - log_pi.max())

@@ -9,17 +9,19 @@ Three routes, all reporting the pressure of t*F:
   partition sums;
 * ``transfer_pressure`` — log of the Perron root of the weighted block
   operator (exact for additive locally constant potentials on finite
-  shifts).  The operator is held as edge arrays with log weights t·f₁ and
-  scaled by its max-plus eigenpair (beta, x) before the solve, so the root
-  is ``beta + log rho(S)`` with every weight of S in (0, 1]: the route
-  works at any t, however cold.
+  shifts).  The operator is held as edge arrays with log weights f₁,
+  built once and scaled by its max-plus eigenpair (beta, x); at t the log
+  weights are t·f₁ and the scaling t·(beta, x), so the root is
+  ``t·beta + log rho(S_t)`` with every weight of S_t in (0, 1]: the route
+  works at any t >= 0, however cold.
 
 ``best_pressure`` picks the sharpest applicable route, ``truncation_curve``
 tracks pressure along a nested family of finite approximations, and
 ``pressure_curve`` samples t -> (P, Lyapunov, entropy) with a convexity
 check on the grid.  Where the transfer route applies the curve reads each
 point off the equilibrium state mu_t, whose integral of f_1 is dP/dt
-exactly; elsewhere dP/dt is a central difference.
+exactly, all from one scaled block operator; elsewhere dP/dt is a central
+difference.
 """
 
 from __future__ import annotations
@@ -110,11 +112,12 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
 
     The edges are the admissible words of length depth + 1: the source is
     a word's prefix (its parent row in the word-level engine), the target
-    its suffix, so they come sorted by source.
+    its suffix, so they come sorted by source.  The edges are enumerated
+    under the word budget.
     """
     if depth < 1:
         raise ValidationError("block depth must be >= 1")
-    levels = word_levels(shift, depth + 1)
+    levels = word_levels(shift, depth + 1, budget=WORD_BUDGET)
     words, parent = levels[depth]
     dst = _locate(shift, levels, words[:, 1:])
     states = _symbol_tuples(shift, levels[depth - 1][0])
@@ -122,11 +125,14 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     return states, EdgeOperator(len(states), parent, dst, t * f[parent]), f
 
 
-def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
-                    depth: int | None):
-    """(block depth, states, first-level values per state, block operator)
-    of the spectral route, once the potential is additive locally constant
-    and the block structure is primitive."""
+def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
+                    ts: Sequence[float]):
+    """(block depth, states, first-level values per state, row and column
+    scalings S and C) of the block operator at t = 1, whose scalings at t
+    are ``S.at(t)`` and ``C.at(t)``, once every t in ``ts`` is finite and
+    >= 0, the potential additive locally constant and the shift primitive."""
+    if not all(math.isfinite(t) and t >= 0 for t in ts):
+        raise ValidationError("spectral route needs every t finite and >= 0")
     if pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -139,8 +145,8 @@ def _spectral_block(shift: ShiftModel, pot: Potential, t: float,
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
-    states, B, f = weighted_block_matrix(shift, pot, t, depth=r)
-    return r, states, f, B
+    states, B, f = weighted_block_matrix(shift, pot, 1.0, depth=r)
+    return r, states, f, B.bellman_scaled(), B.T.bellman_scaled()
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
@@ -153,8 +159,9 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
     row scaling of Bᵀ) has the shallower Howard policy forest
     (:func:`~thermoshift.linalg.root_side`, the first half of
     :func:`~thermoshift.linalg.dominant_pair`)."""
-    r, _, _, B = _spectral_block(shift, pot, t, depth)
-    return PressureEstimate(root_side(B).log_root, "transfer", t, r)
+    r, _, _, S, C = _spectral_block(shift, pot, depth, [t])
+    first, rho, _ = root_side(S.at(t), C.at(t))
+    return PressureEstimate(first.beta + math.log(rho), "transfer", t, r)
 
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
@@ -236,22 +243,26 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
 
     Where the spectral route applies (additive locally constant potential,
     primitive shift) each point is one equilibrium state mu_t
-    (:func:`~thermoshift.measures.rpf_equilibrium`): P(t) is its pressure
-    and dP/dt = integral of f_1 d mu_t exactly.  Otherwise P comes from
-    :func:`best_pressure` and dP/dt by central difference with step ``h``.
-    P(t) is convex in t, so the discrete second differences on the grid
-    must stay above -1e-6.
+    (:func:`~thermoshift.measures.rpf_equilibrium`, all on one block
+    operator): P(t) is its pressure and dP/dt = integral of f_1 d mu_t
+    exactly.  Otherwise P comes from :func:`best_pressure` and dP/dt by
+    central difference with step ``h``.  P(t) is convex in t, so the
+    discrete second differences on the grid must stay above -1e-6.
     """
-    from .measures import rpf_equilibrium     # measures imports this module
+    from .measures import _equilibrium     # measures imports this module
 
     ts = [float(t) for t in ts]
     if len(ts) < 1:
         raise ValidationError("empty t grid")
+    if not all(map(math.isfinite, ts)):
+        raise ValidationError("t grid must be finite")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be strictly increasing")
     if not (math.isfinite(h) and h > 0):
         raise ValidationError("h must be finite and > 0")
     spectral = pot.depth is not None and is_primitive(shift)
+    if spectral:
+        block = _spectral_block(shift, pot, None, ts)
 
     def P(t: float) -> float:
         return best_pressure(shift, pot, t, n_max=n_max).value
@@ -259,7 +270,7 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     points = []
     for t in ts:
         if spectral:
-            eq = rpf_equilibrium(shift, pot, t)
+            eq = _equilibrium(shift, block, t)
             p, lyap = eq.pressure, eq.lyapunov_exact()
         else:
             p = P(t)

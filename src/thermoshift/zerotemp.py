@@ -6,9 +6,11 @@ determined by one symbol (depth-1 locally constant or decay law): orbit
 averages then reduce to vertex-weighted cycle means on the transition graph.
 Their max-plus data (the maximum cycle mean beta, a cycle attaining it and
 the critical graph that carries every near-maximal cycle) is read off the
-Bellman scaling of the block operator at t = 1, the Howard policy iteration
-that also scales every transfer solve
-(:meth:`thermoshift.linalg.EdgeOperator.bellman_scaled`).
+row Bellman scaling of the block operator at t = 1, the Howard policy
+iteration whose t-multiples scale every transfer solve
+(:meth:`thermoshift.linalg.EdgeOperator.bellman_scaled`); it needs no
+primitive shift.  ``anneal`` scales the block operator once and reads the
+equilibrium state at every t of its schedule off that scaling.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .errors import UnsupportedEnumeration, ValidationError
 from .linalg import BellmanScaling
-from .measures import _running_sum, rpf_equilibrium
+from .measures import _equilibrium, _running_sum
 from .potentials import Potential
-from .pressure import weighted_block_matrix
+from .pressure import _spectral_block, weighted_block_matrix
 from .shifts import (WORD_BUDGET, ShiftModel, _grouped, _strong_components,
                      _symbol_tuples, word_levels)
 
@@ -182,7 +184,8 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     max cylinder-mass gap to the cluster representative exceeds delta).
     Level d of the word-level engine is enumerated once, under the word
     budget; a marginal is the masses of its rows, and ``marginal`` maps the
-    words of the positive rows, in level order, to them."""
+    words of the positive rows, in level order, to them.  Every t reads its
+    equilibrium state off one block operator."""
     ts = sorted({float(t) for t in ts}, reverse=True)
     if not ts:
         raise ValidationError("empty temperature schedule")
@@ -190,9 +193,10 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
     levels = word_levels(shift, depth, budget=WORD_BUDGET)
     words = _symbol_tuples(shift, levels[-1][0])
+    block = _spectral_block(shift, pot, None, ts)
     rows, clusters = [], []
     for t in ts:
-        eq = rpf_equilibrium(shift, pot, t)
+        eq = _equilibrium(shift, block, t)
         mu = eq.level_masses(levels)[-1]
         live = np.flatnonzero(mu > 0)   # before dividing, as _from_level
         mu = mu / _running_sum(mu)

@@ -79,6 +79,21 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_transfer_block_depth_is_under_the_word_budget(capsys, tmp_path):
+    # the 9^7 edges of the depth-6 block exceed the word budget
+    cfg = {
+        "shift": {"alphabet": 9, "edges": "full"},
+        "potential": {"family": "locally_constant",
+                      "table": {str(s): -0.1 * s for s in range(9)}},
+        "t": 1.0,
+        "route": "transfer",
+        "depth": 6,
+    }
+    code, out, err = run(capsys, tmp_path, "pressure", cfg)
+    assert code == 2 and out == ""
+    assert "exceeded budget" in err and "at length 7" in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     _, first, _ = run(capsys, tmp_path, "pressure", GOLDEN_PRESSURE)
     _, second, _ = run(capsys, tmp_path, "pressure", GOLDEN_PRESSURE)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from thermoshift import measures
-from thermoshift import (ConditionNotMet, CylinderMeasure, DecayPotential,
+from thermoshift import (BudgetExceeded, ConditionNotMet, CylinderMeasure,
+                         DecayPotential,
                          LocallyConstant, NumericalError, RenewalRule,
                          ShiftModel, ValidationError, admissible_words, entropy_estimate,
                          entropy_tail_bound, gibbs_certificate,
@@ -204,6 +205,15 @@ def test_spectral_cylinder_masses_are_the_per_word_masses(depth, n):
         assert mu.weights[w] * total == pytest.approx(eq.mass(w), rel=1e-15)
     levels = word_levels(shift, n)
     assert eq.level_masses(levels)[-1].tolist() == [eq.mass(w) for w in words]
+
+
+def test_spectral_cylinder_measure_is_under_the_word_budget():
+    shift = ShiftModel.full(9)
+    eq = rpf_equilibrium(shift, LocallyConstant({s: -0.1 * s for s in shift.symbols}),
+                         1.0)
+    # the 9^7 words of length 7 exceed the budget; levels 1..6 take ~25 MB
+    with pytest.raises(BudgetExceeded, match="at length 7"):
+        eq.as_cylinder_measure(8)
 
 
 # -- entropy and Lyapunov estimators ---------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import measures, pressure
-from thermoshift import (ConditionNotMet, DecayPotential, LocallyConstant,
-                         MatrixCocycle, NumericalError, RenewalRule,
+from thermoshift import (BudgetExceeded, ConditionNotMet, DecayPotential,
+                         LocallyConstant, MatrixCocycle, NumericalError, RenewalRule,
                          ShiftModel, ValidationError, best_pressure,
                          compact_approximation, gurevich_estimate,
                          log_sum_exp, power_iteration, pressure_curve,
@@ -212,6 +212,15 @@ def test_pressure_curve_bernoulli_closed_forms(full2, bernoulli):
     assert curve.convex_ok
 
 
+def test_block_enumeration_is_under_the_word_budget():
+    shift = ShiftModel.full(9)
+    pot = LocallyConstant({s: -0.1 * s for s in shift.symbols})
+    # the 9^7 edges of the depth-6 block exceed the budget; levels 1..6
+    # take ~25 MB
+    with pytest.raises(BudgetExceeded, match="at length 7"):
+        transfer_pressure(shift, pot, 1.0, depth=6)
+
+
 def test_pressure_curve_grid_validation(full2, bernoulli):
     with pytest.raises(ValidationError):
         pressure_curve(full2, bernoulli, [])
@@ -226,9 +235,26 @@ def test_pressure_curve_rejects_a_bad_step_before_solving(monkeypatch, full2,
         raise AssertionError("solved before validating h")
 
     monkeypatch.setattr(pressure, "best_pressure", no_solve)
-    monkeypatch.setattr(measures, "rpf_equilibrium", no_solve)
+    monkeypatch.setattr(pressure, "_spectral_block", no_solve)
+    monkeypatch.setattr(measures, "_equilibrium", no_solve)
     with pytest.raises(ValidationError, match="h must be"):
         pressure_curve(full2, bernoulli, [1.0, 2.0], h=h)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("shift", [ShiftModel.full(2),
+                                   ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])])
+def test_pressure_curve_rejects_a_non_finite_t_before_solving(monkeypatch, bernoulli,
+                                                              shift, t):
+    # full2 takes the spectral branch, the period-2 flip the central differences
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the grid")
+
+    monkeypatch.setattr(pressure, "best_pressure", no_solve)
+    monkeypatch.setattr(pressure, "_spectral_block", no_solve)
+    monkeypatch.setattr(measures, "_equilibrium", no_solve)
+    with pytest.raises(ValidationError, match="t grid must be finite"):
+        pressure_curve(shift, bernoulli, [1.0, t])
 
 
 def test_pressure_curve_off_the_spectral_route_takes_central_differences():

@@ -20,10 +20,11 @@ import pytest
 
 from test_cold import COLD, GOLDEN, random_primitive
 from thermoshift import (DecayPotential, LocallyConstant, RenewalRule,
-                         admissible_words, dominant_pair, power_iteration,
-                         rpf_equilibrium, transfer_pressure,
-                         weighted_block_matrix, word_levels)
-from thermoshift.linalg import EdgeOperator
+                         ShiftModel, ValidationError, admissible_words, anneal,
+                         dominant_pair, linalg, power_iteration, pressure,
+                         pressure_curve, rpf_equilibrium, transfer_pressure,
+                         weighted_block_matrix, word_levels, zero_temp_report)
+from thermoshift.linalg import EdgeOperator, root_side
 
 RENEWAL = RenewalRule().truncate(1200)
 DECAY = DecayPotential("log", 2.0)
@@ -73,7 +74,8 @@ def assert_componentwise(a: np.ndarray, b: np.ndarray, tol: float) -> None:
 @pytest.mark.parametrize("seed", range(40))
 def test_left_vector_from_column_scaling_matches_row_scaling(seed):
     B = random_block(seed)
-    S, rho, right, log_left, _ = dominant_pair(B)
+    S, rho, right, log_left, _ = dominant_pair(B.bellman_scaled(),
+                                                B.T.bellman_scaled())
     lam, want = power_iteration(S.op.T)
     assert rho == pytest.approx(lam, rel=1e-12)
     assert_componentwise(left_in_scaled_coordinates(log_left), want, 1e-10)
@@ -84,7 +86,7 @@ def test_left_vector_from_column_scaling_matches_row_scaling(seed):
 @pytest.mark.parametrize("t", [1.0, 17.0, 50.0, 800.0, 1e4])
 def test_left_vector_on_the_cold_golden_mean(t):
     B = weighted_block_matrix(GOLDEN, COLD, t)[1]
-    S, _, _, log_left, _ = dominant_pair(B)
+    S, _, _, log_left, _ = dominant_pair(B.bellman_scaled(), B.T.bellman_scaled())
     _, want = power_iteration(S.op.T)
     assert_componentwise(left_in_scaled_coordinates(log_left), want, 1e-10)
 
@@ -190,3 +192,69 @@ def test_chain_masses_match_the_dense_matrix(seed):
         for a in shift.symbols:
             for b in shift.symbols:
                 assert eq.mass((a, b)) == dense_mass((a, b))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0, 10.0])
+def test_scaled_block_root_matches_howard_run_at_t(t):
+    # the scalings at t are t times those at t = 1; the oracle runs Howard
+    # on the block operator with log weights t f_1 itself
+    worst = 0.0
+    for seed in range(200):
+        shift, pot, _, depth = random_model(seed)
+        B = weighted_block_matrix(shift, pot, t, depth=depth)[1]
+        first, rho, _ = root_side(B.bellman_scaled(), B.T.bellman_scaled())
+        want = first.beta + math.log(rho)
+        got = transfer_pressure(shift, pot, t, depth=depth).value
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_curve_points_are_the_one_t_equilibria(seed):
+    shift, pot, _, _ = random_model(seed)
+    ts = [0.5, 1.0, 3.0, 10.0]
+    for point, t in zip(pressure_curve(shift, pot, ts).points, ts, strict=True):
+        eq = rpf_equilibrium(shift, pot, t)
+        assert (point.pressure, point.lyapunov) == (eq.pressure, eq.lyapunov_exact())
+
+
+FULL2, BERNOULLI = ShiftModel.full(2), LocallyConstant({0: 0.0, 1: -1.0})
+
+
+@pytest.mark.parametrize("call, runs", [
+    (lambda: pressure_curve(FULL2, BERNOULLI, [1.0, 1.5, 2.0, 2.5, 3.0]), 2),
+    (lambda: anneal(FULL2, BERNOULLI, [2.0, 4.0, 6.0, 8.0, 10.0], depth=4), 2),
+    # the inputs of configs/zerotemp_full2.json; one run is the row-only
+    # Howard of the maximizing sub-shift
+    (lambda: zero_temp_report(FULL2, BERNOULLI, [2.0, 4.0, 6.0, 8.0, 10.0],
+                              depth=6), 3),
+    (lambda: transfer_pressure(FULL2, BERNOULLI, 2.0), 2),
+    (lambda: rpf_equilibrium(FULL2, BERNOULLI, 2.0), 2),
+])
+def test_howard_runs_once_per_side_for_every_t(monkeypatch, call, runs):
+    calls = []
+    original = linalg._howard
+
+    def spy(op):
+        calls.append(op.size)
+        return original(op)
+
+    monkeypatch.setattr(linalg, "_howard", spy)
+    call()
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-9, math.inf, -math.inf, math.nan])
+def test_spectral_route_rejects_a_bad_t_before_building(monkeypatch, t):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block built before the t check")
+
+    monkeypatch.setattr(pressure, "weighted_block_matrix", forbidden)
+    for call in (lambda: transfer_pressure(FULL2, BERNOULLI, t),
+                 lambda: rpf_equilibrium(FULL2, BERNOULLI, t),
+                 lambda: anneal(FULL2, BERNOULLI, [t, 2.0], depth=2)):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            call()
+    if math.isfinite(t):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            pressure_curve(FULL2, BERNOULLI, [t, 2.0])

@@ -341,7 +341,8 @@ def test_anneal_rejects_a_bad_delta_before_solving(monkeypatch, full2,
     def forbidden(*args, **kwargs):
         raise AssertionError("solved before validation")
 
-    monkeypatch.setattr(zerotemp, "rpf_equilibrium", forbidden)
+    monkeypatch.setattr(zerotemp, "_spectral_block", forbidden)
+    monkeypatch.setattr(zerotemp, "_equilibrium", forbidden)
     with pytest.raises(ValidationError, match="delta"):
         anneal(full2, bernoulli, [1.0, 2.0], delta=delta)
 
@@ -350,7 +351,8 @@ def test_anneal_enumerates_its_level_under_the_word_budget(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solved before the level was enumerated")
 
-    monkeypatch.setattr(zerotemp, "rpf_equilibrium", forbidden)
+    monkeypatch.setattr(zerotemp, "_spectral_block", forbidden)
+    monkeypatch.setattr(zerotemp, "_equilibrium", forbidden)
     shift = ShiftModel.full(9)
     pot = LocallyConstant({s: -0.1 * s for s in shift.symbols})
     # the 9^7 words of length 7 exceed the budget; levels 1..6 take ~25 MB
