@@ -129,10 +129,9 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
                     ts: Sequence[float]):
     """(block depth, states, first-level values per state, row and column
     scalings S and C) of the block operator at t = 1, whose scalings at t
-    are ``S.at(t)`` and ``C.at(t)``, once every t in ``ts`` is finite and
-    >= 0, the potential additive locally constant and the shift primitive."""
-    if not all(math.isfinite(t) and t >= 0 for t in ts):
-        raise ValidationError("spectral route needs every t finite and >= 0")
+    are ``S.at(t)`` and ``C.at(t)``, once the potential is additive locally
+    constant, the shift primitive and every t in ``ts`` finite and >= 0
+    (checked in that order, all before the block is built)."""
     if pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -145,6 +144,9 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
+    # For t < 0 the max-plus pair of t·f₁ is not t·(beta, x) of f₁.
+    if not all(math.isfinite(t) and t >= 0 for t in ts):
+        raise ValidationError("spectral route needs every t finite and >= 0")
     states, B, f = weighted_block_matrix(shift, pot, 1.0, depth=r)
     return r, states, f, B.bellman_scaled(), B.T.bellman_scaled()
 
@@ -166,8 +168,8 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
                   n_max: int = 12) -> PressureEstimate:
-    """Transfer route when exact, otherwise the topological scan."""
-    if pot.depth is not None:
+    """Transfer route when exact (t >= 0), otherwise the topological scan."""
+    if pot.depth is not None and not t < 0:     # a NaN t is rejected there
         try:
             return transfer_pressure(shift, pot, t)
         except ConditionNotMet:
@@ -254,15 +256,15 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     ts = [float(t) for t in ts]
     if len(ts) < 1:
         raise ValidationError("empty t grid")
-    if not all(map(math.isfinite, ts)):
-        raise ValidationError("t grid must be finite")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t grid must be strictly increasing")
     if not (math.isfinite(h) and h > 0):
         raise ValidationError("h must be finite and > 0")
     spectral = pot.depth is not None and is_primitive(shift)
     if spectral:
-        block = _spectral_block(shift, pot, None, ts)
+        block = _spectral_block(shift, pot, None, ts)   # checks every t
+    elif not all(map(math.isfinite, ts)):
+        raise ValidationError("t grid must be finite")
 
     def P(t: float) -> float:
         return best_pressure(shift, pot, t, n_max=n_max).value

@@ -140,11 +140,14 @@ def test_topological_upper_bounds_transfer(golden_mean, full2):
                 assert top >= exact - 1e-9
 
 
-def test_best_pressure_route_selection(golden_mean, full2):
+def test_best_pressure_route_selection(golden_mean, full2, bernoulli):
     assert best_pressure(golden_mean, LocallyConstant({0: 0.0, 1: 0.0}), 1.0).route \
         == "transfer"
     coc = MatrixCocycle({0: [[1, 1], [1, 1]], 1: [[1, 1], [1, 1]]})
     assert best_pressure(full2, coc, 1.0).route == "topological"
+    # the transfer route serves t >= 0 only
+    assert best_pressure(golden_mean, bernoulli, -1.0, n_max=6) \
+        == topological_pressure(golden_mean, bernoulli, -1.0, 6)
 
 
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
@@ -251,22 +254,24 @@ def test_pressure_curve_rejects_a_non_finite_t_before_solving(monkeypatch, berno
         raise AssertionError("solved before validating the grid")
 
     monkeypatch.setattr(pressure, "best_pressure", no_solve)
-    monkeypatch.setattr(pressure, "_spectral_block", no_solve)
+    monkeypatch.setattr(pressure, "weighted_block_matrix", no_solve)
     monkeypatch.setattr(measures, "_equilibrium", no_solve)
-    with pytest.raises(ValidationError, match="t grid must be finite"):
+    with pytest.raises(ValidationError, match="finite"):
         pressure_curve(shift, bernoulli, [1.0, t])
 
 
 def test_pressure_curve_off_the_spectral_route_takes_central_differences():
     flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])     # period 2
     pot, h = LocallyConstant({0: 0.0, 1: -1.0}), 1e-2
-    curve = pressure_curve(flip, pot, [1.0, 2.0], n_max=6, h=h)
-    for point in curve.points:
-        t = point.t
-        assert point.pressure == topological_pressure(flip, pot, t, 6).value
-        diff = (topological_pressure(flip, pot, t + h, 6).value
-                - topological_pressure(flip, pot, t - h, 6).value)
-        assert point.lyapunov == diff / (2.0 * h)
+    # at t < h the lower difference point t - h is negative
+    for ts in ([1.0, 2.0], [0.0, 1.0], [0.005, 1.0]):
+        curve = pressure_curve(flip, pot, ts, n_max=6, h=h)
+        for point in curve.points:
+            t = point.t
+            assert point.pressure == topological_pressure(flip, pot, t, 6).value
+            diff = (topological_pressure(flip, pot, t + h, 6).value
+                    - topological_pressure(flip, pot, t - h, 6).value)
+            assert point.lyapunov == diff / (2.0 * h)
 
 
 def test_pressure_curve_on_the_renewal_is_the_first_return_derivative():

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from test_cold import COLD, GOLDEN, random_primitive
-from thermoshift import (DecayPotential, LocallyConstant, RenewalRule,
-                         ShiftModel, ValidationError, admissible_words, anneal,
-                         dominant_pair, linalg, power_iteration, pressure,
-                         pressure_curve, rpf_equilibrium, transfer_pressure,
+from thermoshift import (ConditionNotMet, DecayPotential, LocallyConstant,
+                         RenewalRule, ShiftModel, ValidationError,
+                         admissible_words, anneal, dominant_pair, linalg,
+                         power_iteration, pressure, pressure_curve,
+                         rpf_equilibrium, transfer_pressure,
                          weighted_block_matrix, word_levels, zero_temp_report)
 from thermoshift.linalg import EdgeOperator, root_side
 
@@ -258,3 +259,14 @@ def test_spectral_route_rejects_a_bad_t_before_building(monkeypatch, t):
     if math.isfinite(t):
         with pytest.raises(ValidationError, match="finite and >= 0"):
             pressure_curve(FULL2, BERNOULLI, [t, 2.0])
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_spectral_route_checks_primitivity_before_t(t):
+    # a non-primitive shift is ConditionNotMet at any t, the error
+    # best_pressure falls back on
+    flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])
+    for call in (lambda: transfer_pressure(flip, BERNOULLI, t),
+                 lambda: rpf_equilibrium(flip, BERNOULLI, t)):
+        with pytest.raises(ConditionNotMet):
+            call()
