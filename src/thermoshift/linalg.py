@@ -3,7 +3,11 @@ measure code.
 
 Nonnegative operators are held as edge arrays (:class:`EdgeOperator`), with
 log weights so that cold weights exp(t·f) neither under- nor overflow before
-:meth:`EdgeOperator.bellman_scaled` brings every weight into (0, 1].
+:meth:`EdgeOperator.bellman_scaled` brings every weight into (0, 1], or
+along the log-domain walk :meth:`EdgeOperator.log_walk` that the periodic
+and covering partition sums read.  :func:`log_sum_exp`, :func:`_log` and
+:func:`_exp` take arrays and map ``math.exp``/``math.log`` over them, so
+they give the floats of the per-element loop.
 
 An operator ``A`` has two such scalings, one per side of its Perron problem:
 the row scaling ``S`` (the max-plus eigenpair of ``A``) and the column
@@ -32,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
-from .shifts import _period
+from .errors import BudgetExceeded, NumericalError
+from .shifts import WORD_BUDGET, _period
 
 TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
@@ -102,30 +106,40 @@ class EdgeOperator:
         return BellmanScaling(beta, EdgeOperator(self.size, self.src, self.dst, log_s),
                               x, depth, policy)
 
-    def log_closed_walks(self, starts, n_max: int) -> list[float]:
-        """``log sum_{s in starts} (A^n)_{ss}`` for n = 1..n_max, by n
-        log-domain vector steps: exact at any scale of the log weights, and
-        ``-inf`` for a length with no closed walk."""
-        order = np.argsort(self.dst, kind="stable")
-        src, lw = self.src[order], self.log_weight[order]
-        dst = self.dst[order]
-        heads = np.flatnonzero(np.diff(dst, prepend=-1))
-        targets = dst[heads]
-        seg = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(dst))))
-        starts = np.asarray(starts, dtype=np.intp)
-        cols = np.arange(len(starts))
-        walk = np.full((self.size, len(starts)), -math.inf)
-        walk[starts, cols] = 0.0
+    def log_walk(self, start: np.ndarray, steps: int, read) -> list:
+        """``read(h)`` for n = 1..steps, where column j of ``h`` is
+        ``log(exp(start[:, j])ᵀ Aⁿ)``: ``start`` holds log start values, one
+        row per state and one column per walk (``-inf`` where a walk does
+        not start).
+
+        Each step ``h[v] <- log sum_{u -> v} exp(h[u] + log_weight(u -> v))``
+        is one log-domain pass over the edges: exact at any scale of the log
+        weights, and ``-inf`` at a state no walk reaches.  A walk of more
+        than ``WORD_BUDGET`` edge visits (steps x edges x columns) raises
+        :class:`BudgetExceeded` before its first step."""
+        visits = steps * len(self.dst) * start.shape[1]
+        if visits > WORD_BUDGET:
+            raise BudgetExceeded(
+                f"log-domain walk of {steps} steps x {len(self.dst)} edges x "
+                f"{start.shape[1]} columns exceeds budget {WORD_BUDGET} "
+                "edge visits")
+        into = self.T           # edges sorted by target: into.src is the target
+        head = np.diff(into.src, prepend=-1) != 0
+        heads = np.flatnonzero(head)
+        targets = into.src[heads]
+        seg = np.cumsum(head) - 1
+        lw = into.log_weight[:, None]
+        h = start
         out = []
         with np.errstate(divide="ignore"):
-            for _ in range(n_max):
-                vals = walk[src] + lw[:, None]
+            for _ in range(steps):
+                vals = h[into.dst] + lw
                 top = np.maximum.reduceat(vals, heads, axis=0)
                 top = np.where(np.isfinite(top), top, 0.0)
                 total = np.add.reduceat(np.exp(vals - top[seg]), heads, axis=0)
-                walk = np.full_like(walk, -math.inf)
-                walk[targets] = top + np.log(total)
-                out.append(log_sum_exp(walk[starts, cols].tolist()))
+                h = np.full_like(h, -math.inf)
+                h[targets] = top + np.log(total)
+                out.append(read(h))
         return out
 
 
@@ -375,22 +389,35 @@ def dominant_pair(S: BellmanScaling, C: BellmanScaling) -> PerronPair:
                       first.beta + math.log(rho))
 
 
-def _log(x: np.ndarray) -> np.ndarray:
+def _floats(values) -> np.ndarray:
+    """``values`` (an array or any iterable of numbers) as a float array."""
+    if isinstance(values, np.ndarray):
+        return values.astype(float, copy=False)
+    return np.fromiter(values, dtype=float)
+
+
+def _log(x) -> np.ndarray:
     """Elementwise math.log: numpy's log can differ from it in the last bit."""
-    return np.array([math.log(v) for v in x.tolist()])
+    vals = _floats(x).tolist()
+    return np.fromiter(map(math.log, vals), dtype=float, count=len(vals))
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
+def _exp(x) -> np.ndarray:
     """Elementwise math.exp: numpy's exp can differ from it in the last bit."""
-    return np.array([math.exp(v) for v in x.tolist()])
+    vals = _floats(x).tolist()
+    return np.fromiter(map(math.exp, vals), dtype=float, count=len(vals))
 
 
 def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) with the usual max shift; -inf for an empty input."""
-    vals = [float(v) for v in values]
-    if not vals:
+    """log(sum(exp(v))) with the usual max shift; -inf for an empty input.
+
+    ``values`` is an array or any iterable of numbers.  The shift is one
+    numpy subtraction and the exponentials are math.exp under math.fsum,
+    so the result is the same float as the per-element loop gives."""
+    x = _floats(values)
+    if not x.size:
         return -math.inf
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    m = float(x.max())
+    if not math.isfinite(m):        # all -inf, or an inf or nan term
+        return m
+    return m + math.log(math.fsum(map(math.exp, (x - m).tolist())))

@@ -6,7 +6,9 @@ Three routes, all reporting the pressure of t*F:
   for additive families read off log-domain closed-walk sums of the block
   operator, for the cocycle off one word-level engine pass;
 * ``topological_pressure`` — running infimum of (1/n) log of cylinder-sup
-  partition sums;
+  partition sums; for additive families past their depth read off a
+  log-domain walk of the same block operator, for the cocycle off the
+  word-level engine;
 * ``transfer_pressure`` — log of the Perron root of the weighted block
   operator (exact for additive locally constant potentials on finite
   shifts).  The operator is held as edge arrays with log weights f₁,
@@ -15,6 +17,8 @@ Three routes, all reporting the pressure of t*F:
   ``t·beta + log rho(S_t)`` with every weight of S_t in (0, 1]: the route
   works at any t >= 0, however cold.
 
+Both walks are :meth:`~thermoshift.linalg.EdgeOperator.log_walk`, under
+its budget, and both word-level routes take any finite t.
 ``best_pressure`` picks the sharpest applicable route, ``truncation_curve``
 tracks pressure along a nested family of finite approximations, and
 ``pressure_curve`` samples t -> (P, Lyapunov, entropy) with a convexity
@@ -29,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
@@ -46,33 +52,45 @@ class PressureEstimate:
     sequence: tuple = ()    # (n, estimate) diagnostics where applicable
 
 
+def _check_word_t(t: float) -> None:
+    """The word-level routes take any finite t, negative ones included."""
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t!r}")
+
+
 def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
                       n_max: int, a=None) -> PressureEstimate:
     """(1/n) log sum over period-n orbits through ``a`` of exp(t f_n).
 
     For an additive family the period-n orbits through ``a`` are the
     closed n-walks of the block operator from the states that begin with
-    ``a``, so the sums come from n log-domain vector steps.  Otherwise f_n
-    is read off level n of the word-level engine, on the words that start
-    with ``a`` and close up (the families without a first level are
-    constant on n-cylinders).
+    ``a``, so the sums come from n log-domain steps of one walk per such
+    state (:meth:`~thermoshift.linalg.EdgeOperator.log_walk`, under its
+    budget), read on the walk's own start state.  Otherwise f_n is read
+    off level n of the word-level engine, on the words that start with
+    ``a`` and close up (the families without a first level are constant on
+    n-cylinders).
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    _check_word_t(t)
     if a is None:
         a = shift.symbols[0]
     ai = shift.index(a)  # validates membership
     if pot.depth is not None:
         states, B, _ = weighted_block_matrix(shift, pot, t, depth=pot.depth)
         starts = [i for i, u in enumerate(states) if u[0] == a]
-        log_z = B.log_closed_walks(starts, n_max)
+        cols = np.arange(len(starts))
+        start = np.full((len(B), len(starts)), -math.inf)
+        start[starts, cols] = 0.0
+        log_z = B.log_walk(start, n_max, lambda h: log_sum_exp(h[starts, cols]))
     else:
         levels = word_levels(shift, n_max, budget=WORD_BUDGET)
         closes = shift.adjacency[:, ai].astype(bool)
         log_z = []
         for (words, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
             rows = (words[:, 0] == ai) & closes[words[:, -1]]
-            log_z.append(log_sum_exp((t * hi[rows]).tolist()))
+            log_z.append(log_sum_exp(t * hi[rows]))
     seq = [(n, z / n) for n, z in enumerate(log_z, start=1)]
     finite = [(n, v) for n, v in seq if v > -math.inf]
     if not finite:
@@ -84,19 +102,37 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
 
 def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
                          n_max: int) -> PressureEstimate:
-    """Running infimum of (1/n) log sum_w exp(t sup f_n|[w]).
+    """Running infimum of (1/n) log Z_n, Z_n = sum_w exp(t sup f_n|[w]).
 
     Each term is an upper bound for the pressure, so the running infimum is
     the sharpest certificate the scan produces.
+
+    Lengths up to the depth r of an additive family (every length for the
+    cocycle) are read off the word-level engine.  Beyond r, sup f_n on an
+    n-word is the sum of f_1 over its n - r + 1 windows of r symbols plus a
+    function of its last r - 1 symbols, the same as in sup f_r on its last
+    window.  So ``Z_n = sum_u exp(h_n[u] + t sup f_r|[u])`` over the
+    r-words u, where ``h_n = log(1ᵀ Bⁿ⁻ʳ)`` for the block operator B of
+    :func:`weighted_block_matrix`: one log-domain step per length
+    (:meth:`~thermoshift.linalg.EdgeOperator.log_walk`, under its budget),
+    and no word level deeper than r + 1.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    _check_word_t(t)
+    r = min(n_max, pot.depth or n_max)     # the lengths the engine serves
+    levels = word_levels(shift, r, budget=WORD_BUDGET)
+    sups = [t * hi for hi, _ in pot.level_extrema(shift, levels)]
+    log_z = [log_sum_exp(s) for s in sups]
+    if n_max > r:
+        _, B, _ = weighted_block_matrix(shift, pot, t, depth=r)
+        log_z += B.log_walk(np.zeros((len(B), 1)), n_max - r,
+                            lambda h: log_sum_exp(h[:, 0] + sups[-1]))
     seq = []
     best = math.inf
     n_best = 0
-    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
-    for n, (hi, _) in enumerate(pot.level_extrema(shift, levels), start=1):
-        est = log_sum_exp((t * hi).tolist()) / n
+    for n, z in enumerate(log_z, start=1):
+        est = z / n
         seq.append((n, est))
         if est < best:
             best, n_best = est, n

@@ -94,6 +94,15 @@ def test_transfer_block_depth_is_under_the_word_budget(capsys, tmp_path):
     assert "exceeded budget" in err and "at length 7" in err
 
 
+@pytest.mark.parametrize("route", ["gurevich", "topological"])
+def test_pressure_walk_is_under_the_word_budget(capsys, tmp_path, route):
+    # a billion log-domain steps are refused before the first one
+    cfg = dict(GOLDEN_PRESSURE, route=route, n_max=1e9)
+    code, out, err = run(capsys, tmp_path, "pressure", cfg)
+    assert code == 2 and out == ""
+    assert "log-domain walk" in err and "exceeds budget" in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     _, first, _ = run(capsys, tmp_path, "pressure", GOLDEN_PRESSURE)
     _, second, _ = run(capsys, tmp_path, "pressure", GOLDEN_PRESSURE)

@@ -3,20 +3,23 @@ brute-force partition sums."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import measures, pressure
-from thermoshift import (BudgetExceeded, ConditionNotMet, DecayPotential,
-                         LocallyConstant, MatrixCocycle, NumericalError, RenewalRule,
-                         ShiftModel, ValidationError, best_pressure,
-                         compact_approximation, gurevich_estimate,
-                         log_sum_exp, power_iteration, pressure_curve,
-                         topological_pressure, transfer_pressure,
+from thermoshift import measures, potentials, pressure
+from thermoshift import (AffinePotential, BudgetExceeded, ConditionNotMet,
+                         DecayPotential, LocallyConstant, MatrixCocycle,
+                         NumericalError, RenewalRule, ShiftModel, ValidationError,
+                         admissible_words, best_pressure, compact_approximation,
+                         gurevich_estimate, log_sum_exp, power_iteration,
+                         pressure_curve, topological_pressure, transfer_pressure,
                          truncation_curve, weighted_block_matrix)
+from thermoshift.linalg import EdgeOperator, _exp, _log
+from thermoshift.shifts import WORD_BUDGET, word_levels
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -138,6 +141,140 @@ def test_topological_upper_bounds_transfer(golden_mean, full2):
                 top = topological_pressure(shift, pot, t, 10).value
                 exact = transfer_pressure(shift, pot, t).value
                 assert top >= exact - 1e-9
+
+
+# -- the log-domain walk ---------------------------------------------------
+
+
+def enumerated_topological(shift, pot, ts, n_max):
+    """The covering terms (1/n) log Z_n for every t in ``ts``, from every
+    admissible word up to n_max: the word-level scan the walk replaced."""
+    levels = word_levels(shift, n_max)
+    sups = [hi.tolist() for hi, _ in pot.level_extrema(shift, levels)]
+    return {t: [log_sum_exp([t * v for v in hi]) / n
+                for n, hi in enumerate(sups, start=1)] for t in ts}
+
+
+def _random_shift(rng, k):
+    """A strongly connected shift on k symbols: a k-cycle, a loop at 0 and
+    random extra edges."""
+    edges = {(i, (i + 1) % k) for i in range(k)} | {(0, 0)}
+    edges |= {(i, j) for i in range(k) for j in range(k) if rng.random() < 0.4}
+    return ShiftModel.from_edges(tuple(range(k)), sorted(edges))
+
+
+def _walk_models():
+    """(shift, potential, n_max) per case: seeded depth-1..3 tables, decay
+    laws on a renewal truncation, and negatively scaled depth-2 tables."""
+    rng = random.Random(19)
+    models = []
+    for depth in (1, 2, 3):
+        for i in range(4):
+            shift = _random_shift(rng, rng.randint(2, 4))
+            table = {w: rng.uniform(-2.0, 1.0) for w in admissible_words(shift, depth)}
+            models.append(pytest.param(shift, LocallyConstant(table, depth=depth), 8,
+                                       id=f"lc-depth{depth}-{i}"))
+    for law, coef in (("log", 1.5), ("linear", 0.4)):
+        models.append(pytest.param(RenewalRule().truncate(12),
+                                   DecayPotential(law, coef, 0.3), 9,
+                                   id=f"decay-{law}-renewal12"))
+    for mult in (-1.5, -0.5):
+        shift = _random_shift(rng, 3)
+        table = {w: rng.uniform(-1.0, 1.0) for w in admissible_words(shift, 2)}
+        models.append(pytest.param(
+            shift, AffinePotential(LocallyConstant(table, depth=2), mult,
+                                   rng.uniform(-1.0, 1.0)), 8,
+            id=f"affine-mult{mult}-depth2"))
+    return models
+
+
+WALK_TS = (-1.0, 0.5, 1.0, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("shift,pot,n_max", _walk_models())
+def test_topological_walk_matches_the_word_enumeration(shift, pot, n_max):
+    want = enumerated_topological(shift, pot, WALK_TS, n_max)
+    for t in WALK_TS:
+        est = topological_pressure(shift, pot, t, n_max)
+        assert [n for n, _ in est.sequence] == list(range(1, n_max + 1))
+        for (n, got), ref in zip(est.sequence, want[t]):
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (t, n)
+        assert est.value == min(v for _, v in est.sequence)
+
+
+def test_topological_walk_allocates_no_level_past_the_block(monkeypatch):
+    lengths = []
+
+    def spy(shift, n, *args, **kwargs):
+        lengths.append(n)
+        return word_levels(shift, n, *args, **kwargs)
+
+    monkeypatch.setattr(pressure, "word_levels", spy)
+    monkeypatch.setattr(potentials, "word_levels", spy)
+    shift = ShiftModel.full(3)
+    pot = LocallyConstant({w: -0.1 * sum(w)
+                           for w in itertools.product(range(3), repeat=3)}, depth=3)
+    topological_pressure(shift, pot, 1.5, 12)
+    assert lengths and max(lengths) <= pot.depth + 1
+
+
+def test_topological_walk_runs_past_the_enumeration_budget():
+    # level 7 of the full 9-shift already holds 9^7 > WORD_BUDGET words
+    shift = ShiftModel.full(9)
+    rng = random.Random(7)
+    pot = LocallyConstant({w: rng.uniform(-1.0, 0.0)
+                           for w in itertools.product(range(9), repeat=2)}, depth=2)
+    est = topological_pressure(shift, pot, 1.0, 40)
+    exact = transfer_pressure(shift, pot, 1.0).value
+    assert len(est.sequence) == 40
+    assert all(v >= exact - 1e-12 for _, v in est.sequence)
+
+
+def test_log_walk_is_budgeted_before_its_first_step():
+    # 1000 states, each with a loop and an edge to the next: 2000 edges
+    size = 1000
+    src = np.repeat(np.arange(size), 2)
+    dst = np.stack([np.arange(size), (np.arange(size) + 1) % size], axis=1).ravel()
+    op = EdgeOperator(size, src, dst, np.zeros(2 * size))
+
+    class Stepped(Exception):
+        pass
+
+    def read(h):
+        raise Stepped
+
+    start = np.zeros((size, 1))
+    with pytest.raises(Stepped):        # 1000 x 2000 x 1 visits: at the budget
+        op.log_walk(start, WORD_BUDGET // (2 * size), read)
+    with pytest.raises(BudgetExceeded, match="exceeds budget"):
+        op.log_walk(start, WORD_BUDGET // (2 * size) + 1, read)
+    with pytest.raises(BudgetExceeded):
+        op.log_walk(np.zeros((size, 2)), WORD_BUDGET // (4 * size) + 1, read)
+
+
+@pytest.mark.parametrize("route", [gurevich_estimate, topological_pressure])
+def test_word_routes_refuse_an_unbounded_walk(golden_mean, bernoulli, route):
+    with pytest.raises(BudgetExceeded, match="log-domain walk"):
+        route(golden_mean, bernoulli, 1.0, 10**9)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_word_routes_reject_a_non_finite_t_before_any_work(monkeypatch, golden_mean,
+                                                           bernoulli, t):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated or built before validating t")
+
+    monkeypatch.setattr(pressure, "word_levels", no_work)
+    monkeypatch.setattr(pressure, "weighted_block_matrix", no_work)
+    flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])     # period 2
+    coc = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 3]]})
+    for pot in (bernoulli, coc):
+        with pytest.raises(ValidationError, match="t must be finite"):
+            topological_pressure(golden_mean, pot, t, 6)
+        with pytest.raises(ValidationError, match="t must be finite"):
+            gurevich_estimate(golden_mean, pot, t, 6, a=0)
+    with pytest.raises(ValidationError, match="t must be finite"):
+        best_pressure(flip, bernoulli, t, n_max=6)
 
 
 def test_best_pressure_route_selection(golden_mean, full2, bernoulli):
@@ -319,3 +456,38 @@ def test_log_sum_exp_edges():
     assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
     assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2))
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2))
+
+
+def reference_log_sum_exp(values):
+    vals = [float(v) for v in values]
+    if not vals:
+        return -math.inf
+    m = max(vals)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+def _kernel_inputs():
+    rng = random.Random(5)
+    mixed = [rng.gauss(0.0, 30.0) for _ in range(200)] + [1000.0, -700.0, 745.0]
+    return [[], [-math.inf] * 3, [0.0], mixed, mixed + [-math.inf] * 5,
+            [-math.inf, 3.5, -math.inf, -1e-300, 2.0]]
+
+
+@pytest.mark.parametrize("values", _kernel_inputs())
+@pytest.mark.parametrize("form", [list, np.array, lambda v: (x for x in v)])
+def test_log_domain_kernels_are_bit_identical_to_the_math_loop(values, form):
+    want = reference_log_sum_exp(values)
+    got = log_sum_exp(form(values))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    small = [v for v in values if v < 700.0]        # math.exp overflows past 709.78
+    assert _exp(form(small)).tolist() == [math.exp(v) for v in small]
+    positive = [math.exp(v) for v in small if math.exp(v) > 0.0] + [math.inf]
+    assert _log(form(positive)).tolist() == [math.log(v) for v in positive]
+
+
+def test_log_kernel_raises_where_math_log_does():
+    for bad in ([1.0, -math.inf], [2.0, 0.0]):
+        with pytest.raises(ValueError):
+            _log(np.array(bad))
