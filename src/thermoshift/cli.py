@@ -106,8 +106,13 @@ def _finite_or_null(x):
     return x
 
 
-def _json_text(payload: dict) -> str:
-    """Strict JSON: every non-finite float, at any nesting, becomes null."""
+def _doc(command: str, fields: dict, shift=None) -> str:
+    """The JSON document of ``command``: ``fields`` plus the schema version,
+    the command name and, given a shift, its fingerprint.  Strict JSON:
+    every non-finite float, at any nesting, becomes null."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    if shift is not None:
+        payload["shift_fingerprint"] = shift.fingerprint()
     return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 
@@ -139,17 +144,13 @@ def _cmd_pressure(cfg: dict) -> str:
         est = transfer_pressure(shift, pot, t, depth=depth)
     else:
         raise ValidationError(f"unknown route {route!r}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pressure",
+    return _doc("pressure", {
         "t": t,
         "route": est.route,
         "value": est.value,
         "n_used": est.n_used,
         "sequence": est.sequence,
-        "shift_fingerprint": shift.fingerprint(),
-    }
-    return _json_text(payload)
+    }, shift)
 
 
 def _cmd_curve(cfg: dict) -> str:
@@ -180,9 +181,7 @@ def _cmd_gibbs(cfg: dict) -> str:
     pressure = best_pressure(shift, pot, t, n_max=n_max).value
     cert = gibbs_certificate(shift, pot, t, mu, pressure,
                              range(1, depth + 1), slack=slack)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gibbs",
+    return _doc("gibbs", {
         "t": t,
         "n": n,
         "m": m,
@@ -199,9 +198,7 @@ def _cmd_gibbs(cfg: dict) -> str:
             "passed": cert.passed,
             "worst_word": _word_key(cert.worst_word),
         },
-        "shift_fingerprint": shift.fingerprint(),
-    }
-    return _json_text(payload)
+    }, shift)
 
 
 def _cmd_approx(cfg: dict) -> str:
@@ -237,23 +234,21 @@ def _cmd_approx(cfg: dict) -> str:
                                             key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
             },
         })
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "approx",
+    fields = {
         "k_max": k_max,
         "ambient_mixing_assumed": approx.ambient_mixing_assumed,
         "levels": levels,
     }
     if with_pressure:
         curve = truncation_curve(approx, pot, t, n_max=n_max)
-        payload["pressure"] = {
+        fields["pressure"] = {
             "t": t,
             "sizes": list(curve.sizes),
             "values": list(curve.pressures),
             "gaps": list(curve.gaps),
             "monotone": curve.monotone,
         }
-    return _json_text(payload)
+    return _doc("approx", fields)
 
 
 def _cmd_zerotemp(cfg: dict) -> str:
@@ -272,9 +267,7 @@ def _cmd_zerotemp(cfg: dict) -> str:
         "leakage": rep.leak_ok,
     }
     checks["all_pass"] = all(checks.values())
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "zerotemp",
+    return _doc("zerotemp", {
         "beta": rep.beta,
         "t_max": rep.t_max,
         "lyapunov_gap": rep.lyapunov_gap,
@@ -294,9 +287,7 @@ def _cmd_zerotemp(cfg: dict) -> str:
         "rows": [{"t": r.t, "P": r.pressure, "L": r.lyapunov, "H": r.entropy}
                  for r in rep.trace.rows],
         "clusters": [list(c) for c in rep.trace.clusters],
-        "shift_fingerprint": shift.fingerprint(),
-    }
-    return _json_text(payload)
+    }, shift)
 
 
 def _cmd_certify(cfg: dict) -> str:
@@ -309,9 +300,7 @@ def _cmd_certify(cfg: dict) -> str:
     rep = constants_report(shift, pot, depth, word_budget=word_budget)
     cert = mixing_certificate(shift)
     summ = summability_report(pot, t, shift=shift)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "certify",
+    return _doc("certify", {
         "mixing": {
             "status": cert.status,
             "primitive_exponent": cert.primitive_exponent,
@@ -336,9 +325,7 @@ def _cmd_certify(cfg: dict) -> str:
             "t": summ.t,
             "t_variant_summable": summ.t_variant_summable,
         },
-        "shift_fingerprint": shift.fingerprint(),
-    }
-    return _json_text(payload)
+    }, shift)
 
 
 _COMMANDS = {

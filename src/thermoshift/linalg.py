@@ -1,8 +1,9 @@
 """The Perron solver and the log-domain helpers shared by the pressure and
 measure code.
 
-Nonnegative operators are held as edge arrays (:class:`EdgeOperator`), with
-log weights so that cold weights exp(t·f) neither under- nor overflow before
+Nonnegative operators are held as edge arrays (:class:`EdgeOperator`, the
+only input :func:`power_iteration` takes), with log weights so that cold
+weights exp(t·f) neither under- nor overflow before
 :meth:`EdgeOperator.bellman_scaled` brings every weight into (0, 1], or
 along the log-domain walk :meth:`EdgeOperator.log_walk` that the periodic
 and covering partition sums read.  :func:`log_sum_exp`, :func:`_log` and
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, NumericalError
-from .shifts import WORD_BUDGET, _period
+from .shifts import WORD_BUDGET
 
 TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
@@ -72,23 +73,6 @@ class EdgeOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.bincount(self.src, self.weight * v[self.dst],
                            minlength=self.size)
-
-    @classmethod
-    def from_dense(cls, matrix) -> "EdgeOperator":
-        """The positive entries of a nonnegative matrix whose support is
-        primitive; anything else raises :class:`NumericalError` up front."""
-        B = np.asarray(matrix, dtype=np.float64)
-        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
-            raise NumericalError("power iteration needs a nonempty square matrix")
-        if (B < 0).any() or not np.isfinite(B).all():
-            raise NumericalError("power iteration needs a finite nonnegative matrix")
-        codes = np.flatnonzero(B > 0)
-        if _period((B.shape[0], codes)) != 1:
-            raise NumericalError(
-                "power iteration needs a primitive matrix (strongly connected "
-                "and aperiodic support)")
-        src, dst = np.divmod(codes, B.shape[0])
-        return cls(B.shape[0], src, dst, np.log(B[src, dst]))
 
     def bellman_scaled(self) -> "BellmanScaling":
         """The operator ``S_uv = A_uv exp(x_v - x_u - beta)``, where
@@ -251,18 +235,17 @@ def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
     return np.array(eta), np.array(x), max(depth)
 
 
-def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER,
+def power_iteration(op: EdgeOperator, max_iter: int = DEFAULT_MAX_ITER,
                     start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Perron root and right eigenvector of a nonnegative operator.
+    """Perron root and right eigenvector of a nonnegative operator held as
+    edge arrays.
 
-    ``matrix`` is an :class:`EdgeOperator`, or a dense matrix whose support
-    must be primitive (:meth:`EdgeOperator.from_dense`).  The run starts
-    from ``start`` (a positive vector; by default the uniform one),
-    renormalises in L1 and is deterministic.  Each step is the lazy step
-    ``v <- S (S v / s + v)``, ``s`` the current root estimate: ``S/s + I``
-    maps an eigenvalue ``-s`` to 0, so a nearly periodic spectrum cannot
-    stall the run, and the outer ``S`` keeps the small eigenvector entries
-    converging as fast as plain iteration does.
+    The run starts from ``start`` (a positive vector; by default the
+    uniform one), renormalises in L1 and is deterministic.  Each step is the
+    lazy step ``v <- S (S v / s + v)``, ``s`` the current root estimate:
+    ``S/s + I`` maps an eigenvalue ``-s`` to 0, so a nearly periodic
+    spectrum cannot stall the run, and the outer ``S`` keeps the small
+    eigenvector entries converging as fast as plain iteration does.
     Convergence requires the root estimate and every significant vector
     component to settle to relative tolerance ``TOL`` (componentwise,
     because eigenvector entries can span hundreds of orders of magnitude
@@ -272,7 +255,6 @@ def power_iteration(matrix, max_iter: int = DEFAULT_MAX_ITER,
     critical edge joins (their leading eigenvalues merge as the weights
     cool) can exhaust ``max_iter``.
     """
-    op = matrix if isinstance(matrix, EdgeOperator) else EdgeOperator.from_dense(matrix)
     if start is None:
         v = np.full(op.size, 1.0 / op.size)
     else:

@@ -33,8 +33,7 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import (WORD_BUDGET, ShiftModel, _locate, _symbol_tuples,
-                     word_levels)
+from .shifts import ShiftModel, _locate, _symbol_tuples, word_levels
 
 
 @dataclass(eq=False)
@@ -185,7 +184,7 @@ def _running_sum(values: np.ndarray) -> float:
 def _sup_weights(shift: ShiftModel, pot: Potential, t: float, n: int):
     """Engine levels 1..n and, on level n, exp(t sup f_n|[w] - max over the
     level): the sup-weight masses up to normalisation, free of overflow."""
-    levels = word_levels(shift, n, budget=WORD_BUDGET)
+    levels = word_levels(shift, n)
     x = t * pot.level_extrema(shift, levels)[-1][0]
     return levels, np.exp(x - x.max())
 
@@ -290,7 +289,7 @@ class RPFEquilibrium:
         return mass
 
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
-        levels = word_levels(self.shift, depth, budget=WORD_BUDGET)
+        levels = word_levels(self.shift, depth)
         return CylinderMeasure._from_level(
             self.shift, levels[-1][0], self.level_masses(levels)[-1], "spectral")
 
@@ -409,7 +408,7 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     seq = []
     prev_H = 0.0
     value = math.nan
-    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+    levels = word_levels(shift, n_max)
     for n, mu in enumerate(measure.level_masses(levels), start=1):
         mu = mu[mu > 0]
         H = math.fsum((-mu * _log(mu)).tolist())
@@ -438,7 +437,7 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
     measure._check_scan(shift, n_max)
     seq = []
     best = math.inf
-    levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+    levels = word_levels(shift, n_max)
     for n, (mu, (hi, _)) in enumerate(
             zip(measure.level_masses(levels), pot.level_extrema(shift, levels)),
             start=1):
@@ -478,7 +477,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     if any(n < 1 for n in ns):
         raise ValidationError("word length must be >= 1")
     measure._check_scan(shift, max(ns))
-    levels = word_levels(shift, max(ns), budget=WORD_BUDGET)
+    levels = word_levels(shift, max(ns))
     values = pot.level_extrema(shift, levels)
     masses = measure.level_masses(levels)
     c_lo = math.inf
@@ -620,36 +619,36 @@ def entropy_tail_bound(pot: DecayPotential, t: float, n: int, cutoff: int,
 
     Uses mu[w] <= C exp(t sup f_n|[w]) with
     C = exp(t C_bv + n t C_aa + t (n-1) sup f_1 - n P) and the monotonicity
-    of -x log x below 1/e.  Raises when C exp(t f_1|[cutoff+1]) >= 1/e, naming
-    the smallest workable cutoff.  Where C overflows a float the edge test
-    and the cutoff search run on log C, and a cutoff that passes them
-    raises, since C itself cannot be reported."""
+    of -x log x below 1/e.  Raises when log C + t f_1|[cutoff+1] >= -1,
+    naming the smallest workable cutoff; the test and the cutoff search run
+    on log C, so they hold where C overflows a float, and a cutoff that
+    passes them then raises, since C itself cannot be reported."""
     if not isinstance(pot, DecayPotential):
         raise ValidationError("entropy tail bounds need a decay-law potential")
     if not pot.summable(t):
         raise ConditionNotMet("the t-scaled series diverges at this t")
     log_c = (t * pot.bv_const + n * t * pot.aa_const
              + t * (n - 1) * pot.sup_f1 - n * pressure)
-    try:
-        C = math.exp(log_c)
-        edge, limit = (lambda k: C * math.exp(t * pot.value(k))), 1.0 / math.e
-    except OverflowError:
-        C = None
-        edge, limit = (lambda k: log_c + t * pot.value(k)), -1.0
-    if edge(cutoff + 1) >= limit:
-        # the smallest k > cutoff with C exp(t f_1|[k+1]) < 1/e, k <= 10^9
+
+    def edge(k: int) -> float:
+        return log_c + t * pot.value(k)
+
+    if edge(cutoff + 1) >= -1.0:
+        # the smallest k > cutoff with log C + t f_1|[k+1] < -1, k <= 10^9
         try:
             needed = cutoff + _smallest_n(
                 lambda k: edge(cutoff + k + 1),
-                math.nextafter(limit, -math.inf), cap=10 ** 9 - cutoff)
+                math.nextafter(-1.0, -math.inf), cap=10 ** 9 - cutoff)
         except NumericalError:
             raise NumericalError("no workable cutoff below the search cap") from None
         raise ConditionNotMet(
             f"cutoff {cutoff} too small for the -x log x regime; "
             f"smallest workable cutoff is {needed}")
-    if C is None:
+    try:
+        C = math.exp(log_c)
+    except OverflowError:
         raise NumericalError(
-            f"the cylinder-mass constant C = exp({log_c!r}) overflows a float")
+            f"the cylinder-mass constant C = exp({log_c!r}) overflows a float") from None
     W = pot.tail_weight_numeric(cutoff, t, terms=terms)
     G = pot.weighted_log_tail(cutoff, t, terms=terms)
     value = n * C * ((-math.log(C)) * W + G)

@@ -30,10 +30,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, config_number
+from .errors import BudgetExceeded, ValidationError, config_number
 from .linalg import _log
-from .shifts import (ShiftModel, _first_children, _locate, _symbol_tuples,
-                     count_admissible_words, word_levels)
+from .shifts import (ShiftModel, _first_children, _levels, _locate,
+                     _symbol_tuples, word_levels)
 
 
 class Potential:
@@ -169,7 +169,7 @@ class LocallyConstant(Potential):
         """Window sums along parents, plus for depth r >= 2 the best and worst
         sum over the r - 1 windows that run past the word, read from per-shift
         continuation tables.  The table must cover every admissible r-word."""
-        r = self._depth
+        r = self.depth
         blocks = word_levels(shift, r)
         f = self.first_level(shift, blocks)
         if r == 1:
@@ -295,10 +295,8 @@ class DecayPotential(Potential):
     def sup_f1(self) -> float:
         return self.value(1)
 
-    def level_extrema(self, shift, levels):
-        f = self.first_level(shift, word_levels(shift, 1))  # one per symbol
-        return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
-
+    # the depth-1 branch: first_level on level 1, summed along parents
+    level_extrema = LocallyConstant.level_extrema
     sup = Potential.sup
     inf = Potential.inf
 
@@ -575,20 +573,24 @@ class ConstantsReport:
 
 def constants_report(shift: ShiftModel, pot: Potential, depth: int,
                      word_budget: int = 500_000) -> ConstantsReport:
-    """Scan all admissible words up to ``depth`` and measure additivity
-    defects |f_{n+m} - f_n - f_m o sigma^n| at one point per cylinder, plus
-    the variation of f_n over n-cylinders.
+    """Scan all admissible words up to ``depth``, or up to the last length
+    the word-level engine builds under ``word_budget`` words per level and
+    its cell bound, and measure additivity defects
+    |f_{n+m} - f_n - f_m o sigma^n| at one point per cylinder, plus the
+    variation of f_n over n-cylinders.
 
     Additive families satisfy f_{n+m} = f_n + f_m o sigma^n by definition,
     so their defect is exactly 0 and only the variation is scanned."""
     if depth < 2:
         raise ValidationError("constants_report needs depth >= 2")
-    scanned = 0
-    while scanned < depth and \
-            count_admissible_words(shift, scanned + 1) <= word_budget:
-        scanned += 1
+    levels = []
+    try:
+        for level in _levels(shift, depth, word_budget):
+            levels.append(level)
+    except BudgetExceeded:
+        pass
+    scanned = len(levels)
     budget_hit = scanned < depth
-    levels = word_levels(shift, scanned) if scanned else []
     values = pot.level_extrema(shift, levels)
     variations = [max(0.0, float((hi - lo).max())) for hi, lo in values]
     bv_emp = max(variations, default=0.0)

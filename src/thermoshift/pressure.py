@@ -39,8 +39,8 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
-from .shifts import (WORD_BUDGET, CompactApproximation, ShiftModel, _locate,
-                     _symbol_tuples, is_primitive, word_levels)
+from .shifts import (CompactApproximation, ShiftModel, _locate, _symbol_tuples,
+                     is_primitive, word_levels)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
         start[starts, cols] = 0.0
         log_z = B.log_walk(start, n_max, lambda h: log_sum_exp(h[starts, cols]))
     else:
-        levels = word_levels(shift, n_max, budget=WORD_BUDGET)
+        levels = word_levels(shift, n_max)
         closes = shift.adjacency[:, ai].astype(bool)
         log_z = []
         for (words, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
@@ -121,7 +121,7 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
         raise ValidationError("n_max must be >= 1")
     _check_word_t(t)
     r = min(n_max, pot.depth or n_max)     # the lengths the engine serves
-    levels = word_levels(shift, r, budget=WORD_BUDGET)
+    levels = word_levels(shift, r)
     sups = [t * hi for hi, _ in pot.level_extrema(shift, levels)]
     log_z = [log_sum_exp(s) for s in sups]
     if n_max > r:
@@ -153,7 +153,7 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     """
     if depth < 1:
         raise ValidationError("block depth must be >= 1")
-    levels = word_levels(shift, depth + 1, budget=WORD_BUDGET)
+    levels = word_levels(shift, depth + 1)
     words, parent = levels[depth]
     dst = _locate(shift, levels, words[:, 1:])
     states = _symbol_tuples(shift, levels[depth - 1][0])

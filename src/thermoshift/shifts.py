@@ -3,7 +3,10 @@ approximations of a countable shift by finite mixing subshifts.
 
 Words are plain tuples of symbols at the package's interfaces; inside, the
 word-level engine (:func:`word_levels`) holds whole levels as integer arrays
-of symbol indices.  Word-length conventions: an admissible word of length n
+of symbol indices, and applies the word budget itself: at most
+``WORD_BUDGET`` words per level (read at call time, unless the caller passes
+its own budget) and 16 times as many cells (words x length) over the levels
+of one enumeration.  Word-length conventions: an admissible word of length n
 corresponds to a path with n-1 edges, and per-pair mixing thresholds are
 stored as word lengths (so the smallest meaningful threshold is 2).
 """
@@ -258,31 +261,50 @@ def _require_finite(shift) -> ShiftModel:
     return shift
 
 
-# Word budget of every estimator that enumerates a whole level.
+# Word budget of every estimator that enumerates a whole level, read at call
+# time; the levels of one enumeration may fill 16 times as many cells.
 WORD_BUDGET = 2_000_000
 
 
-def _levels(shift: ShiftModel, n: int, budget: int | None):
+def _levels(shift: ShiftModel, n: int, budget: int | None = None):
     """Levels 1..n of :func:`word_levels`, one at a time.
 
     Each level's size is the sum of the out-degrees of the previous level's
-    last symbols, so the budget is checked before the level is allocated.
+    last symbols, so it is checked before the level is allocated: against
+    ``budget`` words (``WORD_BUDGET`` when not given), and, with the levels
+    built before it, against ``16 * WORD_BUDGET`` cells (words x length)
+    whatever ``budget`` is.
     """
     shift = _require_finite(shift)
     if n < 1:
         raise ValidationError("word length must be >= 1")
+    if budget is None:
+        budget = WORD_BUDGET
+    max_cells = 16 * WORD_BUDGET
+    cells = 0
+
+    def room(size: int, length: int) -> None:
+        nonlocal cells
+        if size > budget:
+            raise BudgetExceeded(
+                f"admissible word enumeration exceeded budget {budget} at length {length}")
+        cells += size * length
+        if cells > max_cells:
+            raise BudgetExceeded(
+                f"admissible word enumeration exceeded {max_cells} cells "
+                f"(words x length) at length {length}")
+
     m = shift.n_symbols
     degree = shift._degree
     first_edge = np.cumsum(degree) - degree
+    room(m, 1)
     words = np.arange(m)[:, None]
     parent = np.zeros(m, dtype=np.intp)
     yield words, parent
     for length in range(2, n + 1):
         counts = degree[words[:, -1]]
         size = int(counts.sum())
-        if budget is not None and size > budget:
-            raise BudgetExceeded(
-                f"admissible word enumeration exceeded budget {budget} at length {length}")
+        room(size, length)
         parent = np.repeat(np.arange(len(words)), counts)
         # the r-th child of a word ending in a takes a's r-th successor
         rank = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -300,7 +322,7 @@ def word_levels(shift: ShiftModel, n: int,
     :func:`admissible_words`; ``parent[i]`` is the row of ``words[i, :-1]``
     in the level before (0, the empty word, on level 1).  The children of a
     word are therefore consecutive rows.  Raises :class:`BudgetExceeded`
-    before building a level of more than ``budget`` words.
+    before building a level past either bound of :func:`_levels`.
     """
     return list(_levels(shift, n, budget))
 
@@ -365,7 +387,7 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     if n < 1:
         raise ValidationError("period must be >= 1")
     ai = shift.index(a)
-    for words, _ in _levels(shift, n, WORD_BUDGET):
+    for words, _ in _levels(shift, n):
         pass  # only the last level is kept
     closes = shift.adjacency[words[:, -1], ai].astype(bool)
     return _symbol_tuples(shift, words[(words[:, 0] == ai) & closes])

@@ -26,8 +26,8 @@ from .linalg import BellmanScaling
 from .measures import _equilibrium, _running_sum
 from .potentials import Potential
 from .pressure import _spectral_block, weighted_block_matrix
-from .shifts import (WORD_BUDGET, ShiftModel, _grouped, _strong_components,
-                     _symbol_tuples, word_levels)
+from .shifts import (ShiftModel, _grouped, _strong_components, _symbol_tuples,
+                     word_levels)
 
 _EXHAUSTIVE_LIMIT = 8
 _NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
@@ -191,7 +191,7 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError("empty temperature schedule")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
-    levels = word_levels(shift, depth, budget=WORD_BUDGET)
+    levels = word_levels(shift, depth)
     words = _symbol_tuples(shift, levels[-1][0])
     block = _spectral_block(shift, pot, None, ts)
     rows, clusters = [], []

@@ -3,6 +3,7 @@ and patches.  The harness is not imported here; these names are its
 contract, so a pruning change that breaks one fails in the test suite
 instead of silently in a traced benchmark run."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -26,6 +27,7 @@ FAMILIES = ("LocallyConstant", "DecayPotential", "MatrixCocycle", "AffinePotenti
 AGGREGATED = {"potentials.sup", "potentials.inf", "potentials.at_periodic",
               "measures.rpf_mass", "measures.from_weights"}
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+SRC = Path(thermoshift.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -111,3 +113,20 @@ def test_per_layer_metrics_name_public_functions():
                 and not fn.startswith("_")):
             missing.append(metric["name"])
     assert missing == []
+
+
+def test_every_module_import_is_used():
+    # a name a module imports and never reads is a leftover of a removed path
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []

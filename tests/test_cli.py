@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,22 @@ def test_pressure_walk_is_under_the_word_budget(capsys, tmp_path, route):
     code, out, err = run(capsys, tmp_path, "pressure", cfg)
     assert code == 2 and out == ""
     assert "log-domain walk" in err and "exceeds budget" in err
+
+
+def test_one_symbol_loop_is_under_the_cell_bound(capsys, tmp_path):
+    # one word per length: the engine's cell bound stops the scan at 8000
+    cfg = {
+        "shift": {"alphabet": [0], "edges": [[0, 0]]},
+        "potential": {"family": "matrix_cocycle",
+                      "matrices": {"0": [[1.0, 2.0], [3.0, 1.0]]}},
+        "t": 1.0,
+        "n_max": 100_000,
+    }
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "pressure", cfg)
+    assert time.perf_counter() - start < 3.0
+    assert code == 2 and out == ""
+    assert "cells" in err and "at length 8000" in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -9,6 +9,7 @@ engine.
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,8 +19,13 @@ from hypothesis import strategies as st
 
 from thermoshift import (AffinePotential, BudgetExceeded, DecayPotential,
                          LocallyConstant, MatrixCocycle, RenewalRule,
-                         ShiftModel, admissible_words, count_admissible_words,
-                         is_primitive, word_levels)
+                         ShiftModel, admissible_words, anneal, constants_report,
+                         count_admissible_words, entropy_estimate,
+                         gibbs_certificate, gibbs_construct, gibbs_weights,
+                         gurevich_estimate, is_primitive, lyapunov,
+                         periodic_points, rpf_equilibrium, shifts,
+                         topological_pressure, weighted_block_matrix,
+                         word_levels)
 
 LETTERS = "abcde"
 MAX_WORDS = 2000  # keeps the per-word oracles fast
@@ -176,6 +182,64 @@ def test_budget_raises_before_the_level_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_every_enumerating_entry_point_applies_the_word_budget(monkeypatch):
+    # level 3 of the full 3-shift holds 27 words; the engine reads the
+    # budget when it is called, so no caller passes it
+    shift = ShiftModel.full(3)
+    pot = LocallyConstant({0: 0.0, 1: -0.5, 2: -1.0})
+    cocycle = MatrixCocycle({s: [[1.0, 2.0], [1.0 + s, 1.0]] for s in range(3)})
+    mu = rpf_equilibrium(shift, pot, 1.0)
+    monkeypatch.setattr(shifts, "WORD_BUDGET", 20)
+    calls = {
+        "word_levels": lambda: word_levels(shift, 3),
+        "admissible_words": lambda: admissible_words(shift, 3),
+        "periodic_points": lambda: periodic_points(shift, 3, 0),
+        "gibbs_weights": lambda: gibbs_weights(shift, pot, 1.0, 3),
+        "gibbs_construct": lambda: gibbs_construct(shift, pot, 1.0, 3, 1, 2),
+        "entropy_estimate": lambda: entropy_estimate(shift, mu, 3),
+        "lyapunov": lambda: lyapunov(shift, pot, mu, 3),
+        "gibbs_certificate": lambda: gibbs_certificate(
+            shift, pot, 1.0, mu, mu.pressure, range(1, 4)),
+        "topological_pressure": lambda: topological_pressure(shift, cocycle, 1.0, 3),
+        "gurevich_estimate": lambda: gurevich_estimate(shift, cocycle, 1.0, 3),
+        "weighted_block_matrix": lambda: weighted_block_matrix(shift, pot, 1.0, 2),
+        "anneal": lambda: anneal(shift, pot, [1.0, 2.0], depth=3),
+        "as_cylinder_measure": lambda: mu.as_cylinder_measure(3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(BudgetExceeded, match="budget 20 at length 3$"):
+            call()
+            pytest.fail(name)
+
+
+def test_the_engine_bounds_the_cells_it_holds(monkeypatch):
+    # 16 x WORD_BUDGET cells (words x length) over the levels built so far,
+    # whatever budget the caller passes; level 1 is checked like the rest
+    loop = ShiftModel.from_edges([0], [(0, 0)])
+    monkeypatch.setattr(shifts, "WORD_BUDGET", 10)
+    assert len(word_levels(loop, 17, budget=10 ** 9)) == 17    # 153 cells
+    with pytest.raises(BudgetExceeded, match="160 cells .* at length 18$"):
+        word_levels(loop, 18, budget=10 ** 9)                  # 171 cells
+    with pytest.raises(BudgetExceeded, match="budget 10 at length 1$"):
+        word_levels(ShiftModel.full(11), 1)
+
+
+def test_one_symbol_loop_stops_at_the_cell_bound():
+    # one word per level, n cells at length n: the n_max = 100 000 scans
+    # would hold ~5e9 cells; the bound stops them at length 8000
+    loop = ShiftModel.from_edges([0], [(0, 0)])
+    cocycle = MatrixCocycle({0: [[1.0, 2.0], [3.0, 1.0]]})
+    for scan in (topological_pressure, gurevich_estimate):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="cells .* at length 8000$"):
+            scan(loop, cocycle, 1.0, 100_000)
+        assert time.perf_counter() - start < 3.0
+    start = time.perf_counter()
+    rep = constants_report(loop, LocallyConstant({0: 0.5}), 100_000)
+    assert time.perf_counter() - start < 3.0
+    assert rep.budget_hit and rep.depths_scanned == 7999
 
 
 def test_count_admissible_words_is_exact():

@@ -561,6 +561,64 @@ def test_entropy_tail_bound_handles_an_unrepresentable_constant():
         entropy_tail_bound(linear, 1.0, 1000, 1002, -2.0)
 
 
+def _float_edge_tail_bound(pot, t, n, cutoff, pressure, terms=20000):
+    """The parent implementation of entropy_tail_bound: a float edge test
+    C exp(t f_1) >= 1/e, and the log test only where C overflows."""
+    if not pot.summable(t):
+        raise ConditionNotMet("the t-scaled series diverges at this t")
+    log_c = (t * pot.bv_const + n * t * pot.aa_const
+             + t * (n - 1) * pot.sup_f1 - n * pressure)
+    try:
+        C = math.exp(log_c)
+        edge, limit = (lambda k: C * math.exp(t * pot.value(k))), 1.0 / math.e
+    except OverflowError:
+        C = None
+        edge, limit = (lambda k: log_c + t * pot.value(k)), -1.0
+    if edge(cutoff + 1) >= limit:
+        try:
+            needed = cutoff + measures._smallest_n(
+                lambda k: edge(cutoff + k + 1),
+                math.nextafter(limit, -math.inf), cap=10 ** 9 - cutoff)
+        except NumericalError:
+            raise NumericalError("no workable cutoff below the search cap") from None
+        raise ConditionNotMet(
+            f"cutoff {cutoff} too small for the -x log x regime; "
+            f"smallest workable cutoff is {needed}")
+    if C is None:
+        raise NumericalError(
+            f"the cylinder-mass constant C = exp({log_c!r}) overflows a float")
+    W = pot.tail_weight_numeric(cutoff, t, terms=terms)
+    G = pot.weighted_log_tail(cutoff, t, terms=terms)
+    value = n * C * ((-math.log(C)) * W + G)
+    return measures.EntropyTailBound(value, C, cutoff, n, True)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ConditionNotMet, NumericalError, ValueError) as err:
+        return type(err), str(err)
+    return tuple(map(repr, (out.value, out.constant, out.cutoff, out.n,
+                            out.applicable)))
+
+
+def test_entropy_tail_bound_matches_the_float_edge_test():
+    # one edge test on log C gives the outcome of the float test it replaced
+    rng = random.Random(20)
+    raised = passed = 0
+    for _ in range(300):
+        pot = DecayPotential(rng.choice(["log", "linear"]), rng.uniform(0.3, 3.0),
+                             rng.uniform(-2.0, 2.0))
+        t = rng.uniform(0.5, 3.0)
+        n = rng.choice([rng.randint(1, 30), rng.randint(300, 1000)])
+        args = (pot, t, n, rng.randint(1, 2000), rng.uniform(-3.0, 3.0), 200)
+        want = _outcome(_float_edge_tail_bound, *args)
+        assert _outcome(entropy_tail_bound, *args) == want
+        raised += isinstance(want[0], type)
+        passed += not isinstance(want[0], type)
+    assert raised > 50 and passed > 50
+
+
 def test_entropy_tail_bound_rejects_divergent_series():
     with pytest.raises(ConditionNotMet):
         entropy_tail_bound(DecayPotential("log", 0.4), 2.0, 2, 10, 0.0)

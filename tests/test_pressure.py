@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from thermoshift import measures, potentials, pressure
 from thermoshift import (AffinePotential, BudgetExceeded, ConditionNotMet,
                          DecayPotential, LocallyConstant, MatrixCocycle,
-                         NumericalError, RenewalRule, ShiftModel, ValidationError,
+                         RenewalRule, ShiftModel, ValidationError,
                          admissible_words, best_pressure, compact_approximation,
                          gurevich_estimate, log_sum_exp, power_iteration,
                          pressure_curve, topological_pressure, transfer_pressure,
@@ -431,23 +431,24 @@ def test_pressure_curve_on_the_renewal_is_the_first_return_derivative():
 # -- numerics --------------------------------------------------------------
 
 
+def dense_operator(matrix) -> EdgeOperator:
+    """The positive entries of a nonnegative matrix as an edge operator."""
+    B = np.asarray(matrix, dtype=float)
+    src, dst = np.nonzero(B > 0)       # row-major: sorted by source
+    return EdgeOperator(len(B), src, dst, np.log(B[src, dst]))
+
+
 def test_power_iteration_simple_oracle():
-    lam, vec = power_iteration(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    lam, vec = power_iteration(dense_operator([[2.0, 1.0], [1.0, 2.0]]))
     assert lam == pytest.approx(3.0, abs=1e-11)
     assert vec == pytest.approx(np.array([0.5, 0.5]), abs=1e-10)
-
-
-def test_power_iteration_flags_oscillation():
-    # period-2 structure with asymmetric weights never settles
-    with pytest.raises(NumericalError):
-        power_iteration(np.array([[0.0, 2.0], [1.0, 0.0]]), max_iter=2000)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0.1, 3.0), min_size=9, max_size=9))
 def test_power_iteration_positive_matrices_match_numpy(entries):
     B = np.array(entries).reshape(3, 3)
-    lam, _ = power_iteration(B)
+    lam, _ = power_iteration(dense_operator(B))
     assert lam == pytest.approx(max(abs(np.linalg.eigvals(B))), rel=1e-9)
 
 
