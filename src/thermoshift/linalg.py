@@ -399,7 +399,9 @@ def log_sum_exp(values) -> float:
     x = _floats(values)
     if not x.size:
         return -math.inf
-    m = float(x.max())
+    m = float(x[0] if x.size == 1 else x.max())
     if not math.isfinite(m):        # all -inf, or an inf or nan term
         return m
+    if x.size == 1:                 # the sum is fsum([exp(0.0)]), log 0.0
+        return m + 0.0
     return m + math.log(math.fsum(map(math.exp, (x - m).tolist())))

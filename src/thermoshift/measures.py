@@ -14,10 +14,10 @@ sources:
 
 The estimators (entropy, Lyapunov exponent, Gibbs certificate) read a
 measure through ``level_masses(levels)``: the mass of every row of each
-level of the word-level engine (:func:`~thermoshift.shifts.word_levels`),
-one array per level, as ``Potential.level_extrema`` gives the potential.
-Both measure types provide it, and ``mass(word)`` remains the per-word
-query.
+level of the word-level engine (:func:`~thermoshift.shifts.word_levels`,
+``(words, parent, suffix)`` triples), one array per level, as
+``Potential.level_extrema`` gives the potential.  Both measure types
+provide it, and ``mass(word)`` remains the per-word query.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import ShiftModel, _locate, _symbol_tuples, word_levels
+from .shifts import Level, ShiftModel, _locate, _symbol_tuples, _window, word_levels
 
 
 @dataclass(eq=False)
@@ -42,9 +42,9 @@ class CylinderMeasure:
 
     The support is held as arrays in insertion order: ``rows`` holds one
     word per row as symbol indices (positions in ``shift.symbols``) and
-    ``masses`` its normalised mass.  ``_at`` is each row's position in level
-    ``depth`` of :func:`word_levels` when the measure was built on an engine
-    level, else ``None``."""
+    ``masses`` its normalised mass.  When the measure was built on an engine
+    level, ``_engine`` is that level (of :func:`word_levels`) and ``_at``
+    each row's position in it; else both are ``None``."""
 
     shift: ShiftModel
     depth: int
@@ -52,6 +52,7 @@ class CylinderMeasure:
     masses: np.ndarray
     source: str = "raw"
     _at: np.ndarray | None = field(default=None, repr=False)
+    _engine: Level | None = field(default=None, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -72,23 +73,25 @@ class CylinderMeasure:
         rows = np.array([[shift.index(s) for s in w] for w in clean],
                         dtype=np.intp).reshape(len(clean), depth)
         return cls._normalised(shift, rows, np.array(list(clean.values())),
-                               source, None)
+                               source)
 
     @classmethod
-    def _from_level(cls, shift: ShiftModel, words: np.ndarray,
+    def _from_level(cls, shift: ShiftModel, level: Level,
                     weights: np.ndarray, source: str) -> "CylinderMeasure":
         """The measure with nonnegative ``weights`` on the rows of an engine
         level; its words are admissible by construction, so they skip the
         checks of :meth:`from_weights`."""
         at = np.flatnonzero(weights > 0)
-        return cls._normalised(shift, words[at], weights[at], source, at)
+        return cls._normalised(shift, level.words[at], weights[at], source,
+                               at, level)
 
     @classmethod
-    def _normalised(cls, shift, rows, masses, source, at) -> "CylinderMeasure":
+    def _normalised(cls, shift, rows, masses, source, at=None,
+                    level=None) -> "CylinderMeasure":
         total = _running_sum(masses)
         if total <= 0:
             raise ValidationError("measure has no mass")
-        return cls(shift, rows.shape[1], rows, masses / total, source, at)
+        return cls(shift, rows.shape[1], rows, masses / total, source, at, level)
 
     @cached_property
     def weights(self) -> dict:
@@ -103,7 +106,8 @@ class CylinderMeasure:
         """Mass of every row of each engine level of this measure's shift,
         one array per level as :meth:`Potential.level_extrema` returns them.
         Each support row is mapped to its level-n ancestor and the masses
-        are added in insertion order, the order of :meth:`level`."""
+        are added in insertion order, the order of :meth:`level`.  Rows that
+        are not engine rows of the last level are located by walk."""
         top = len(levels)
         self._require_depth(top)
         at = (self._at if top == self.depth and self._at is not None
@@ -111,8 +115,8 @@ class CylinderMeasure:
         out = []
         for n in range(top, 0, -1):
             out.append(np.bincount(at, weights=self.masses,
-                                   minlength=len(levels[n - 1][0])))
-            at = levels[n - 1][1][at]
+                                   minlength=len(levels[n - 1].words)))
+            at = levels[n - 1].parent[at]
         return out[::-1]
 
     def level(self, k: int) -> dict:
@@ -144,16 +148,21 @@ class CylinderMeasure:
         return dict(sorted(table.items()))
 
     def invariance_defect(self) -> float:
-        """max over (depth-1)-cylinders of |mu(preimage) - mu(cylinder)|."""
+        """max over (depth-1)-cylinders of |mu(preimage) - mu(cylinder)|,
+        the (depth-1)-words keyed by their engine rows (``parent`` and
+        ``suffix``) where the measure has them, else by value."""
         if self.depth < 2:
             return 0.0
         n = len(self.masses)
-        keys, inverse = np.unique(
-            np.concatenate([self.rows[:, :-1], self.rows[:, 1:]]), axis=0,
-            return_inverse=True)
-        inverse = inverse.ravel()
-        short = np.bincount(inverse[:n], self.masses, minlength=len(keys))
-        pre = np.bincount(inverse[n:], self.masses, minlength=len(keys))
+        if self._engine is None:
+            key = np.unique(np.concatenate([self.rows[:, :-1], self.rows[:, 1:]]),
+                            axis=0, return_inverse=True)[1].ravel()
+        else:
+            key = np.concatenate([self._engine.parent[self._at],
+                                  self._engine.suffix[self._at]])
+        bins = int(key.max()) + 1
+        short = np.bincount(key[:n], self.masses, minlength=bins)
+        pre = np.bincount(key[n:], self.masses, minlength=bins)
         return float(np.abs(pre - short).max())
 
     def _require_depth(self, n: int) -> None:
@@ -193,7 +202,7 @@ def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
                   n: int) -> CylinderMeasure:
     """Mass on depth-n cylinders proportional to exp(t sup f_n|[w])."""
     levels, w = _sup_weights(shift, pot, t, n)
-    return CylinderMeasure._from_level(shift, levels[-1][0], w, "sup-weight")
+    return CylinderMeasure._from_level(shift, levels[-1], w, "sup-weight")
 
 
 def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
@@ -210,19 +219,14 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
         raise ValidationError(
             f"report depth must lie in 1..{n - m + 1} for n={n}, m={m}")
     levels, w = _sup_weights(shift, pot, t, n)
-    words = levels[-1][0]
+    rows = np.arange(len(w))
     share = (w / _running_sum(w)) * (1.0 / m)
     # window j of word u lands on row at[u, j] of level ``depth``; bincount
-    # adds the shares in the order u, then j.  Window 0 is u's ancestor there.
-    first = np.arange(len(words))
-    for _, parent in reversed(levels[depth:]):
-        first = parent[first]
-    at = np.stack([first] + [_locate(shift, levels, words[:, j:j + depth])
-                             for j in range(1, m)], axis=1)
+    # adds the shares in the order u, then j
+    at = np.stack([_window(levels, rows, n, j, depth) for j in range(m)], axis=1)
     acc = np.bincount(at.ravel(), weights=np.repeat(share, m),
-                      minlength=len(levels[depth - 1][0]))
-    return CylinderMeasure._from_level(shift, levels[depth - 1][0], acc,
-                                       "cesaro")
+                      minlength=len(levels[depth - 1].words))
+    return CylinderMeasure._from_level(shift, levels[depth - 1], acc, "cesaro")
 
 
 # -- spectral equilibrium --------------------------------------------------
@@ -291,7 +295,7 @@ class RPFEquilibrium:
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
         levels = word_levels(self.shift, depth)
         return CylinderMeasure._from_level(
-            self.shift, levels[-1][0], self.level_masses(levels)[-1], "spectral")
+            self.shift, levels[-1], self.level_masses(levels)[-1], "spectral")
 
     def level_masses(self, levels: list) -> list[np.ndarray]:
         """:meth:`mass` on every row of each engine level, one array per
@@ -301,16 +305,16 @@ class RPFEquilibrium:
         row's mass is its parent's times one transition, the edge its last
         r + 1 symbols spell: ``mass[parent] * prob[edge row]``, the
         left-to-right product of :meth:`mass` itself, so the floats are the
-        same."""
+        same.  A row's edge is its suffix's, carried down ``suffix``."""
         r = self.depth
         out = []
         shallow = min(len(levels), r - 1)
         if shallow:
-            blocks = word_levels(self.shift, r)
+            blocks = levels if len(levels) >= r else word_levels(self.shift, r)
             pi = self.pi.tolist()
             at = np.arange(len(pi))
             for n in range(r - 1, 0, -1):
-                at = blocks[n][1][at]   # row of each state's length-n prefix
+                at = blocks[n].parent[at]   # row of each state's length-n prefix
                 if n <= shallow:
                     cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(),
                             len(pi)]
@@ -321,8 +325,9 @@ class RPFEquilibrium:
             return out
         mass = self.pi                  # row i of level r is state i
         out.append(mass)
-        for words, parent in levels[r:]:
-            edge = _locate(self.shift, levels, words[:, -r - 1:])
+        for n, (_, parent, suffix) in enumerate(levels[r:], start=r + 1):
+            # row of the last r + 1 symbols in level r + 1
+            edge = np.arange(len(parent)) if n == r + 1 else edge[suffix]
             mass = mass[parent] * self.prob[edge]
             out.append(mass)
         return out
@@ -484,7 +489,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     c_hi = 0.0
     worst = ()
     for n in ns:
-        words = levels[n - 1][0]
+        words = levels[n - 1].words
         mu = masses[n - 1]
         keep = np.flatnonzero(mu > 0)
         if not len(keep):
@@ -651,5 +656,6 @@ def entropy_tail_bound(pot: DecayPotential, t: float, n: int, cutoff: int,
             f"the cylinder-mass constant C = exp({log_c!r}) overflows a float") from None
     W = pot.tail_weight_numeric(cutoff, t, terms=terms)
     G = pot.weighted_log_tail(cutoff, t, terms=terms)
-    value = n * C * ((-math.log(C)) * W + G)
+    # -log C is -log_c itself where C underflows to 0
+    value = n * C * ((-math.log(C) if C else -log_c) * W + G)
     return EntropyTailBound(value, C, cutoff, n, True)

@@ -13,8 +13,8 @@ families shipped:
 
 ``level_extrema`` evaluates the cylinder supremum and infimum of f_n on
 [w] for every word w of whole levels of the word-level engine
-(:func:`~thermoshift.shifts.word_levels`); ``sup``/``inf`` are its one-row
-calls for a single tuple word.  For every family except depth >= 2 locally
+(:func:`~thermoshift.shifts.word_levels`); ``sup``/``inf`` call it on the
+windows of a single tuple word.  For every family except depth >= 2 locally
 constant the two agree because f_n is constant on n-cylinders.
 
 The additive families (finite ``depth``) give f_1 on every row of a level
@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, ValidationError, config_number
 from .linalg import _log
-from .shifts import (ShiftModel, _first_children, _levels, _locate,
+from .shifts import (Level, ShiftModel, _first_children, _levels, _locate,
                      _symbol_tuples, word_levels)
 
 
@@ -61,13 +62,15 @@ class Potential:
         """(sup, inf) of f_n over the cylinder of every word of every level.
 
         ``levels`` holds consecutive levels 1..n of ``shift`` as
-        ``(words, parent)`` pairs, as :func:`word_levels` returns them; the
-        result has one pair of arrays per level, aligned with its rows.
+        ``(words, parent, suffix)`` triples, as :func:`word_levels` returns
+        them; the result has one pair of arrays per level, aligned with its
+        rows.
         """
         raise NotImplementedError
 
     def sup(self, word: Sequence, shift: ShiftModel | None = None) -> float:
-        """sup of f_n on [word], n = len(word): a one-row level_extrema call."""
+        """sup of f_n on [word], n = len(word): a level_extrema call on the
+        word's windows."""
         return self._word_extrema(word, shift)[0]
 
     def inf(self, word: Sequence, shift: ShiftModel | None = None) -> float:
@@ -85,11 +88,18 @@ class Potential:
             # the word is admissible in the full shift on its own symbols
             own = tuple(dict.fromkeys(word))
             shift = ShiftModel.full(len(own), own)
-        row = np.array([[shift.index(s) for s in word]])
-        chain = [(row[:, :k], np.zeros(1, dtype=np.intp))
-                 for k in range(1, len(word) + 1)]
-        hi, lo = self.level_extrema(shift, chain)[-1]
-        return float(hi[0]), float(lo[0])
+        row = np.array([shift.index(s) for s in word])
+        n = len(row)
+        # engine levels as deep as the family reads whole ones, then per
+        # length k the word's k-windows: window j's parent and suffix are
+        # windows j and j + 1 one level down (located by walk on the engine)
+        levels = word_levels(shift, min(n, self.depth or 1))
+        at = _locate(shift, levels, sliding_window_view(row, len(levels)))
+        for k in range(len(levels) + 1, n + 1):
+            levels.append(Level(sliding_window_view(row, k), at[:-1], at[1:]))
+            at = np.arange(n - k + 1)
+        hi, lo = self.level_extrema(shift, levels)[-1]
+        return float(hi[at[0]]), float(lo[at[0]])
 
     def at_periodic(self, word: Sequence) -> float:
         """f_n at the periodic point obtained by repeating ``word``."""
@@ -168,21 +178,29 @@ class LocallyConstant(Potential):
     def level_extrema(self, shift, levels):
         """Window sums along parents, plus for depth r >= 2 the best and worst
         sum over the r - 1 windows that run past the word, read from per-shift
-        continuation tables.  The table must cover every admissible r-word."""
+        continuation tables.  The table must cover every admissible r-word.
+        The row of a word's last r-window is its suffix's, carried down the
+        ``suffix`` arrays from level r (taken from ``levels`` if it has it)."""
         r = self.depth
-        blocks = word_levels(shift, r)
+        blocks = levels[:r] if len(levels) >= r else word_levels(shift, r)
         f = self.first_level(shift, blocks)
         if r == 1:
-            return [(s, s) for s in _accumulate(levels, lambda w: f[w[:, -1]])]
+            sums = []
+            for words, parent, _ in levels:
+                step = f[words[:, -1]]
+                sums.append(step if not sums else sums[-1][parent] + step)
+            return [(s, s) for s in sums]
         best, worst = _continuations(shift, blocks, f)
-        closed = _accumulate(levels, lambda w: (
-            f[_locate(shift, blocks, w[:, -r:])] if w.shape[1] >= r
-            else np.zeros(len(w))))
         out = []
-        for (words, _), c in zip(levels, closed):
-            k = min(words.shape[1], r - 1)
-            at = _locate(shift, blocks, words[:, -k:])
-            out.append((c + best[k][at], c + worst[k][at]))
+        for n, (words, parent, suffix) in enumerate(levels, start=1):
+            if n < r:       # no whole window; the row is its own in level n
+                closed, at = np.zeros(len(words)), np.arange(len(words))
+            else:           # last: the row of the last r-window in level r
+                last = np.arange(len(words)) if n == r else last[suffix]
+                closed = closed[parent] + f[last]
+                at = blocks[-1].suffix[last]
+            k = min(n, r - 1)
+            out.append((closed + best[k][at], closed + worst[k][at]))
         return out
 
     # bound in each family's own class, so per-word calls are told apart
@@ -202,24 +220,15 @@ class LocallyConstant(Potential):
         r = self._depth
         if len(levels) < r:
             raise ValidationError("block depth must cover the potential depth")
-        keys = _symbol_tuples(shift, levels[r - 1][0])
+        keys = _symbol_tuples(shift, levels[r - 1].words)
         vals = [self._table.get(k) for k in keys]
         if None in vals:
             raise ValidationError(
                 f"word {keys[vals.index(None)]!r} is outside the potential domain")
         f = np.array(vals)
-        for _, parent in levels[r:]:
-            f = f[parent]
+        for level in levels[r:]:
+            f = f[level.parent]
         return f
-
-
-def _accumulate(levels, step) -> list[np.ndarray]:
-    """Per level, a running sum along parents: the parent's sum plus
-    ``step(words)``."""
-    out = []
-    for words, parent in levels:
-        out.append(step(words) if not out else out[-1][parent] + step(words))
-    return out
 
 
 def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
@@ -234,19 +243,19 @@ def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
     """
     r = len(blocks)
     # the r-words x are grouped by x[:-1]; x[1:] is where the walk goes next
-    groups = _first_children(blocks[-1][1])
-    nxt = _locate(shift, blocks, blocks[-1][0][:, 1:])
+    groups = _first_children(blocks[-1].parent)
+    nxt = blocks[-1].suffix
     tables = []
     for reduce in (np.maximum.reduceat, np.minimum.reduceat):
         # walk[j]: extreme sum over j windows continuing each (r-1)-word
-        walk = [np.zeros(len(blocks[-2][0]))]
+        walk = [np.zeros(len(blocks[-2].words))]
         for _ in range(r - 1):
             walk.append(reduce(f + walk[-1][nxt], groups))
         table = {r - 1: walk[r - 1]}
         for k in range(1, r - 1):
             v = walk[k]
             for level in range(r - 2, k - 1, -1):  # fold children into parents
-                v = reduce(v, _first_children(blocks[level][1]))
+                v = reduce(v, _first_children(blocks[level].parent))
             table[k] = v
         tables.append(table)
     return tables
@@ -307,7 +316,7 @@ class DecayPotential(Potential):
         """``value`` of each row's first symbol: one value per alphabet
         symbol, read through the rows' first column."""
         f = np.array([self.value(s) for s in shift.symbols])
-        return f[levels[-1][0][:, 0]]
+        return f[levels[-1].words[:, 0]]
 
     # -- analytic tails ----------------------------------------------------
 
@@ -427,7 +436,7 @@ class MatrixCocycle(Potential):
         dim = next(iter(self._mats.values())).shape[0]
         stack = np.stack([np.ones((dim, dim)) if m is None else m for m in mats])
         out = []
-        for words, parent in levels:
+        for words, parent, _ in levels:
             last = words[:, -1]
             if missing[last].any():
                 s = shift.symbols[last[missing[last]][0]]
@@ -479,10 +488,10 @@ class AffinePotential(Potential):
 
     def level_extrema(self, shift, levels):
         out = []
-        for (words, _), (hi, lo) in zip(levels, self.base.level_extrema(shift, levels)):
+        for level, (hi, lo) in zip(levels, self.base.level_extrema(shift, levels)):
             if self.mult < 0:
                 hi, lo = lo, hi
-            drift = words.shape[1] * self.shift_per_n
+            drift = level.words.shape[1] * self.shift_per_n
             out.append((self.mult * hi + drift, self.mult * lo + drift))
         return out
 
@@ -597,13 +606,15 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
     aa_emp = 0.0
     if pot.depth is None:
         for n in range(2, scanned + 1):
-            words = levels[n - 1][0]
             total = values[n - 1][0]
-            prefix = np.arange(len(words))
+            prefix = [np.arange(len(total))]
             for k in range(n - 1, 0, -1):
-                prefix = levels[k][1][prefix]  # row of w[:k] in level k
-                fa = values[k - 1][0][prefix]
-                fb = values[n - k - 1][0][_locate(shift, levels, words[:, k:])]
+                prefix.append(levels[k].parent[prefix[-1]])
+            tail = prefix[0]
+            for k in range(1, n):
+                tail = levels[n - k].suffix[tail]   # row of w[k:] in level n - k
+                fa = values[k - 1][0][prefix[n - k]]    # w[:k], level k
+                fb = values[n - k - 1][0][tail]
                 aa_emp = max(aa_emp, float(np.abs(total - fa - fb).max()))
     return ConstantsReport(aa_emp, bv_emp, pot.sup_f1, tuple(variations),
                            scanned, budget_hit, pot.aa_const, pot.bv_const)

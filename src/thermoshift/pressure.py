@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
-from .shifts import (CompactApproximation, ShiftModel, _locate, _symbol_tuples,
+from .shifts import (CompactApproximation, ShiftModel, _symbol_tuples,
                      is_primitive, word_levels)
 
 
@@ -88,7 +88,7 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
         levels = word_levels(shift, n_max)
         closes = shift.adjacency[:, ai].astype(bool)
         log_z = []
-        for (words, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
+        for (words, _, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
             rows = (words[:, 0] == ai) & closes[words[:, -1]]
             log_z.append(log_sum_exp(t * hi[rows]))
     seq = [(n, z / n) for n, z in enumerate(log_z, start=1)]
@@ -121,11 +121,12 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
         raise ValidationError("n_max must be >= 1")
     _check_word_t(t)
     r = min(n_max, pot.depth or n_max)     # the lengths the engine serves
-    levels = word_levels(shift, r)
-    sups = [t * hi for hi, _ in pot.level_extrema(shift, levels)]
+    # one build: the block operator's edges are level r + 1
+    levels = word_levels(shift, r + 1 if n_max > r else r)
+    sups = [t * hi for hi, _ in pot.level_extrema(shift, levels[:r])]
     log_z = [log_sum_exp(s) for s in sups]
     if n_max > r:
-        _, B, _ = weighted_block_matrix(shift, pot, t, depth=r)
+        B, _ = _block_operator(shift, pot, t, levels)
         log_z += B.log_walk(np.zeros((len(B), 1)), n_max - r,
                             lambda h: log_sum_exp(h[:, 0] + sups[-1]))
     seq = []
@@ -147,18 +148,23 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
     f_1|[u] per state (:meth:`Potential.first_level` on the states' level).
 
     The edges are the admissible words of length depth + 1: the source is
-    a word's prefix (its parent row in the word-level engine), the target
-    its suffix, so they come sorted by source.  The edges are enumerated
-    under the word budget.
+    a word's prefix (its ``parent`` row in the word-level engine), the
+    target its ``suffix`` row, so they come sorted by source.  The edges
+    are enumerated under the word budget.
     """
     if depth < 1:
         raise ValidationError("block depth must be >= 1")
     levels = word_levels(shift, depth + 1)
-    words, parent = levels[depth]
-    dst = _locate(shift, levels, words[:, 1:])
-    states = _symbol_tuples(shift, levels[depth - 1][0])
-    f = pot.first_level(shift, levels[:depth])
-    return states, EdgeOperator(len(states), parent, dst, t * f[parent]), f
+    B, f = _block_operator(shift, pot, t, levels)
+    return _symbol_tuples(shift, levels[depth - 1].words), B, f
+
+
+def _block_operator(shift: ShiftModel, pot: Potential, t: float, levels: list):
+    """The operator and f of :func:`weighted_block_matrix` on engine levels
+    1..depth + 1."""
+    _, src, dst = levels[-1]
+    f = pot.first_level(shift, levels[:-1])
+    return EdgeOperator(len(f), src, dst, t * f[src]), f
 
 
 def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,

@@ -17,7 +17,7 @@ import hashlib
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,6 +261,17 @@ def _require_finite(shift) -> ShiftModel:
     return shift
 
 
+class Level(NamedTuple):
+    """One level of :func:`word_levels`: a word per row of ``words`` as
+    symbol indices, in the order of :func:`admissible_words` (so a word's
+    children are consecutive rows), and the rows of ``words[:, :-1]``
+    (``parent``) and ``words[:, 1:]`` (``suffix``) in the level before."""
+
+    words: np.ndarray
+    parent: np.ndarray
+    suffix: np.ndarray
+
+
 # Word budget of every estimator that enumerates a whole level, read at call
 # time; the levels of one enumeration may fill 16 times as many cells.
 WORD_BUDGET = 2_000_000
@@ -299,37 +310,40 @@ def _levels(shift: ShiftModel, n: int, budget: int | None = None):
     first_edge = np.cumsum(degree) - degree
     room(m, 1)
     words = np.arange(m)[:, None]
-    parent = np.zeros(m, dtype=np.intp)
-    yield words, parent
+    empty = np.zeros(m, dtype=np.intp)      # the empty word, row 0
+    level = Level(words, empty, empty)
+    yield level
+    offsets = None      # first child in ``level`` of each row before it
     for length in range(2, n + 1):
         counts = degree[words[:, -1]]
         size = int(counts.sum())
         room(size, length)
         parent = np.repeat(np.arange(len(words)), counts)
         # the r-th child of a word ending in a takes a's r-th successor
-        rank = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(size) - np.repeat(starts, counts)
         last = shift._edges[first_edge[words[parent, -1]] + rank] % m
+        # and its suffix is the r-th child of the parent's suffix
+        suffix = (last if offsets is None
+                  else np.repeat(offsets[level.suffix], counts) + rank)
         words = np.concatenate([words[parent], last[:, None]], axis=1)
-        yield words, parent
+        level = Level(words, parent, suffix)
+        yield level
+        offsets = starts
 
 
-def word_levels(shift: ShiftModel, n: int,
-                budget: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every admissible level of lengths 1..n, as ``(words, parent)`` pairs.
+def word_levels(shift: ShiftModel, n: int, budget: int | None = None) -> list[Level]:
+    """Every admissible level of lengths 1..n, as :class:`Level` triples.
 
-    ``words`` holds one word per row as symbol indices (positions in
-    ``shift.symbols``), in the lexicographic order of
-    :func:`admissible_words`; ``parent[i]`` is the row of ``words[i, :-1]``
-    in the level before (0, the empty word, on level 1).  The children of a
-    word are therefore consecutive rows.  Raises :class:`BudgetExceeded`
-    before building a level past either bound of :func:`_levels`.
+    Raises :class:`BudgetExceeded` before building a level past either
+    bound of :func:`_levels`.
     """
     return list(_levels(shift, n, budget))
 
 
 def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
     """All admissible words of length n, lexicographic in alphabet order."""
-    for words, _ in _levels(shift, n, budget):
+    for words, _, _ in _levels(shift, n, budget):
         pass  # only the last level is kept
     return _symbol_tuples(shift, words)
 
@@ -348,10 +362,21 @@ def _first_children(parent: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(parent, prepend=-1))
 
 
+def _window(levels: list, at: np.ndarray, n: int, j: int, d: int) -> np.ndarray:
+    """Row in ``levels[d - 1]`` of ``words[at, j:j + d]``, ``words`` level
+    n: ``suffix`` applied j times, then ``parent`` n - j - d times."""
+    for k in range(n, n - j, -1):
+        at = levels[k - 1].suffix[at]
+    for k in range(n - j, d, -1):
+        at = levels[k - 1].parent[at]
+    return at
+
+
 def _locate(shift: ShiftModel, levels: list, rows: np.ndarray) -> np.ndarray:
     """Row of each of ``rows`` (words of length k, as symbol indices) in
     ``levels[k - 1]`` of :func:`word_levels`, found by walking down the
-    prefix tree one symbol at a time."""
+    prefix tree one symbol at a time (windows of engine rows are
+    :func:`_window`'s)."""
     m = shift.n_symbols
     edges = shift._edges
     at = rows[:, 0]
@@ -362,7 +387,7 @@ def _locate(shift: ShiftModel, levels: list, rows: np.ndarray) -> np.ndarray:
         if not np.array_equal(edges[np.minimum(pos, len(edges) - 1)], code):
             raise ValidationError("word is not admissible in this shift")
         rank = pos - np.searchsorted(edges, a * m)
-        at = _first_children(levels[k][1])[at] + rank
+        at = _first_children(levels[k].parent)[at] + rank
     return at
 
 
@@ -387,7 +412,7 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     if n < 1:
         raise ValidationError("period must be >= 1")
     ai = shift.index(a)
-    for words, _ in _levels(shift, n):
+    for words, _, _ in _levels(shift, n):
         pass  # only the last level is kept
     closes = shift.adjacency[words[:, -1], ai].astype(bool)
     return _symbol_tuples(shift, words[(words[:, 0] == ai) & closes])

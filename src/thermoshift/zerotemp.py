@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -131,8 +132,11 @@ class MaximizingSubshift:
         word = tuple(word)
         if any(s not in self.symbols for s in word):
             return False
-        edge_set = set(self.edges)
-        return all((a, b) in edge_set for a, b in zip(word, word[1:]))
+        return all((a, b) in self._edge_set for a, b in zip(word, word[1:]))
+
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        return frozenset(self.edges)
 
 
 def maximizing_subshift(shift: ShiftModel, pot: Potential) -> MaximizingSubshift:
@@ -192,7 +196,7 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
     levels = word_levels(shift, depth)
-    words = _symbol_tuples(shift, levels[-1][0])
+    words = _symbol_tuples(shift, levels[-1].words)
     block = _spectral_block(shift, pot, None, ts)
     rows, clusters = [], []
     for t in ts:

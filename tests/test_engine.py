@@ -79,7 +79,7 @@ def oracle_cocycle(mats, word):
 
 def assert_levels_match(shift, pot, n, oracle):
     levels = word_levels(shift, n)
-    for (words, _), (hi, lo) in zip(levels, pot.level_extrema(shift, levels)):
+    for (words, _, _), (hi, lo) in zip(levels, pot.level_extrema(shift, levels)):
         rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
         want = np.array([oracle(w) for w in rows])
         np.testing.assert_allclose(hi, want[:, 0], rtol=1e-12, atol=1e-12)
@@ -93,11 +93,12 @@ def test_levels_match_itertools_order_and_parents(shift, n):
     levels = word_levels(shift, n)
     assert isinstance(levels, list) and len(levels) == n
     previous = None
-    for k, (words, parent) in enumerate(levels, start=1):
+    for k, (words, parent, suffix) in enumerate(levels, start=1):
         rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
         assert rows == oracle_words(shift, k) == admissible_words(shift, k)
         if previous is not None:
             assert np.array_equal(previous[parent], words[:, :-1])
+            assert np.array_equal(previous[suffix], words[:, 1:])
         previous = words
 
 
@@ -251,3 +252,53 @@ def test_count_admissible_words_is_exact():
     golden_mean = ShiftModel.golden_mean()
     for n in (1, 2, 10, 50, 100):
         assert count_admissible_words(golden_mean, n) == fib[n + 1]
+
+
+def _pointer_shifts():
+    """The golden mean, the full 3-shift, a renewal truncation, the
+    one-symbol loop and seeded random primitive graphs, each with a depth
+    that keeps its levels small."""
+    cases = [(ShiftModel.golden_mean(), 14), (ShiftModel.full(3), 7),
+             (RenewalRule().truncate(6), 8),
+             (ShiftModel.from_edges([0], [(0, 0)]), 20)]
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        m = int(rng.integers(2, 6))
+        adj = (rng.random((m, m)) < 0.4).astype(np.uint8)
+        adj[np.arange(m), (np.arange(m) + 1) % m] = 1
+        adj[0, 0] = 1
+        cases.append((ShiftModel(tuple(range(m)), adj), 6))
+    return cases
+
+
+@pytest.mark.parametrize("shift, n", _pointer_shifts())
+def test_suffix_is_the_located_row_of_the_shifted_word(shift, n):
+    levels = word_levels(shift, n)
+    assert not levels[0].suffix.any()           # the empty word
+    for level in levels[1:]:
+        assert level.suffix.dtype == np.intp
+        assert np.array_equal(level.suffix,
+                              shifts._locate(shift, levels, level.words[:, 1:]))
+
+
+@pytest.mark.parametrize("shift, n", _pointer_shifts())
+def test_pointer_windows_are_the_located_windows(shift, n):
+    levels = word_levels(shift, n)
+    words = levels[-1].words
+    rows = np.arange(len(words))
+    for j in range(n):
+        for d in range(1, n - j + 1):
+            assert np.array_equal(shifts._window(levels, rows, n, j, d),
+                                  shifts._locate(shift, levels, words[:, j:j + d]))
+
+
+def test_cocycle_constants_on_the_loop_are_quadratic_and_unchanged():
+    # one word per level: the defect scan is depth^2 / 2 pointer steps, and
+    # its maxima are the floats of the per-pair symbol walk it replaced
+    loop = ShiftModel.from_edges([0], [(0, 0)])
+    coc = MatrixCocycle({0: [[2.0, 1.0], [1.0, 3.0]]})
+    assert constants_report(loop, coc, 40).aa_emp == 0.15770469262697162
+    assert constants_report(loop, coc, 80).aa_emp == 0.15770469390216846
+    rep = constants_report(loop, coc, 250)
+    assert rep.depths_scanned == 250 and not rep.budget_hit
+    assert 0.1577 < rep.aa_emp <= coc.aa_const

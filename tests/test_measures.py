@@ -314,9 +314,8 @@ def test_rpf_edges_are_the_rows_of_the_next_level(seed):
     r = max(pot.depth, 1 + seed % 3)
     eq = rpf_equilibrium(shift, pot, t, depth=r)
     levels = word_levels(shift, r + 1)
-    words, parent = levels[r]
-    assert np.array_equal(eq.src, parent)
-    assert np.array_equal(eq.dst, measures._locate(shift, levels, words[:, 1:]))
+    assert np.array_equal(eq.src, levels[r].parent)
+    assert np.array_equal(eq.dst, levels[r].suffix)
     assert np.all(np.diff(eq.src * len(eq.states) + eq.dst) > 0)
 
 
@@ -603,9 +602,11 @@ def _outcome(fn, *args):
 
 
 def test_entropy_tail_bound_matches_the_float_edge_test():
-    # one edge test on log C gives the outcome of the float test it replaced
+    # one edge test on log C gives the outcome of the float test it replaced,
+    # except where C = exp(log C) underflows to 0: the reference fails on
+    # log(0.0) there, and the bound is 0.0
     rng = random.Random(20)
-    raised = passed = 0
+    raised = passed = underflowed = 0
     for _ in range(300):
         pot = DecayPotential(rng.choice(["log", "linear"]), rng.uniform(0.3, 3.0),
                              rng.uniform(-2.0, 2.0))
@@ -613,12 +614,41 @@ def test_entropy_tail_bound_matches_the_float_edge_test():
         n = rng.choice([rng.randint(1, 30), rng.randint(300, 1000)])
         args = (pot, t, n, rng.randint(1, 2000), rng.uniform(-3.0, 3.0), 200)
         want = _outcome(_float_edge_tail_bound, *args)
+        if want[0] is ValueError:
+            out = entropy_tail_bound(*args)
+            assert out.value == 0.0 and out.constant == 0.0
+            underflowed += 1
+            continue
         assert _outcome(entropy_tail_bound, *args) == want
         raised += isinstance(want[0], type)
         passed += not isinstance(want[0], type)
-    assert raised > 50 and passed > 50
+    assert raised > 50 and passed > 50 and underflowed > 20
+
+
+def test_entropy_tail_bound_is_zero_where_the_constant_underflows():
+    # log C = 2 * 0 + 0 + 2 * 999 * 0 - 1000 * 2 = -2000: C is 0.0 in floats
+    out = entropy_tail_bound(DecayPotential("log", 1.5), 2.0, 1000, 1, 2.0)
+    assert (out.value, out.constant, out.applicable) == (0.0, 0.0, True)
 
 
 def test_entropy_tail_bound_rejects_divergent_series():
     with pytest.raises(ConditionNotMet):
         entropy_tail_bound(DecayPotential("log", 0.4), 2.0, 2, 10, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_invariance_defect_by_pointer_equals_the_keyed_form(seed):
+    # a Cesaro measure holds engine rows, keyed by their parent and suffix
+    # rows; keyed by value instead, the defect is the same float
+    _, shift, pot, t = random_case(seed)
+    n = 5
+    m = 1 + seed % 3
+    mu = gibbs_construct(shift, pot, t, n, m, n - m + 1)
+    assert mu._engine is not None
+    keys, inverse = np.unique(np.concatenate([mu.rows[:, :-1], mu.rows[:, 1:]]),
+                              axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    k = len(mu.masses)
+    short = np.bincount(inverse[:k], mu.masses, minlength=len(keys))
+    pre = np.bincount(inverse[k:], mu.masses, minlength=len(keys))
+    assert mu.invariance_defect() == float(np.abs(pre - short).max())

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from thermoshift import (AffinePotential, DecayPotential, FullShiftRule,
                          compact_approximation, constants_report,
                          potential_from_config, summability_report,
                          weighted_block_matrix, word_levels)
+from thermoshift.shifts import Level
 
 
 def test_depth1_values(golden_mean):
@@ -213,12 +215,16 @@ _DECAY = DecayPotential("log", 2.0, 0.5)
 ], ids=["lc1", "lc1-single-symbol", "lc2", "lc2-exact-window", "decay",
         "affine-lc2", "affine-decay"])
 def test_first_level_reads_the_leading_window(pot, word, expected):
-    # the one-row engine levels of the word, on the full shift on its symbols
+    # levels of the word's windows, on the full shift on its symbols: the
+    # k-window j has parent j and suffix j + 1 among the (k - 1)-windows
     own = tuple(dict.fromkeys(word))
     shift = ShiftModel.full(len(own), own)
-    row = np.array([[shift.index(s) for s in word]])
-    levels = [(row[:, :k], np.zeros(1, dtype=np.intp))
-              for k in range(1, len(word) + 1)]
+    row = np.array([shift.index(s) for s in word])
+    n = len(row)
+    levels = [Level(row[:, None], np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp))]
+    for k in range(2, n + 1):
+        at = np.arange(n - k + 1)
+        levels.append(Level(sliding_window_view(row, k), at, at + 1))
     assert pot.first_level(shift, levels).tolist() == [expected]
 
 

@@ -492,3 +492,24 @@ def test_log_kernel_raises_where_math_log_does():
     for bad in ([1.0, -math.inf], [2.0, 0.0]):
         with pytest.raises(ValueError):
             _log(np.array(bad))
+
+
+def _loop_log_sum_exp(values):
+    """log_sum_exp as it read before one value had its own return."""
+    x = np.array(values, dtype=float)
+    m = float(x.max())
+    if not math.isfinite(m):
+        return m
+    return m + math.log(math.fsum(map(math.exp, (x - m).tolist())))
+
+
+def test_log_sum_exp_of_one_value_is_the_loop_float():
+    rng = random.Random(21)
+    singles = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               math.inf, -math.inf, math.nan, 1e308, -1e308]
+    singles += [rng.gauss(0.0, 100.0) for _ in range(200)]
+    for v in singles:
+        want = repr(_loop_log_sum_exp([v]))
+        assert repr(log_sum_exp([v])) == want, v
+        assert repr(log_sum_exp(np.array([v]))) == want, v
+    assert repr(log_sum_exp([-0.0])) == "0.0"

@@ -185,7 +185,7 @@ def test_chain_masses_match_the_dense_matrix(seed):
     got = eq.level_masses(levels)
     for n in range(depth, depth + 3):
         words = [tuple(shift.symbols[i] for i in row)
-                 for row in levels[n - 1][0].tolist()]
+                 for row in levels[n - 1].words.tolist()]
         want = [dense_mass(w) for w in words]
         assert got[n - 1].tolist() == want
         assert [eq.mass(w) for w in words] == want

@@ -1,5 +1,6 @@
 """Cycle enumeration, maximum cycle means and the cold-limit report."""
 
+import itertools
 import math
 import random
 
@@ -209,6 +210,16 @@ def test_subshift_matches_brute_force(n, seed, integer):
             else round(rng.uniform(-1, 1), 6) for i in range(n)}
     sub = maximizing_subshift(shift, LocallyConstant(vals))
     assert_brute_subshift(sub, shift, vals)
+
+
+def test_admits_matches_the_edge_list_on_every_word():
+    shift, vals = ten_vertex_graph()
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    for w in itertools.product(shift.symbols, repeat=3):
+        want = (all(s in sub.symbols for s in w)
+                and all((a, b) in sub.edges for a, b in zip(w, w[1:])))
+        assert sub.admits(w) == want, w
+    assert sub.admits(sub.cycles[0]) and not sub.admits((10,))
 
 
 def test_subshift_on_ten_vertices():
