@@ -304,8 +304,10 @@ def _cmd_certify(cfg: dict) -> str:
         "mixing": {
             "status": cert.status,
             "primitive_exponent": cert.primitive_exponent,
-            "thresholds": ({f"{a}->{b}": v for (a, b), v in cert.thresholds.items()}
-                           if cert.thresholds is not None else None),
+            "thresholds": ({f"{a}->{b}": v
+                            for a, row in zip(cert.symbols, cert.lengths.tolist())
+                            for b, v in zip(cert.symbols, row)}
+                           if cert.lengths is not None else None),
         },
         "constants": {
             "aa_emp": rep.aa_emp,

@@ -285,12 +285,10 @@ class DecayPotential(Potential):
             return self.offset - self.coef * math.log(i)
         return self.offset - self.coef * i
 
-    def _values(self, n: int) -> list[float]:
-        """``value(i)`` for i = 1..n: the same float operations, without
-        the per-symbol checks."""
-        if self.law == "log":
-            return [self.offset - self.coef * math.log(i) for i in range(1, n + 1)]
-        return [self.offset - self.coef * i for i in range(1, n + 1)]
+    def _law(self, symbols: np.ndarray) -> np.ndarray:
+        """``value`` on an array of positive integers: the same float
+        operations (``_log`` maps ``math.log``), without the checks."""
+        return self.offset - self.coef * (_log(symbols) if self.law == "log" else symbols)
 
     @property
     def aa_const(self) -> float:
@@ -315,7 +313,11 @@ class DecayPotential(Potential):
     def first_level(self, shift, levels):
         """``value`` of each row's first symbol: one value per alphabet
         symbol, read through the rows' first column."""
-        f = np.array([self.value(s) for s in shift.symbols])
+        symbols = np.asarray(shift.symbols)
+        if symbols.dtype.kind in "iu" and symbols.min() >= 1:
+            f = self._law(symbols)
+        else:       # ``value`` names the first symbol that is not a positive integer
+            f = np.array([self.value(s) for s in shift.symbols])
         return f[levels[-1].words[:, 0]]
 
     # -- analytic tails ----------------------------------------------------
@@ -641,7 +643,7 @@ def summability_report(pot: Potential, t: float = 1.0,
     """Partial sums and analytic tail bounds for the summability series."""
     if isinstance(pot, DecayPotential):
         n = terms
-        vals = pot._values(n)
+        vals = pot._law(np.arange(1, n + 1)).tolist()
         partial = math.fsum(math.exp(v) for v in vals)
         tail = pot.tail_weight_bound(n, 1.0)
         partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)

@@ -25,22 +25,46 @@ from .errors import (BudgetExceeded, ConstructionFailure, UnsupportedEnumeration
                      ValidationError, config_number)
 
 
+class _EdgeCodes(NamedTuple):
+    """Ascending flat edge codes, passed to :class:`ShiftModel` in place of
+    its matrix (see :meth:`ShiftModel._from_codes`)."""
+
+    codes: np.ndarray
+
+
+def _matrix_codes(adjacency, m: int) -> _EdgeCodes:
+    """The flat codes of the 1 entries of a square 0/1 matrix of size m,
+    ascending; any entry other than 0 or 1 is a ValidationError."""
+    adj = np.asarray(adjacency)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValidationError("adjacency must be a square matrix")
+    if adj.shape[0] != m:
+        raise ValidationError("adjacency size does not match the alphabet")
+    edges = np.flatnonzero(adj)
+    if not (adj.ravel()[edges] == 1).all():    # NaN, negative, 2, ...
+        raise ValidationError("adjacency entries must be 0 or 1")
+    return _EdgeCodes(edges)
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftModel:
     """A finite-state topological Markov shift.
 
     ``adjacency[i, j] == 1`` means ``symbols[i]`` may be followed by
-    ``symbols[j]``.  Every row and column must contain at least one edge.
-    When the model is a finite truncation of a countable shift, ``ambient``
-    points back at the generating rule and ``assumed_mixing`` records that
-    topological mixing of the ambient shift is an assumption, not a computed
-    fact.
+    ``symbols[j]``; every other entry must be 0.  Every row and column must
+    contain at least one edge.  When the model is a finite truncation of a
+    countable shift, ``ambient`` points back at the generating rule and
+    ``assumed_mixing`` records that topological mixing of the ambient shift
+    is an assumption, not a computed fact.
 
-    The graph record computed up front is ``_edges``, the flat codes
-    i*m + j of the edges in ascending order (row i holds the successors of
-    symbol i in alphabet order), with the out-degrees ``_degree``; the word
-    engine, the period and the certificate read these arrays.  Successor
-    lists are built on first use.
+    A shift is built and validated from one graph record, ``_edges``: the
+    flat codes i*m + j of the edges in ascending order (row i holds the
+    successors of symbol i in alphabet order).  A matrix given to the
+    constructor is turned into these codes; rules and the other builders
+    hand them over directly (:meth:`_from_codes`).  The out-degrees
+    ``_degree`` and the read-only uint8 ``adjacency`` are computed from
+    them; the word engine, the period and the certificate read the arrays.
+    Successor lists are built on first use.
     """
 
     symbols: tuple
@@ -51,29 +75,42 @@ class ShiftModel:
     def __post_init__(self):
         symbols = tuple(self.symbols)
         object.__setattr__(self, "symbols", symbols)
-        adj = np.asarray(self.adjacency)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValidationError("adjacency must be a square matrix")
-        if adj.shape[0] != len(symbols):
-            raise ValidationError("adjacency size does not match the alphabet")
-        if len(symbols) == 0:
-            raise ValidationError("alphabet must be nonempty")
-        if len(set(symbols)) != len(symbols):
-            raise ValidationError("alphabet contains duplicate symbols")
-        nonzero = adj != 0
         m = len(symbols)
-        edges = np.flatnonzero(nonzero)
-        degree = np.diff(_row_starts(m, edges))
+        codes = self.adjacency
+        if not isinstance(codes, _EdgeCodes):
+            codes = _matrix_codes(codes, m)
+        if m == 0:
+            raise ValidationError("alphabet must be nonempty")
+        if len(set(symbols)) != m:
+            raise ValidationError("alphabet contains duplicate symbols")
+        edges = np.asarray(codes.codes, dtype=np.intp)
+        if edges.ndim != 1 or (len(edges) and not (
+                0 <= edges[0] and edges[-1] < m * m and (edges[1:] > edges[:-1]).all())):
+            raise ValidationError("edge codes must be ascending flat indices i*m + j")
+        # row i of the codes is one run, from its start to the next row's
+        degree = np.diff(np.searchsorted(edges, np.arange(0, m * m + 1, m)))
         if not degree.all():
             raise ValidationError("adjacency has an all-zero row")
-        if not nonzero.any(axis=0).all():
+        adj = np.zeros(m * m, dtype=np.uint8)
+        adj[edges] = 1
+        adj = adj.reshape(m, m)
+        if not adj.max(axis=0).all():
             raise ValidationError("adjacency has an all-zero column")
-        for array in (nonzero, edges, degree):
+        for array in (adj, edges, degree):
             array.setflags(write=False)
-        object.__setattr__(self, "adjacency", nonzero.view(np.uint8))
+        object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_degree", degree)
+
+    @classmethod
+    def _from_codes(cls, symbols: Sequence, codes: np.ndarray,
+                    ambient: "AmbientRule | None" = None,
+                    assumed_mixing: bool = False) -> "ShiftModel":
+        """The shift on ``symbols`` whose edges are the ascending flat codes
+        i*m + j (m symbols): the same validation as a matrix gets, without
+        one."""
+        return cls(tuple(symbols), _EdgeCodes(codes), ambient, assumed_mixing)
 
     @cached_property
     def _succ(self) -> tuple:
@@ -136,12 +173,13 @@ class ShiftModel:
     def from_edges(cls, symbols: Sequence, edges: Iterable[tuple]) -> "ShiftModel":
         symbols = tuple(symbols)
         index = {s: i for i, s in enumerate(symbols)}
-        adj = np.zeros((len(symbols), len(symbols)), dtype=np.uint8)
+        m = len(symbols)
+        codes = []
         for a, b in edges:
             if a not in index or b not in index:
                 raise ValidationError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet")
-            adj[index[a], index[b]] = 1
-        return cls(symbols, adj)
+            codes.append(index[a] * m + index[b])
+        return cls._from_codes(symbols, np.array(sorted(set(codes)), dtype=np.intp))
 
     @classmethod
     def full(cls, n: int, symbols: Sequence | None = None) -> "ShiftModel":
@@ -162,9 +200,13 @@ class AmbientRule:
     shipped here are topologically mixing; that property is recorded as an
     assumption on the truncated models rather than certified.
 
-    :meth:`edge` must also broadcast over integer arrays (returning a boolean
-    array, or a scalar that holds for every pair): :meth:`truncate` evaluates
-    it once on index grids rather than pair by pair.
+    A finite view is built from :meth:`edge_codes`, the edges among an
+    ascending array of symbols as flat codes.  The version here evaluates
+    :meth:`edge` once on the index grid, so a rule that defines only
+    :meth:`edge` must let it broadcast over integer arrays (returning a
+    boolean array, or a scalar that holds for every pair); a rule that
+    knows its edges directly overrides :meth:`edge_codes` and builds no
+    grid.
     """
 
     name = "abstract"
@@ -172,9 +214,17 @@ class AmbientRule:
     def edge(self, i, j):
         raise NotImplementedError
 
+    def edge_codes(self, idx: np.ndarray) -> np.ndarray:
+        """Ascending flat codes k*m + l of the edges ``idx[k] -> idx[l]``
+        among the m symbols of the ascending array ``idx``."""
+        m = len(idx)
+        return np.flatnonzero(np.broadcast_to(self.edge(idx[:, None], idx[None, :]),
+                                              (m, m)))
+
     def truncate(self, n: int) -> ShiftModel:
-        if n < 1:
-            raise ValidationError("truncation size must be at least 1")
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValidationError(
+                f"truncation size must be a positive integer, got {n!r}")
         return _rule_model(self, range(1, n + 1), assumed_mixing=True)
 
 
@@ -186,6 +236,9 @@ class FullShiftRule(AmbientRule):
     def edge(self, i, j):
         return True
 
+    def edge_codes(self, idx):
+        return np.arange(len(idx) ** 2)
+
 
 class RenewalRule(AmbientRule):
     """Renewal shift: state 1 connects to every state, and i -> i-1 for i >= 2."""
@@ -194,6 +247,21 @@ class RenewalRule(AmbientRule):
 
     def edge(self, i, j):
         return (i == 1) | (j == i - 1)
+
+    def edge_codes(self, idx):
+        """The row of symbol 1, and each symbol's edge down to its
+        predecessor where that is in ``idx``: O(m log m), no grid."""
+        m = len(idx)
+        k = np.arange(m)
+        pos = np.searchsorted(idx, idx - 1)
+        down = pos < m
+        down[down] = idx[pos[down]] == idx[down] - 1
+        codes = k[down] * m + pos[down]
+        one = int(np.searchsorted(idx, 1))
+        if one < m and idx[one] == 1:       # its row holds every symbol
+            codes = np.concatenate([codes[codes < one * m], one * m + k,
+                                    codes[codes >= (one + 1) * m]])
+        return codes
 
 
 RULES = {"full": FullShiftRule, "renewal": RenewalRule}
@@ -469,12 +537,6 @@ def _period(graph: tuple[int, np.ndarray]) -> int:
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
-def _row_starts(n: int, codes: np.ndarray) -> np.ndarray:
-    """Where each vertex's edges start in the ascending flat codes u*n + v
-    of a digraph on 0..n-1, then ``len(codes)``: each row is one run."""
-    return np.searchsorted(codes, np.arange(0, n * n + 1, n))
-
-
 def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
     """Adjacency lists of the vertices 0..n-1 from edge arrays sorted by
     ``keys``: entry i holds the ``vals`` of the edges whose key is i."""
@@ -490,7 +552,9 @@ def _bfs_levels(n: int, codes: np.ndarray) -> list[int] | None:
     A vertex's level is final once assigned, so the walk stops as soon as
     every vertex has one: on a complete graph it reads one row.
     """
-    starts = _row_starts(n, codes).tolist()
+    # row u of the codes is one run, succ[starts[u]:starts[u + 1]]
+    starts = np.searchsorted(codes, np.arange(0, n * n + 1, n)).tolist()
+    succ = (codes % n).tolist()
     level = [-1] * n
     level[0] = 0
     queue = [0]
@@ -499,7 +563,7 @@ def _bfs_levels(n: int, codes: np.ndarray) -> list[int] | None:
         if not unseen:
             break
         d = level[u] + 1
-        for v in (codes[starts[u]:starts[u + 1]] - u * n).tolist():
+        for v in succ[starts[u]:starts[u + 1]]:
             if level[v] < 0:
                 level[v] = d
                 queue.append(v)
@@ -686,12 +750,10 @@ def _fresh_interior(adj: np.ndarray, feas: np.ndarray, fresh_feas: np.ndarray,
 
 def _rule_model(rule: AmbientRule, symbols: Sequence[int],
                 assumed_mixing: bool) -> ShiftModel:
-    """The finite shift of ``rule`` on ``symbols``, its edges evaluated on
-    one index grid."""
-    idx = np.asarray(symbols)
-    n = len(idx)
-    adj = np.broadcast_to(rule.edge(idx[:, None], idx[None, :]), (n, n))
-    return ShiftModel(tuple(symbols), adj, ambient=rule, assumed_mixing=assumed_mixing)
+    """The finite shift of ``rule`` on the ascending ``symbols``, from the
+    rule's edge codes."""
+    return ShiftModel._from_codes(symbols, rule.edge_codes(np.asarray(symbols)),
+                                  ambient=rule, assumed_mixing=assumed_mixing)
 
 
 def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximation:

@@ -62,9 +62,9 @@ def _critical_graph(shift: ShiftModel, S: BellmanScaling) -> ShiftModel:
     on_cycle = comp[src] == comp[dst]
     src, dst = src[on_cycle], dst[on_cycle]
     idx = np.flatnonzero(np.bincount(src, minlength=op.size))
-    adj = np.zeros((len(idx), len(idx)), dtype=np.uint8)
-    adj[np.searchsorted(idx, src), np.searchsorted(idx, dst)] = 1
-    return ShiftModel(tuple(shift.symbols[i] for i in idx), adj)
+    codes = np.searchsorted(idx, src) * len(idx) + np.searchsorted(idx, dst)
+    return ShiftModel._from_codes(tuple(shift.symbols[i] for i in idx),
+                                  np.unique(codes))
 
 
 def simple_cycles(shift: ShiftModel) -> list[tuple]:

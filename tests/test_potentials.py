@@ -3,6 +3,7 @@ decay-law tails and configuration parsing."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ def test_decay_first_level_arrays_equal_value_reads(shift):
             want = np.array([value(u[0]) for u in admissible_words(shift, d)])
             assert np.array_equal(pot.first_level(shift, word_levels(shift, d)), want)
             assert np.array_equal(weighted_block_matrix(shift, pot, 1.0, d)[2], want)
+
+
+@pytest.mark.parametrize("symbols", [(0, 1), (1, -2), ("a", "b"), (1, "2"),
+                                     (1, 2.0), (True, 2)])
+def test_decay_first_level_checks_every_symbol_like_value(symbols):
+    shift = ShiftModel(symbols, np.ones((2, 2), dtype=np.uint8))
+    levels = word_levels(shift, 1)
+    for pot in (DecayPotential("log", 2.0, 0.5), DecayPotential("linear", 0.3)):
+        try:
+            want = [pot.value(s) for s in symbols]
+        except ValidationError as err:
+            with pytest.raises(ValidationError, match=re.escape(str(err))):
+                pot.first_level(shift, levels)
+        else:
+            assert pot.first_level(shift, levels).tolist() == want
 
 
 # -- configuration ---------------------------------------------------------

@@ -43,6 +43,23 @@ def test_model_validation():
         ShiftModel((0, 1), np.array([[1, 1], [0, 0]]))  # zero row
     with pytest.raises(ValidationError):
         ShiftModel((0, 1), np.array([[1, 0], [1, 0]]))  # zero column
+    # an edge is an entry equal to 1; any entry other than 0 or 1 is an error
+    for bad in (np.nan, -1, 2, 0.5, np.inf):
+        adj = np.ones((2, 2))
+        adj[0, 1] = bad
+        with pytest.raises(ValidationError, match="0 or 1"):
+            ShiftModel((0, 1), adj)
+    for good in (np.eye(2)[[1, 0]] + np.eye(2), np.ones((2, 2), dtype=bool),
+                 [[1, 1], [1, 0]]):
+        assert ShiftModel((0, 1), good).adjacency.dtype == np.uint8
+    # edge codes go through the same checks, and must be ascending and in range
+    for bad in ([1, 0, 3], [0, 0, 1, 2], [-1, 0, 3], [0, 1, 2, 4]):
+        with pytest.raises(ValidationError):
+            ShiftModel._from_codes((0, 1), np.array(bad))
+    with pytest.raises(ValidationError, match="zero column"):
+        ShiftModel._from_codes((0, 1), np.array([0, 2]))
+    assert ShiftModel._from_codes((0, 1), np.array([0, 1, 2])).adjacency.tolist() == \
+        [[1, 1], [1, 0]]
 
 
 def test_from_edges_and_membership(golden_mean):
@@ -429,6 +446,75 @@ def test_renewal_rule_edges():
         adj = r.truncate(6).adjacency
         assert adj.tolist() == [[int(bool(r.edge(i, j))) for j in range(1, 7)]
                                 for i in range(1, 7)]
+
+
+class _ModThreeRule(AmbientRule):
+    """A rule that defines only ``edge``: i -> j unless 3 divides i + j."""
+
+    def edge(self, i, j):
+        return (i + j) % 3 != 0
+
+
+def _sorted_subsets(rng, count):
+    """Truncations 1..N for N = 1..60, then ``count`` random ascending
+    subsets of 1..top, with and without the symbol 1."""
+    out = [np.arange(1, n + 1) for n in range(1, 61)]
+    for _ in range(count):
+        top = int(rng.integers(1, 90))
+        size = int(rng.integers(1, top + 1))
+        out.append(np.sort(rng.choice(np.arange(1, top + 1), size, replace=False)))
+    return out
+
+
+def test_edge_codes_match_the_grid_evaluation():
+    rng = np.random.default_rng(22)
+    for idx in _sorted_subsets(rng, 300):
+        m = len(idx)
+        for rule in (RenewalRule(), FullShiftRule(), _ModThreeRule()):
+            got = rule.edge_codes(idx)
+            # the base class's broadcast evaluation of ``edge`` is the reference
+            want = AmbientRule.edge_codes(rule, idx)
+            assert got.tolist() == want.tolist()
+            pairs = [k * m + l for k in range(m) for l in range(m)
+                     if rule.edge(int(idx[k]), int(idx[l]))]
+            assert want.tolist() == pairs
+
+
+def test_a_rule_with_only_edge_truncates_pair_by_pair():
+    rule = _ModThreeRule()
+    for n in range(1, 13):
+        shift = rule.truncate(n)
+        assert shift.symbols == tuple(range(1, n + 1))
+        assert shift.ambient is rule and shift.assumed_mixing
+        assert shift.adjacency.tolist() == [[int(rule.edge(i, j)) for j in range(1, n + 1)]
+                                            for i in range(1, n + 1)]
+        assert shift._edges.tolist() == np.flatnonzero(shift.adjacency).tolist()
+
+
+def test_renewal_truncation_evaluates_no_grid(monkeypatch):
+    i = np.arange(1, 1201)
+    grid = RenewalRule().edge(i[:, None], i[None, :])
+
+    def forbidden(self, i, j):
+        raise AssertionError("edge evaluated")
+
+    monkeypatch.setattr(RenewalRule, "edge", forbidden)
+    shift = RenewalRule().truncate(1200)
+    assert np.array_equal(shift.adjacency, grid.astype(np.uint8))
+    assert len(shift._edges) == 2399
+    assert shift.period == 1
+    level = compact_approximation(RenewalRule(), 2).levels[-1]
+    assert level.adjacency.tolist() == [[int(a == 1 or b == a - 1) for b in level.symbols]
+                                        for a in level.symbols]
+
+
+def test_truncate_rejects_sizes_that_are_not_positive_integers():
+    for rule in (RenewalRule(), FullShiftRule(), _ModThreeRule()):
+        for bad in (True, False, 2.5, 2.0, "3", None, 0, -2, np.int64(0)):
+            with pytest.raises(ValidationError, match="truncation size"):
+                rule.truncate(bad)
+        symbols = rule.truncate(np.int64(3)).symbols
+        assert symbols == (1, 2, 3) and all(type(s) is int for s in symbols)
 
 
 # -- compact approximation -------------------------------------------------
