@@ -189,7 +189,7 @@ def _cmd_gibbs(cfg: dict) -> str:
         "source": mu.source,
         "pressure": pressure,
         "invariance_defect": mu.invariance_defect(),
-        "masses": {_word_key(w): v for w, v in sorted(mu.weights.items())},
+        "masses": {_word_key(w): v for w, v in mu.weights.items()},
         "certificate": {
             "c_lower": cert.c_lower,
             "c_upper": cert.c_upper,

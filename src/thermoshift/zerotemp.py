@@ -4,13 +4,17 @@ annealing traces along increasing inverse temperature.
 Everything here expects an additive potential whose first-level function is
 determined by one symbol (depth-1 locally constant or decay law): orbit
 averages then reduce to vertex-weighted cycle means on the transition graph.
-Their max-plus data (the maximum cycle mean beta, a cycle attaining it and
-the critical graph that carries every near-maximal cycle) is read off the
-row Bellman scaling of the block operator at t = 1, the Howard policy
-iteration whose t-multiples scale every transfer solve
-(:meth:`thermoshift.linalg.EdgeOperator.bellman_scaled`); it needs no
-primitive shift.  ``anneal`` scales the block operator once and reads the
-equilibrium state at every t of its schedule off that scaling.
+Their max-plus data is read off the row Bellman scaling of the block
+operator at t = 1, the Howard policy iteration whose t-multiples scale
+every transfer solve (:meth:`thermoshift.linalg.EdgeOperator.bellman_scaled`);
+it needs no primitive shift.  That data is the maximum cycle mean beta, a
+cycle attaining it, and the critical graph (:func:`_critical_graph`), which
+is the maximizing sub-shift: its cycles have mean >= beta - _NEAR_OPTIMAL,
+and every cycle of mean beta lies in it, up to Howard's tolerance.  Its
+classes and their entropies are read off it, with no cycle enumeration.
+``anneal`` scales the block operator once and reads the equilibrium state
+at every t of its schedule off that scaling; ``zero_temp_report`` reads the
+sub-shift off the same scaling.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnsupportedEnumeration, ValidationError
-from .linalg import BellmanScaling
+from .linalg import BellmanScaling, EdgeOperator, power_iteration
 from .measures import _equilibrium, _running_sum
 from .potentials import Potential
 from .pressure import _spectral_block, weighted_block_matrix
@@ -31,45 +35,60 @@ from .shifts import (ShiftModel, _grouped, _strong_components, _symbol_tuples,
                      word_levels)
 
 _EXHAUSTIVE_LIMIT = 8
-_NEAR_OPTIMAL = 1e-9     # cycle means this close to beta count as maximizing
+# an edge is critical when its reduced weight is at least -_NEAR_OPTIMAL
+# (or minus the rounding of the scaling, where larger), so every cycle of
+# critical edges has mean >= beta - _NEAR_OPTIMAL
+_NEAR_OPTIMAL = 1e-9
 
 
-def _bellman(shift: ShiftModel, pot: Potential) -> tuple[list[float], BellmanScaling]:
-    """The vertex weights ``g`` (per symbol, in alphabet order) and the
-    Bellman scaling of the block operator with log weights ``g``, whose
-    ``beta`` is the maximum cycle mean."""
+def _check_depth_one(pot: Potential) -> None:
     if pot.depth != 1:
         raise ValidationError(
             "cycle means need an additive potential of depth 1")
-    _, B, g = weighted_block_matrix(shift, pot, 1.0)
-    return g.tolist(), B.bellman_scaled()
 
 
-def _critical_graph(shift: ShiftModel, S: BellmanScaling) -> ShiftModel:
-    """The critical graph: the edges whose reduced weight ``g_u + x_v - x_u
-    - beta`` (the log weight of ``S.op``) is at least ``-2n *
-    _NEAR_OPTIMAL`` (n symbols) and that lie on a cycle of such edges (both
-    ends in one strongly connected component).  Around a cycle the reduced weights sum to its length times
-    (mean - beta), and none on a cycle exceeds 0 beyond Howard's tolerance,
-    so every cycle of mean >= beta - _NEAR_OPTIMAL is kept whole (the 2
-    absorbs rounding) and every cycle kept has mean >= beta - 2n *
-    _NEAR_OPTIMAL.  The component test drops tight edges that lead off
-    every cycle, such as those between two classes of a reducible shift."""
+def _bellman(shift: ShiftModel, pot: Potential) -> BellmanScaling:
+    """The Bellman scaling of the block operator with the per-symbol log
+    weights of ``pot``, whose ``beta`` is the maximum cycle mean."""
+    _check_depth_one(pot)
+    return weighted_block_matrix(shift, pot, 1.0)[1].bellman_scaled()
+
+
+def _critical_graph(S: BellmanScaling) -> tuple[np.ndarray, ...]:
+    """The critical graph as ``(states, src, dst, label)``: the states of
+    ``S.op`` it keeps, ascending; its edges, as positions in ``states`` in
+    the operator's (source, target) order; and the class of each state.
+
+    The graph keeps the edges of reduced weight ``g_u + x_v - x_u - beta``
+    (the log weight of ``S.op``) >= -_NEAR_OPTIMAL that lie on a cycle of
+    such edges (both ends in one strongly connected component, the class);
+    the component test drops tight edges that lead off every cycle.  The
+    reduced weights around a cycle sum to its length times (mean - beta),
+    so every cycle kept has mean >= beta - _NEAR_OPTIMAL.  On a cycle of
+    mean beta none exceeds Howard's tolerance ``1e-12 * m * max|w|`` (m
+    states), so the cycle is kept whole while that tolerance times its
+    length stays below _NEAR_OPTIMAL, which can fail once ``m * max|w| >
+    1000``.  Where the rounding of ``x`` is larger (``m * max|x| > 2e6``)
+    it sets the margin, so the cycle Howard's policy closes always stays."""
     op = S.op
-    tight = op.log_weight >= -2 * op.size * _NEAR_OPTIMAL
+    # x is summed along walks of up to m states, so a cycle of mean beta
+    # can close on an edge that carries m roundings of max|x|
+    rounding = 2 * op.size * float(np.abs(S.potential).max()) * np.finfo(float).eps
+    tight = op.log_weight >= -max(_NEAR_OPTIMAL, rounding)
     src, dst = op.src[tight], op.dst[tight]
     comp = np.array(_strong_components(_grouped(op.size, src, dst)))
     on_cycle = comp[src] == comp[dst]
     src, dst = src[on_cycle], dst[on_cycle]
-    idx = np.flatnonzero(np.bincount(src, minlength=op.size))
-    codes = np.searchsorted(idx, src) * len(idx) + np.searchsorted(idx, dst)
-    return ShiftModel._from_codes(tuple(shift.symbols[i] for i in idx),
-                                  np.unique(codes))
+    states = np.flatnonzero(np.bincount(src, minlength=op.size))
+    return (states, np.searchsorted(states, src), np.searchsorted(states, dst),
+            comp[states])
 
 
 def simple_cycles(shift: ShiftModel) -> list[tuple]:
     """All simple cycles, as symbol tuples rotated to start at their
-    smallest vertex.  Exhaustive, so the alphabet is capped."""
+    smallest vertex.  Exhaustive, so the alphabet is capped: this is the
+    reference the maximizing sub-shift is checked against, and no route
+    calls it."""
     n = shift.n_symbols
     if n > _EXHAUSTIVE_LIMIT:
         raise UnsupportedEnumeration(
@@ -94,6 +113,18 @@ def simple_cycles(shift: ShiftModel) -> list[tuple]:
     return [tuple(shift.symbols[i] for i in c) for c in out]
 
 
+def _closed_cycle(nxt: list, u: int) -> list:
+    """The cycle that the walk ``u, nxt[u], nxt[nxt[u]], ...`` closes,
+    rotated to start at its smallest state."""
+    walk: dict = {}
+    while u not in walk:
+        walk[u] = len(walk)
+        u = nxt[u]
+    cycle = list(walk)[walk[u]:]
+    m = cycle.index(min(cycle))
+    return cycle[m:] + cycle[:m]
+
+
 @dataclass(frozen=True)
 class MaxMeanCycle:
     beta: float
@@ -107,26 +138,19 @@ def max_mean_cycle(shift: ShiftModel, pot: Potential) -> MaxMeanCycle:
     first state whose policy edge is tight.  Every edge of a policy walk
     has reduced weight equal to the mean of the cycle it closes minus beta,
     so that cycle's mean is within _NEAR_OPTIMAL of beta."""
-    _, S = _bellman(shift, pot)
-    nxt = S.op.dst[S.policy].tolist()
+    S = _bellman(shift, pot)
     u = int(np.argmax(S.op.log_weight[S.policy] >= -_NEAR_OPTIMAL))
-    walk: dict = {}
-    while u not in walk:
-        walk[u] = len(walk)
-        u = nxt[u]
-    cycle = list(walk)[walk[u]:]
-    m = cycle.index(min(cycle))
-    return MaxMeanCycle(S.beta, tuple(shift.symbols[i] for i in cycle[m:] + cycle[:m]),
-                        "howard")
+    cycle = _closed_cycle(S.op.dst[S.policy].tolist(), u)
+    return MaxMeanCycle(S.beta, tuple(shift.symbols[i] for i in cycle), "howard")
 
 
 @dataclass(frozen=True)
 class MaximizingSubshift:
     beta: float
     symbols: tuple
-    edges: tuple             # (a, b) pairs, the union of near-optimal cycles
+    edges: tuple             # (a, b) pairs of the critical graph, in its code order
     entropy: float
-    cycles: tuple
+    cycles: tuple            # one cycle per critical class
 
     def admits(self, word) -> bool:
         word = tuple(word)
@@ -140,25 +164,38 @@ class MaximizingSubshift:
 
 
 def maximizing_subshift(shift: ShiftModel, pot: Potential) -> MaximizingSubshift:
-    """Union of the simple cycles with mean >= beta - 1e-9, with the entropy
-    of the resulting edge graph (log of its spectral radius).
+    """The critical graph of Howard's beta (:func:`_critical_graph`), the
+    union of the cycles of mean beta: symbols in alphabet order, edges by
+    source then target.  ``cycles`` holds one cycle per class, the walk
+    from its smallest state along first successors, rotated to start at
+    its smallest state and sorted by (length, states).  The entropy is the
+    largest log spectral radius over the classes: 0 for a class that is
+    one cycle, else :func:`~thermoshift.linalg.power_iteration` on the
+    class's own edge arrays (its lazy step converges at any period)."""
+    return _subshift(shift, _bellman(shift, pot))
 
-    Only the critical graph of Howard's beta is enumerated, so the cycle
-    cap of :func:`simple_cycles` bounds the maximizing set, not the shift.
-    """
-    g, S = _bellman(shift, pot)
-    cycles = simple_cycles(_critical_graph(shift, S))
-    means = [(math.fsum(g[shift.index(s)] for s in c) / len(c), c)
-             for c in cycles]
-    beta = max(m for m, _ in means)
-    keep = [c for m, c in means if m >= beta - _NEAR_OPTIMAL]
-    symbols = sorted({s for c in keep for s in c}, key=shift.index)
-    edges = sorted({(a, b) for c in keep for a, b in zip(c, c[1:] + c[:1])})
-    # a union of cycles: every symbol has an edge in and out, and rho >= 1
-    adj = ShiftModel.from_edges(symbols, edges).adjacency
-    entropy = math.log(max(abs(np.linalg.eigvals(adj))))
-    return MaximizingSubshift(beta, tuple(symbols), tuple(edges), entropy,
-                              tuple(keep))
+
+def _subshift(shift: ShiftModel, S: BellmanScaling) -> MaximizingSubshift:
+    """:func:`maximizing_subshift` read off the row scaling ``S``."""
+    states, src, dst, label = _critical_graph(S)
+    nxt = dst[np.searchsorted(src, np.arange(len(states)))].tolist()
+    # states ascend, so each class's first state is its smallest
+    _, first, klass = np.unique(label, return_index=True, return_inverse=True)
+    cycles = sorted((_closed_cycle(nxt, u) for u in first.tolist()),
+                    key=lambda c: (len(c), c))
+    entropy = 0.0
+    sizes = np.bincount(klass)
+    for c in np.flatnonzero(np.bincount(klass[src], minlength=len(sizes)) > sizes):
+        members = np.flatnonzero(klass == c)
+        inside = klass[src] == c
+        op = EdgeOperator(len(members), np.searchsorted(members, src[inside]),
+                          np.searchsorted(members, dst[inside]),
+                          np.zeros(int(inside.sum())))
+        entropy = max(entropy, math.log(power_iteration(op)[0]))
+    sym = tuple(shift.symbols[i] for i in states.tolist())
+    return MaximizingSubshift(
+        S.beta, sym, tuple((sym[a], sym[b]) for a, b in zip(src.tolist(), dst.tolist())),
+        entropy, tuple(tuple(sym[i] for i in c) for c in cycles))
 
 
 # -- annealing -------------------------------------------------------------
@@ -190,6 +227,12 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     budget; a marginal is the masses of its rows, and ``marginal`` maps the
     words of the positive rows, in level order, to them.  Every t reads its
     equilibrium state off one block operator."""
+    return _anneal(shift, pot, ts, depth, delta)[0]
+
+
+def _anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
+            depth: int, delta: float) -> tuple[AnnealTrace, BellmanScaling]:
+    """:func:`anneal`, with the row scaling of its block operator at t = 1."""
     ts = sorted({float(t) for t in ts}, reverse=True)
     if not ts:
         raise ValidationError("empty temperature schedule")
@@ -212,7 +255,8 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         else:
             clusters.append([t])
             head = mu
-    return AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta)
+    return (AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta),
+            block[3])
 
 
 @dataclass
@@ -233,13 +277,14 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     """Compare the cold end of an annealing trace against the maximizing
     cycle data: Lyapunov exponent vs the maximum cycle mean, entropy vs the
     maximizing sub-shift entropy, and the equilibrium mass leaking outside
-    the sub-shift."""
-    # the sub-shift is cheap and may reject the shift; anneal only after it
-    sub = maximizing_subshift(shift, pot)
-    trace = anneal(shift, pot, ts, depth=depth, delta=delta)
+    the sub-shift.  One Howard run per side serves the trace, and the
+    sub-shift is read off the trace's row scaling."""
+    _check_depth_one(pot)
+    trace, S = _anneal(shift, pot, ts, depth, delta)
+    sub = _subshift(shift, S)
     cold = trace.rows[0]
-    leak = math.fsum(v for w, v in sorted(cold.marginal.items())
-                     if not sub.admits(w))
+    # fsum is exact, so the order of the words does not matter
+    leak = math.fsum(v for w, v in cold.marginal.items() if not sub.admits(w))
     return ZeroTempReport(sub.beta, sub, cold.t,
                           abs(cold.lyapunov - sub.beta),
                           abs(cold.entropy - sub.entropy),

@@ -130,3 +130,11 @@ def test_every_module_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_no_dense_linear_algebra():
+    # every spectral solve runs on edge arrays (linalg.power_iteration); a
+    # dense numpy.linalg call would scale with the square of the states
+    dense = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import linalg")
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if dense.search(p.read_text())] == []

@@ -263,6 +263,26 @@ def test_approx_on_an_alphabet_of_integers_and_strings(capsys, tmp_path):
     assert doc["levels"][0]["connectors"]["0->0"] == {"c": ["0", "0"], "e": ["a"]}
 
 
+@pytest.mark.parametrize("command, fields", [
+    ("gibbs", {"t": 1.0, "n": 4, "m": 1, "depth": 2}),
+    ("zerotemp", {"t_grid": [1.0, 2.0], "depth": 2}),
+])
+def test_word_documents_on_an_alphabet_of_integers_and_strings(
+        capsys, tmp_path, command, fields):
+    # no route orders the words or edges by comparing symbols
+    cfg = {"shift": {"alphabet": [0, "a"], "edges": "full"},
+           "potential": {"family": "locally_constant",
+                         "table": {"0": -0.5, "a": 0.0}}, **fields}
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_strict)
+    if command == "gibbs":
+        assert sorted(doc["masses"]) == ["0,0", "0,a", "a,0", "a,a"]
+    else:
+        assert doc["subshift"]["edges"] == [["a", "a"]]
+        assert doc["subshift"]["cycles"] == [["a"]]
+
+
 def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("compact_approximation ran before validation")

@@ -225,10 +225,10 @@ FULL2, BERNOULLI = ShiftModel.full(2), LocallyConstant({0: 0.0, 1: -1.0})
 @pytest.mark.parametrize("call, runs", [
     (lambda: pressure_curve(FULL2, BERNOULLI, [1.0, 1.5, 2.0, 2.5, 3.0]), 2),
     (lambda: anneal(FULL2, BERNOULLI, [2.0, 4.0, 6.0, 8.0, 10.0], depth=4), 2),
-    # the inputs of configs/zerotemp_full2.json; one run is the row-only
-    # Howard of the maximizing sub-shift
+    # the inputs of configs/zerotemp_full2.json; the maximizing sub-shift
+    # is read off the trace's row scaling
     (lambda: zero_temp_report(FULL2, BERNOULLI, [2.0, 4.0, 6.0, 8.0, 10.0],
-                              depth=6), 3),
+                              depth=6), 2),
     (lambda: transfer_pressure(FULL2, BERNOULLI, 2.0), 2),
     (lambda: rpf_equilibrium(FULL2, BERNOULLI, 2.0), 2),
 ])

@@ -64,11 +64,29 @@ def brute_subshift(shift, vals):
     return beta, symbols, edges, math.log(max(abs(np.linalg.eigvals(adj)))), keep
 
 
+def brute_classes(symbols, edges):
+    """Strongly connected classes of a graph, by boolean transitive
+    closure: each class as a frozenset of symbols."""
+    n = len(symbols)
+    reach = np.eye(n, dtype=bool)
+    for a, b in edges:
+        reach[symbols.index(a), symbols.index(b)] = True
+    for k in range(n):                              # Warshall
+        reach |= reach[:, [k]] & reach[[k], :]
+    both = reach & reach.T
+    return {frozenset(symbols[j] for j in np.flatnonzero(row)) for row in both}
+
+
 def assert_brute_subshift(sub, shift, vals):
-    beta, symbols, edges, entropy, cycles = brute_subshift(shift, vals)
-    assert (sub.beta, sub.symbols, sub.edges, sub.cycles) == (
-        beta, symbols, edges, cycles)
+    beta, symbols, edges, entropy, keep = brute_subshift(shift, vals)
+    assert (sub.beta, sub.symbols, sub.edges) == (beta, symbols, edges)
     assert sub.entropy == pytest.approx(entropy, abs=1e-12)
+    # one cycle per class of the union graph, each a cycle brute force keeps
+    classes = brute_classes(symbols, edges)
+    assert set(sub.cycles) <= set(keep)
+    assert len(sub.cycles) == len(classes)
+    assert {next(k for k in classes if c[0] in k) for c in sub.cycles} == classes
+    assert list(sub.cycles) == sorted(sub.cycles, key=lambda c: (len(c), c))
 
 
 def ten_vertex_graph():
@@ -160,11 +178,7 @@ def test_karp_matches_exhaustive_on_random_graphs(seed, ring, tied):
     assert out.cycle in cycles
     assert math.fsum(vals[s] for s in out.cycle) / len(out.cycle) == pytest.approx(
         best, abs=1e-9)
-    if len(brute_subshift(shift, vals)[1]) > zerotemp._EXHAUSTIVE_LIMIT:
-        with pytest.raises(UnsupportedEnumeration):
-            maximizing_subshift(shift, pot)
-    else:
-        assert_brute_subshift(maximizing_subshift(shift, pot), shift, vals)
+    assert_brute_subshift(maximizing_subshift(shift, pot), shift, vals)
 
 
 def test_vertex_weights_need_additive_depth_one(full2):
@@ -233,14 +247,26 @@ def test_subshift_on_ten_vertices():
 
 
 def test_subshift_survives_a_stranded_critical_edge():
-    # the 3-cycle weighs -8e-9 = -2n * 1e-9 up to rounding, which keeps its
-    # edges 1 -> 2 and 2 -> 0 in the critical graph but drops 0 -> 1
+    # the 3-cycle's mean is beta - 2.7e-9: its reduced weights are 0 on
+    # 1 -> 2 and 2 -> 0 and -8e-9 on 0 -> 1, so the per-edge threshold drops
+    # 0 -> 1 and strands the other two, which lie on no critical cycle
     shift = ShiftModel.from_edges(
         (0, 1, 2, 3), [(0, 1), (1, 2), (2, 0), (3, 3), (0, 3), (3, 0)])
     vals = {0: -0.12494864769238608, 1: -0.2921939328002608,
             2: 0.41714257249264686, 3: 0.0}
     sub = maximizing_subshift(shift, LocallyConstant(vals))
     assert sub.symbols == (3,)
+    assert_brute_subshift(sub, shift, vals)
+
+
+def test_subshift_keeps_its_cycle_at_a_large_scale():
+    # at weights of ~1e9 the reduced weight of the edge that closes the
+    # 2-cycle rounds to about -1e-7, past the 1e-9 margin; the margin grows
+    # to the rounding of the potential, so the cycle stays
+    shift = ShiftModel.from_edges((0, 1, 2), [(0, 1), (0, 2), (1, 2), (2, 0)])
+    vals = {0: 732052963.0131123, 1: -669323228.050706, 2: 824761548.7030984}
+    sub = maximizing_subshift(shift, LocallyConstant(vals))
+    assert sub.cycles == ((0, 2),)
     assert_brute_subshift(sub, shift, vals)
 
 
@@ -279,6 +305,11 @@ def test_subshift_on_the_renewal_truncation_at_1200():
     assert sub.symbols == (1,)
     assert sub.cycles == ((1,),)
     assert max_mean_cycle(shift, pot) == zerotemp.MaxMeanCycle(0.0, (1,), "howard")
+    # a constant potential keeps the whole truncation: one class of entropy
+    # log 2 up to the 2^-1200 of the missing tail
+    whole = maximizing_subshift(shift, DecayPotential("log", 0))
+    assert len(whole.symbols) == 1200 and whole.cycles == ((1,),)
+    assert whole.entropy == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_subshift_two_cycle(golden_mean):
@@ -384,14 +415,36 @@ def test_cold_report_closed_forms(full2, bernoulli):
     assert rep.leak_ok
 
 
-def test_cold_report_validates_before_annealing(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("anneal ran before validation")
-
-    monkeypatch.setattr(zerotemp, "anneal", forbidden)
+def test_cold_report_on_the_full_nine_shift():
+    # a constant potential makes every cycle maximizing: the sub-shift is
+    # the whole shift, one class, whatever the alphabet size
     shift = ShiftModel.full(9)
-    # a constant potential makes every cycle maximizing: past the cycle cap
     pot = LocallyConstant({s: -0.1 for s in shift.symbols})
-    with pytest.raises(UnsupportedEnumeration):
-        zero_temp_report(shift, pot, [1.0, 2.0], depth=6)
+    rep = zero_temp_report(shift, pot, [1.0, 2.0], depth=2)
+    sub = rep.subshift
+    assert sub.symbols == shift.symbols and len(sub.edges) == 81
+    assert sub.entropy == pytest.approx(math.log(9), abs=1e-12)
+    assert sub.cycles == ((0,),)
+    assert rep.leakage == 0.0
 
+
+def test_cold_report_rejects_a_deep_table_before_the_block(monkeypatch, full2):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block built before validation")
+
+    monkeypatch.setattr(zerotemp, "_spectral_block", forbidden)
+    deep = LocallyConstant({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0,
+                            (1, 1): 0.0}, depth=2)
+    with pytest.raises(ValidationError, match="depth 1"):
+        zero_temp_report(full2, deep, [1.0, 2.0], depth=2)
+
+
+def test_no_route_enumerates_cycles(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simple cycles enumerated")
+
+    monkeypatch.setattr(zerotemp, "simple_cycles", forbidden)
+    shift, vals = ten_vertex_graph()
+    pot = LocallyConstant(vals)
+    sub = maximizing_subshift(shift, pot)
+    assert zero_temp_report(shift, pot, [1.0, 2.0], depth=2).subshift == sub
