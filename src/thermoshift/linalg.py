@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, NumericalError
-from .shifts import WORD_BUDGET
+from . import shifts
 
 TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
@@ -102,10 +102,11 @@ class EdgeOperator:
         than ``WORD_BUDGET`` edge visits (steps x edges x columns) raises
         :class:`BudgetExceeded` before its first step."""
         visits = steps * len(self.dst) * start.shape[1]
-        if visits > WORD_BUDGET:
+        budget = shifts.WORD_BUDGET     # read at call time, as the engine does
+        if visits > budget:
             raise BudgetExceeded(
                 f"log-domain walk of {steps} steps x {len(self.dst)} edges x "
-                f"{start.shape[1]} columns exceeds budget {WORD_BUDGET} "
+                f"{start.shape[1]} columns exceeds budget {budget} "
                 "edge visits")
         into = self.T           # edges sorted by target: into.src is the target
         head = np.diff(into.src, prepend=-1) != 0

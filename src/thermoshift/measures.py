@@ -15,7 +15,7 @@ sources:
 The estimators (entropy, Lyapunov exponent, Gibbs certificate) read a
 measure through ``level_masses(levels)``: the mass of every row of each
 level of the word-level engine (:func:`~thermoshift.shifts.word_levels`,
-``(words, parent, suffix)`` triples), one array per level, as
+``(last, parent, suffix)`` triples), one array per level, as
 ``Potential.level_extrema`` gives the potential.  Both measure types
 provide it, and ``mass(word)`` remains the per-word query.
 """
@@ -33,7 +33,8 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import Level, ShiftModel, _locate, _symbol_tuples, _window, word_levels
+from .shifts import (Level, ShiftModel, _locate, _symbol_order, _symbol_tuples,
+                     _window, _words, word_levels)
 
 
 @dataclass(eq=False)
@@ -76,14 +77,14 @@ class CylinderMeasure:
                                source)
 
     @classmethod
-    def _from_level(cls, shift: ShiftModel, level: Level,
+    def _from_level(cls, shift: ShiftModel, levels: list,
                     weights: np.ndarray, source: str) -> "CylinderMeasure":
-        """The measure with nonnegative ``weights`` on the rows of an engine
-        level; its words are admissible by construction, so they skip the
-        checks of :meth:`from_weights`."""
+        """The measure with nonnegative ``weights`` on the rows of the last
+        of ``levels`` (engine levels 1..depth); its words are admissible by
+        construction, so they skip the checks of :meth:`from_weights`."""
         at = np.flatnonzero(weights > 0)
-        return cls._normalised(shift, level.words[at], weights[at], source,
-                               at, level)
+        return cls._normalised(shift, _words(levels, at), weights[at], source,
+                               at, levels[-1])
 
     @classmethod
     def _normalised(cls, shift, rows, masses, source, at=None,
@@ -115,7 +116,7 @@ class CylinderMeasure:
         out = []
         for n in range(top, 0, -1):
             out.append(np.bincount(at, weights=self.masses,
-                                   minlength=len(levels[n - 1].words)))
+                                   minlength=len(levels[n - 1].last)))
             at = levels[n - 1].parent[at]
         return out[::-1]
 
@@ -142,10 +143,11 @@ class CylinderMeasure:
         return self.level(len(word)).get(word, 0.0)
 
     def marginal_vector(self, k: int = 1) -> dict:
-        table = self.level(k)
+        items = sorted(self.level(k).items(),
+                       key=lambda item: [_symbol_order(s) for s in item[0]])
         if k == 1:
-            return {w[0]: v for w, v in sorted(table.items())}
-        return dict(sorted(table.items()))
+            return {w[0]: v for w, v in items}
+        return dict(items)
 
     def invariance_defect(self) -> float:
         """max over (depth-1)-cylinders of |mu(preimage) - mu(cylinder)|,
@@ -202,7 +204,7 @@ def gibbs_weights(shift: ShiftModel, pot: Potential, t: float,
                   n: int) -> CylinderMeasure:
     """Mass on depth-n cylinders proportional to exp(t sup f_n|[w])."""
     levels, w = _sup_weights(shift, pot, t, n)
-    return CylinderMeasure._from_level(shift, levels[-1], w, "sup-weight")
+    return CylinderMeasure._from_level(shift, levels, w, "sup-weight")
 
 
 def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
@@ -225,8 +227,8 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
     # adds the shares in the order u, then j
     at = np.stack([_window(levels, rows, n, j, depth) for j in range(m)], axis=1)
     acc = np.bincount(at.ravel(), weights=np.repeat(share, m),
-                      minlength=len(levels[depth - 1].words))
-    return CylinderMeasure._from_level(shift, levels[depth - 1], acc, "cesaro")
+                      minlength=len(levels[depth - 1].last))
+    return CylinderMeasure._from_level(shift, levels[:depth], acc, "cesaro")
 
 
 # -- spectral equilibrium --------------------------------------------------
@@ -295,7 +297,7 @@ class RPFEquilibrium:
     def as_cylinder_measure(self, depth: int) -> CylinderMeasure:
         levels = word_levels(self.shift, depth)
         return CylinderMeasure._from_level(
-            self.shift, levels[-1], self.level_masses(levels)[-1], "spectral")
+            self.shift, levels, self.level_masses(levels)[-1], "spectral")
 
     def level_masses(self, levels: list) -> list[np.ndarray]:
         """:meth:`mass` on every row of each engine level, one array per
@@ -487,9 +489,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     masses = measure.level_masses(levels)
     c_lo = math.inf
     c_hi = 0.0
-    worst = ()
     for n in ns:
-        words = levels[n - 1].words
         mu = masses[n - 1]
         keep = np.flatnonzero(mu > 0)
         if not len(keep):
@@ -498,10 +498,11 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
         top = int(np.argmax(ratio))
         if ratio[top] > c_hi:
             c_hi = float(ratio[top])
-            worst = _symbol_tuples(shift, words[keep[top]][None, :])[0]
+            worst_n, worst_row = n, keep[top:top + 1]
         c_lo = min(c_lo, float(ratio.min()))
     if c_hi == 0.0:
         raise NumericalError("measure assigns no mass in the scanned range")
+    worst = _symbol_tuples(shift, _words(levels[:worst_n], worst_row))[0]
     bound = math.exp(t * pot.bv_const) * (1.0 + slack)
     passed = c_hi <= bound and c_lo > 0.0
     return GibbsCertificate(c_lo, c_hi, bound, slack, passed,
@@ -594,7 +595,7 @@ def marginal_bound_check(pot: Potential, t: float, measure,
     first = pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
     rows = []
     worst = 0.0
-    for sym in sorted(marg):
+    for sym in sorted(marg, key=_symbol_order):
         mu = marg[sym]
         bound = math.exp(t * pot.bv_const + t * first[shift.index(sym)]
                          - s_lower)

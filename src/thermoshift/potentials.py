@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BudgetExceeded, ValidationError, config_number
 from .linalg import _log
 from .shifts import (Level, ShiftModel, _first_children, _levels, _locate,
-                     _symbol_tuples, word_levels)
+                     _symbol_tuples, _words, word_levels)
 
 
 class Potential:
@@ -62,7 +62,7 @@ class Potential:
         """(sup, inf) of f_n over the cylinder of every word of every level.
 
         ``levels`` holds consecutive levels 1..n of ``shift`` as
-        ``(words, parent, suffix)`` triples, as :func:`word_levels` returns
+        ``(last, parent, suffix)`` triples, as :func:`word_levels` returns
         them; the result has one pair of arrays per level, aligned with its
         rows.
         """
@@ -91,12 +91,13 @@ class Potential:
         row = np.array([shift.index(s) for s in word])
         n = len(row)
         # engine levels as deep as the family reads whole ones, then per
-        # length k the word's k-windows: window j's parent and suffix are
-        # windows j and j + 1 one level down (located by walk on the engine)
+        # length k the word's k-windows: window j ends in row[j + k - 1],
+        # and its parent and suffix are windows j and j + 1 one level down
+        # (located by walk on the engine)
         levels = word_levels(shift, min(n, self.depth or 1))
         at = _locate(shift, levels, sliding_window_view(row, len(levels)))
         for k in range(len(levels) + 1, n + 1):
-            levels.append(Level(sliding_window_view(row, k), at[:-1], at[1:]))
+            levels.append(Level(row[k - 1:], at[:-1], at[1:]))
             at = np.arange(n - k + 1)
         hi, lo = self.level_extrema(shift, levels)[-1]
         return float(hi[at[0]]), float(lo[at[0]])
@@ -186,17 +187,17 @@ class LocallyConstant(Potential):
         f = self.first_level(shift, blocks)
         if r == 1:
             sums = []
-            for words, parent, _ in levels:
-                step = f[words[:, -1]]
+            for last, parent, _ in levels:
+                step = f[last]
                 sums.append(step if not sums else sums[-1][parent] + step)
             return [(s, s) for s in sums]
         best, worst = _continuations(shift, blocks, f)
         out = []
-        for n, (words, parent, suffix) in enumerate(levels, start=1):
+        for n, (_, parent, suffix) in enumerate(levels, start=1):
             if n < r:       # no whole window; the row is its own in level n
-                closed, at = np.zeros(len(words)), np.arange(len(words))
+                closed, at = np.zeros(len(parent)), np.arange(len(parent))
             else:           # last: the row of the last r-window in level r
-                last = np.arange(len(words)) if n == r else last[suffix]
+                last = np.arange(len(parent)) if n == r else last[suffix]
                 closed = closed[parent] + f[last]
                 at = blocks[-1].suffix[last]
             k = min(n, r - 1)
@@ -220,15 +221,20 @@ class LocallyConstant(Potential):
         r = self._depth
         if len(levels) < r:
             raise ValidationError("block depth must cover the potential depth")
-        keys = _symbol_tuples(shift, levels[r - 1].words)
+        keys = _symbol_tuples(shift, _words(levels[:r]))
         vals = [self._table.get(k) for k in keys]
         if None in vals:
             raise ValidationError(
                 f"word {keys[vals.index(None)]!r} is outside the potential domain")
-        f = np.array(vals)
-        for level in levels[r:]:
-            f = f[level.parent]
-        return f
+        return _carry(np.array(vals), levels[r:])
+
+
+def _carry(values: np.ndarray, levels: list) -> np.ndarray:
+    """``values`` on the rows of one level carried down the ``parent``
+    arrays of the ``levels`` after it: each row takes its ancestor's."""
+    for level in levels:
+        values = values[level.parent]
+    return values
 
 
 def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
@@ -248,7 +254,7 @@ def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
     tables = []
     for reduce in (np.maximum.reduceat, np.minimum.reduceat):
         # walk[j]: extreme sum over j windows continuing each (r-1)-word
-        walk = [np.zeros(len(blocks[-2].words))]
+        walk = [np.zeros(len(blocks[-2].parent))]
         for _ in range(r - 1):
             walk.append(reduce(f + walk[-1][nxt], groups))
         table = {r - 1: walk[r - 1]}
@@ -312,13 +318,13 @@ class DecayPotential(Potential):
 
     def first_level(self, shift, levels):
         """``value`` of each row's first symbol: one value per alphabet
-        symbol, read through the rows' first column."""
+        symbol, the rows of level 1, carried down the parent arrays."""
         symbols = np.asarray(shift.symbols)
         if symbols.dtype.kind in "iu" and symbols.min() >= 1:
             f = self._law(symbols)
         else:       # ``value`` names the first symbol that is not a positive integer
             f = np.array([self.value(s) for s in shift.symbols])
-        return f[levels[-1].words[:, 0]]
+        return _carry(f, levels[1:])
 
     # -- analytic tails ----------------------------------------------------
 
@@ -438,8 +444,7 @@ class MatrixCocycle(Potential):
         dim = next(iter(self._mats.values())).shape[0]
         stack = np.stack([np.ones((dim, dim)) if m is None else m for m in mats])
         out = []
-        for words, parent, _ in levels:
-            last = words[:, -1]
+        for last, parent, _ in levels:
             if missing[last].any():
                 s = shift.symbols[last[missing[last]][0]]
                 raise ValidationError(
@@ -490,10 +495,10 @@ class AffinePotential(Potential):
 
     def level_extrema(self, shift, levels):
         out = []
-        for level, (hi, lo) in zip(levels, self.base.level_extrema(shift, levels)):
+        for n, (hi, lo) in enumerate(self.base.level_extrema(shift, levels), start=1):
             if self.mult < 0:
                 hi, lo = lo, hi
-            drift = level.words.shape[1] * self.shift_per_n
+            drift = n * self.shift_per_n
             out.append((self.mult * hi + drift, self.mult * lo + drift))
         return out
 
@@ -586,7 +591,7 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
                      word_budget: int = 500_000) -> ConstantsReport:
     """Scan all admissible words up to ``depth``, or up to the last length
     the word-level engine builds under ``word_budget`` words per level and
-    its cell bound, and measure additivity defects
+    its bound on array entries, and measure additivity defects
     |f_{n+m} - f_n - f_m o sigma^n| at one point per cylinder, plus the
     variation of f_n over n-cylinders.
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
-from .shifts import (CompactApproximation, ShiftModel, _symbol_tuples,
+from .shifts import (CompactApproximation, ShiftModel, _symbol_tuples, _words,
                      is_primitive, word_levels)
 
 
@@ -88,8 +88,9 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
         levels = word_levels(shift, n_max)
         closes = shift.adjacency[:, ai].astype(bool)
         log_z = []
-        for (words, _, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
-            rows = (words[:, 0] == ai) & closes[words[:, -1]]
+        for (last, parent, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
+            first = last if not log_z else first[parent]    # the first symbol
+            rows = (first == ai) & closes[last]
             log_z.append(log_sum_exp(t * hi[rows]))
     seq = [(n, z / n) for n, z in enumerate(log_z, start=1)]
     finite = [(n, v) for n, v in seq if v > -math.inf]
@@ -156,7 +157,7 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
         raise ValidationError("block depth must be >= 1")
     levels = word_levels(shift, depth + 1)
     B, f = _block_operator(shift, pot, t, levels)
-    return _symbol_tuples(shift, levels[depth - 1].words), B, f
+    return _symbol_tuples(shift, _words(levels[:depth])), B, f
 
 
 def _block_operator(shift: ShiftModel, pot: Potential, t: float, levels: list):

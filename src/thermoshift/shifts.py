@@ -2,13 +2,16 @@
 approximations of a countable shift by finite mixing subshifts.
 
 Words are plain tuples of symbols at the package's interfaces; inside, the
-word-level engine (:func:`word_levels`) holds whole levels as integer arrays
-of symbol indices, and applies the word budget itself: at most
-``WORD_BUDGET`` words per level (read at call time, unless the caller passes
-its own budget) and 16 times as many cells (words x length) over the levels
-of one enumeration.  Word-length conventions: an admissible word of length n
-corresponds to a path with n-1 edges, and per-pair mixing thresholds are
-stored as word lengths (so the smallest meaningful threshold is 2).
+word-level engine (:func:`word_levels`) holds whole levels as three integer
+arrays per level (each row's last symbol index and its ``parent`` and
+``suffix`` rows in the level before), and applies the word budget itself: at
+most ``WORD_BUDGET`` words per level (read at call time, unless the caller
+passes its own budget) and 16 times as many array entries (3 per word) over
+the levels of one enumeration.  :func:`_words` spells rows out as symbol
+indices where a caller prints or keys words.  Word-length conventions: an
+admissible word of length n corresponds to a path with n-1 edges, and
+per-pair mixing thresholds are stored as word lengths (so the smallest
+meaningful threshold is 2).
 """
 
 from __future__ import annotations
@@ -316,6 +319,12 @@ def _symbols(items) -> bool:
     return all(type(s) in (int, str) for s in items)
 
 
+def _symbol_order(s) -> tuple:
+    """Sort key of a symbol, by type first: a finite alphabet may mix
+    integers and strings, and within one type the order is the values'."""
+    return type(s).__name__, s
+
+
 # -- word enumeration ------------------------------------------------------
 
 
@@ -330,18 +339,21 @@ def _require_finite(shift) -> ShiftModel:
 
 
 class Level(NamedTuple):
-    """One level of :func:`word_levels`: a word per row of ``words`` as
-    symbol indices, in the order of :func:`admissible_words` (so a word's
-    children are consecutive rows), and the rows of ``words[:, :-1]``
-    (``parent``) and ``words[:, 1:]`` (``suffix``) in the level before."""
+    """One level of :func:`word_levels`: per row, a word in the order of
+    :func:`admissible_words` (so a word's children are consecutive rows),
+    the index of its ``last`` symbol and the rows of its prefix
+    (``parent``) and of its shift (``suffix``) in the level before.  On
+    level 1, row i is symbol i and both pointers are row 0, the empty
+    word.  :func:`_words` spells the rows out."""
 
-    words: np.ndarray
+    last: np.ndarray
     parent: np.ndarray
     suffix: np.ndarray
 
 
 # Word budget of every estimator that enumerates a whole level, read at call
-# time; the levels of one enumeration may fill 16 times as many cells.
+# time; the levels of one enumeration may hold 16 times as many array
+# entries (3 per word).
 WORD_BUDGET = 2_000_000
 
 
@@ -351,7 +363,7 @@ def _levels(shift: ShiftModel, n: int, budget: int | None = None):
     Each level's size is the sum of the out-degrees of the previous level's
     last symbols, so it is checked before the level is allocated: against
     ``budget`` words (``WORD_BUDGET`` when not given), and, with the levels
-    built before it, against ``16 * WORD_BUDGET`` cells (words x length)
+    built before it, against ``16 * WORD_BUDGET`` array entries (3 per word)
     whatever ``budget`` is.
     """
     shift = _require_finite(shift)
@@ -359,43 +371,41 @@ def _levels(shift: ShiftModel, n: int, budget: int | None = None):
         raise ValidationError("word length must be >= 1")
     if budget is None:
         budget = WORD_BUDGET
-    max_cells = 16 * WORD_BUDGET
-    cells = 0
+    max_entries = 16 * WORD_BUDGET
+    entries = 0
 
     def room(size: int, length: int) -> None:
-        nonlocal cells
+        nonlocal entries
         if size > budget:
             raise BudgetExceeded(
                 f"admissible word enumeration exceeded budget {budget} at length {length}")
-        cells += size * length
-        if cells > max_cells:
+        entries += 3 * size
+        if entries > max_entries:
             raise BudgetExceeded(
-                f"admissible word enumeration exceeded {max_cells} cells "
-                f"(words x length) at length {length}")
+                f"admissible word enumeration exceeded {max_entries} array entries "
+                f"(3 per word) at length {length}")
 
     m = shift.n_symbols
     degree = shift._degree
     first_edge = np.cumsum(degree) - degree
     room(m, 1)
-    words = np.arange(m)[:, None]
     empty = np.zeros(m, dtype=np.intp)      # the empty word, row 0
-    level = Level(words, empty, empty)
+    level = Level(np.arange(m), empty, empty)
     yield level
     offsets = None      # first child in ``level`` of each row before it
     for length in range(2, n + 1):
-        counts = degree[words[:, -1]]
+        counts = degree[level.last]
         size = int(counts.sum())
         room(size, length)
-        parent = np.repeat(np.arange(len(words)), counts)
+        parent = np.repeat(np.arange(len(counts)), counts)
         # the r-th child of a word ending in a takes a's r-th successor
         starts = np.cumsum(counts) - counts
         rank = np.arange(size) - np.repeat(starts, counts)
-        last = shift._edges[first_edge[words[parent, -1]] + rank] % m
+        last = shift._edges[first_edge[level.last[parent]] + rank] % m
         # and its suffix is the r-th child of the parent's suffix
         suffix = (last if offsets is None
                   else np.repeat(offsets[level.suffix], counts) + rank)
-        words = np.concatenate([words[parent], last[:, None]], axis=1)
-        level = Level(words, parent, suffix)
+        level = Level(last, parent, suffix)
         yield level
         offsets = starts
 
@@ -411,9 +421,21 @@ def word_levels(shift: ShiftModel, n: int, budget: int | None = None) -> list[Le
 
 def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
     """All admissible words of length n, lexicographic in alphabet order."""
-    for words, _, _ in _levels(shift, n, budget):
-        pass  # only the last level is kept
-    return _symbol_tuples(shift, words)
+    return _symbol_tuples(shift, _words(word_levels(shift, n, budget)))
+
+
+def _words(levels: list, at: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``at`` (every row when not given) of the last of ``levels``, a
+    run of consecutive levels from level 1, spelled as words of symbol
+    indices: each column is ``last`` read up the ``parent`` arrays.  The one
+    place that turns engine levels into a word matrix."""
+    if at is None:
+        at = np.arange(len(levels[-1].last))
+    words = np.empty((len(at), len(levels)), dtype=np.intp)
+    for k in range(len(levels) - 1, -1, -1):
+        words[:, k] = levels[k].last[at]
+        at = levels[k].parent[at]
+    return words
 
 
 def _symbol_tuples(shift: ShiftModel, words: np.ndarray) -> list[tuple]:
@@ -431,8 +453,9 @@ def _first_children(parent: np.ndarray) -> np.ndarray:
 
 
 def _window(levels: list, at: np.ndarray, n: int, j: int, d: int) -> np.ndarray:
-    """Row in ``levels[d - 1]`` of ``words[at, j:j + d]``, ``words`` level
-    n: ``suffix`` applied j times, then ``parent`` n - j - d times."""
+    """Row in ``levels[d - 1]`` of the window of length d at position j of
+    rows ``at`` of level n: ``suffix`` applied j times, then ``parent``
+    n - j - d times."""
     for k in range(n, n - j, -1):
         at = levels[k - 1].suffix[at]
     for k in range(n - j, d, -1):
@@ -480,8 +503,7 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     if n < 1:
         raise ValidationError("period must be >= 1")
     ai = shift.index(a)
-    for words, _, _ in _levels(shift, n):
-        pass  # only the last level is kept
+    words = _words(word_levels(shift, n))
     closes = shift.adjacency[words[:, -1], ai].astype(bool)
     return _symbol_tuples(shift, words[(words[:, 0] == ai) & closes])
 
@@ -870,8 +892,7 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
                     else:
                         found[tag] = plain[tag][i * len(order) + k]
                 level_connectors[(a, b)] = found
-        # by type first: a finite alphabet may mix integers and strings
-        level_symbols = sorted(known, key=lambda s: (type(s).__name__, s))
+        level_symbols = sorted(known, key=_symbol_order)
         if rule is not None:
             model = _rule_model(rule, level_symbols, assumed_mixing=False)
         else:

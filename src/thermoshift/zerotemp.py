@@ -32,7 +32,7 @@ from .measures import _equilibrium, _running_sum
 from .potentials import Potential
 from .pressure import _spectral_block, weighted_block_matrix
 from .shifts import (ShiftModel, _grouped, _strong_components, _symbol_tuples,
-                     word_levels)
+                     _words, word_levels)
 
 _EXHAUSTIVE_LIMIT = 8
 # an edge is critical when its reduced weight is at least -_NEAR_OPTIMAL
@@ -198,6 +198,20 @@ def _subshift(shift: ShiftModel, S: BellmanScaling) -> MaximizingSubshift:
         entropy, tuple(tuple(sym[i] for i in c) for c in cycles))
 
 
+def _admitted(shift: ShiftModel, sub: MaximizingSubshift,
+              levels: list) -> np.ndarray:
+    """:meth:`MaximizingSubshift.admits` on every row of the last of
+    ``levels`` (engine levels 1..n): a level-1 row when its symbol is in the
+    sub-shift, a longer row when its parent is and the edge from the
+    parent's last symbol to its own is critical."""
+    m = shift.n_symbols
+    inside = np.isin(levels[0].last, [shift.index(s) for s in sub.symbols])
+    codes = [shift.index(a) * m + shift.index(b) for a, b in sub.edges]
+    for before, (last, parent, _) in zip(levels, levels[1:]):
+        inside = inside[parent] & np.isin(before.last[parent] * m + last, codes)
+    return inside
+
+
 # -- annealing -------------------------------------------------------------
 
 
@@ -231,15 +245,17 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
 
 
 def _anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
-            depth: int, delta: float) -> tuple[AnnealTrace, BellmanScaling]:
-    """:func:`anneal`, with the row scaling of its block operator at t = 1."""
+            depth: int, delta: float) -> tuple:
+    """:func:`anneal`, with the row scaling of its block operator at t = 1,
+    the engine levels 1..depth and the coldest marginal on every row of
+    level ``depth`` (0 off its support)."""
     ts = sorted({float(t) for t in ts}, reverse=True)
     if not ts:
         raise ValidationError("empty temperature schedule")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
     levels = word_levels(shift, depth)
-    words = _symbol_tuples(shift, levels[-1].words)
+    words = _symbol_tuples(shift, _words(levels))
     block = _spectral_block(shift, pot, None, ts)
     rows, clusters = [], []
     for t in ts:
@@ -247,6 +263,8 @@ def _anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         mu = eq.level_masses(levels)[-1]
         live = np.flatnonzero(mu > 0)   # before dividing, as _from_level
         mu = mu / _running_sum(mu)
+        if not rows:
+            cold = mu
         rows.append(AnnealRow(t, eq.pressure, eq.lyapunov_exact(), eq.entropy(),
                               dict(zip([words[i] for i in live],
                                        mu[live].tolist()))))
@@ -256,7 +274,7 @@ def _anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
             clusters.append([t])
             head = mu
     return (AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta),
-            block[3])
+            block[3], levels, cold)
 
 
 @dataclass
@@ -280,11 +298,12 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     the sub-shift.  One Howard run per side serves the trace, and the
     sub-shift is read off the trace's row scaling."""
     _check_depth_one(pot)
-    trace, S = _anneal(shift, pot, ts, depth, delta)
+    trace, S, levels, mu = _anneal(shift, pot, ts, depth, delta)
     sub = _subshift(shift, S)
     cold = trace.rows[0]
-    # fsum is exact, so the order of the words does not matter
-    leak = math.fsum(v for w, v in cold.marginal.items() if not sub.admits(w))
+    # the cold marginal's masses off the sub-shift's words (and zeros off
+    # its support): fsum is exact, so the order of the rows does not matter
+    leak = math.fsum(mu[~_admitted(shift, sub, levels)].tolist())
     return ZeroTempReport(sub.beta, sub, cold.t,
                           abs(cold.lyapunov - sub.beta),
                           abs(cold.entropy - sub.entropy),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from thermoshift import cli
+from thermoshift import cli, shifts
 from thermoshift.cli import main
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -104,8 +104,11 @@ def test_pressure_walk_is_under_the_word_budget(capsys, tmp_path, route):
     assert "log-domain walk" in err and "exceeds budget" in err
 
 
-def test_one_symbol_loop_is_under_the_cell_bound(capsys, tmp_path):
-    # one word per length: the engine's cell bound stops the scan at 8000
+def test_one_symbol_loop_is_under_the_entries_bound(capsys, tmp_path,
+                                                    monkeypatch):
+    # one word per length, 3 array entries each: with the budget at 1500
+    # the engine's 24 000-entry bound stops the scan at length 8001
+    monkeypatch.setattr(shifts, "WORD_BUDGET", 1500)
     cfg = {
         "shift": {"alphabet": [0], "edges": [[0, 0]]},
         "potential": {"family": "matrix_cocycle",
@@ -117,7 +120,7 @@ def test_one_symbol_loop_is_under_the_cell_bound(capsys, tmp_path):
     code, out, err = run(capsys, tmp_path, "pressure", cfg)
     assert time.perf_counter() - start < 3.0
     assert code == 2 and out == ""
-    assert "cells" in err and "at length 8000" in err
+    assert "24000 array entries" in err and "at length 8001" in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -79,8 +79,9 @@ def oracle_cocycle(mats, word):
 
 def assert_levels_match(shift, pot, n, oracle):
     levels = word_levels(shift, n)
-    for (words, _, _), (hi, lo) in zip(levels, pot.level_extrema(shift, levels)):
-        rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
+    for k, (hi, lo) in enumerate(pot.level_extrema(shift, levels), start=1):
+        rows = [tuple(shift.symbols[i] for i in row)
+                for row in shifts._words(levels[:k]).tolist()]
         want = np.array([oracle(w) for w in rows])
         np.testing.assert_allclose(hi, want[:, 0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(lo, want[:, 1], rtol=1e-12, atol=1e-12)
@@ -92,10 +93,13 @@ def test_levels_match_itertools_order_and_parents(shift, n):
     n = scan_length(shift, n)
     levels = word_levels(shift, n)
     assert isinstance(levels, list) and len(levels) == n
+    assert shifts.Level._fields == ("last", "parent", "suffix")
     previous = None
-    for k, (words, parent, suffix) in enumerate(levels, start=1):
+    for k, (last, parent, suffix) in enumerate(levels, start=1):
+        words = shifts._words(levels[:k])
         rows = [tuple(shift.symbols[i] for i in row) for row in words.tolist()]
         assert rows == oracle_words(shift, k) == admissible_words(shift, k)
+        assert np.array_equal(last, words[:, -1])
         if previous is not None:
             assert np.array_equal(previous[parent], words[:, :-1])
             assert np.array_equal(previous[suffix], words[:, 1:])
@@ -215,32 +219,37 @@ def test_every_enumerating_entry_point_applies_the_word_budget(monkeypatch):
             pytest.fail(name)
 
 
-def test_the_engine_bounds_the_cells_it_holds(monkeypatch):
-    # 16 x WORD_BUDGET cells (words x length) over the levels built so far,
-    # whatever budget the caller passes; level 1 is checked like the rest
+def test_the_engine_bounds_the_entries_it_holds(monkeypatch):
+    # 16 x WORD_BUDGET array entries (3 per word) over the levels built so
+    # far, whatever budget the caller passes; level 1 is checked like the rest
     loop = ShiftModel.from_edges([0], [(0, 0)])
     monkeypatch.setattr(shifts, "WORD_BUDGET", 10)
-    assert len(word_levels(loop, 17, budget=10 ** 9)) == 17    # 153 cells
-    with pytest.raises(BudgetExceeded, match="160 cells .* at length 18$"):
-        word_levels(loop, 18, budget=10 ** 9)                  # 171 cells
+    assert len(word_levels(loop, 53, budget=10 ** 9)) == 53    # 159 entries
+    with pytest.raises(BudgetExceeded,
+                       match="160 array entries .* at length 54$"):
+        word_levels(loop, 54, budget=10 ** 9)                  # 162 entries
     with pytest.raises(BudgetExceeded, match="budget 10 at length 1$"):
         word_levels(ShiftModel.full(11), 1)
 
 
-def test_one_symbol_loop_stops_at_the_cell_bound():
-    # one word per level, n cells at length n: the n_max = 100 000 scans
-    # would hold ~5e9 cells; the bound stops them at length 8000
+def test_one_symbol_loop_scans_every_depth():
+    # one word per level, 3 entries each: 20 000 levels hold 60 000 entries,
+    # and the cocycle scans land in the subadditive bracket of log rho,
+    # log rho <= f_n / n <= log rho + C_aa / n, rho = 1 + sqrt(6)
     loop = ShiftModel.from_edges([0], [(0, 0)])
     cocycle = MatrixCocycle({0: [[1.0, 2.0], [3.0, 1.0]]})
+    n = 20_000
+    log_rho = math.log(1.0 + math.sqrt(6.0))
     for scan in (topological_pressure, gurevich_estimate):
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="cells .* at length 8000$"):
-            scan(loop, cocycle, 1.0, 100_000)
+        est = scan(loop, cocycle, 1.0, n)
         assert time.perf_counter() - start < 3.0
+        assert len(est.sequence) == n
+        assert log_rho - 1e-12 <= est.value <= log_rho + cocycle.aa_const / n
     start = time.perf_counter()
-    rep = constants_report(loop, LocallyConstant({0: 0.5}), 100_000)
+    rep = constants_report(loop, LocallyConstant({0: 0.5}), n)
     assert time.perf_counter() - start < 3.0
-    assert rep.budget_hit and rep.depths_scanned == 7999
+    assert not rep.budget_hit and rep.depths_scanned == n
 
 
 def test_count_admissible_words_is_exact():
@@ -275,16 +284,17 @@ def _pointer_shifts():
 def test_suffix_is_the_located_row_of_the_shifted_word(shift, n):
     levels = word_levels(shift, n)
     assert not levels[0].suffix.any()           # the empty word
-    for level in levels[1:]:
-        assert level.suffix.dtype == np.intp
-        assert np.array_equal(level.suffix,
-                              shifts._locate(shift, levels, level.words[:, 1:]))
+    for k in range(2, n + 1):
+        suffix = levels[k - 1].suffix
+        assert suffix.dtype == np.intp
+        words = shifts._words(levels[:k])
+        assert np.array_equal(suffix, shifts._locate(shift, levels, words[:, 1:]))
 
 
 @pytest.mark.parametrize("shift, n", _pointer_shifts())
 def test_pointer_windows_are_the_located_windows(shift, n):
     levels = word_levels(shift, n)
-    words = levels[-1].words
+    words = shifts._words(levels)
     rows = np.arange(len(words))
     for j in range(n):
         for d in range(1, n - j + 1):

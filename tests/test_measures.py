@@ -14,7 +14,7 @@ from thermoshift import (BudgetExceeded, ConditionNotMet, CylinderMeasure,
                          ShiftModel, ValidationError, admissible_words, entropy_estimate,
                          entropy_tail_bound, gibbs_certificate,
                          gibbs_construct, gibbs_weights, lyapunov,
-                         marginal_bound_check, rpf_equilibrium,
+                         marginal_bound_check, rpf_equilibrium, shift_from_config,
                          tight_set, topological_pressure, transfer_pressure,
                          word_levels)
 
@@ -487,6 +487,22 @@ def test_marginal_bound_check_equality_and_violation():
     rows = {r.symbol: r for r in chk2.rows}
     assert not rows[3].ok
     assert rows[1].ok
+
+
+def test_marginals_on_an_alphabet_of_integers_and_strings():
+    # symbols sort by type name, then value: integers before strings, and
+    # each type in its own order, as on alphabets of one type
+    shift = shift_from_config({"alphabet": [0, "a", "b", 1], "edges": "full"})
+    weights = {(a, b): 1.0 + i for i, (a, b) in enumerate(
+        (a, b) for a in shift.symbols for b in shift.symbols)}
+    mu = CylinderMeasure.from_weights(shift, 2, weights)
+    assert list(mu.marginal_vector(1)) == [0, 1, "a", "b"]
+    assert list(mu.marginal_vector(2))[:5] == [(0, 0), (0, 1), (0, "a"),
+                                               (0, "b"), (1, 0)]
+    pot = LocallyConstant({0: -0.5, "a": 0.0, "b": -1.0, 1: -2.0})
+    chk = marginal_bound_check(pot, 1.0, mu, 0.0)
+    assert [r.symbol for r in chk.rows] == [0, 1, "a", "b"]
+    assert [r.mass for r in chk.rows] == list(mu.marginal_vector(1).values())
 
 
 def test_marginal_bound_vacuous_rows_pass():

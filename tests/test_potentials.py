@@ -7,7 +7,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,15 +216,16 @@ _DECAY = DecayPotential("log", 2.0, 0.5)
         "affine-lc2", "affine-decay"])
 def test_first_level_reads_the_leading_window(pot, word, expected):
     # levels of the word's windows, on the full shift on its symbols: the
-    # k-window j has parent j and suffix j + 1 among the (k - 1)-windows
+    # k-window j ends in row[j + k - 1] and has parent j and suffix j + 1
+    # among the (k - 1)-windows
     own = tuple(dict.fromkeys(word))
     shift = ShiftModel.full(len(own), own)
     row = np.array([shift.index(s) for s in word])
     n = len(row)
-    levels = [Level(row[:, None], np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp))]
+    levels = [Level(row, np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp))]
     for k in range(2, n + 1):
         at = np.arange(n - k + 1)
-        levels.append(Level(sliding_window_view(row, k), at, at + 1))
+        levels.append(Level(row[k - 1:], at, at + 1))
     assert pot.first_level(shift, levels).tolist() == [expected]
 
 

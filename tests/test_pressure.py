@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import measures, potentials, pressure
+from thermoshift import measures, potentials, pressure, shifts
 from thermoshift import (AffinePotential, BudgetExceeded, ConditionNotMet,
                          DecayPotential, LocallyConstant, MatrixCocycle,
                          RenewalRule, ShiftModel, ValidationError,
@@ -250,6 +250,20 @@ def test_log_walk_is_budgeted_before_its_first_step():
         op.log_walk(start, WORD_BUDGET // (2 * size) + 1, read)
     with pytest.raises(BudgetExceeded):
         op.log_walk(np.zeros((size, 2)), WORD_BUDGET // (4 * size) + 1, read)
+
+
+def test_log_walk_reads_the_word_budget_at_call_time(monkeypatch):
+    # 10 states with a loop and an edge to the next: 20 edge visits a step
+    size = 10
+    src = np.repeat(np.arange(size), 2)
+    dst = np.stack([np.arange(size), (np.arange(size) + 1) % size], axis=1).ravel()
+    op = EdgeOperator(size, src, dst, np.zeros(2 * size))
+    start = np.zeros((size, 1))
+    assert len(op.log_walk(start, 6, lambda h: 0.0)) == 6
+    monkeypatch.setattr(shifts, "WORD_BUDGET", 100)
+    assert len(op.log_walk(start, 5, lambda h: 0.0)) == 5      # 100 visits
+    with pytest.raises(BudgetExceeded, match="exceeds budget 100 "):
+        op.log_walk(start, 6, lambda h: 0.0)                    # 120 visits
 
 
 @pytest.mark.parametrize("route", [gurevich_estimate, topological_pressure])

@@ -26,6 +26,7 @@ from thermoshift import (ConditionNotMet, DecayPotential, LocallyConstant,
                          rpf_equilibrium, transfer_pressure,
                          weighted_block_matrix, word_levels, zero_temp_report)
 from thermoshift.linalg import EdgeOperator, root_side
+from thermoshift.shifts import _words
 
 RENEWAL = RenewalRule().truncate(1200)
 DECAY = DecayPotential("log", 2.0)
@@ -185,7 +186,7 @@ def test_chain_masses_match_the_dense_matrix(seed):
     got = eq.level_masses(levels)
     for n in range(depth, depth + 3):
         words = [tuple(shift.symbols[i] for i in row)
-                 for row in levels[n - 1].words.tolist()]
+                 for row in _words(levels[:n]).tolist()]
         want = [dense_mass(w) for w in words]
         assert got[n - 1].tolist() == want
         assert [eq.mass(w) for w in words] == want

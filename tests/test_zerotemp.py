@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from thermoshift import (BudgetExceeded, DecayPotential, LocallyConstant,
                          MatrixCocycle, RenewalRule, ShiftModel,
-                         UnsupportedEnumeration, ValidationError, anneal,
+                         UnsupportedEnumeration, ValidationError, admissible_words, anneal,
                          max_mean_cycle, maximizing_subshift, rpf_equilibrium,
-                         simple_cycles, zero_temp_report)
+                         simple_cycles, word_levels, zero_temp_report)
 from thermoshift import zerotemp
 
 
@@ -426,6 +426,29 @@ def test_cold_report_on_the_full_nine_shift():
     assert sub.entropy == pytest.approx(math.log(9), abs=1e-12)
     assert sub.cycles == ((0,),)
     assert rep.leakage == 0.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("constant", [False, True])
+def test_leakage_is_the_mass_of_the_words_not_admitted(seed, constant):
+    # the row test on the level's pointers agrees with ``admits`` word by
+    # word, and the leakage is the fsum of the same floats; a constant
+    # potential makes the whole graph the sub-shift
+    rng = random.Random(seed)
+    shift = random_graph(rng, rng.randint(2, 6), ring=True)
+    shift = ShiftModel(shift.symbols, np.maximum(shift.adjacency, np.eye(
+        shift.n_symbols, dtype=np.uint8)))           # loops make it primitive
+    pot = LocallyConstant({s: 0.0 if constant else rng.uniform(-1.0, 1.0)
+                           for s in shift.symbols})
+    depth = rng.randint(1, 4)
+    rep = zero_temp_report(shift, pot, [1.0, 8.0], depth=depth)
+    sub = rep.subshift
+    levels = word_levels(shift, depth)
+    words = admissible_words(shift, depth)
+    assert zerotemp._admitted(shift, sub, levels).tolist() == [
+        sub.admits(w) for w in words]
+    assert rep.leakage == math.fsum(
+        v for w, v in rep.trace.rows[0].marginal.items() if not sub.admits(w))
 
 
 def test_cold_report_rejects_a_deep_table_before_the_block(monkeypatch, full2):
