@@ -211,12 +211,10 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
                   n_max: int = 12) -> PressureEstimate:
-    """Transfer route when exact (t >= 0), otherwise the topological scan."""
-    if pot.depth is not None and not t < 0:     # a NaN t is rejected there
-        try:
-            return transfer_pressure(shift, pot, t)
-        except ConditionNotMet:
-            pass
+    """Transfer route when exact (t >= 0 on a primitive shift), otherwise
+    the topological scan; either route rejects a NaN t."""
+    if pot.depth is not None and not t < 0 and is_primitive(shift):
+        return transfer_pressure(shift, pot, t)
     return topological_pressure(shift, pot, t, n_max)
 
 

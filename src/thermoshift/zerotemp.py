@@ -13,14 +13,14 @@ is the maximizing sub-shift: its cycles have mean >= beta - _NEAR_OPTIMAL,
 and every cycle of mean beta lies in it, up to Howard's tolerance.  Its
 classes and their entropies are read off it, with no cycle enumeration.
 ``anneal`` scales the block operator once and reads the equilibrium state
-at every t of its schedule off that scaling; ``zero_temp_report`` reads the
-sub-shift off the same scaling.
+at every t of its schedule off that scaling, as masses on engine rows;
+``zero_temp_report`` reads the sub-shift and the leakage off that trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -215,13 +215,34 @@ def _admitted(shift: ShiftModel, sub: MaximizingSubshift,
 # -- annealing -------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class _LevelWords:
+    """Engine levels 1..d, with the words of level d spelled on first read."""
+    shift: ShiftModel
+    levels: list
+
+    @cached_property
+    def words(self) -> list:
+        return _symbol_tuples(self.shift, _words(self.levels))
+
+
 @dataclass
 class AnnealRow:
     t: float
     pressure: float
     lyapunov: float
     entropy: float
-    marginal: dict           # depth-d cylinder masses
+    # normalised masses on every row of level d (0 off the support)
+    masses: np.ndarray = field(repr=False, compare=False)
+    _level: _LevelWords = field(repr=False, compare=False)
+
+    @cached_property
+    def marginal(self) -> dict:
+        """Depth-d cylinder masses ``{word: mass}`` over the positive rows,
+        in level order; spelled on first read."""
+        live = np.flatnonzero(self.masses > 0)
+        words = self._level.words
+        return dict(zip([words[i] for i in live], self.masses[live].tolist()))
 
 
 @dataclass
@@ -230,6 +251,9 @@ class AnnealTrace:
     clusters: tuple          # tuples of t sharing a marginal within delta
     depth: int
     delta: float
+    _level: _LevelWords = field(repr=False, compare=False)
+    # the row scaling of the block operator at t = 1
+    _scaling: BellmanScaling = field(repr=False, compare=False)
 
 
 def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
@@ -238,43 +262,30 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     clustering of the depth-d marginals (descending t, new cluster when the
     max cylinder-mass gap to the cluster representative exceeds delta).
     Level d of the word-level engine is enumerated once, under the word
-    budget; a marginal is the masses of its rows, and ``marginal`` maps the
-    words of the positive rows, in level order, to them.  Every t reads its
-    equilibrium state off one block operator."""
-    return _anneal(shift, pot, ts, depth, delta)[0]
-
-
-def _anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
-            depth: int, delta: float) -> tuple:
-    """:func:`anneal`, with the row scaling of its block operator at t = 1,
-    the engine levels 1..depth and the coldest marginal on every row of
-    level ``depth`` (0 off its support)."""
+    budget; a row keeps the masses of its rows, and its ``marginal`` spells
+    the words of the positive ones when first read (the level once for all
+    rows).  Every t reads its equilibrium state off one block operator."""
     ts = sorted({float(t) for t in ts}, reverse=True)
     if not ts:
         raise ValidationError("empty temperature schedule")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
-    levels = word_levels(shift, depth)
-    words = _symbol_tuples(shift, _words(levels))
+    level = _LevelWords(shift, word_levels(shift, depth))
     block = _spectral_block(shift, pot, None, ts)
     rows, clusters = [], []
     for t in ts:
         eq = _equilibrium(shift, block, t)
-        mu = eq.level_masses(levels)[-1]
-        live = np.flatnonzero(mu > 0)   # before dividing, as _from_level
+        mu = eq.level_masses(level.levels)[-1]
         mu = mu / _running_sum(mu)
-        if not rows:
-            cold = mu
         rows.append(AnnealRow(t, eq.pressure, eq.lyapunov_exact(), eq.entropy(),
-                              dict(zip([words[i] for i in live],
-                                       mu[live].tolist()))))
+                              mu, level))
         if clusters and float(np.abs(head - mu).max()) <= delta:
             clusters[-1].append(t)
         else:
             clusters.append([t])
             head = mu
-    return (AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta),
-            block[3], levels, cold)
+    return AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta,
+                       level, block[3])
 
 
 @dataclass
@@ -298,12 +309,12 @@ def zero_temp_report(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     the sub-shift.  One Howard run per side serves the trace, and the
     sub-shift is read off the trace's row scaling."""
     _check_depth_one(pot)
-    trace, S, levels, mu = _anneal(shift, pot, ts, depth, delta)
-    sub = _subshift(shift, S)
+    trace = anneal(shift, pot, ts, depth, delta)
+    sub = _subshift(shift, trace._scaling)
     cold = trace.rows[0]
     # the cold marginal's masses off the sub-shift's words (and zeros off
     # its support): fsum is exact, so the order of the rows does not matter
-    leak = math.fsum(mu[~_admitted(shift, sub, levels)].tolist())
+    leak = math.fsum(cold.masses[~_admitted(shift, sub, trace._level.levels)].tolist())
     return ZeroTempReport(sub.beta, sub, cold.t,
                           abs(cold.lyapunov - sub.beta),
                           abs(cold.entropy - sub.entropy),

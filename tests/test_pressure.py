@@ -301,6 +301,24 @@ def test_best_pressure_route_selection(golden_mean, full2, bernoulli):
         == topological_pressure(golden_mean, bernoulli, -1.0, 6)
 
 
+def test_best_pressure_tests_primitivity_before_the_transfer_route(monkeypatch,
+                                                                 golden_mean, bernoulli):
+    attempts = []
+    original = pressure.transfer_pressure
+
+    def spy(*args, **kwargs):
+        attempts.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "transfer_pressure", spy)
+    flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])     # period 2
+    assert best_pressure(flip, bernoulli, 1.0, n_max=6) \
+        == topological_pressure(flip, bernoulli, 1.0, 6)
+    assert attempts == []
+    assert best_pressure(golden_mean, bernoulli, 1.0).route == "transfer"
+    assert len(attempts) == 1
+
+
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
     states, B, f = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from thermoshift import (BudgetExceeded, DecayPotential, LocallyConstant,
                          max_mean_cycle, maximizing_subshift, rpf_equilibrium,
                          simple_cycles, word_levels, zero_temp_report)
 from thermoshift import zerotemp
+from thermoshift.cli import main
 
 
 def karp_beta(shift, g):
@@ -400,6 +403,62 @@ def test_anneal_enumerates_its_level_under_the_word_budget(monkeypatch):
     # the 9^7 words of length 7 exceed the budget; levels 1..6 take ~25 MB
     with pytest.raises(BudgetExceeded, match="at length 7"):
         anneal(shift, pot, [1.0], depth=8)
+
+
+def spy_on(monkeypatch, module, name):
+    """Calls of ``module.name`` from here on, recorded as their arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_marginals_spell_the_level_once_when_read(monkeypatch, full2, bernoulli):
+    spelled = spy_on(monkeypatch, zerotemp, "_symbol_tuples")
+    tr = anneal(full2, bernoulli, [1.0, 2.0, 5.0], depth=3)
+    assert spelled == []
+    for row in tr.rows:
+        assert list(row.marginal.values()) == row.masses.tolist()
+    assert len(spelled) == 1
+    assert list(tr.rows[0].marginal) == admissible_words(full2, 3)
+    assert len(spelled) == 1
+
+
+def test_anneal_rows_compare_equal_across_runs(full2, bernoulli):
+    # rows compare by t, pressure, Lyapunov exponent and entropy; the mass
+    # array and the shared level are left out, so == never meets an ndarray
+    one = anneal(full2, bernoulli, [1.0, 2.0], depth=3)
+    two = anneal(full2, bernoulli, [1.0, 2.0], depth=3)
+    assert (one.rows == two.rows) is True
+    assert one == two
+    assert one.rows[0] != one.rows[1]
+
+
+def test_traces_and_reports_pickle_with_their_marginals(full2, bernoulli):
+    rep = zero_temp_report(full2, bernoulli, [1.0, 4.0], depth=3)
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep
+    for got, row in zip(back.trace.rows, rep.trace.rows, strict=True):
+        assert list(got.marginal.items()) == list(row.marginal.items())
+
+
+def test_cold_report_reads_the_public_anneal_and_spells_no_word(monkeypatch):
+    annealed = spy_on(monkeypatch, zerotemp, "anneal")
+    spelled = spy_on(monkeypatch, zerotemp, "_symbol_tuples")
+    pot = LocallyConstant({0: 0.0, 1: -1.0})
+    rep = zero_temp_report(ShiftModel.full(2), pot, [2.0, 4.0], depth=4)
+    assert len(annealed) == 1
+    assert annealed[0][2] == [2.0, 4.0]
+    assert rep.trace.rows[0].t == 4.0
+    config = Path(__file__).resolve().parents[1] / "configs" / "zerotemp_full2.json"
+    assert main(["zerotemp", "--config", str(config)]) == 0
+    assert len(annealed) == 2
+    assert spelled == []
 
 
 def test_cold_report_closed_forms(full2, bernoulli):
