@@ -183,7 +183,7 @@ def _check_shift(own: ShiftModel, shift: ShiftModel) -> None:
     """Reject a scan of ``shift`` by a measure defined on another shift."""
     if own is not shift and not (
             own.symbols == shift.symbols
-            and np.array_equal(own.adjacency, shift.adjacency)):
+            and np.array_equal(own._edges, shift._edges)):
         raise ValidationError("measure is defined on a different shift")
 
 

@@ -652,7 +652,7 @@ def summability_report(pot: Potential, t: float = 1.0,
         partial = math.fsum(math.exp(v) for v in vals)
         tail = pot.tail_weight_bound(n, 1.0)
         partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)
-        tail_t = pot.weighted_log_tail(n, t, terms=0) if pot.summable(t) else math.inf
+        tail_t = pot.weighted_log_tail(n, t, terms=0)
         verdict = "summable" if pot.summable(1.0) else "not-summable"
         return SummabilityReport(verdict, partial, tail, t, partial_t, tail_t,
                                  pot.summable(t), n)

@@ -39,8 +39,8 @@ import numpy as np
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import DecayPotential, Potential
-from .shifts import (CompactApproximation, ShiftModel, _symbol_tuples, _words,
-                     is_primitive, word_levels)
+from .shifts import (CompactApproximation, ShiftModel, _check_positive_int,
+                     _symbol_tuples, _words, is_primitive, word_levels)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
     ``a`` and close up (the families without a first level are constant on
     n-cylinders).
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _check_positive_int(n_max, "n_max")
     _check_word_t(t)
     if a is None:
         a = shift.symbols[0]
@@ -118,8 +117,7 @@ def topological_pressure(shift: ShiftModel, pot: Potential, t: float,
     (:meth:`~thermoshift.linalg.EdgeOperator.log_walk`, under its budget),
     and no word level deeper than r + 1.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _check_positive_int(n_max, "n_max")
     _check_word_t(t)
     r = min(n_max, pot.depth or n_max)     # the lengths the engine serves
     # one build: the block operator's edges are level r + 1

@@ -66,8 +66,8 @@ class ShiftModel:
     constructor is turned into these codes; rules and the other builders
     hand them over directly (:meth:`_from_codes`).  The out-degrees
     ``_degree`` and the read-only uint8 ``adjacency`` are computed from
-    them; the word engine, the period and the certificate read the arrays.
-    Successor lists are built on first use.
+    them; the word engine, the period, the certificate, :meth:`successors`
+    and :meth:`fingerprint` read the arrays.
     """
 
     symbols: tuple
@@ -116,12 +116,6 @@ class ShiftModel:
         return cls(tuple(symbols), _EdgeCodes(codes), ambient, assumed_mixing)
 
     @cached_property
-    def _succ(self) -> tuple:
-        """Successor index lists, ascending; built on first use."""
-        m = self.n_symbols
-        return _grouped(m, *np.divmod(self._edges, m))
-
-    @cached_property
     def period(self) -> int:
         """Period of the transition graph (gcd of its cycle lengths), 0 when
         it is not strongly connected: the one primitivity decision, made
@@ -144,7 +138,10 @@ class ShiftModel:
         return bool(self.adjacency[self.index(a), self.index(b)])
 
     def successors(self, a) -> tuple:
-        return tuple(self.symbols[j] for j in self._succ[self.index(a)])
+        i, m = self.index(a), self.n_symbols
+        lo = int(np.searchsorted(self._edges, i * m))
+        row = self._edges[lo:lo + self._degree[i]] - i * m
+        return tuple(self.symbols[j] for j in row.tolist())
 
     def is_admissible(self, word: Sequence) -> bool:
         if len(word) == 0:
@@ -157,9 +154,10 @@ class ShiftModel:
 
     def fingerprint(self) -> str:
         """Stable identifier of (alphabet, edge set), used to match artifacts."""
-        edges = sorted((repr(self.symbols[i]), repr(self.symbols[j]))
-                       for i in range(self.n_symbols) for j in self._succ[i])
-        blob = repr((tuple(map(repr, self.symbols)), edges)).encode()
+        names = [repr(s) for s in self.symbols]
+        src, dst = np.divmod(self._edges, self.n_symbols)
+        edges = sorted((names[i], names[j]) for i, j in zip(src.tolist(), dst.tolist()))
+        blob = repr((tuple(names), edges)).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def restrict(self, symbols: Iterable) -> "ShiftModel":
@@ -225,9 +223,7 @@ class AmbientRule:
                                               (m, m)))
 
     def truncate(self, n: int) -> ShiftModel:
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise ValidationError(
-                f"truncation size must be a positive integer, got {n!r}")
+        _check_positive_int(n, "truncation size")
         return _rule_model(self, range(1, n + 1), assumed_mixing=True)
 
 
@@ -328,6 +324,14 @@ def _symbol_order(s) -> tuple:
 # -- word enumeration ------------------------------------------------------
 
 
+def _check_positive_int(n, name: str) -> None:
+    """Reject a length or size ``n`` that is not a positive integer: a
+    :class:`numbers.Integral` (numpy integers included) other than a bool,
+    at least 1."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {n!r}")
+
+
 def _require_finite(shift) -> ShiftModel:
     if isinstance(shift, AmbientRule):
         raise UnsupportedEnumeration(
@@ -367,8 +371,7 @@ def _levels(shift: ShiftModel, n: int, budget: int | None = None):
     whatever ``budget`` is.
     """
     shift = _require_finite(shift)
-    if n < 1:
-        raise ValidationError("word length must be >= 1")
+    _check_positive_int(n, "word length")
     if budget is None:
         budget = WORD_BUDGET
     max_entries = 16 * WORD_BUDGET
@@ -486,12 +489,14 @@ def count_admissible_words(shift: ShiftModel, n: int) -> int:
     """Number of admissible words of length n (sum of entries of M^(n-1)),
     in exact integer arithmetic."""
     shift = _require_finite(shift)
-    if n < 1:
-        raise ValidationError("word length must be >= 1")
-    starting = [1] * shift.n_symbols  # words of the current length from each symbol
+    _check_positive_int(n, "word length")
+    # words of the current length from each symbol, in exact Python ints
+    starting = np.ones(shift.n_symbols, dtype=object)
+    succ = shift._edges % shift.n_symbols
+    first_edge = np.cumsum(shift._degree) - shift._degree
     for _ in range(n - 1):
-        starting = [sum(starting[j] for j in row) for row in shift._succ]
-    return sum(starting)
+        starting = np.add.reduceat(starting[succ], first_edge)
+    return int(starting.sum())
 
 
 def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
@@ -500,8 +505,7 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     word-level engine that start with ``a`` and whose last symbol has an
     edge back to it, so they come in lexicographic order."""
     shift = _require_finite(shift)
-    if n < 1:
-        raise ValidationError("period must be >= 1")
+    _check_positive_int(n, "period")
     ai = shift.index(a)
     words = _words(word_levels(shift, n))
     closes = shift.adjacency[words[:, -1], ai].astype(bool)
@@ -559,14 +563,6 @@ def _period(graph: tuple[int, np.ndarray]) -> int:
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
-def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
-    """Adjacency lists of the vertices 0..n-1 from edge arrays sorted by
-    ``keys``: entry i holds the ``vals`` of the edges whose key is i."""
-    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
-    vals = vals.tolist()
-    return tuple(tuple(vals[bounds[i]:bounds[i + 1]]) for i in range(n))
-
-
 def _bfs_levels(n: int, codes: np.ndarray) -> list[int] | None:
     """BFS distance of every vertex from vertex 0 along the edges ``codes``
     (ascending flat codes u*n + v), or None when one is unreachable.
@@ -593,27 +589,30 @@ def _bfs_levels(n: int, codes: np.ndarray) -> list[int] | None:
     return None if unseen else level
 
 
-def _strong_components(nbrs: tuple) -> list[int]:
-    """Strongly connected component of every vertex along the adjacency
-    lists ``nbrs``, labelled by the vertex of it that the search reached
-    first: Tarjan's algorithm with an explicit stack, so a chain of any
-    length needs no recursion, and each edge is looked at once."""
-    n = len(nbrs)
+def _strong_components(n: int, codes: np.ndarray) -> list[int]:
+    """Strongly connected component of every vertex 0..n-1 along the edges
+    ``codes`` (ascending flat codes u*n + v), labelled by the vertex of it
+    that the search reached first: Tarjan's algorithm with an explicit
+    stack, so a chain of any length needs no recursion, and each edge is
+    looked at once."""
+    # row u of the codes is one run, succ[starts[u]:starts[u + 1]]
+    starts = np.searchsorted(codes, np.arange(0, n * n + 1, n)).tolist()
+    succ = (codes % n).tolist()
     order, low, comp = [-1] * n, [0] * n, [-1] * n  # comp -1: unassigned
     stack: list[int] = []
     count = 0
     for root in range(n):
         work = [(root, None)] if order[root] < 0 else []
         while work:
-            u, succ = work.pop()
-            if succ is None:            # first visit
+            u, row = work.pop()
+            if row is None:             # first visit
                 order[u] = low[u] = count
                 count += 1
                 stack.append(u)
-                succ = iter(nbrs[u])
-            for v in succ:
+                row = iter(succ[starts[u]:starts[u + 1]])
+            for v in row:
                 if order[v] < 0:
-                    work += [(u, succ), (v, None)]
+                    work += [(u, row), (v, None)]
                     break
                 if comp[v] < 0:         # v is on the stack
                     low[u] = min(low[u], order[v])
@@ -801,8 +800,7 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     :class:`BudgetExceeded` is raised before allocating one with m**2 above
     ``WORD_BUDGET``) or a finite mixing :class:`ShiftModel`.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be >= 1")
+    _check_positive_int(k_max, "k_max")
     rule: AmbientRule | None
     if isinstance(ambient, AmbientRule):
         rule = ambient

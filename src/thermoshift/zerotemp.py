@@ -31,8 +31,8 @@ from .linalg import BellmanScaling, EdgeOperator, power_iteration
 from .measures import _equilibrium, _running_sum
 from .potentials import Potential
 from .pressure import _spectral_block, weighted_block_matrix
-from .shifts import (ShiftModel, _grouped, _strong_components, _symbol_tuples,
-                     _words, word_levels)
+from .shifts import (ShiftModel, _strong_components, _symbol_tuples, _words,
+                     word_levels)
 
 _EXHAUSTIVE_LIMIT = 8
 # an edge is critical when its reduced weight is at least -_NEAR_OPTIMAL
@@ -76,7 +76,8 @@ def _critical_graph(S: BellmanScaling) -> tuple[np.ndarray, ...]:
     rounding = 2 * op.size * float(np.abs(S.potential).max()) * np.finfo(float).eps
     tight = op.log_weight >= -max(_NEAR_OPTIMAL, rounding)
     src, dst = op.src[tight], op.dst[tight]
-    comp = np.array(_strong_components(_grouped(op.size, src, dst)))
+    # the operator's edges come sorted by source and then target
+    comp = np.array(_strong_components(op.size, src * op.size + dst))
     on_cycle = comp[src] == comp[dst]
     src, dst = src[on_cycle], dst[on_cycle]
     states = np.flatnonzero(np.bincount(src, minlength=op.size))

@@ -261,6 +261,11 @@ def test_count_admissible_words_is_exact():
     golden_mean = ShiftModel.golden_mean()
     for n in (1, 2, 10, 50, 100):
         assert count_admissible_words(golden_mean, n) == fib[n + 1]
+    assert count_admissible_words(golden_mean, 40) == 267914296
+    big = count_admissible_words(golden_mean, 300)     # F(302)
+    assert big == 581811569836004006491505558634099066259034153405766997246569401
+    assert type(big) is int and len(str(big)) == 63
+    assert count_admissible_words(RenewalRule().truncate(300), 30) == 160524402689
 
 
 def _pointer_shifts():

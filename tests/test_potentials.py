@@ -429,6 +429,12 @@ def test_summability_flat_countable_potential_diverges():
     assert math.isinf(rep.tail_bound)
 
 
+def test_summability_t_tail_is_infinite_where_the_t_series_diverges():
+    rep = summability_report(DecayPotential("log", 0.4), t=2.0)
+    assert not rep.t_variant_summable
+    assert rep.tail_bound_t == math.inf
+
+
 def test_summability_finite_alphabet(full2, bernoulli):
     rep = summability_report(bernoulli, t=1.0, shift=full2)
     assert rep.verdict == "summable"

@@ -272,6 +272,16 @@ def test_word_routes_refuse_an_unbounded_walk(golden_mean, bernoulli, route):
         route(golden_mean, bernoulli, 1.0, 10**9)
 
 
+@pytest.mark.parametrize("route", [gurevich_estimate, topological_pressure])
+def test_word_routes_take_only_positive_integer_lengths(golden_mean, bernoulli, route):
+    coc = MatrixCocycle({0: [[2, 1], [1, 1]], 1: [[1, 1], [1, 3]]})
+    for pot in (bernoulli, coc):
+        for bad in (2.5, 2.0, True, "3", None, 0, np.int64(0)):
+            with pytest.raises(ValidationError, match="n_max must be a positive integer"):
+                route(golden_mean, pot, 1.0, bad)
+        assert route(golden_mean, pot, 1.0, np.int64(3)).n_used == 3
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_word_routes_reject_a_non_finite_t_before_any_work(monkeypatch, golden_mean,
                                                            bernoulli, t):

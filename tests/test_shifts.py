@@ -18,11 +18,11 @@ from thermoshift import (BudgetExceeded, ConstructionFailure, FullShiftRule,
                          admissible_words, compact_approximation,
                          count_admissible_words, is_primitive,
                          mixing_certificate, periodic_points,
-                         shift_from_config)
+                         shift_from_config, word_levels)
 from thermoshift import cli, shifts
 from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _edge_thresholds,
                                 _feasibility, _fresh_feasibility,
-                                _fresh_interior, _grouped, _period,
+                                _fresh_interior, _period,
                                 _plain_interiors, _strong_components)
 
 
@@ -67,6 +67,10 @@ def test_from_edges_and_membership(golden_mean):
     assert golden_mean.is_edge(1, 0)
     assert not golden_mean.is_edge(1, 1)
     assert golden_mean.successors(0) == (0, 1)
+    assert golden_mean.successors(1) == (0,)
+    renewal = RenewalRule().truncate(300)     # the first and the last row
+    assert renewal.successors(1) == tuple(range(1, 301))
+    assert renewal.successors(300) == (299,)
     with pytest.raises(ValidationError):
         golden_mean.index(7)
 
@@ -148,7 +152,7 @@ def test_strong_components_match_reachability(n, seed):
     reach = np.eye(n, dtype=bool) | adj
     for _ in range(n):
         reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
-    comp = np.array(_strong_components(_grouped(n, *np.nonzero(adj))))
+    comp = np.array(_strong_components(n, np.flatnonzero(adj)))
     assert np.array_equal(comp[:, None] == comp[None, :], reach & reach.T)
     # each component is labelled by one of its own vertices
     assert (comp[comp] == comp).all()
@@ -157,10 +161,11 @@ def test_strong_components_match_reachability(n, seed):
 def test_strong_components_of_a_long_chain_need_no_recursion():
     # 5000 -> 4999 -> ... -> 0 -> 5000 deeper than the recursion limit
     n = 5000
-    ring = tuple(((v - 1) % n,) for v in range(n))
-    assert len(set(_strong_components(ring))) == 1
-    chain = tuple(((v - 1,) if v else ()) for v in range(n))
-    assert _strong_components(chain) == list(range(n))
+    v = np.arange(n)
+    ring = v * n + (v - 1) % n
+    assert len(set(_strong_components(n, ring))) == 1
+    chain = v[1:] * n + v[:-1]
+    assert _strong_components(n, chain) == list(range(n))
 
 
 # -- mixing ----------------------------------------------------------------
@@ -379,7 +384,7 @@ def test_period_matches_the_dense_level_traversal():
         assert periods[-1] == _period_by_dense_levels(adj)
         if not (adj.any(axis=0).all() and adj.any(axis=1).all()):
             continue
-        # a shift: its lists, period and thresholds against the dense rows
+        # a shift: its successors, period and thresholds against the dense rows
         symbols = tuple(range(100, 100 + n))
         shift = ShiftModel(symbols, adj)
         assert shift.period == periods[-1]
@@ -819,11 +824,9 @@ def test_working_truncation_is_bounded_before_allocation(monkeypatch, capsys, tm
     assert "working truncation of 200022 symbols" in out.err
 
 
-def test_compact_approximation_builds_no_lists_or_threshold_dicts(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("adjacency lists built")
-
-    monkeypatch.setattr(shifts, "_grouped", forbidden)
+def test_compact_approximation_builds_no_lists_or_threshold_dicts():
+    # no adjacency-list builder is left to call
+    assert not hasattr(shifts, "_grouped") and not hasattr(ShiftModel, "_succ")
     approx = compact_approximation(FullShiftRule(), 3)
     assert [level.n_symbols for level in approx.levels] == [3, 21, 144]
     assert all("thresholds" not in vars(cert) for cert in approx.certificates)
@@ -864,3 +867,35 @@ def test_fingerprint_distinguishes_graphs(golden_mean, full2):
     assert golden_mean.fingerprint() != full2.fingerprint()
     again = ShiftModel.golden_mean()
     assert golden_mean.fingerprint() == again.fingerprint()
+
+
+def test_fingerprints_agree_across_builders():
+    # frozen values: a fingerprint names a graph in saved documents
+    renewal = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 2)]
+    for shift in (RenewalRule().truncate(3),
+                  ShiftModel((1, 2, 3), [[1, 1, 1], [1, 0, 0], [0, 1, 0]]),
+                  ShiftModel.from_edges((1, 2, 3), renewal[::-1]),
+                  RenewalRule().truncate(6).restrict([1, 2, 3])):
+        assert shift.fingerprint() == "78869cba2fdb8290"
+    symbols = (0, "a", 1, "b")
+    adj = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
+    wider = np.ones((6, 6), dtype=int)
+    wider[:4, :4] = adj
+    edges = [(symbols[i], symbols[j]) for i, j in zip(*np.nonzero(adj))]
+    for shift in (ShiftModel(symbols, adj),
+                  ShiftModel.from_edges(symbols, edges[::-1]),
+                  ShiftModel(symbols + (2, "c"), wider).restrict(symbols)):
+        assert shift.fingerprint() == "340c28657e34ab46"
+    assert ShiftModel.full(40).fingerprint() == "49e8d11b253cf7bb"
+
+
+@pytest.mark.parametrize("entry", [
+    word_levels, admissible_words, count_admissible_words, compact_approximation,
+    lambda shift, n: periodic_points(shift, n, 0)],
+    ids=["word_levels", "admissible_words", "count_admissible_words",
+         "compact_approximation", "periodic_points"])
+def test_lengths_must_be_positive_integers(golden_mean, entry):
+    for bad in (2.5, 2.0, True, False, "3", None, 0, -2, np.int64(0)):
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            entry(golden_mean, bad)
+    entry(golden_mean, np.int64(2))
