@@ -96,14 +96,44 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _finite_or_null(x):
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
-    if isinstance(x, dict):
-        return {k: _finite_or_null(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_finite_or_null(v) for v in x]
-    return x
+_quote = json.encoder.encode_basestring_ascii
+
+# The text of each scalar type, looked up by exact type, so that a scalar in
+# a container costs no call to _text.  Subclasses (np.float64, say) take
+# _text's isinstance fallback, which tries bool before int.
+_SCALAR_TEXT = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    str: _quote,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else "null",
+}
+
+
+def _text(v, nl: str) -> str:
+    """The JSON text of ``v`` nested at the line break ``nl`` ("\\n" plus
+    two spaces per level), byte for byte what ``json.dumps`` writes with
+    sorted keys and an indent of 2, except that every non-finite float is
+    null.  A key that is not a str, or a value json cannot write, raises
+    TypeError."""
+    get = _SCALAR_TEXT.get
+    inner = nl + "  "
+    if isinstance(v, dict):
+        keys = sorted(v)   # distinct str keys: the order of sorted(v.items())
+        texts = [f(x) if (f := get(type(x))) else _text(x, inner)
+                 for x in map(v.__getitem__, keys)]
+        body, brackets = map(": ".join, zip(map(_quote, keys), texts)), "{}"
+    elif isinstance(v, (list, tuple)):
+        body = [f(x) if (f := get(type(x))) else _text(x, inner) for x in v]
+        brackets = "[]"
+    else:
+        for kind, write in _SCALAR_TEXT.items():
+            if isinstance(v, kind):
+                return write(v)
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not v:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(body) + nl + brackets[1]
 
 
 def _doc(command: str, fields: dict, shift=None) -> str:
@@ -113,8 +143,7 @@ def _doc(command: str, fields: dict, shift=None) -> str:
     payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     if shift is not None:
         payload["shift_fingerprint"] = shift.fingerprint()
-    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    return _text(payload, "\n") + "\n"
 
 
 def _shift_pot(cfg):
@@ -300,14 +329,15 @@ def _cmd_certify(cfg: dict) -> str:
     rep = constants_report(shift, pot, depth, word_budget=word_budget)
     cert = mixing_certificate(shift)
     summ = summability_report(pot, t, shift=shift)
+    names = [str(s) for s in cert.symbols]   # spelled once, not per pair
+    thresholds = None if cert.lengths is None else {
+        a + b: v for a, row in zip([s + "->" for s in names], cert.lengths.tolist())
+        for b, v in zip(names, row)}
     return _doc("certify", {
         "mixing": {
             "status": cert.status,
             "primitive_exponent": cert.primitive_exponent,
-            "thresholds": ({f"{a}->{b}": v
-                            for a, row in zip(cert.symbols, cert.lengths.tolist())
-                            for b, v in zip(cert.symbols, row)}
-                           if cert.lengths is not None else None),
+            "thresholds": thresholds,
         },
         "constants": {
             "aa_emp": rep.aa_emp,

@@ -33,8 +33,9 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import (Level, ShiftModel, _locate, _symbol_order, _symbol_tuples,
-                     _window, _words, word_levels)
+from .shifts import (Level, ShiftModel, _check_positive_int, _locate,
+                     _symbol_order, _symbol_tuples, _window, _words,
+                     word_levels)
 
 
 @dataclass(eq=False)
@@ -409,8 +410,7 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
 
     H_n / n decreases to the entropy for invariant measures; the difference
     H_n - H_{n-1} converges faster and is exact for Markov measures."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _check_positive_int(n_max, "n_max")
     measure._check_scan(shift, n_max)
     seq = []
     prev_H = 0.0
@@ -439,8 +439,7 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
     """a_n = (1/n) sum_w mu[w] (sup f_n|[w] + C_aa); almost additivity makes
     the sequence an upper scheme whose running minimum estimates the
     exponent."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _check_positive_int(n_max, "n_max")
     measure._check_scan(shift, n_max)
     seq = []
     best = math.inf
@@ -481,8 +480,8 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
     ns = list(n_range)
     if not ns:
         raise ValidationError("empty range of word lengths")
-    if any(n < 1 for n in ns):
-        raise ValidationError("word length must be >= 1")
+    for n in ns:
+        _check_positive_int(n, "word length")
     measure._check_scan(shift, max(ns))
     levels = word_levels(shift, max(ns))
     values = pot.level_extrema(shift, levels)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, ValidationError, config_number
-from .linalg import _log
+from .linalg import _exp, _log
 from .shifts import (Level, ShiftModel, _first_children, _levels, _locate,
                      _symbol_tuples, _words, word_levels)
 
@@ -642,24 +642,31 @@ class SummabilityReport:
     terms: int
 
 
+def _exp_sums(vals: np.ndarray, t: float) -> tuple:
+    """``fsum(exp(v))`` and ``fsum(-t v exp(t v))`` over the float array
+    ``vals``, every term the same float the scalar loop gives (``_exp`` is
+    ``math.exp``; numpy's products are the same IEEE products)."""
+    tv = t * vals
+    return (math.fsum(map(math.exp, vals.tolist())),
+            math.fsum(((-tv) * _exp(tv)).tolist()))
+
+
 def summability_report(pot: Potential, t: float = 1.0,
                        shift: ShiftModel | None = None,
                        terms: int = 10_000) -> SummabilityReport:
     """Partial sums and analytic tail bounds for the summability series."""
     if isinstance(pot, DecayPotential):
         n = terms
-        vals = pot._law(np.arange(1, n + 1)).tolist()
-        partial = math.fsum(math.exp(v) for v in vals)
+        vals = pot._law(np.arange(1, n + 1))
+        partial, partial_t = _exp_sums(vals, t)
         tail = pot.tail_weight_bound(n, 1.0)
-        partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)
         tail_t = pot.weighted_log_tail(n, t, terms=0)
         verdict = "summable" if pot.summable(1.0) else "not-summable"
         return SummabilityReport(verdict, partial, tail, t, partial_t, tail_t,
                                  pot.summable(t), n)
     if shift is not None:
-        vals = pot.level_extrema(shift, word_levels(shift, 1))[0][0].tolist()
-        partial = math.fsum(math.exp(v) for v in vals)
-        partial_t = math.fsum((-t * v) * math.exp(t * v) for v in vals)
+        vals = pot.level_extrema(shift, word_levels(shift, 1))[0][0]
+        partial, partial_t = _exp_sums(vals, t)
         return SummabilityReport("summable", partial, 0.0, t, partial_t, 0.0,
                                  True, len(vals))
     return SummabilityReport("unknown", math.nan, math.inf, t, math.nan,

@@ -6,7 +6,10 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoshift import cli, shifts
 from thermoshift.cli import main
@@ -396,6 +399,70 @@ def test_non_finite_values_are_null_in_strict_json(capsys, tmp_path):
     doc = json.loads(out, parse_constant=_strict)
     assert doc["sequence"][0] == [1, None]
     assert all(v is not None for _, v in doc["sequence"][1:])
+
+
+# -- the document writer against json.dumps --------------------------------
+
+
+def _finite_or_null(x):
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
+def _json_dumps_text(payload) -> str:
+    """The oracle: a copy with non-finite floats as None, then the
+    standard library's sorted, indented, strict dump."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _TEXT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_TEXT, _TREES, max_size=4))
+def test_writer_matches_the_standard_library_dump(payload):
+    assert cli._text(payload, "\n") == _json_dumps_text(payload)
+
+
+def test_writer_keeps_subclasses_and_empties():
+    class Name(str):
+        pass
+
+    payload = {"b": [], "a": {}, "c": ((), [{}]), Name("é\n"): Name("\x00ü"),
+               "f": [np.float64("nan"), np.float64(0.1), -0.0, 1e300 * 10],
+               "z": [True, False, None, 10 ** 30]}
+    assert cli._text(payload, "\n") == _json_dumps_text(payload)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, np.bool_(True)])
+def test_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        _json_dumps_text({"v": value})
+    with pytest.raises(TypeError):
+        cli._text({"v": value}, "\n")
+
+
+def test_writer_rejects_a_key_that_is_not_a_string():
+    # json.dumps would write "1"; no document has such a key
+    with pytest.raises(TypeError):
+        cli._text({"v": {1: "int key"}}, "\n")
 
 
 ROOT = Path(__file__).resolve().parents[1]

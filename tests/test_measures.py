@@ -407,6 +407,29 @@ def test_estimators_reject_depth_overrun_before_enumerating(monkeypatch,
         gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, range(1, 1))
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 0])
+def test_estimators_name_the_length_they_reject(golden_mean, bernoulli, bad):
+    mu = gibbs_construct(golden_mean, bernoulli, 1.0, 8, 2, 4)
+    with pytest.raises(ValidationError, match="^n_max must be a positive"):
+        entropy_estimate(golden_mean, mu, bad)
+    with pytest.raises(ValidationError, match="^n_max must be a positive"):
+        lyapunov(golden_mean, bernoulli, mu, bad)
+    with pytest.raises(ValidationError,
+                       match="^word length must be a positive"):
+        gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, [1, bad])
+
+
+def test_estimators_take_numpy_lengths(golden_mean, bernoulli):
+    mu = gibbs_construct(golden_mean, bernoulli, 1.0, 8, 2, 4)
+    n = np.int64(3)
+    assert entropy_estimate(golden_mean, mu, n) == entropy_estimate(
+        golden_mean, mu, 3)
+    assert lyapunov(golden_mean, bernoulli, mu, n) == lyapunov(
+        golden_mean, bernoulli, mu, 3)
+    assert gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, [1, n]) \
+        == gibbs_certificate(golden_mean, bernoulli, 1.0, mu, 0.0, [1, 3])
+
+
 # -- Gibbs certificate -----------------------------------------------------
 
 
