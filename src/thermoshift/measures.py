@@ -23,9 +23,8 @@ provide it, and ``mass(word)`` remains the per-word query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .shifts import (Level, ShiftModel, _check_positive_int, _locate,
                      word_levels)
 
 
-@dataclass(eq=False)
 class CylinderMeasure:
     """A probability vector on depth-``depth`` cylinders.
 
@@ -46,16 +44,16 @@ class CylinderMeasure:
     word per row as symbol indices (positions in ``shift.symbols``) and
     ``masses`` its normalised mass.  When the measure was built on an engine
     level, ``_engine`` is that level (of :func:`word_levels`) and ``_at``
-    each row's position in it; else both are ``None``."""
+    each row's position in it; else both are ``None``.  Measures compare
+    by identity."""
 
-    shift: ShiftModel
-    depth: int
-    rows: np.ndarray
-    masses: np.ndarray
-    source: str = "raw"
-    _at: np.ndarray | None = field(default=None, repr=False)
-    _engine: Level | None = field(default=None, repr=False)
-    _levels: dict = field(default_factory=dict, repr=False)
+    def __init__(self, shift: ShiftModel, depth: int, rows: np.ndarray,
+                 masses: np.ndarray, source: str = "raw",
+                 _at: np.ndarray | None = None, _engine: Level | None = None,
+                 _levels: dict | None = None):
+        self.shift, self.depth, self.rows, self.masses = shift, depth, rows, masses
+        self.source, self._at, self._engine = source, _at, _engine
+        self._levels = {} if _levels is None else _levels
 
     @classmethod
     def from_weights(cls, shift: ShiftModel, depth: int, weights: Mapping,
@@ -235,7 +233,6 @@ def gibbs_construct(shift: ShiftModel, pot: Potential, t: float, n: int,
 # -- spectral equilibrium --------------------------------------------------
 
 
-@dataclass
 class RPFEquilibrium:
     """Stationary Markov chain built from the Perron eigendata of the
     weighted block operator; its cylinder masses realize the equilibrium
@@ -246,18 +243,25 @@ class RPFEquilibrium:
     on first read.  ``f`` holds f_1 on each state.  State i is row i of
     engine level ``depth`` and edge e is row e of level ``depth + 1``
     (``src`` its parent, ``dst`` the row of its suffix), so the keys
-    ``src * len(states) + dst`` ascend."""
+    ``src * len(states) + dst`` ascend.  ``pressure`` is the log of the
+    Perron root, kept in log form.  Two chains compare equal when every
+    field does, the arrays by value."""
 
-    shift: ShiftModel
-    t: float
-    depth: int
-    states: tuple
-    pi: np.ndarray
-    pressure: float         # log of the Perron root, kept in log form
-    src: np.ndarray = field(repr=False)
-    dst: np.ndarray = field(repr=False)
-    prob: np.ndarray = field(repr=False)
-    f: np.ndarray = field(repr=False)
+    def __init__(self, shift: ShiftModel, t: float, depth: int, states: tuple,
+                 pi: np.ndarray, pressure: float, src: np.ndarray,
+                 dst: np.ndarray, prob: np.ndarray, f: np.ndarray):
+        self.shift, self.t, self.depth, self.states = shift, t, depth, states
+        self.pi, self.pressure = pi, pressure
+        self.src, self.dst, self.prob, self.f = src, dst, prob, f
+
+    def __eq__(self, other):
+        if type(other) is not RPFEquilibrium:
+            return NotImplemented
+        return ((self.shift, self.t, self.depth, self.states, self.pressure)
+                == (other.shift, other.t, other.depth, other.states, other.pressure)
+                and all(map(np.array_equal,
+                            (self.pi, self.src, self.dst, self.prob, self.f),
+                            (other.pi, other.src, other.dst, other.prob, other.f))))
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -397,8 +401,7 @@ def _equilibrium(shift: ShiftModel, block: tuple, t: float) -> RPFEquilibrium:
 # -- entropy and Lyapunov estimators ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     sequence: tuple          # (n, H_n, H_n / n)
     value: float             # H_{n_max} - H_{n_max - 1}
     ratio_value: float       # min_n H_n / n
@@ -427,8 +430,7 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     return EntropyEstimate(tuple(seq), value, min(ratios), monotone)
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(NamedTuple):
     sequence: tuple          # (n, a_n)
     value: float             # running minimum
     bias_bound: float        # resolution floor from the variation constant
@@ -458,8 +460,7 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
 # -- Gibbs certificate -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GibbsCertificate:
+class GibbsCertificate(NamedTuple):
     c_lower: float           # min mu[w] exp(n P - t sup f_n|[w])
     c_upper: float           # max of the same ratio
     bound: float             # exp(t C_bv) (1 + slack)
@@ -511,8 +512,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
 # -- tightness on countable alphabets --------------------------------------
 
 
-@dataclass(frozen=True)
-class TightSet:
+class TightSet(NamedTuple):
     eps: float
     t: float
     s_lower: float           # lower bound on the log normalizer
@@ -570,16 +570,14 @@ def _smallest_n(bound, budget: float, cap: int = 10 ** 9) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class MarginalBoundRow:
+class MarginalBoundRow(NamedTuple):
     symbol: object
     mass: float
     bound: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class MarginalBoundCheck:
+class MarginalBoundCheck(NamedTuple):
     rows: tuple
     all_ok: bool
     worst_ratio: float
@@ -608,8 +606,7 @@ def marginal_bound_check(pot: Potential, t: float, measure,
 # -- entropy tails on countable alphabets ----------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyTailBound:
+class EntropyTailBound(NamedTuple):
     value: float
     constant: float          # the cylinder-mass constant C_{t,n}
     cutoff: int

@@ -25,8 +25,7 @@ route weights its block operator with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -564,8 +563,7 @@ def _parse_symbol(text: str):
 # -- empirical constants ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """Empirical almost-additivity and variation constants from a word scan.
 
     The maxima are lower bounds for the true constants; the check of record
@@ -630,8 +628,7 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
 # -- summability -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
+class SummabilityReport(NamedTuple):
     verdict: str            # "summable" | "not-summable" | "unknown"
     partial_sum: float      # sum_i exp(sup f_1|[i]) over the scanned range
     tail_bound: float       # analytic bound on the remainder (inf if divergent)

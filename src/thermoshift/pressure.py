@@ -31,8 +31,7 @@ difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .shifts import (CompactApproximation, ShiftModel, _check_positive_int,
                      _symbol_tuples, _words, is_primitive, word_levels)
 
 
-@dataclass(frozen=True)
-class PressureEstimate:
+class PressureEstimate(NamedTuple):
     value: float
     route: str              # "gurevich" | "topological" | "transfer"
     t: float
@@ -216,8 +214,7 @@ def best_pressure(shift: ShiftModel, pot: Potential, t: float,
     return topological_pressure(shift, pot, t, n_max)
 
 
-@dataclass(frozen=True)
-class TruncationCurve:
+class TruncationCurve(NamedTuple):
     t: float
     sizes: tuple            # alphabet size per level
     pressures: tuple
@@ -263,16 +260,14 @@ def truncation_curve(approx: CompactApproximation, pot: Potential,
                            monotone)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     t: float
     pressure: float
     lyapunov: float         # dP/dt: integral of f_1 by mu_t, else central difference
     entropy: float          # P - t * dP/dt
 
 
-@dataclass(frozen=True)
-class PressureCurve:
+class PressureCurve(NamedTuple):
     points: tuple
     second_diffs: tuple     # discrete second derivative at interior grid t
     convex_ok: bool

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ def _matrix_codes(adjacency, m: int) -> _EdgeCodes:
     return _EdgeCodes(edges)
 
 
-@dataclass(frozen=True, eq=False)
 class ShiftModel:
     """A finite-state topological Markov shift.
 
@@ -67,19 +66,16 @@ class ShiftModel:
     hand them over directly (:meth:`_from_codes`).  The out-degrees
     ``_degree`` and the read-only uint8 ``adjacency`` are computed from
     them; the word engine, the period, the certificate, :meth:`successors`
-    and :meth:`fingerprint` read the arrays.
+    and :meth:`fingerprint` read the arrays.  A shift is immutable and
+    compares by identity.
     """
 
-    symbols: tuple
-    adjacency: np.ndarray
-    ambient: "AmbientRule | None" = None
-    assumed_mixing: bool = False
-
-    def __post_init__(self):
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: tuple, adjacency: np.ndarray,
+                 ambient: "AmbientRule | None" = None,
+                 assumed_mixing: bool = False):
+        symbols = tuple(symbols)
         m = len(symbols)
-        codes = self.adjacency
+        codes = adjacency
         if not isinstance(codes, _EdgeCodes):
             codes = _matrix_codes(codes, m)
         if m == 0:
@@ -101,10 +97,16 @@ class ShiftModel:
             raise ValidationError("adjacency has an all-zero column")
         for array in (adj, edges, degree):
             array.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_degree", degree)
+        vars(self).update(symbols=symbols, adjacency=adj, ambient=ambient,
+                          assumed_mixing=assumed_mixing,
+                          _index={s: i for i, s in enumerate(symbols)},
+                          _edges=edges, _degree=degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def _from_codes(cls, symbols: Sequence, codes: np.ndarray,
@@ -174,13 +176,20 @@ class ShiftModel:
     def from_edges(cls, symbols: Sequence, edges: Iterable[tuple]) -> "ShiftModel":
         symbols = tuple(symbols)
         index = {s: i for i, s in enumerate(symbols)}
-        m = len(symbols)
-        codes = []
-        for a, b in edges:
-            if a not in index or b not in index:
-                raise ValidationError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet")
-            codes.append(index[a] * m + index[b])
-        return cls._from_codes(symbols, np.array(sorted(set(codes)), dtype=np.intp))
+        edges = list(edges)
+        if set(map(len, edges)) - {2}:
+            raise ValidationError("edges must be (a, b) pairs")
+        try:    # the index of both ends of every edge, in one pass
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
+                               dtype=np.intp, count=2 * len(edges))
+        except KeyError:
+            a, b = next(e for e in edges if e[0] not in index or e[1] not in index)
+            raise ValidationError(
+                f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet") from None
+        codes = np.sort(ends[0::2] * len(symbols) + ends[1::2])
+        # each edge once, as ascending codes hold it
+        return cls._from_codes(symbols, np.concatenate(
+            [codes[:1], codes[1:][codes[1:] != codes[:-1]]]))
 
     @classmethod
     def full(cls, n: int, symbols: Sequence | None = None) -> "ShiftModel":
@@ -303,16 +312,17 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
         raise ValidationError("shift.edges: required for an explicit shift")
     edges = cfg["edges"]
     if edges == "full":
-        edges = [(a, b) for a in symbols for b in symbols]
-    elif not isinstance(edges, (list, tuple)) or not all(
-            isinstance(e, (list, tuple)) and len(e) == 2 and _symbols(e) for e in edges):
+        return ShiftModel._from_codes(symbols, np.arange(len(symbols) ** 2))
+    if not (isinstance(edges, (list, tuple))
+            and all(map(isinstance, edges, repeat((list, tuple))))
+            and set(map(len, edges)) <= {2} and _symbols(chain.from_iterable(edges))):
         raise ValidationError('shift.edges: must be a list of [a, b] pairs or "full"')
-    return ShiftModel.from_edges(symbols, [tuple(e) for e in edges])
+    return ShiftModel.from_edges(symbols, edges)
 
 
 def _symbols(items) -> bool:
     # integers (not booleans) and strings are what potential table keys parse to
-    return all(type(s) in (int, str) for s in items)
+    return set(map(type, items)) <= {int, str}
 
 
 def _symbol_order(s) -> tuple:
@@ -515,7 +525,6 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
 # -- mixing certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class MixingCertificate:
     """Primitivity evidence for a finite shift.
 
@@ -524,13 +533,16 @@ class MixingCertificate:
     words from ``symbols[i]`` to ``symbols[j]`` exist at every length >= N
     (floored at 2); ``thresholds`` is the same data as a dict keyed by
     symbol pair, row by row, built on first read.  Both are None when the
-    shift is not mixing.
+    shift is not mixing.  Immutable and compared by identity, as a shift.
     """
 
-    status: str  # "mixing" | "periodic" | "reducible"
-    primitive_exponent: int | None
-    symbols: tuple = ()
-    lengths: np.ndarray | None = None
+    def __init__(self, status: str, primitive_exponent: int | None,
+                 symbols: tuple = (), lengths: np.ndarray | None = None):
+        # status: "mixing" | "periodic" | "reducible"
+        vars(self).update(status=status, primitive_exponent=primitive_exponent,
+                          symbols=symbols, lengths=lengths)
+
+    __setattr__, __delattr__ = ShiftModel.__setattr__, ShiftModel.__delattr__
 
     @property
     def mixing(self) -> bool:
@@ -659,8 +671,7 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
 # -- compact approximation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompactApproximation:
+class CompactApproximation(NamedTuple):
     """Nested finite mixing subshifts exhausting (part of) an ambient shift.
 
     ``levels[k]`` is the ambient restriction to the level alphabet;

@@ -20,9 +20,8 @@ at every t of its schedule off that scaling, as masses on engine rows;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,8 +125,7 @@ def _closed_cycle(nxt: list, u: int) -> list:
     return cycle[m:] + cycle[:m]
 
 
-@dataclass(frozen=True)
-class MaxMeanCycle:
+class MaxMeanCycle(NamedTuple):
     beta: float
     cycle: tuple
     method: str              # always "howard"; kept for callers that read it
@@ -145,13 +143,28 @@ def max_mean_cycle(shift: ShiftModel, pot: Potential) -> MaxMeanCycle:
     return MaxMeanCycle(S.beta, tuple(shift.symbols[i] for i in cycle), "howard")
 
 
-@dataclass(frozen=True)
 class MaximizingSubshift:
-    beta: float
-    symbols: tuple
-    edges: tuple             # (a, b) pairs of the critical graph, in its code order
-    entropy: float
-    cycles: tuple            # one cycle per critical class
+    """The critical graph of a potential: ``edges`` are its (a, b) pairs in
+    code order and ``cycles`` one cycle per critical class.  Immutable, and
+    compared and hashed by value."""
+
+    def __init__(self, beta: float, symbols: tuple, edges: tuple,
+                 entropy: float, cycles: tuple):
+        vars(self).update(beta=beta, symbols=symbols, edges=edges,
+                          entropy=entropy, cycles=cycles)
+
+    __setattr__, __delattr__ = ShiftModel.__setattr__, ShiftModel.__delattr__
+
+    def _key(self) -> tuple:
+        return self.beta, self.symbols, self.edges, self.entropy, self.cycles
+
+    def __eq__(self, other):
+        if type(other) is not MaximizingSubshift:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def admits(self, word) -> bool:
         word = tuple(word)
@@ -216,26 +229,34 @@ def _admitted(shift: ShiftModel, sub: MaximizingSubshift,
 # -- annealing -------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class _LevelWords:
     """Engine levels 1..d, with the words of level d spelled on first read."""
-    shift: ShiftModel
-    levels: list
+
+    def __init__(self, shift: ShiftModel, levels: list):
+        self.shift, self.levels = shift, levels
 
     @cached_property
     def words(self) -> list:
         return _symbol_tuples(self.shift, _words(self.levels))
 
 
-@dataclass
 class AnnealRow:
-    t: float
-    pressure: float
-    lyapunov: float
-    entropy: float
-    # normalised masses on every row of level d (0 off the support)
-    masses: np.ndarray = field(repr=False, compare=False)
-    _level: _LevelWords = field(repr=False, compare=False)
+    """One temperature of :func:`anneal`: ``masses`` are the normalised
+    masses on every row of level d (0 off the support).  Rows compare by
+    ``t``, ``pressure``, ``lyapunov`` and ``entropy``."""
+
+    def __init__(self, t: float, pressure: float, lyapunov: float,
+                 entropy: float, masses: np.ndarray, _level: _LevelWords):
+        self.t, self.pressure, self.lyapunov = t, pressure, lyapunov
+        self.entropy, self.masses, self._level = entropy, masses, _level
+
+    def _key(self) -> tuple:
+        return self.t, self.pressure, self.lyapunov, self.entropy
+
+    def __eq__(self, other):
+        if type(other) is not AnnealRow:
+            return NotImplemented
+        return self._key() == other._key()
 
     @cached_property
     def marginal(self) -> dict:
@@ -246,15 +267,24 @@ class AnnealRow:
         return dict(zip([words[i] for i in live], self.masses[live].tolist()))
 
 
-@dataclass
 class AnnealTrace:
-    rows: tuple              # sorted by decreasing t
-    clusters: tuple          # tuples of t sharing a marginal within delta
-    depth: int
-    delta: float
-    _level: _LevelWords = field(repr=False, compare=False)
-    # the row scaling of the block operator at t = 1
-    _scaling: BellmanScaling = field(repr=False, compare=False)
+    """The rows of :func:`anneal` by decreasing t, and its ``clusters``:
+    tuples of t sharing a marginal within ``delta``.  ``_scaling`` is the
+    row scaling of the block operator at t = 1.  Traces compare by
+    ``rows``, ``clusters``, ``depth`` and ``delta``."""
+
+    def __init__(self, rows: tuple, clusters: tuple, depth: int, delta: float,
+                 _level: _LevelWords, _scaling: BellmanScaling):
+        self.rows, self.clusters, self.depth, self.delta = rows, clusters, depth, delta
+        self._level, self._scaling = _level, _scaling
+
+    def _key(self) -> tuple:
+        return self.rows, self.clusters, self.depth, self.delta
+
+    def __eq__(self, other):
+        if type(other) is not AnnealTrace:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
@@ -289,8 +319,7 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
                        level, block[3])
 
 
-@dataclass
-class ZeroTempReport:
+class ZeroTempReport(NamedTuple):
     beta: float
     subshift: MaximizingSubshift
     t_max: float

@@ -7,12 +7,28 @@ import ast
 import importlib
 import inspect
 import json
+import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import thermoshift
-from thermoshift import (admissible_words, cli, linalg, measures, potentials,
-                         pressure, shifts)
+from thermoshift import (CylinderMeasure, DecayPotential, LocallyConstant,
+                         RenewalRule, ShiftModel, admissible_words, anneal, cli,
+                         compact_approximation, constants_report,
+                         entropy_estimate, entropy_tail_bound,
+                         gibbs_certificate, linalg, lyapunov,
+                         marginal_bound_check, max_mean_cycle, measures,
+                         mixing_certificate, potentials, pressure,
+                         pressure_curve, rpf_equilibrium, shifts,
+                         summability_report, tight_set, transfer_pressure,
+                         truncation_curve, zero_temp_report)
 
 # Package-root names the benchmark worker calls.
 WORKER_NAMES = (
@@ -138,3 +154,171 @@ def test_no_dense_linear_algebra():
     dense = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import linalg")
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if dense.search(p.read_text())] == []
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    # the CLI's import is its start-up cost: every module loads eagerly (no
+    # lazy submodule defers work to the first call), and no result type runs
+    # dataclass code generation
+    code = "import sys, thermoshift.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    modules = {f"thermoshift.{p.stem}" for p in SRC.glob("*.py")
+               if p.name != "__init__.py"}
+    assert modules and modules <= loaded
+    assert "dataclasses" not in loaded
+
+
+# -- result types ------------------------------------------------------------
+
+# Field names in order, as the dataclasses of earlier versions declared them.
+# The results are NamedTuples; the types with validation, caches or private
+# state are classes whose constructor takes the fields as parameters.
+RECORDS = {
+    "EntropyEstimate": ("sequence", "value", "ratio_value", "ratios_monotone"),
+    "LyapunovEstimate": ("sequence", "value", "bias_bound"),
+    "GibbsCertificate": ("c_lower", "c_upper", "bound", "slack", "passed",
+                         "n_range", "worst_word"),
+    "TightSet": ("eps", "t", "s_lower", "cutoffs", "targets", "numeric_tails"),
+    "MarginalBoundRow": ("symbol", "mass", "bound", "ok"),
+    "MarginalBoundCheck": ("rows", "all_ok", "worst_ratio"),
+    "EntropyTailBound": ("value", "constant", "cutoff", "n", "applicable"),
+    "ConstantsReport": ("aa_emp", "bv_emp", "sup_f1", "variation_by_depth",
+                        "depths_scanned", "budget_hit", "declared_aa",
+                        "declared_bv"),
+    "SummabilityReport": ("verdict", "partial_sum", "tail_bound", "t",
+                          "partial_sum_t", "tail_bound_t",
+                          "t_variant_summable", "terms"),
+    "PressureEstimate": ("value", "route", "t", "n_used", "sequence"),
+    "TruncationCurve": ("t", "sizes", "pressures", "gaps", "monotone"),
+    "CurvePoint": ("t", "pressure", "lyapunov", "entropy"),
+    "PressureCurve": ("points", "second_diffs", "convex_ok"),
+    "CompactApproximation": ("levels", "n_values", "connectors",
+                             "certificates", "ambient_mixing_assumed"),
+    "MaxMeanCycle": ("beta", "cycle", "method"),
+    "ZeroTempReport": ("beta", "subshift", "t_max", "lyapunov_gap",
+                       "entropy_gap", "leakage", "leak_ok", "trace"),
+}
+CLASSES = {
+    "ShiftModel": ("symbols", "adjacency", "ambient", "assumed_mixing"),
+    "MixingCertificate": ("status", "primitive_exponent", "symbols", "lengths"),
+    "CylinderMeasure": ("shift", "depth", "rows", "masses", "source", "_at",
+                        "_engine", "_levels"),
+    "RPFEquilibrium": ("shift", "t", "depth", "states", "pi", "pressure", "src",
+                       "dst", "prob", "f"),
+    "MaximizingSubshift": ("beta", "symbols", "edges", "entropy", "cycles"),
+    "_LevelWords": ("shift", "levels"),
+    "AnnealRow": ("t", "pressure", "lyapunov", "entropy", "masses", "_level"),
+    "AnnealTrace": ("rows", "clusters", "depth", "delta", "_level", "_scaling"),
+}
+DEFAULTS = {
+    "PressureEstimate": {"sequence": ()},
+    "ShiftModel": {"ambient": None, "assumed_mixing": False},
+    "MixingCertificate": {"symbols": (), "lengths": None},
+    # None stands for a fresh dict per measure
+    "CylinderMeasure": {"source": "raw", "_at": None, "_engine": None,
+                        "_levels": None},
+}
+FROZEN = {*RECORDS, "ShiftModel", "MixingCertificate", "MaximizingSubshift"}
+BY_IDENTITY = {"ShiftModel", "MixingCertificate", "CylinderMeasure", "_LevelWords"}
+GOLDEN = ShiftModel.golden_mean()
+RENEWAL = RenewalRule().truncate(3)
+SITE = LocallyConstant({0: 0.0, 1: -1.0})
+DECAY = DecayPotential("log", 2.0)
+
+
+def result_samples() -> dict:
+    """One instance of each result type, by type name, on the shared shifts
+    above, so two calls give results that compare equal by value."""
+    eq = rpf_equilibrium(GOLDEN, SITE, 1.0)
+    mu = eq.as_cylinder_measure(3)
+    approx = compact_approximation(RenewalRule(), 2)
+    curve = pressure_curve(GOLDEN, SITE, [1.0, 2.0, 3.0])
+    check = marginal_bound_check(DECAY, 2.0, CylinderMeasure.from_weights(
+        RENEWAL, 1, {(1,): 2.0, (2,): 1.0}), 0.0)
+    trace = anneal(GOLDEN, SITE, [1.0, 2.0], depth=2)
+    report = zero_temp_report(GOLDEN, SITE, [1.0, 2.0], depth=2)
+    out = [GOLDEN, mixing_certificate(GOLDEN), approx, mu, eq,
+           entropy_estimate(GOLDEN, mu, 3), lyapunov(GOLDEN, SITE, mu, 3),
+           gibbs_certificate(GOLDEN, SITE, 1.0, mu, eq.pressure, range(1, 4)),
+           tight_set(DECAY, 1.0, 0.1, 2, -math.log(2)), check, check.rows[0],
+           entropy_tail_bound(DECAY, 2.0, 1, 10, 0.08),
+           constants_report(GOLDEN, SITE, 3), summability_report(DECAY, 2.0),
+           transfer_pressure(GOLDEN, SITE, 1.0),
+           truncation_curve(approx, DECAY, 2.0), curve, curve.points[0],
+           max_mean_cycle(GOLDEN, SITE), report.subshift, trace._level,
+           trace.rows[0], trace, report]
+    return {type(obj).__name__: obj for obj in out}
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return result_samples()
+
+
+def test_result_types_keep_their_fields_and_defaults(samples):
+    assert set(samples) == {*RECORDS, *CLASSES}
+    for name, obj in samples.items():
+        cls = type(obj)
+        fields = RECORDS.get(name) or CLASSES[name]
+        assert all(hasattr(obj, f) for f in fields), name
+        if name in RECORDS:
+            assert issubclass(cls, tuple) and cls._fields == fields, name
+            assert cls._field_defaults == DEFAULTS.get(name, {}), name
+            assert repr(obj).startswith(f"{name}({fields[0]}="), name
+        else:
+            assert not issubclass(cls, tuple), name
+            params = inspect.signature(cls).parameters.values()
+            assert tuple(p.name for p in params) == fields, name
+            assert {p.name: p.default for p in params
+                    if p.default is not p.empty} == DEFAULTS.get(name, {}), name
+    assert samples["TruncationCurve"].value == samples["TruncationCurve"].pressures[-1]
+    assert samples["ConstantsReport"].within_declared is True
+    assert samples["MixingCertificate"].mixing is True
+    one = CylinderMeasure(GOLDEN, 1, np.array([[0]]), np.array([1.0]))
+    two = CylinderMeasure(GOLDEN, 1, np.array([[0]]), np.array([1.0]))
+    assert one._levels == {} and one._levels is not two._levels
+
+
+def test_result_types_pickle(samples):
+    for name, obj in samples.items():
+        data = pickle.dumps(obj)
+        back = pickle.loads(data)
+        assert type(back) is type(obj) and pickle.dumps(back) == data, name
+        # shifts and certificates compare by identity, and so do the
+        # results that hold them
+        if name not in BY_IDENTITY | {"RPFEquilibrium", "CompactApproximation"}:
+            assert back == obj, name
+
+
+def test_frozen_result_types_reject_assignment(samples):
+    for name in FROZEN:
+        obj = samples[name]
+        field = (RECORDS.get(name) or CLASSES[name])[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    # the caches of the frozen classes still fill
+    assert samples["ShiftModel"].period == 1
+    assert samples["MaximizingSubshift"].admits((0, 0, 0))
+
+
+def test_result_types_compare_by_value_or_by_identity(samples):
+    again = result_samples()
+    again["ShiftModel"] = ShiftModel.golden_mean()  # the samples share GOLDEN
+    for name, obj in samples.items():
+        if name in BY_IDENTITY or name == "CompactApproximation":
+            assert obj != again[name] and obj == obj, name
+        else:
+            assert obj == again[name], name
+    assert hash(samples["MaximizingSubshift"]) == hash(again["MaximizingSubshift"])
+    # records are tuples: they iterate, index and equal plain tuples
+    est = samples["PressureEstimate"]
+    assert est == tuple(est) and est[0] == est.value
+    # rows and traces leave their masses and levels out of ==
+    row = samples["AnnealRow"]
+    assert row == thermoshift.AnnealRow(row.t, row.pressure, row.lyapunov,
+                                        row.entropy, None, None)

@@ -6,6 +6,7 @@ they share no code with the library paths under test.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,44 @@ def test_shift_from_config_errors():
     for bad in ([[0]], [[0, 1, 1]], [5], [[0, [1]]], [[0, 1.0]], "x", {"0": 1}):
         with pytest.raises(ValidationError, match="edges"):
             shift_from_config({"alphabet": [0, 1], "edges": bad})
+
+
+def test_explicit_edge_lists_name_the_bad_edge():
+    with pytest.raises(ValidationError, match=r"edge \(1, 2\) uses a symbol outside"):
+        shift_from_config({"alphabet": [0, 1], "edges": [[0, 1], [1, 2], [3, 0]]})
+    with pytest.raises(ValidationError, match=r"edge \('a', 0\) uses a symbol outside"):
+        ShiftModel.from_edges([0, 1], iter([(0, 1), ("a", 0)]))
+    with pytest.raises(ValidationError, match="pairs"):
+        ShiftModel.from_edges([0, 1], [(0, 1), (1, 0, 1)])
+    with pytest.raises(ValidationError, match="nonempty"):
+        shift_from_config({"alphabet": [], "edges": []})
+    with pytest.raises(ValidationError, match="nonempty"):
+        shift_from_config({"alphabet": 0, "edges": "full"})
+    with pytest.raises(ValidationError, match="zero row"):
+        shift_from_config({"alphabet": [0, 1], "edges": []})
+    with pytest.raises(ValidationError, match="duplicate"):
+        shift_from_config({"alphabet": [0, 0], "edges": [[0, 0]]})
+
+
+def test_explicit_edge_lists_match_the_per_edge_loop():
+    # the codes are the sorted distinct index[a] * m + index[b], whatever the
+    # order, repetition or container of the edges
+    rng = random.Random(7)
+    for m in (1, 2, 5, 40):
+        symbols = rng.sample(range(-50, 50), m) + [f"s{i}" for i in range(m)]
+        index = {s: i for i, s in enumerate(symbols)}
+        cycle = [(symbols[i], symbols[(i + 1) % len(symbols)]) for i in range(len(symbols))]
+        extra = [(rng.choice(symbols), rng.choice(symbols)) for _ in range(3 * m)]
+        edges = cycle + extra + extra[:m]
+        rng.shuffle(edges)
+        want = sorted({index[a] * len(symbols) + index[b] for a, b in edges})
+        for shift in (ShiftModel.from_edges(symbols, edges),
+                      ShiftModel.from_edges(symbols, (e for e in edges)),
+                      shift_from_config({"alphabet": symbols,
+                                         "edges": [list(e) for e in edges]})):
+            assert shift._edges.tolist() == want
+    full = shift_from_config({"alphabet": ["a", 0, "b"], "edges": "full"})
+    assert full._edges.tolist() == list(range(9)) and full.symbols == ("a", 0, "b")
 
 
 def test_renewal_rule_edges():

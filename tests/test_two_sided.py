@@ -10,7 +10,6 @@ the other side's root, the dense transition matrix, and matvec and memory
 counts on the renewal chain.
 """
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -20,7 +19,7 @@ import pytest
 
 from test_cold import COLD, GOLDEN, random_primitive
 from thermoshift import (ConditionNotMet, DecayPotential, LocallyConstant,
-                         RenewalRule, ShiftModel, ValidationError,
+                         RenewalRule, RPFEquilibrium, ShiftModel, ValidationError,
                          admissible_words, anneal, dominant_pair, linalg,
                          power_iteration, pressure, pressure_curve,
                          rpf_equilibrium, transfer_pressure,
@@ -130,7 +129,8 @@ def test_renewal_equilibrium_matches_the_row_scaled_left_solve():
     _, right = power_iteration(S.op)
     _, left = power_iteration(S.op.T)
     pi = left * right
-    ref = dataclasses.replace(eq, pi=pi / pi.sum())
+    ref = RPFEquilibrium(eq.shift, eq.t, eq.depth, eq.states, pi / pi.sum(),
+                         eq.pressure, eq.src, eq.dst, eq.prob, eq.f)
     assert eq.entropy() == pytest.approx(ref.entropy(), rel=1e-12)
     assert eq.lyapunov_exact() == pytest.approx(ref.lyapunov_exact(), rel=1e-12)
 
