@@ -32,9 +32,8 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import _exp, _log, dominant_pair
 from .potentials import DecayPotential, Potential
 from .pressure import _spectral_block
-from .shifts import (Level, ShiftModel, _check_positive_int, _locate,
-                     _symbol_order, _symbol_tuples, _window, _words,
-                     word_levels)
+from .shifts import (ShiftModel, _check_positive_int, _locate, _symbol_order,
+                     _symbol_tuples, _window, _words, word_levels)
 
 
 class CylinderMeasure:
@@ -48,12 +47,9 @@ class CylinderMeasure:
     by identity."""
 
     def __init__(self, shift: ShiftModel, depth: int, rows: np.ndarray,
-                 masses: np.ndarray, source: str = "raw",
-                 _at: np.ndarray | None = None, _engine: Level | None = None,
-                 _levels: dict | None = None):
+                 masses: np.ndarray, source: str = "raw"):
         self.shift, self.depth, self.rows, self.masses = shift, depth, rows, masses
-        self.source, self._at, self._engine = source, _at, _engine
-        self._levels = {} if _levels is None else _levels
+        self.source, self._at, self._engine, self._levels = source, None, None, {}
 
     @classmethod
     def from_weights(cls, shift: ShiftModel, depth: int, weights: Mapping,
@@ -91,7 +87,9 @@ class CylinderMeasure:
         total = _running_sum(masses)
         if total <= 0:
             raise ValidationError("measure has no mass")
-        return cls(shift, rows.shape[1], rows, masses / total, source, at, level)
+        measure = cls(shift, rows.shape[1], rows, masses / total, source)
+        measure._at, measure._engine = at, level
+        return measure
 
     @cached_property
     def weights(self) -> dict:

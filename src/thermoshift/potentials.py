@@ -113,6 +113,11 @@ class Potential:
         raise ValidationError(
             f"{self.family} potentials have no locally constant first level")
 
+    def summable(self, t: float = 1.0) -> bool:
+        """Whether sum_i exp(t*f_1|[i]) converges: always, on the finite
+        alphabet of the table and cocycle families."""
+        return True
+
 
 def _as_symbol_key(key):
     if isinstance(key, tuple):
@@ -509,6 +514,10 @@ class AffinePotential(Potential):
 
     def first_level(self, shift, levels):
         return self.mult * self.base.first_level(shift, levels) + self.shift_per_n
+
+    def summable(self, t: float = 1.0) -> bool:
+        # exp(t*(mult*f + shift)) = exp(t*shift) * exp(mult*t*f)
+        return self.base.summable(self.mult * t)
 
 
 def potential_from_config(cfg: Mapping) -> Potential:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
-from .potentials import DecayPotential, Potential
+from .potentials import Potential
 from .shifts import (CompactApproximation, ShiftModel, _check_positive_int,
                      _symbol_tuples, _words, is_primitive, word_levels)
 
@@ -228,10 +228,10 @@ class TruncationCurve(NamedTuple):
 
 def _check_truncation_t(pot: Potential, t: float) -> None:
     """The preconditions of :func:`truncation_curve`, which need no levels:
-    t > 1, and a convergent t-scaled first-level series for a decay law."""
+    t > 1, and a convergent t-scaled first-level series."""
     if t <= 1.0:
         raise ValidationError("t must exceed 1")
-    if isinstance(pot, DecayPotential) and not pot.summable(t):
+    if not pot.summable(t):
         raise ConditionNotMet(
             "the t-scaled first-level series diverges at this t")
 

@@ -28,14 +28,7 @@ from .errors import (BudgetExceeded, ConstructionFailure, UnsupportedEnumeration
                      ValidationError, config_number)
 
 
-class _EdgeCodes(NamedTuple):
-    """Ascending flat edge codes, passed to :class:`ShiftModel` in place of
-    its matrix (see :meth:`ShiftModel._from_codes`)."""
-
-    codes: np.ndarray
-
-
-def _matrix_codes(adjacency, m: int) -> _EdgeCodes:
+def _matrix_codes(adjacency, m: int) -> np.ndarray:
     """The flat codes of the 1 entries of a square 0/1 matrix of size m,
     ascending; any entry other than 0 or 1 is a ValidationError."""
     adj = np.asarray(adjacency)
@@ -46,7 +39,7 @@ def _matrix_codes(adjacency, m: int) -> _EdgeCodes:
     edges = np.flatnonzero(adj)
     if not (adj.ravel()[edges] == 1).all():    # NaN, negative, 2, ...
         raise ValidationError("adjacency entries must be 0 or 1")
-    return _EdgeCodes(edges)
+    return edges
 
 
 class ShiftModel:
@@ -74,15 +67,29 @@ class ShiftModel:
                  ambient: "AmbientRule | None" = None,
                  assumed_mixing: bool = False):
         symbols = tuple(symbols)
+        self._build(symbols, _matrix_codes(adjacency, len(symbols)), ambient,
+                    assumed_mixing)
+
+    @classmethod
+    def _from_codes(cls, symbols: Sequence, codes: np.ndarray,
+                    ambient: "AmbientRule | None" = None,
+                    assumed_mixing: bool = False) -> "ShiftModel":
+        """The shift on ``symbols`` whose edges are the ascending flat codes
+        i*m + j (m symbols): the same validation as a matrix gets, without
+        one."""
+        shift = cls.__new__(cls)
+        shift._build(tuple(symbols), codes, ambient, assumed_mixing)
+        return shift
+
+    def _build(self, symbols: tuple, codes, ambient, assumed_mixing) -> None:
+        """Validate the alphabet and the ascending edge codes, and set the
+        fields; the one path both constructors take."""
         m = len(symbols)
-        codes = adjacency
-        if not isinstance(codes, _EdgeCodes):
-            codes = _matrix_codes(codes, m)
         if m == 0:
             raise ValidationError("alphabet must be nonempty")
         if len(set(symbols)) != m:
             raise ValidationError("alphabet contains duplicate symbols")
-        edges = np.asarray(codes.codes, dtype=np.intp)
+        edges = np.asarray(codes, dtype=np.intp)
         if edges.ndim != 1 or (len(edges) and not (
                 0 <= edges[0] and edges[-1] < m * m and (edges[1:] > edges[:-1]).all())):
             raise ValidationError("edge codes must be ascending flat indices i*m + j")
@@ -107,15 +114,6 @@ class ShiftModel:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    @classmethod
-    def _from_codes(cls, symbols: Sequence, codes: np.ndarray,
-                    ambient: "AmbientRule | None" = None,
-                    assumed_mixing: bool = False) -> "ShiftModel":
-        """The shift on ``symbols`` whose edges are the ascending flat codes
-        i*m + j (m symbols): the same validation as a matrix gets, without
-        one."""
-        return cls(tuple(symbols), _EdgeCodes(codes), ambient, assumed_mixing)
 
     @cached_property
     def period(self) -> int:

@@ -143,38 +143,21 @@ def max_mean_cycle(shift: ShiftModel, pot: Potential) -> MaxMeanCycle:
     return MaxMeanCycle(S.beta, tuple(shift.symbols[i] for i in cycle), "howard")
 
 
-class MaximizingSubshift:
+class MaximizingSubshift(NamedTuple):
     """The critical graph of a potential: ``edges`` are its (a, b) pairs in
-    code order and ``cycles`` one cycle per critical class.  Immutable, and
-    compared and hashed by value."""
+    code order and ``cycles`` one cycle per critical class."""
 
-    def __init__(self, beta: float, symbols: tuple, edges: tuple,
-                 entropy: float, cycles: tuple):
-        vars(self).update(beta=beta, symbols=symbols, edges=edges,
-                          entropy=entropy, cycles=cycles)
-
-    __setattr__, __delattr__ = ShiftModel.__setattr__, ShiftModel.__delattr__
-
-    def _key(self) -> tuple:
-        return self.beta, self.symbols, self.edges, self.entropy, self.cycles
-
-    def __eq__(self, other):
-        if type(other) is not MaximizingSubshift:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    beta: float
+    symbols: tuple
+    edges: tuple
+    entropy: float
+    cycles: tuple
 
     def admits(self, word) -> bool:
         word = tuple(word)
         if any(s not in self.symbols for s in word):
             return False
-        return all((a, b) in self._edge_set for a, b in zip(word, word[1:]))
-
-    @cached_property
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        return set(zip(word, word[1:])) <= set(self.edges)
 
 
 def maximizing_subshift(shift: ShiftModel, pot: Potential) -> MaximizingSubshift:
@@ -246,9 +229,10 @@ class AnnealRow:
     ``t``, ``pressure``, ``lyapunov`` and ``entropy``."""
 
     def __init__(self, t: float, pressure: float, lyapunov: float,
-                 entropy: float, masses: np.ndarray, _level: _LevelWords):
+                 entropy: float, masses: np.ndarray):
         self.t, self.pressure, self.lyapunov = t, pressure, lyapunov
-        self.entropy, self.masses, self._level = entropy, masses, _level
+        self.entropy, self.masses = entropy, masses
+        self._level = None       # the engine levels, set by anneal
 
     def _key(self) -> tuple:
         return self.t, self.pressure, self.lyapunov, self.entropy
@@ -269,14 +253,14 @@ class AnnealRow:
 
 class AnnealTrace:
     """The rows of :func:`anneal` by decreasing t, and its ``clusters``:
-    tuples of t sharing a marginal within ``delta``.  ``_scaling`` is the
-    row scaling of the block operator at t = 1.  Traces compare by
-    ``rows``, ``clusters``, ``depth`` and ``delta``."""
+    tuples of t sharing a marginal within ``delta``.  :func:`anneal` also
+    keeps the engine levels (``_level``) and ``_scaling``, the row scaling
+    of the block operator at t = 1.  Traces compare by ``rows``,
+    ``clusters``, ``depth`` and ``delta``."""
 
-    def __init__(self, rows: tuple, clusters: tuple, depth: int, delta: float,
-                 _level: _LevelWords, _scaling: BellmanScaling):
+    def __init__(self, rows: tuple, clusters: tuple, depth: int, delta: float):
         self.rows, self.clusters, self.depth, self.delta = rows, clusters, depth, delta
-        self._level, self._scaling = _level, _scaling
+        self._level = self._scaling = None     # set by anneal
 
     def _key(self) -> tuple:
         return self.rows, self.clusters, self.depth, self.delta
@@ -308,15 +292,17 @@ def anneal(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         eq = _equilibrium(shift, block, t)
         mu = eq.level_masses(level.levels)[-1]
         mu = mu / _running_sum(mu)
-        rows.append(AnnealRow(t, eq.pressure, eq.lyapunov_exact(), eq.entropy(),
-                              mu, level))
+        row = AnnealRow(t, eq.pressure, eq.lyapunov_exact(), eq.entropy(), mu)
+        row._level = level
+        rows.append(row)
         if clusters and float(np.abs(head - mu).max()) <= delta:
             clusters[-1].append(t)
         else:
             clusters.append([t])
             head = mu
-    return AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta,
-                       level, block[3])
+    trace = AnnealTrace(tuple(rows), tuple(map(tuple, clusters)), depth, delta)
+    trace._level, trace._scaling = level, block[3]
+    return trace
 
 
 class ZeroTempReport(NamedTuple):

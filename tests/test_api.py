@@ -173,9 +173,10 @@ def test_import_loads_every_module_and_no_dataclasses():
 
 # -- result types ------------------------------------------------------------
 
-# Field names in order, as the dataclasses of earlier versions declared them.
-# The results are NamedTuples; the types with validation, caches or private
-# state are classes whose constructor takes the fields as parameters.
+# Field names in order, as the dataclasses of earlier versions declared them
+# (less their private engine state).  The results are NamedTuples; the types
+# with validation, caches or engine state are classes whose constructor takes
+# the public fields as parameters.
 RECORDS = {
     "EntropyEstimate": ("sequence", "value", "ratio_value", "ratios_monotone"),
     "LyapunovEstimate": ("sequence", "value", "bias_bound"),
@@ -198,30 +199,27 @@ RECORDS = {
     "CompactApproximation": ("levels", "n_values", "connectors",
                              "certificates", "ambient_mixing_assumed"),
     "MaxMeanCycle": ("beta", "cycle", "method"),
+    "MaximizingSubshift": ("beta", "symbols", "edges", "entropy", "cycles"),
     "ZeroTempReport": ("beta", "subshift", "t_max", "lyapunov_gap",
                        "entropy_gap", "leakage", "leak_ok", "trace"),
 }
 CLASSES = {
     "ShiftModel": ("symbols", "adjacency", "ambient", "assumed_mixing"),
     "MixingCertificate": ("status", "primitive_exponent", "symbols", "lengths"),
-    "CylinderMeasure": ("shift", "depth", "rows", "masses", "source", "_at",
-                        "_engine", "_levels"),
+    "CylinderMeasure": ("shift", "depth", "rows", "masses", "source"),
     "RPFEquilibrium": ("shift", "t", "depth", "states", "pi", "pressure", "src",
                        "dst", "prob", "f"),
-    "MaximizingSubshift": ("beta", "symbols", "edges", "entropy", "cycles"),
     "_LevelWords": ("shift", "levels"),
-    "AnnealRow": ("t", "pressure", "lyapunov", "entropy", "masses", "_level"),
-    "AnnealTrace": ("rows", "clusters", "depth", "delta", "_level", "_scaling"),
+    "AnnealRow": ("t", "pressure", "lyapunov", "entropy", "masses"),
+    "AnnealTrace": ("rows", "clusters", "depth", "delta"),
 }
 DEFAULTS = {
     "PressureEstimate": {"sequence": ()},
     "ShiftModel": {"ambient": None, "assumed_mixing": False},
     "MixingCertificate": {"symbols": (), "lengths": None},
-    # None stands for a fresh dict per measure
-    "CylinderMeasure": {"source": "raw", "_at": None, "_engine": None,
-                        "_levels": None},
+    "CylinderMeasure": {"source": "raw"},
 }
-FROZEN = {*RECORDS, "ShiftModel", "MixingCertificate", "MaximizingSubshift"}
+FROZEN = {*RECORDS, "ShiftModel", "MixingCertificate"}
 BY_IDENTITY = {"ShiftModel", "MixingCertificate", "CylinderMeasure", "_LevelWords"}
 GOLDEN = ShiftModel.golden_mean()
 RENEWAL = RenewalRule().truncate(3)
@@ -321,4 +319,16 @@ def test_result_types_compare_by_value_or_by_identity(samples):
     # rows and traces leave their masses and levels out of ==
     row = samples["AnnealRow"]
     assert row == thermoshift.AnnealRow(row.t, row.pressure, row.lyapunov,
-                                        row.entropy, None, None)
+                                        row.entropy, None)
+
+
+def test_public_constructors_take_no_private_state():
+    # engine state (levels, scalings, row positions) is attached by the
+    # library's own factories, never passed by callers
+    private = []
+    for name in thermoshift.__all__:
+        obj = getattr(thermoshift, name)
+        if inspect.isclass(obj) and not issubclass(obj, Exception):
+            private += [f"{name}({p})" for p in inspect.signature(obj).parameters
+                        if p.startswith("_")]
+    assert private == []

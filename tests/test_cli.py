@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -348,11 +351,67 @@ def test_approx_rejects_symbols_that_print_the_same(capsys, tmp_path):
     ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [[0], [1]], "edges": "full"})),
     ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [0, 1], "edges": [[0]]})),
     ("zerotemp", {**GOLDEN_PRESSURE, "t_grid": [1.0], "delta": -1}),
+    ("pressure", dict(GOLDEN_PRESSURE, route="spectral")),
+    ("approx", {"ambient": {"rule": "cubic"}, "k_max": 2}),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": {"start": 2.0, "stop": 1.0, "count": 3}}),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": {"start": 1.0, "stop": 2.0, "count": 0}}),
+    ("curve", {**GOLDEN_PRESSURE, "t_grid": []}),
+    ("pressure", [GOLDEN_PRESSURE]),
+    ("pressure", dict(GOLDEN_PRESSURE, shift=[[0, 1], [1, 0]])),
+    ("pressure", dict(GOLDEN_PRESSURE, potential="flat")),
+    ("pressure", dict(GOLDEN_PRESSURE, shift={"alphabet": [0, 1]})),
+    ("pressure", dict(GOLDEN_PRESSURE, potential={
+        "family": "decay", "law": "cubic", "coef": 2.0})),
+    ("pressure", dict(GOLDEN_PRESSURE, potential={
+        "family": "decay", "law": "log", "coef": -1.0})),
+    ("certify", dict(GOLDEN_PRESSURE, potential={
+        "family": "matrix_cocycle",
+        "matrices": {"0": [[1.0]], "1": [[1.0, 1.0], [1.0, 1.0]]}})),
+    ("pressure", dict(GOLDEN_PRESSURE, potential={
+        "family": "locally_constant", "depth": 0, "table": {"0": 0.0}})),
+    ("pressure", dict(GOLDEN_PRESSURE, route="transfer", depth=1, potential={
+        "family": "locally_constant", "depth": 2,
+        "table": {"0,0": 0.0, "0,1": -1.0, "1,0": 0.5}})),
 ])
 def test_non_numeric_field_is_a_usage_error(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, tmp_path, command, payload)
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+def test_unreadable_config_is_a_usage_error(capsys, tmp_path):
+    code = main(["pressure", "--config", str(tmp_path / "missing.json")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err.startswith("error: cannot read config")
+
+
+def test_one_point_range_grid(capsys, tmp_path):
+    grid = {"start": 1.5, "stop": 1.5, "count": 1}
+    code, out, err = run(capsys, tmp_path, "curve",
+                         {**GOLDEN_PRESSURE, "t_grid": grid})
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out.splitlines()))
+    assert [row[0] for row in rows] == ["t", "1.5"]
+
+
+def test_exit_codes_through_the_module_entry_point(tmp_path):
+    # ``python -m thermoshift.cli`` hands main()'s return to sys.exit
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    divergent = {"ambient": {"rule": "renewal"}, "k_max": 2, "t": 1.5,
+                 "potential": {"family": "decay", "law": "log", "coef": 0.5}}
+    for command, payload, want, message in [
+            ("pressure", dict(GOLDEN_PRESSURE, route="spectral"), 1,
+             "error: unknown route"),
+            ("approx", divergent, 2, "numerical failure: the t-scaled")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoshift.cli", command,
+             "--config", write_cfg(tmp_path, payload)],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (want, ""), proc.stderr
+        assert proc.stderr.startswith(message)
 
 
 def test_certify_reports_constants(capsys, tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from thermoshift import (AffinePotential, BudgetExceeded, DecayPotential,
                          LocallyConstant, MatrixCocycle, RenewalRule,
-                         ShiftModel, admissible_words, anneal, constants_report,
+                         ShiftModel, UnsupportedEnumeration, admissible_words, anneal, constants_report,
                          count_admissible_words, entropy_estimate,
                          gibbs_certificate, gibbs_construct, gibbs_weights,
                          gurevich_estimate, is_primitive, lyapunov,
@@ -187,6 +187,11 @@ def test_budget_raises_before_the_level_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_a_countable_rule_is_enumerated_only_through_a_truncation():
+    with pytest.raises(UnsupportedEnumeration, match="finite truncation"):
+        word_levels(RenewalRule(), 3)
 
 
 def test_every_enumerating_entry_point_applies_the_word_budget(monkeypatch):

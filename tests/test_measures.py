@@ -691,3 +691,17 @@ def test_invariance_defect_by_pointer_equals_the_keyed_form(seed):
     short = np.bincount(inverse[:k], mu.masses, minlength=len(keys))
     pre = np.bincount(inverse[k:], mu.masses, minlength=len(keys))
     assert mu.invariance_defect() == float(np.abs(pre - short).max())
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_invariance_defect_keyed_by_value_equals_the_engine_form(n):
+    # the same rows and masses in a measure built by hand, which holds no
+    # engine rows, take the keyed branch and give the same float
+    shift = ShiftModel.full(3)
+    pot = LocallyConstant({(a, b): 0.3 * a - 0.2 * a * b + 0.1 * b
+                           for a in range(3) for b in range(3)}, depth=2)
+    mu = gibbs_construct(shift, pot, 1.0, n + 1, 2, n)
+    bare = CylinderMeasure(shift, mu.depth, mu.rows, mu.masses, mu.source)
+    assert len(mu.masses) == 3 ** n
+    assert mu._engine is not None and bare._engine is None
+    assert bare.invariance_defect() == mu.invariance_defect() > 0

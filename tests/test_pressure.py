@@ -329,6 +329,49 @@ def test_best_pressure_tests_primitivity_before_the_transfer_route(monkeypatch,
     assert len(attempts) == 1
 
 
+ROUTE_SHIFTS = {
+    "golden": ShiftModel.golden_mean(),
+    "flip": ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)]),        # period 2
+    "looped_3_cycle": ShiftModel.from_edges(
+        (0, 1, 2), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]),
+}
+
+
+def _route_potential(kind, shift):
+    if kind == "table":
+        return LocallyConstant({s: -0.5 * i for i, s in enumerate(shift.symbols)})
+    return MatrixCocycle({s: [[1.0 + i, 1.0], [1.0, 2.0]]
+                          for i, s in enumerate(shift.symbols)})
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.5])
+@pytest.mark.parametrize("kind", ["table", "cocycle"])
+@pytest.mark.parametrize("name", sorted(ROUTE_SHIFTS))
+def test_route_choosers_agree(monkeypatch, name, kind, t):
+    # best_pressure, pressure_curve and _spectral_block each decide whether
+    # the transfer route applies; they must decide alike
+    shift = ROUTE_SHIFTS[name]
+    pot = _route_potential(kind, shift)
+    try:
+        transfer_pressure(shift, pot, t)
+        applies = True
+    except (ValidationError, ConditionNotMet):
+        applies = False
+    assert (best_pressure(shift, pot, t, n_max=6).route == "transfer") == applies
+    if t < 0:
+        return
+    calls = []
+    original = measures._equilibrium
+
+    def spy(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(measures, "_equilibrium", spy)
+    pressure_curve(shift, pot, [t, t + 1.0], n_max=6)
+    assert calls == ([shift, shift] if applies else [])
+
+
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
     states, B, f = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]
@@ -376,6 +419,21 @@ def test_truncation_curve_requires_summability():
     # t * coef = 0.9 <= 1: the ambient series diverges
     with pytest.raises(ConditionNotMet):
         truncation_curve(approx, DecayPotential("log", 0.6), 1.5)
+
+
+def test_truncation_curve_requires_summability_through_an_affine_map():
+    approx = compact_approximation(RenewalRule(), 3)
+    # t * mult * coef is 1.5 * 1 * 0.5 = 0.75 and 1.5 * (-1) * 2 = -3, not
+    # above 1, so both scaled series diverge; the shift term only rescales
+    for pot in (AffinePotential(DecayPotential("log", 0.5), 1.0, 0.0),
+                AffinePotential(DecayPotential("log", 2.0), -1.0, 0.3)):
+        assert not pot.summable(1.5)
+        with pytest.raises(ConditionNotMet):
+            truncation_curve(approx, pot, 1.5)
+    # 1.5 * 2 * 0.5 = 1.5
+    pot = AffinePotential(DecayPotential("log", 0.5), 2.0, -0.1)
+    assert pot.summable(1.5)
+    assert truncation_curve(approx, pot, 1.5).monotone
 
 
 # -- pressure curves -------------------------------------------------------
