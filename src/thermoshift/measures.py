@@ -54,22 +54,38 @@ class CylinderMeasure:
     @classmethod
     def from_weights(cls, shift: ShiftModel, depth: int, weights: Mapping,
                      source: str = "raw") -> "CylinderMeasure":
-        clean = {}
-        for w, v in weights.items():
-            w = tuple(w)
-            if len(w) != depth:
-                raise ValidationError(f"weight key {w!r} has length != {depth}")
-            if not shift.is_admissible(w):
-                raise ValidationError(f"weight on inadmissible word {w!r}")
-            v = float(v)
-            if v < 0:
-                raise ValidationError(f"negative mass on {w!r}")
-            if v > 0:
-                clean[w] = v
-        rows = np.array([[shift.index(s) for s in w] for w in clean],
-                        dtype=np.intp).reshape(len(clean), depth)
-        return cls._normalised(shift, rows, np.array(list(clean.values())),
-                               source)
+        # The keys are checked in order, each for length, admissibility and
+        # mass; the edges of the keys read before the first other fault are
+        # looked up at once, so a key with a missing edge still comes first.
+        words, rows, clean, fault = [], [], {}, None
+        try:
+            for w, v in weights.items():
+                w = tuple(w)
+                if len(w) != depth:
+                    raise ValidationError(f"weight key {w!r} has length != {depth}")
+                try:
+                    rows.append([shift.index(s) for s in w])
+                except ValidationError:
+                    raise ValidationError(f"weight on inadmissible word {w!r}") from None
+                words.append(w)
+                v = float(v)
+                if v < 0:
+                    raise ValidationError(f"negative mass on {w!r}")
+                if v > 0:
+                    clean[w] = v, len(rows) - 1
+        except (ValidationError, TypeError, ValueError) as exc:
+            fault = exc
+        rows = np.array(rows, dtype=np.intp).reshape(len(rows), depth)
+        m = shift.n_symbols
+        ok = shift._has_edges(rows[:, :-1] * m + rows[:, 1:]).all(axis=1)
+        if not ok.all():
+            w = words[np.argmin(ok)]
+            raise ValidationError(f"weight on inadmissible word {w!r}")
+        if fault is not None:
+            raise fault
+        at = [i for _, i in clean.values()]
+        return cls._normalised(shift, rows[at],
+                               np.array([v for v, _ in clean.values()]), source)
 
     @classmethod
     def _from_level(cls, shift: ShiftModel, levels: list,
@@ -368,7 +384,7 @@ def _equilibrium(shift: ShiftModel, block: tuple, t: float) -> RPFEquilibrium:
     """:func:`rpf_equilibrium` at t on a block of ``_spectral_block``."""
     r, states, f, S1, C1 = block
     S, rho, right, log_left, log_root = dominant_pair(S1.at(t), C1.at(t))
-    m, src, dst = len(states), S.op.src, S.op.dst
+    m, src, dst = S.op.size, S.op.src, S.op.dst
     with np.errstate(divide="ignore"):
         log_pi = log_left + np.log(right)
     pi = np.exp(log_pi - log_pi.max())
@@ -392,7 +408,7 @@ def _equilibrium(shift: ShiftModel, block: tuple, t: float) -> RPFEquilibrium:
     dead = ~(rowsum > 0)
     q = np.where(dead[src], S.op.weight, q)
     q = q / np.bincount(src, q, minlength=m)[src]
-    return RPFEquilibrium(shift, t, r, tuple(states), pi, log_root, src, dst,
+    return RPFEquilibrium(shift, t, r, states.words, pi, log_root, src, dst,
                           q, f)
 
 

@@ -39,7 +39,8 @@ from .errors import (ConditionNotMet, NumericalError, ValidationError)
 from .linalg import EdgeOperator, log_sum_exp, root_side
 from .potentials import Potential
 from .shifts import (CompactApproximation, ShiftModel, _check_positive_int,
-                     _symbol_tuples, _words, is_primitive, word_levels)
+                     _LevelWords, _symbol_tuples, _words, is_primitive,
+                     word_levels)
 
 
 class PressureEstimate(NamedTuple):
@@ -83,7 +84,8 @@ def gurevich_estimate(shift: ShiftModel, pot: Potential, t: float,
         log_z = B.log_walk(start, n_max, lambda h: log_sum_exp(h[starts, cols]))
     else:
         levels = word_levels(shift, n_max)
-        closes = shift.adjacency[:, ai].astype(bool)
+        m = shift.n_symbols
+        closes = shift._has_edges(np.arange(m) * m + ai)    # per last symbol
         log_z = []
         for (last, parent, _), (hi, _) in zip(levels, pot.level_extrema(shift, levels)):
             first = last if not log_z else first[parent]    # the first symbol
@@ -170,7 +172,9 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
     scalings S and C) of the block operator at t = 1, whose scalings at t
     are ``S.at(t)`` and ``C.at(t)``, once the potential is additive locally
     constant, the shift primitive and every t in ``ts`` finite and >= 0
-    (checked in that order, all before the block is built)."""
+    (checked in that order, all before the block is built).  The states
+    are engine levels 1..depth (:class:`~thermoshift.shifts._LevelWords`),
+    spelled as words only where a caller reads them."""
     if pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -186,8 +190,10 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
     # For t < 0 the max-plus pair of t·f₁ is not t·(beta, x) of f₁.
     if not all(math.isfinite(t) and t >= 0 for t in ts):
         raise ValidationError("spectral route needs every t finite and >= 0")
-    states, B, f = weighted_block_matrix(shift, pot, 1.0, depth=r)
-    return r, states, f, B.bellman_scaled(), B.T.bellman_scaled()
+    levels = word_levels(shift, r + 1)
+    B, f = _block_operator(shift, pot, 1.0, levels)
+    return (r, _LevelWords(shift, levels[:r]), f, B.bellman_scaled(),
+            B.T.bellman_scaled())
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,

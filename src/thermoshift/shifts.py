@@ -57,10 +57,12 @@ class ShiftModel:
     successors of symbol i in alphabet order).  A matrix given to the
     constructor is turned into these codes; rules and the other builders
     hand them over directly (:meth:`_from_codes`).  The out-degrees
-    ``_degree`` and the read-only uint8 ``adjacency`` are computed from
-    them; the word engine, the period, the certificate, :meth:`successors`
-    and :meth:`fingerprint` read the arrays.  A shift is immutable and
-    compares by identity.
+    ``_degree`` are computed from them, and every query, the word engine
+    and the period read the arrays, so a shift holds O(edges) memory.  The
+    read-only uint8 ``adjacency`` is built from them on first read; only
+    the dense algorithms (the mixing certificate's power walk and the
+    reachability tables of :func:`compact_approximation`) read it.  A shift
+    is immutable and compares by identity.
     """
 
     def __init__(self, symbols: tuple, adjacency: np.ndarray,
@@ -97,14 +99,11 @@ class ShiftModel:
         degree = np.diff(np.searchsorted(edges, np.arange(0, m * m + 1, m)))
         if not degree.all():
             raise ValidationError("adjacency has an all-zero row")
-        adj = np.zeros(m * m, dtype=np.uint8)
-        adj[edges] = 1
-        adj = adj.reshape(m, m)
-        if not adj.max(axis=0).all():
+        if not np.bincount(edges % m, minlength=m).all():
             raise ValidationError("adjacency has an all-zero column")
-        for array in (adj, edges, degree):
+        for array in (edges, degree):
             array.setflags(write=False)
-        vars(self).update(symbols=symbols, adjacency=adj, ambient=ambient,
+        vars(self).update(symbols=symbols, ambient=ambient,
                           assumed_mixing=assumed_mixing,
                           _index={s: i for i, s in enumerate(symbols)},
                           _edges=edges, _degree=degree)
@@ -114,6 +113,17 @@ class ShiftModel:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The read-only m×m uint8 0/1 matrix of the edges, built on first
+        read."""
+        m = self.n_symbols
+        adj = np.zeros(m * m, dtype=np.uint8)
+        adj[self._edges] = 1
+        adj = adj.reshape(m, m)
+        adj.setflags(write=False)
+        return adj
 
     @cached_property
     def period(self) -> int:
@@ -134,8 +144,14 @@ class ShiftModel:
         except KeyError:
             raise ValidationError(f"symbol {symbol!r} is not in the alphabet") from None
 
+    def _has_edges(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each flat code i*m + j is an edge, by binary search in
+        ``_edges`` (never empty: every row holds an edge)."""
+        edges = self._edges
+        return edges[np.minimum(np.searchsorted(edges, codes), len(edges) - 1)] == codes
+
     def is_edge(self, a, b) -> bool:
-        return bool(self.adjacency[self.index(a), self.index(b)])
+        return bool(self._has_edges(self.index(a) * self.n_symbols + self.index(b)))
 
     def successors(self, a) -> tuple:
         i, m = self.index(a), self.n_symbols
@@ -147,10 +163,10 @@ class ShiftModel:
         if len(word) == 0:
             return True
         try:
-            idx = [self.index(s) for s in word]
+            idx = np.array([self.index(s) for s in word])
         except ValidationError:
             return False
-        return all(self.adjacency[u, v] for u, v in zip(idx, idx[1:]))
+        return bool(self._has_edges(idx[:-1] * self.n_symbols + idx[1:]).all())
 
     def fingerprint(self) -> str:
         """Stable identifier of (alphabet, edge set), used to match artifacts."""
@@ -162,11 +178,14 @@ class ShiftModel:
 
     def restrict(self, symbols: Iterable) -> "ShiftModel":
         """The subshift spanned by ``symbols`` with all inherited edges."""
-        keep = list(symbols)
-        idx = [self.index(s) for s in keep]
-        sub = self.adjacency[np.ix_(idx, idx)]
-        return ShiftModel(tuple(keep), sub, ambient=self.ambient,
-                          assumed_mixing=False)
+        keep = tuple(symbols)
+        m, n = self.n_symbols, len(keep)
+        at = np.full(m, -1)             # position of each kept symbol in ``keep``
+        at[[self.index(s) for s in keep]] = np.arange(n)
+        src, dst = (at[v] for v in np.divmod(self._edges, m))
+        inside = (src >= 0) & (dst >= 0)
+        return ShiftModel._from_codes(keep, np.sort(src[inside] * n + dst[inside]),
+                                      ambient=self.ambient, assumed_mixing=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -457,6 +476,18 @@ def _symbol_tuples(shift: ShiftModel, words: np.ndarray) -> list[tuple]:
     return list(map(tuple, symbols[words].tolist()))
 
 
+class _LevelWords:
+    """Engine levels 1..d, with the words of level d spelled on first read,
+    as a tuple of symbol tuples."""
+
+    def __init__(self, shift: ShiftModel, levels: list):
+        self.shift, self.levels = shift, levels
+
+    @cached_property
+    def words(self) -> tuple:
+        return tuple(_symbol_tuples(self.shift, _words(self.levels)))
+
+
 def _first_children(parent: np.ndarray) -> np.ndarray:
     """Row of each word's first child, from the ``parent`` array of the
     level after it (every word has a child: no symbol is a dead end)."""
@@ -516,8 +547,9 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     _check_positive_int(n, "period")
     ai = shift.index(a)
     words = _words(word_levels(shift, n))
-    closes = shift.adjacency[words[:, -1], ai].astype(bool)
-    return _symbol_tuples(shift, words[(words[:, 0] == ai) & closes])
+    words = words[words[:, 0] == ai]
+    closes = shift._has_edges(words[:, -1] * shift.n_symbols + ai)
+    return _symbol_tuples(shift, words[closes])
 
 
 # -- mixing certificates ---------------------------------------------------

@@ -29,9 +29,8 @@ from .errors import UnsupportedEnumeration, ValidationError
 from .linalg import BellmanScaling, EdgeOperator, power_iteration
 from .measures import _equilibrium, _running_sum
 from .potentials import Potential
-from .pressure import _spectral_block, weighted_block_matrix
-from .shifts import (ShiftModel, _strong_components, _symbol_tuples, _words,
-                     word_levels)
+from .pressure import _block_operator, _spectral_block
+from .shifts import ShiftModel, _LevelWords, _strong_components, word_levels
 
 _EXHAUSTIVE_LIMIT = 8
 # an edge is critical when its reduced weight is at least -_NEAR_OPTIMAL
@@ -50,7 +49,7 @@ def _bellman(shift: ShiftModel, pot: Potential) -> BellmanScaling:
     """The Bellman scaling of the block operator with the per-symbol log
     weights of ``pot``, whose ``beta`` is the maximum cycle mean."""
     _check_depth_one(pot)
-    return weighted_block_matrix(shift, pot, 1.0)[1].bellman_scaled()
+    return _block_operator(shift, pot, 1.0, word_levels(shift, 2))[0].bellman_scaled()
 
 
 def _critical_graph(S: BellmanScaling) -> tuple[np.ndarray, ...]:
@@ -210,17 +209,6 @@ def _admitted(shift: ShiftModel, sub: MaximizingSubshift,
 
 
 # -- annealing -------------------------------------------------------------
-
-
-class _LevelWords:
-    """Engine levels 1..d, with the words of level d spelled on first read."""
-
-    def __init__(self, shift: ShiftModel, levels: list):
-        self.shift, self.levels = shift, levels
-
-    @cached_property
-    def words(self) -> list:
-        return _symbol_tuples(self.shift, _words(self.levels))
 
 
 class AnnealRow:

@@ -43,6 +43,38 @@ def test_from_weights_validation(golden_mean):
         CylinderMeasure.from_weights(golden_mean, 2, {})
 
 
+def first_weight_fault(shift, depth, weights):
+    """The message of the first fault of ``weights``, each key checked in
+    order for length, admissibility and mass, then the total; or None."""
+    for w, v in weights.items():
+        if len(w) != depth:
+            return f"weight key {w!r} has length != {depth}"
+        if not shift.is_admissible(w):
+            return f"weight on inadmissible word {w!r}"
+        if float(v) < 0:
+            return f"negative mass on {w!r}"
+    return None if any(v > 0 for v in weights.values()) else "measure has no mass"
+
+
+def test_from_weights_reports_the_first_fault_in_key_order(golden_mean):
+    rng = random.Random(31)
+    for _ in range(300):
+        weights = {}
+        while len(weights) < rng.randint(1, 6):
+            word = tuple(rng.choice([0, 1, 1, 0, "z"])
+                         for _ in range(rng.choice([3, 3, 3, 2])))
+            weights[word] = rng.choice([1.0, 0.5, 0.0, 0.0, -1.0])
+        fault = first_weight_fault(golden_mean, 3, weights)
+        if fault is None:
+            mu = CylinderMeasure.from_weights(golden_mean, 3, weights)
+            assert mu.weights == {w: pytest.approx(v / sum(weights.values()))
+                                  for w, v in weights.items() if v > 0}
+        else:
+            with pytest.raises(ValidationError) as err:
+                CylinderMeasure.from_weights(golden_mean, 3, weights)
+            assert str(err.value) == fault
+
+
 def test_levels_sum_like_brute_force(golden_mean, bernoulli):
     mu = gibbs_weights(golden_mean, bernoulli, 1.0, 4)
     for k in (1, 2, 3):
@@ -693,15 +725,22 @@ def test_invariance_defect_by_pointer_equals_the_keyed_form(seed):
     assert mu.invariance_defect() == float(np.abs(pre - short).max())
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_invariance_defect_keyed_by_value_equals_the_engine_form(n):
+FULL3_TABLE = LocallyConstant({(a, b): 0.3 * a - 0.2 * a * b + 0.1 * b
+                               for a in range(3) for b in range(3)}, depth=2)
+
+
+@pytest.mark.parametrize("shift, pot, n, size", [
+    pytest.param(ShiftModel.full(3), FULL3_TABLE, 6, 3 ** 6, id="6"),
+    pytest.param(ShiftModel.full(3), FULL3_TABLE, 8, 3 ** 8, id="8"),
+    # a depth-8 Cesaro measure on 40 symbols
+    pytest.param(RenewalRule().truncate(40), DecayPotential("log", 2.0), 8, 4993,
+                 id="renewal40-8"),
+])
+def test_invariance_defect_keyed_by_value_equals_the_engine_form(shift, pot, n, size):
     # the same rows and masses in a measure built by hand, which holds no
     # engine rows, take the keyed branch and give the same float
-    shift = ShiftModel.full(3)
-    pot = LocallyConstant({(a, b): 0.3 * a - 0.2 * a * b + 0.1 * b
-                           for a in range(3) for b in range(3)}, depth=2)
     mu = gibbs_construct(shift, pot, 1.0, n + 1, 2, n)
     bare = CylinderMeasure(shift, mu.depth, mu.rows, mu.masses, mu.source)
-    assert len(mu.masses) == 3 ** n
+    assert len(mu.masses) == size
     assert mu._engine is not None and bare._engine is None
     assert bare.invariance_defect() == mu.invariance_defect() > 0

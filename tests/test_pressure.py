@@ -4,6 +4,7 @@ brute-force partition sums."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,6 +527,32 @@ def test_pressure_curve_on_the_renewal_is_the_first_return_derivative():
                 / math.fsum(n * x for n, x in enumerate(w, start=1)))
         assert point.lyapunov == pytest.approx(want, abs=1e-10)
         assert point.entropy == point.pressure - point.t * point.lyapunov
+
+
+def test_long_renewal_truncation_solves_without_a_dense_matrix():
+    # a 20 000-symbol truncation holds its 39 999 edges, not a 400 MB
+    # matrix; its pressure solves sum_{n <= N} exp(t S_n - n P) = 1, the
+    # first returns to 1 as above
+    size, t, pot = 20_000, 1.5, DecayPotential("log", 2.0)
+    tracemalloc.start()
+    try:
+        est = transfer_pressure(RenewalRule().truncate(size), pot, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    sums = list(itertools.accumulate(pot.value(i) for i in range(1, size + 1)))
+
+    def excess(p):
+        return math.fsum(math.exp(t * s - n * p)
+                         for n, s in enumerate(sums, start=1)) - 1.0
+
+    lo, hi = 0.0, 1.0           # excess falls with p, from > 0 to < 0
+    assert excess(lo) > 0 > excess(hi)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    assert est.value == pytest.approx(lo, abs=1e-12)
 
 
 # -- numerics --------------------------------------------------------------

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (BudgetExceeded, ConstructionFailure, FullShiftRule,
-                         RenewalRule, ShiftModel, ValidationError,
-                         admissible_words, compact_approximation,
-                         count_admissible_words, is_primitive,
-                         mixing_certificate, periodic_points,
-                         shift_from_config, word_levels)
+from thermoshift import (BudgetExceeded, ConstructionFailure, DecayPotential,
+                         FullShiftRule, MatrixCocycle, RenewalRule, ShiftModel,
+                         ValidationError, admissible_words, anneal,
+                         compact_approximation, count_admissible_words,
+                         gurevich_estimate, is_primitive, mixing_certificate,
+                         periodic_points, pressure_curve, rpf_equilibrium,
+                         shift_from_config, transfer_pressure, word_levels)
 from thermoshift import cli, shifts
 from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _edge_thresholds,
                                 _feasibility, _fresh_feasibility,
@@ -400,6 +401,47 @@ def test_period_matches_the_dense_level_traversal():
     assert {0, 1} <= set(periods) and max(periods) > 1
 
 
+def _dense_admissible(adj, word):
+    return all(adj[u, v] for u, v in zip(word, word[1:]))
+
+
+def test_edge_queries_match_the_dense_matrix():
+    rng = np.random.default_rng(31)
+    for adj in _seeded_graphs():
+        if not (adj.any(axis=0).all() and adj.any(axis=1).all()):
+            continue
+        n = len(adj)
+        symbols = tuple(range(100, 100 + n))
+        shift = ShiftModel(symbols, adj)
+        for i, j in rng.integers(n, size=(200, 2)).tolist():
+            assert shift.is_edge(symbols[i], symbols[j]) == adj[i, j]
+        for length in range(1, 6):
+            # walks along edges, some with one symbol replaced at random
+            walk = [int(rng.integers(n))]
+            while len(walk) < length:
+                walk.append(int(rng.choice(np.flatnonzero(adj[walk[-1]]))))
+            for word in (walk, [*walk[:-1], int(rng.integers(n))]):
+                assert shift.is_admissible([symbols[i] for i in word]) == \
+                    _dense_admissible(adj, word)
+        for _ in range(5):
+            idx = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            keep = [symbols[i] for i in idx]
+            try:
+                want = ShiftModel(tuple(keep), adj[np.ix_(idx, idx)])
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    shift.restrict(keep)
+            else:
+                assert np.array_equal(shift.restrict(keep)._edges, want._edges)
+        for length in range(1, 5):
+            if count_admissible_words(shift, length) > 20_000:
+                break
+            for a in rng.choice(n, size=min(n, 3), replace=False).tolist():
+                want = [w for w in admissible_words(shift, length)
+                        if w[0] == symbols[a] and adj[w[-1] - 100, a]]
+                assert periodic_points(shift, length, symbols[a]) == want
+
+
 # -- configuration ---------------------------------------------------------
 
 
@@ -550,6 +592,29 @@ def test_renewal_truncation_evaluates_no_grid(monkeypatch):
     level = compact_approximation(RenewalRule(), 2).levels[-1]
     assert level.adjacency.tolist() == [[int(a == 1 or b == a - 1) for b in level.symbols]
                                         for a in level.symbols]
+
+
+def test_routes_on_a_rule_truncation_build_no_matrix():
+    # every route but the dense ones (the certificate's power walk, the
+    # approximation's reachability tables) reads the edge codes, so the
+    # m x m matrix is never built
+    shift = RenewalRule().truncate(300)
+    decay = DecayPotential("log", 2.0)
+    cocycle = MatrixCocycle({s: [[1.0, 1.0], [1.0, 1.0 + 1.0 / s]]
+                             for s in shift.symbols})
+    transfer_pressure(shift, decay, 1.5)
+    rpf_equilibrium(shift, decay, 1.5)
+    pressure_curve(shift, decay, [1.5, 2.0])
+    anneal(shift, decay, [1.5, 3.0], depth=3)
+    gurevich_estimate(shift, decay, 1.5, 6)
+    assert gurevich_estimate(shift, cocycle, 1.0, 4).n_used == 4
+    assert periodic_points(shift, 3, 1) == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 2)]
+    assert shift.is_admissible((1, 3, 2, 1)) and not shift.is_admissible((2, 3))
+    sub = shift.restrict(range(1, 11))
+    assert "adjacency" not in vars(shift) and "adjacency" not in vars(sub)
+    assert mixing_certificate(sub).mixing
+    assert "adjacency" in vars(sub)
+    assert not sub.adjacency.flags.writeable
 
 
 def test_truncate_rejects_sizes_that_are_not_positive_integers():

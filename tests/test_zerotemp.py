@@ -16,7 +16,7 @@ from thermoshift import (BudgetExceeded, DecayPotential, LocallyConstant,
                          UnsupportedEnumeration, ValidationError, admissible_words, anneal,
                          max_mean_cycle, maximizing_subshift, rpf_equilibrium,
                          simple_cycles, word_levels, zero_temp_report)
-from thermoshift import zerotemp
+from thermoshift import shifts, zerotemp
 from thermoshift.cli import main
 
 
@@ -418,15 +418,23 @@ def spy_on(monkeypatch, module, name):
     return calls
 
 
+def spy_on_words(monkeypatch, n):
+    """Spellings of words of length ``n`` from here on (the equilibria
+    spell their block states, the 1-words of a depth-1 potential)."""
+    calls = spy_on(monkeypatch, shifts, "_symbol_tuples")
+    return lambda: [words for _, words in calls if words.shape[1] == n]
+
+
 def test_marginals_spell_the_level_once_when_read(monkeypatch, full2, bernoulli):
-    spelled = spy_on(monkeypatch, zerotemp, "_symbol_tuples")
+    want = admissible_words(full2, 3)
+    spelled = spy_on_words(monkeypatch, 3)
     tr = anneal(full2, bernoulli, [1.0, 2.0, 5.0], depth=3)
-    assert spelled == []
+    assert spelled() == []
     for row in tr.rows:
         assert list(row.marginal.values()) == row.masses.tolist()
-    assert len(spelled) == 1
-    assert list(tr.rows[0].marginal) == admissible_words(full2, 3)
-    assert len(spelled) == 1
+    assert len(spelled()) == 1
+    assert list(tr.rows[0].marginal) == want
+    assert len(spelled()) == 1
 
 
 def test_anneal_rows_compare_equal_across_runs(full2, bernoulli):
@@ -449,7 +457,8 @@ def test_traces_and_reports_pickle_with_their_marginals(full2, bernoulli):
 
 def test_cold_report_reads_the_public_anneal_and_spells_no_word(monkeypatch):
     annealed = spy_on(monkeypatch, zerotemp, "anneal")
-    spelled = spy_on(monkeypatch, zerotemp, "_symbol_tuples")
+    spelled = spy_on_words(monkeypatch, 4)
+    spelled_cli = spy_on_words(monkeypatch, 6)
     pot = LocallyConstant({0: 0.0, 1: -1.0})
     rep = zero_temp_report(ShiftModel.full(2), pot, [2.0, 4.0], depth=4)
     assert len(annealed) == 1
@@ -458,7 +467,7 @@ def test_cold_report_reads_the_public_anneal_and_spells_no_word(monkeypatch):
     config = Path(__file__).resolve().parents[1] / "configs" / "zerotemp_full2.json"
     assert main(["zerotemp", "--config", str(config)]) == 0
     assert len(annealed) == 2
-    assert spelled == []
+    assert spelled() == spelled_cli() == []
 
 
 def test_cold_report_closed_forms(full2, bernoulli):
