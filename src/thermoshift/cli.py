@@ -52,8 +52,11 @@ _REQUIRED = object()
 
 
 def _field(cfg: dict, key: str, kind, default=_REQUIRED):
-    """``cfg[key]`` (or ``default``) converted by ``kind``, int or float."""
+    """``cfg[key]`` (or ``default``) converted by ``kind``, int or float;
+    with default None, a field left out or null is None."""
     value = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    if value is None and default is None:
+        return None
     return config_number(value, kind, key)
 
 
@@ -155,24 +158,26 @@ def _shift_pot(cfg):
 # -- commands --------------------------------------------------------------
 
 
+# The pressure command's routes, each called as solve(cfg, shift, pot, t,
+# n_max).  A lambda looks its solver up when called, so a rebound module name
+# is the one that runs.
+_ROUTES = {
+    "auto": lambda cfg, *args: best_pressure(*args),
+    "gurevich": lambda cfg, *args: gurevich_estimate(*args, a=cfg.get("a")),
+    "topological": lambda cfg, *args: topological_pressure(*args),
+    "transfer": lambda cfg, *args: transfer_pressure(
+        *args[:3], depth=_field(cfg, "depth", int, None)),
+}
+
+
 def _cmd_pressure(cfg: dict) -> str:
+    route = cfg.get("route", "auto")
+    solve = _ROUTES.get(route) if isinstance(route, str) else None
+    if solve is None:       # before the shift and potential are built
+        raise ValidationError(f"unknown route {route!r}")
     shift, pot = _shift_pot(cfg)
     t = _check_t(_require(cfg, "t"))
-    route = cfg.get("route", "auto")
-    n_max = _field(cfg, "n_max", int, 12)
-    if route == "auto":
-        est = best_pressure(shift, pot, t, n_max=n_max)
-    elif route == "gurevich":
-        est = gurevich_estimate(shift, pot, t, n_max, a=cfg.get("a"))
-    elif route == "topological":
-        est = topological_pressure(shift, pot, t, n_max)
-    elif route == "transfer":
-        depth = cfg.get("depth")
-        if depth is not None:
-            depth = config_number(depth, int, "depth")
-        est = transfer_pressure(shift, pot, t, depth=depth)
-    else:
-        raise ValidationError(f"unknown route {route!r}")
+    est = solve(cfg, shift, pot, t, _field(cfg, "n_max", int, 12))
     return _doc("pressure", {
         "t": t,
         "route": est.route,

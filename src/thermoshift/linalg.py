@@ -327,19 +327,13 @@ def _forest_start(side: BellmanScaling, log_rho: float) -> np.ndarray:
     return np.maximum(np.exp(log_v - log_v.max()), 2 * SIGNIFICANT)
 
 
-class PerronPair(NamedTuple):
-    """Perron data of ``A`` in its row scaling ``S`` (:func:`dominant_pair`)."""
-
-    scaling: BellmanScaling     # the row scaling S
-    rho: float                  # Perron root of S.op
-    right: np.ndarray           # right vector of S.op, L1-normalised
-    log_left: np.ndarray        # log left vector of S.op, up to a constant
-    log_root: float             # log rho(A), from the side solved first
-
-
-def dominant_pair(S: BellmanScaling, C: BellmanScaling) -> PerronPair:
-    """Perron data of a nonnegative operator ``A`` from its row scaling
-    ``S`` and column scaling ``C``, each side solved in its own scaling.
+def dominant_pair(S: BellmanScaling, C: BellmanScaling) -> tuple[
+        BellmanScaling, float, np.ndarray, np.ndarray, float]:
+    """``(S, rho, right, log_left, log_root)`` of a nonnegative operator
+    ``A`` from its row scaling ``S`` and column scaling ``C``, each side
+    solved in its own scaling: the Perron root of ``S.op``, its
+    L1-normalised right vector, its log left vector (up to a constant) and
+    the log Perron root of ``A``.
 
     The right vector is the Perron vector of ``S``, the left one that of
     ``C``, where ``C_vu = A_uv exp(y_u - y_v - beta)`` for the max-plus
@@ -368,8 +362,8 @@ def dominant_pair(S: BellmanScaling, C: BellmanScaling) -> PerronPair:
             f"left/right spectral estimates disagree: {lam_r!r} vs {lam_l!r}")
     with np.errstate(divide="ignore"):
         log_left = S.potential + C.potential + np.log(left)
-    return PerronPair(S, 0.5 * (lam_r + lam_l), right, log_left,
-                      first.beta + math.log(rho))
+    return (S, 0.5 * (lam_r + lam_l), right, log_left,
+            first.beta + math.log(rho))
 
 
 def _floats(values) -> np.ndarray:
@@ -403,6 +397,4 @@ def log_sum_exp(values) -> float:
     m = float(x[0] if x.size == 1 else x.max())
     if not math.isfinite(m):        # all -inf, or an inf or nan term
         return m
-    if x.size == 1:                 # the sum is fsum([exp(0.0)]), log 0.0
-        return m + 0.0
     return m + math.log(math.fsum(map(math.exp, (x - m).tolist())))

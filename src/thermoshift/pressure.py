@@ -166,6 +166,12 @@ def _block_operator(shift: ShiftModel, pot: Potential, t: float, levels: list):
     return EdgeOperator(len(f), src, dst, t * f[src]), f
 
 
+def _spectral_applies(shift: ShiftModel, pot: Potential) -> bool:
+    """The spectral route's one rule, for t >= 0: an additive locally
+    constant potential on a primitive shift."""
+    return pot.depth is not None and is_primitive(shift)
+
+
 def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
                     ts: Sequence[float]):
     """(block depth, states, first-level values per state, row and column
@@ -183,7 +189,7 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
         raise ValidationError("block depth must cover the potential depth")
     # The r-block graph of an essential graph has the same cycle lengths, so
     # it is primitive exactly when the shift is.
-    if not is_primitive(shift):
+    if not _spectral_applies(shift, pot):
         raise ConditionNotMet(
             f"spectral route at block depth {r} needs a primitive transition "
             "structure (strongly connected, aperiodic)")
@@ -213,9 +219,9 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
 
 def best_pressure(shift: ShiftModel, pot: Potential, t: float,
                   n_max: int = 12) -> PressureEstimate:
-    """Transfer route when exact (t >= 0 on a primitive shift), otherwise
-    the topological scan; either route rejects a NaN t."""
-    if pot.depth is not None and not t < 0 and is_primitive(shift):
+    """Transfer route when exact (t >= 0 where :func:`_spectral_applies`),
+    otherwise the topological scan; either route rejects a NaN t."""
+    if not t < 0 and _spectral_applies(shift, pot):
         return transfer_pressure(shift, pot, t)
     return topological_pressure(shift, pot, t, n_max)
 
@@ -287,8 +293,8 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
     primitive shift) each point is one equilibrium state mu_t
     (:func:`~thermoshift.measures.rpf_equilibrium`, all on one block
     operator): P(t) is its pressure and dP/dt = integral of f_1 d mu_t
-    exactly.  Otherwise P comes from :func:`best_pressure` and dP/dt by
-    central difference with step ``h``.  P(t) is convex in t, so the
+    exactly.  Otherwise P comes from :func:`topological_pressure` and dP/dt
+    by central difference with step ``h``.  P(t) is convex in t, so the
     discrete second differences on the grid must stay above -1e-6.
     """
     from .measures import _equilibrium     # measures imports this module
@@ -300,14 +306,14 @@ def pressure_curve(shift: ShiftModel, pot: Potential, ts: Sequence[float],
         raise ValidationError("t grid must be strictly increasing")
     if not (math.isfinite(h) and h > 0):
         raise ValidationError("h must be finite and > 0")
-    spectral = pot.depth is not None and is_primitive(shift)
+    spectral = _spectral_applies(shift, pot)
     if spectral:
         block = _spectral_block(shift, pot, None, ts)   # checks every t
     elif not all(map(math.isfinite, ts)):
         raise ValidationError("t grid must be finite")
 
     def P(t: float) -> float:
-        return best_pressure(shift, pot, t, n_max=n_max).value
+        return topological_pressure(shift, pot, t, n_max).value
 
     points = []
     for t in ts:

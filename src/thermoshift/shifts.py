@@ -60,9 +60,10 @@ class ShiftModel:
     ``_degree`` are computed from them, and every query, the word engine
     and the period read the arrays, so a shift holds O(edges) memory.  The
     read-only uint8 ``adjacency`` is built from them on first read; only
-    the dense algorithms (the mixing certificate's power walk and the
-    reachability tables of :func:`compact_approximation`) read it.  A shift
-    is immutable and compares by identity.
+    the dense algorithms (the mixing certificate's power walk, the
+    reachability tables of :func:`compact_approximation` and the
+    exhaustive test reference :func:`~thermoshift.zerotemp.simple_cycles`)
+    read it.  A shift is immutable and compares by identity.
     """
 
     def __init__(self, symbols: tuple, adjacency: np.ndarray,
@@ -236,8 +237,6 @@ class AmbientRule:
     grid.
     """
 
-    name = "abstract"
-
     def edge(self, i, j):
         raise NotImplementedError
 
@@ -256,8 +255,6 @@ class AmbientRule:
 class FullShiftRule(AmbientRule):
     """Full shift over a countable alphabet: every transition allowed."""
 
-    name = "full"
-
     def edge(self, i, j):
         return True
 
@@ -267,8 +264,6 @@ class FullShiftRule(AmbientRule):
 
 class RenewalRule(AmbientRule):
     """Renewal shift: state 1 connects to every state, and i -> i-1 for i >= 2."""
-
-    name = "renewal"
 
     def edge(self, i, j):
         return (i == 1) | (j == i - 1)

@@ -292,6 +292,40 @@ def test_word_documents_on_an_alphabet_of_integers_and_strings(
         assert doc["subshift"]["cycles"] == [["a"]]
 
 
+@pytest.mark.parametrize("route", ["spectral", ["transfer"], None])
+def test_pressure_checks_the_route_before_building(capsys, tmp_path, monkeypatch,
+                                                   route):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the route was checked")
+
+    monkeypatch.setattr(cli, "shift_from_config", forbidden)
+    monkeypatch.setattr(cli, "potential_from_config", forbidden)
+    cfg = dict(GOLDEN_PRESSURE, route=route, shift={"rule": "renewal"})
+    code, out, err = run(capsys, tmp_path, "pressure", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown route {route!r}\n"
+
+
+@pytest.mark.parametrize("route, name", [
+    ("auto", "best_pressure"), ("gurevich", "gurevich_estimate"),
+    ("topological", "topological_pressure"), ("transfer", "transfer_pressure")])
+def test_pressure_routes_call_the_module_names(capsys, tmp_path, monkeypatch,
+                                               route, name):
+    # each route looks its solver up when called, so a rebound name runs
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, out, err = run(capsys, tmp_path, "pressure",
+                         dict(GOLDEN_PRESSURE, route=route))
+    assert (code, err) == (0, "")
+    assert calls == [name]
+
+
 def test_approx_validates_before_construction(capsys, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("compact_approximation ran before validation")

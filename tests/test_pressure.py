@@ -373,6 +373,22 @@ def test_route_choosers_agree(monkeypatch, name, kind, t):
     assert calls == ([shift, shift] if applies else [])
 
 
+def test_route_choosers_read_the_one_spectral_rule(monkeypatch, full2, bernoulli):
+    # full2 with a table is on the spectral route; with the rule turned off
+    # both choosers take the scan
+    assert best_pressure(full2, bernoulli, 1.5).route == "transfer"
+    calls = []
+    monkeypatch.setattr(measures, "_equilibrium",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(pressure, "_spectral_applies", lambda shift, pot: False)
+    assert best_pressure(full2, bernoulli, 1.5, n_max=6) == \
+        topological_pressure(full2, bernoulli, 1.5, 6)
+    curve = pressure_curve(full2, bernoulli, [1.0, 2.0], n_max=6)
+    assert calls == []
+    assert [p.pressure for p in curve.points] == \
+        [topological_pressure(full2, bernoulli, t, 6).value for t in (1.0, 2.0)]
+
+
 def test_weighted_block_matrix_shape(golden_mean, bernoulli):
     states, B, f = weighted_block_matrix(golden_mean, bernoulli, 1.0, depth=2)
     assert states == [(0, 0), (0, 1), (1, 0)]
@@ -491,16 +507,23 @@ def test_pressure_curve_rejects_a_non_finite_t_before_solving(monkeypatch, berno
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the grid")
 
-    monkeypatch.setattr(pressure, "best_pressure", no_solve)
-    monkeypatch.setattr(pressure, "weighted_block_matrix", no_solve)
+    for name in ("best_pressure", "topological_pressure", "_block_operator"):
+        monkeypatch.setattr(pressure, name, no_solve)
     monkeypatch.setattr(measures, "_equilibrium", no_solve)
     with pytest.raises(ValidationError, match="finite"):
         pressure_curve(shift, bernoulli, [1.0, t])
 
 
-def test_pressure_curve_off_the_spectral_route_takes_central_differences():
+def test_pressure_curve_off_the_spectral_route_takes_central_differences(
+        monkeypatch):
     flip = ShiftModel.from_edges((0, 1), [(0, 1), (1, 0)])     # period 2
     pot, h = LocallyConstant({0: 0.0, 1: -1.0}), 1e-2
+
+    def no_choice(*args, **kwargs):
+        raise AssertionError("the curve chose a route per point")
+
+    # the scan is chosen once per curve, not by best_pressure per point
+    monkeypatch.setattr(pressure, "best_pressure", no_choice)
     # at t < h the lower difference point t - h is negative
     for ts in ([1.0, 2.0], [0.0, 1.0], [0.005, 1.0]):
         curve = pressure_curve(flip, pot, ts, n_max=6, h=h)
@@ -591,16 +614,17 @@ def reference_log_sum_exp(values):
     if not vals:
         return -math.inf
     m = max(vals)
-    if m == -math.inf:
-        return -math.inf
+    if not math.isfinite(m):    # -inf, or an inf or nan term (inf - inf is nan)
+        return m
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
 def _kernel_inputs():
     rng = random.Random(5)
     mixed = [rng.gauss(0.0, 30.0) for _ in range(200)] + [1000.0, -700.0, 745.0]
+    singles = [[v] for v in (-0.0, 3.5, -1e308, math.inf, -math.inf, math.nan)]
     return [[], [-math.inf] * 3, [0.0], mixed, mixed + [-math.inf] * 5,
-            [-math.inf, 3.5, -math.inf, -1e-300, 2.0]]
+            [-math.inf, 3.5, -math.inf, -1e-300, 2.0], *singles]
 
 
 @pytest.mark.parametrize("values", _kernel_inputs())
@@ -608,7 +632,7 @@ def _kernel_inputs():
 def test_log_domain_kernels_are_bit_identical_to_the_math_loop(values, form):
     want = reference_log_sum_exp(values)
     got = log_sum_exp(form(values))
-    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert repr(got) == repr(want)      # the same float, signed zero and nan too
     small = [v for v in values if v < 700.0]        # math.exp overflows past 709.78
     assert _exp(form(small)).tolist() == [math.exp(v) for v in small]
     positive = [math.exp(v) for v in small if math.exp(v) > 0.0] + [math.inf]
@@ -622,7 +646,7 @@ def test_log_kernel_raises_where_math_log_does():
 
 
 def _loop_log_sum_exp(values):
-    """log_sum_exp as it read before one value had its own return."""
+    """log_sum_exp's max-shifted loop, on numpy's max."""
     x = np.array(values, dtype=float)
     m = float(x.max())
     if not math.isfinite(m):

@@ -251,7 +251,7 @@ def test_spectral_route_rejects_a_bad_t_before_building(monkeypatch, t):
     def forbidden(*args, **kwargs):
         raise AssertionError("block built before the t check")
 
-    monkeypatch.setattr(pressure, "weighted_block_matrix", forbidden)
+    monkeypatch.setattr(pressure, "_block_operator", forbidden)
     for call in (lambda: transfer_pressure(FULL2, BERNOULLI, t),
                  lambda: rpf_equilibrium(FULL2, BERNOULLI, t),
                  lambda: anneal(FULL2, BERNOULLI, [t, 2.0], depth=2)):
