@@ -166,8 +166,18 @@ def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int, np.ndarray]:
     A policy picks one out-edge per state.  Its value is the mean of the
     cycle each state's policy walk ends in, and ``x`` follows the walk
     back from that cycle.  A round switches states to edges that reach a
-    larger cycle mean, or else a larger ``log A_uv + x_v``; it stops when
-    no state improves by more than the tolerance.
+    larger cycle mean, or else a larger ``log A_uv + x_v`` among the edges
+    into states of as good a mean; it stops when no state improves by more
+    than the tolerance.
+
+    Each round costs one walk (:func:`_policy_values`) and a few passes
+    over the edges; the edge a state switches to is looked up only in a
+    round where some state switches.  In a round where every cycle mean
+    lies within the tolerance of every other (one class: the common case
+    on a primitive support), no edge reaches a mean larger by more than
+    the tolerance and every edge passes the mean filter, so the round goes
+    straight to the ``log A_uv + x_v`` pass over all edges, with the same
+    floats.
     """
     m, src, dst, w = op.size, op.src, op.dst, op.log_weight
     first = np.flatnonzero(np.diff(src, prepend=-1))
@@ -176,64 +186,92 @@ def _howard(op: EdgeOperator) -> tuple[float, np.ndarray, int, np.ndarray]:
     tol = 1e-12 * m * max(1.0, float(np.abs(w).max()))
     edge = np.arange(len(w))
 
-    def first_best(vals):
-        best = np.maximum.reduceat(vals, first)
-        return best, np.minimum.reduceat(
-            np.where(vals == best[src], edge, len(w)), first)
+    def first_best(vals, best):
+        """The first edge of each state whose value is its ``best``."""
+        return np.minimum.reduceat(np.where(vals == best[src], edge, len(w)), first)
 
-    policy = first_best(w + np.maximum.reduceat(w, first)[dst])[1]
+    vals = w + np.maximum.reduceat(w, first)[dst]
+    policy = first_best(vals, np.maximum.reduceat(vals, first))
     x = np.zeros(m)
     for _ in range(m + 100):
-        eta, x, depth = _policy_values(policy, dst, w, x)
-        best_eta, to = first_best(eta[dst])
-        switch = best_eta > eta + tol
+        nxt = dst[policy]
+        cost = w[policy]
+        eta, x, depth, means = _policy_values(nxt, cost, x)
+        low, high = min(means), max(means)
+        if high <= low + tol and low >= high - tol:     # one class
+            val = w + x[dst]
+        else:
+            eta = np.fromiter(eta, float, m)
+            eta_dst = eta[dst]
+            best = np.maximum.reduceat(eta_dst, first)
+            switch = best > eta + tol
+            if switch.any():
+                policy = np.where(switch, first_best(eta_dst, best), policy)
+                continue
+            val = np.where(eta_dst >= eta[src] - tol, w + x[dst], -math.inf)
+        best = np.maximum.reduceat(val, first)
+        switch = best > cost + x[nxt] + tol
         if not switch.any():
-            val = np.where(eta[dst] >= eta[src] - tol, w + x[dst], -math.inf)
-            best, to = first_best(val)
-            switch = best > w[policy] + x[dst[policy]] + tol
-            if not switch.any():
-                return float(eta.max()), x, depth, policy
-        policy = np.where(switch, to, policy)
+            return high, x, max(depth), policy
+        policy = np.where(switch, first_best(val, best), policy)
     raise NumericalError("max-plus policy iteration did not settle")
 
 
-def _policy_values(policy: np.ndarray, dst: np.ndarray, w: np.ndarray,
-                   x_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cycle mean ``eta`` and potential ``x`` of every state under a policy,
-    and the depth of its forest: the longest walk from a state to the
-    cycle it ends in.  Each new cycle keeps the previous ``x`` of the state
-    where its walk first closed, so that values only move where the policy
-    did."""
-    nxt = dst[policy].tolist()
-    c = w[policy].tolist()
-    m = len(nxt)
+def _policy_values(nxt: np.ndarray, cost: np.ndarray,
+                   x_prev: np.ndarray) -> tuple[list, np.ndarray, list, list]:
+    """Cycle mean ``eta`` and potential ``x`` of every state under a policy
+    that steps from state ``v`` to ``nxt[v]`` at log weight ``cost[v]``,
+    the depth of every state in the policy forest (the length of its walk
+    to the cycle it ends in) and the mean of every cycle; ``eta``, the
+    depths and the means as lists.
+
+    One walk per state in index order, from each state not yet valued.  A
+    state whose successor already has a value is valued from it in place,
+    as ``x_v = cost_v - eta + x_nxt(v)``; only a walk that goes further
+    keeps a path, values the cycle it closes (its mean is the ``eta`` of
+    the walk) and then its path backwards by the same formula.  Each new
+    cycle keeps the previous ``x`` of the state where its walk first
+    closed, the anchor, so that values only move where the policy did."""
+    c = cost.tolist()
+    m = len(c)
     x = x_prev.tolist()
     eta = [0.0] * m
-    depth = [0] * m
-    mark = [-1] * m         # -1 unseen, else the walk that reached the state
-    for s in range(m):
-        if mark[s] >= 0:
+    depth = [-1] * m        # -1 unseen, -2 on the walk under way
+    means = []
+    nxt = nxt.tolist()
+    for s, u in enumerate(nxt):
+        if depth[s] >= 0:
             continue
-        path = []
-        u = s
-        while mark[u] < 0:
-            mark[u] = s
+        d = depth[u]
+        if d >= 0:              # a valued successor: value s in place
+            depth[s] = d + 1
+            e = eta[s] = eta[u]
+            x[s] = c[s] - e + x[u]
+            continue
+        depth[s] = -2
+        path = [s]
+        while depth[u] == -1:
+            depth[u] = -2
             path.append(u)
             u = nxt[u]
-        if mark[u] == s:    # this walk closed a new cycle at u; x[u] stays
+        cycle = ()
+        if depth[u] < 0:        # this walk closed a new cycle at u; x[u] stays
             k = path.index(u)
-            cycle, path = path[k:], path[:k]
-            e = eta[u] = math.fsum(c[v] for v in cycle) / len(cycle)
-            for v in reversed(cycle[1:]):
-                eta[v] = e
-                x[v] = c[v] - e + x[nxt[v]]
-        # the tail runs into u: walk it back from there
-        e, d, xv = eta[u], depth[u], x[u]
+            cycle = path[k:]
+            eta[u] = math.fsum(c[v] for v in cycle) / len(cycle)
+            means.append(eta[u])
+            depth[u] = 0
+            del path[k]
+        # the rest of the cycle, then the tail, each from its successor
+        e = eta[u]
         for v in reversed(path):
-            d += 1
-            xv = c[v] - e + xv
-            eta[v], x[v], depth[v] = e, xv, d
-    return np.array(eta), np.array(x), max(depth)
+            u = nxt[v]
+            eta[v] = e
+            x[v] = c[v] - e + x[u]
+            depth[v] = depth[u] + 1
+        for v in cycle:         # cycle states have depth 0
+            depth[v] = 0
+    return eta, np.fromiter(x, float, m), depth, means
 
 
 def power_iteration(op: EdgeOperator, max_iter: int = DEFAULT_MAX_ITER,

@@ -247,8 +247,18 @@ class AmbientRule:
         return np.flatnonzero(np.broadcast_to(self.edge(idx[:, None], idx[None, :]),
                                               (m, m)))
 
+    def edge_count(self, n: int) -> int:
+        """The number of entries a truncation to n symbols builds: the n×n
+        grid that :meth:`edge_codes` evaluates here; a rule that lists its
+        edges directly gives their count."""
+        return n * n
+
     def truncate(self, n: int) -> ShiftModel:
+        """The finite shift on the symbols 1..n.  A truncation whose edge
+        record exceeds ``WORD_BUDGET`` (read at call time) raises
+        :class:`BudgetExceeded` before anything of that size is built."""
         _check_positive_int(n, "truncation size")
+        _check_edge_budget(self.edge_count(n), f"truncation to {n} symbols")
         return _rule_model(self, range(1, n + 1), assumed_mixing=True)
 
 
@@ -267,6 +277,9 @@ class RenewalRule(AmbientRule):
 
     def edge(self, i, j):
         return (i == 1) | (j == i - 1)
+
+    def edge_count(self, n):
+        return 2 * n - 1
 
     def edge_codes(self, idx):
         """The row of symbol 1, and each symbol's edge down to its
@@ -291,7 +304,11 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
     """Build a shift from its JSON description.
 
     Either ``{"rule": "full"|"renewal", "truncation": N}`` or
-    ``{"alphabet": N or [symbols...], "edges": [[a, b], ...]}``.
+    ``{"alphabet": N or [symbols...], "edges": [[a, b], ...] or "full"}``.
+    A shift of more than ``WORD_BUDGET`` edges (2N - 1 on a renewal
+    truncation, N**2 on a full one) raises :class:`BudgetExceeded`, and an
+    alphabet of N symbols with fewer than N edges a :class:`ValidationError`,
+    before any array or tuple of N symbols is built.
     """
     if not isinstance(cfg, Mapping):
         raise ValidationError("shift: expected an object")
@@ -309,7 +326,7 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
         raise ValidationError("shift.alphabet: required")
     alphabet = cfg["alphabet"]
     if isinstance(alphabet, int) and not isinstance(alphabet, bool):
-        symbols = tuple(range(alphabet))
+        symbols = None          # range(alphabet), built once its size is checked
     elif isinstance(alphabet, (list, tuple)) and _symbols(alphabet):
         symbols = tuple(alphabet)
         # documents name symbols by str(); 1 and "1" would share a name
@@ -323,12 +340,18 @@ def shift_from_config(cfg: Mapping) -> ShiftModel:
     if "edges" not in cfg:
         raise ValidationError("shift.edges: required for an explicit shift")
     edges = cfg["edges"]
+    m = len(symbols) if symbols is not None else max(alphabet, 0)
     if edges == "full":
-        return ShiftModel._from_codes(symbols, np.arange(len(symbols) ** 2))
+        _check_edge_budget(m * m, f"full shift on {m} symbols")
+        return ShiftModel._from_codes(symbols or tuple(range(m)), np.arange(m * m))
     if not (isinstance(edges, (list, tuple))
             and all(map(isinstance, edges, repeat((list, tuple))))
             and set(map(len, edges)) <= {2} and _symbols(chain.from_iterable(edges))):
         raise ValidationError('shift.edges: must be a list of [a, b] pairs or "full"')
+    if symbols is None:
+        if m > len(edges):      # every symbol needs an out-edge
+            raise ValidationError("adjacency has an all-zero row")
+        symbols = tuple(range(m))
     return ShiftModel.from_edges(symbols, edges)
 
 
@@ -352,6 +375,14 @@ def _check_positive_int(n, name: str) -> None:
     at least 1."""
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"{name} must be a positive integer, got {n!r}")
+
+
+def _check_edge_budget(count: int, what: str) -> None:
+    """Refuse a shift whose edge record holds more than ``WORD_BUDGET``
+    entries (read at call time), before it is built."""
+    if count > WORD_BUDGET:
+        raise BudgetExceeded(
+            f"{what}: {count} edges exceed budget {WORD_BUDGET}")
 
 
 def _require_finite(shift) -> ShiftModel:

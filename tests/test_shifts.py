@@ -626,6 +626,46 @@ def test_truncate_rejects_sizes_that_are_not_positive_integers():
         assert symbols == (1, 2, 3) and all(type(s) is int for s in symbols)
 
 
+def test_oversized_shifts_are_refused_before_they_allocate(monkeypatch, capsys,
+                                                          tmp_path):
+    # the edge record is counted before any array or tuple of its symbols
+    # exists: 2N - 1 edges on a renewal truncation, N**2 on a full shift or
+    # on a rule that evaluates its N x N grid
+    monkeypatch.setattr(shifts, "WORD_BUDGET", 1000)
+    assert len(RenewalRule().truncate(500)._edges) == 999
+    assert shift_from_config({"rule": "renewal", "truncation": 500}).n_symbols == 500
+    assert FullShiftRule().truncate(31).n_symbols == 31
+    refused = [lambda: RenewalRule().truncate(501),
+               lambda: shift_from_config({"rule": "renewal", "truncation": 501}),
+               lambda: FullShiftRule().truncate(32),
+               lambda: _ModThreeRule().truncate(32),
+               lambda: shift_from_config({"alphabet": 32, "edges": "full"}),
+               lambda: shift_from_config({"alphabet": list(range(32)), "edges": "full"})]
+    for call, count in zip(refused, [1001, 1001, 1024, 1024, 1024, 1024]):
+        with pytest.raises(BudgetExceeded, match=f": {count} edges exceed budget 1000$"):
+            call()
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"shift": {"rule": "renewal", "truncation": 1000000000}, '
+                   '"potential": {"family": "decay", "law": "log", "coef": 2.0}, "t": 1.5}')
+    assert cli.main(["pressure", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "1999999999 edges exceed budget 1000" in out.err
+
+
+def test_an_integer_alphabet_with_too_few_edges_is_refused_before_it_is_built():
+    # 200 000 symbols and one edge: an all-zero row, found from the counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="all-zero row"):
+            shift_from_config({"alphabet": 200_000, "edges": [[0, 0]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ValidationError, match="all-zero row"):
+        shift_from_config({"alphabet": 3, "edges": [[0, 1], [1, 0]]})
+
+
 # -- compact approximation -------------------------------------------------
 
 
