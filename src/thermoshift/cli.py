@@ -117,8 +117,9 @@ def _text(v, nl: str) -> str:
     """The JSON text of ``v`` nested at the line break ``nl`` ("\\n" plus
     two spaces per level), byte for byte what ``json.dumps`` writes with
     sorted keys and an indent of 2, except that every non-finite float is
-    null.  A key that is not a str, or a value json cannot write, raises
-    TypeError."""
+    null.  A callable value writes its own text: it is called with the
+    line break of its nesting.  A key that is not a str, or another value
+    json cannot write, raises TypeError."""
     get = _SCALAR_TEXT.get
     inner = nl + "  "
     if isinstance(v, dict):
@@ -133,10 +134,44 @@ def _text(v, nl: str) -> str:
         for kind, write in _SCALAR_TEXT.items():
             if isinstance(v, kind):
                 return write(v)
+        if callable(v):
+            return v(nl)
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
     if not v:
         return brackets
     return brackets[0] + inner + ("," + inner).join(body) + nl + brackets[1]
+
+
+def _pair_table_text(names: list, lengths, nl: str) -> str:
+    """``_text(table, nl)`` for ``table = {a + "->" + b: lengths[i, j]}``
+    over ``a = names[i]``, ``b = names[j]`` (``lengths`` a square numpy
+    array), written without building ``table``.
+
+    Each name is quoted once: json escapes character by character, so a
+    quoted key is the quoted row name, "->" and the quoted column name.
+    Rows go in the order of ``a + "->"`` and columns in the order of the
+    names.  When the names are distinct and none contains "->", that is the
+    order ``sorted`` gives the keys: neither of two row prefixes a + "->"
+    is then a proper prefix of the other, so they decide between keys of
+    different rows.  Otherwise the dict is built (a later pair replacing an
+    equal key) and its keys sorted."""
+    heads = [s + "->" for s in names]
+    if not names or len(set(names)) < len(names) or any("->" in s for s in names):
+        return _text({a + b: v for a, row in zip(heads, lengths.tolist())
+                      for b, v in zip(names, row)}, nl)
+    rows = sorted(range(len(names)), key=heads.__getitem__)
+    cols = sorted(range(len(names)), key=names.__getitem__)
+    # one row: per column, the row's lead (%s), the quoted column name after
+    # "->" and the value (%d, the text of an int)
+    row_format = "".join("%s" + _quote(names[j])[1:].replace("%", "%%") + ": %d"
+                         for j in cols)
+    args = [None] * (2 * len(cols))
+    body = []
+    for i, row in zip(rows, lengths[rows][:, cols].tolist()):
+        args[::2] = [",%s  %s->" % (nl, _quote(names[i])[:-1])] * len(cols)
+        args[1::2] = row
+        body.append(row_format % tuple(args))
+    return "{" + "".join(body)[1:] + nl + "}"
 
 
 def _doc(command: str, fields: dict, shift=None) -> str:
@@ -334,10 +369,8 @@ def _cmd_certify(cfg: dict) -> str:
     rep = constants_report(shift, pot, depth, word_budget=word_budget)
     cert = mixing_certificate(shift)
     summ = summability_report(pot, t, shift=shift)
-    names = [str(s) for s in cert.symbols]   # spelled once, not per pair
-    thresholds = None if cert.lengths is None else {
-        a + b: v for a, row in zip([s + "->" for s in names], cert.lengths.tolist())
-        for b, v in zip(names, row)}
+    thresholds = None if cert.lengths is None else functools.partial(
+        _pair_table_text, [str(s) for s in cert.symbols], cert.lengths)
     return _doc("certify", {
         "mixing": {
             "status": cert.status,

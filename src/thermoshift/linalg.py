@@ -8,7 +8,8 @@ weights exp(t·f) neither under- nor overflow before
 along the log-domain walk :meth:`EdgeOperator.log_walk` that the periodic
 and covering partition sums read.  :func:`log_sum_exp`, :func:`_log` and
 :func:`_exp` take arrays and map ``math.exp``/``math.log`` over them, so
-they give the floats of the per-element loop.
+they give the floats of the per-element loop; :func:`_log_ints` gives those
+of ``_log`` on positive integers from one table computed once per process.
 
 An operator ``A`` has two such scalings, one per side of its Perron problem:
 the row scaling ``S`` (the max-plus eigenpair of ``A``) and the column
@@ -415,6 +416,33 @@ def _log(x) -> np.ndarray:
     """Elementwise math.log: numpy's log can differ from it in the last bit."""
     vals = _floats(x).tolist()
     return np.fromiter(map(math.log, vals), dtype=float, count=len(vals))
+
+
+# _LOG_TABLE[i] is math.log(i) (index 0 holds its limit, -inf), shared by
+# every caller and never written: _log_ints swaps in a longer copy when an
+# integer past its end is asked for, up to _LOG_TABLE_CAP entries.
+_LOG_TABLE = np.array([-math.inf, 0.0])
+_LOG_TABLE.flags.writeable = False
+_LOG_TABLE_CAP = 1 << 16
+
+
+def _log_ints(k: np.ndarray) -> np.ndarray:
+    """``_log`` of an integer array ``k`` of positive entries, read by index
+    from a process-wide table of math.log(0..n) grown on demand (math.log of
+    an int below 2**53 is math.log of its float).  An entry at or past
+    ``_LOG_TABLE_CAP`` maps math.log over ``k`` instead."""
+    global _LOG_TABLE
+    top = int(k.max(initial=0))
+    if top >= len(_LOG_TABLE):
+        if top >= _LOG_TABLE_CAP:
+            return _log(k)
+        old = _LOG_TABLE
+        grown = np.empty(top + 1)
+        grown[:len(old)] = old
+        grown[len(old):] = _log(np.arange(len(old), top + 1))
+        grown.flags.writeable = False
+        _LOG_TABLE = grown
+    return _LOG_TABLE[k]
 
 
 def _exp(x) -> np.ndarray:

@@ -31,9 +31,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, ValidationError, config_number
-from .linalg import _exp, _log
-from .shifts import (Level, ShiftModel, _first_children, _levels, _locate,
-                     _symbol_tuples, _words, word_levels)
+from .linalg import _log, _log_ints
+from .shifts import (Level, ShiftModel, _check_positive_int, _first_children,
+                     _levels, _locate, _symbol_tuples, _words, word_levels)
 
 
 class Potential:
@@ -271,6 +271,42 @@ def _continuations(shift: ShiftModel, blocks: list, f: np.ndarray):
     return tables
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exps(x: np.ndarray) -> list:
+    """``math.exp`` of each entry of the float array ``x``, inf where it
+    overflows."""
+    vals = x.tolist()
+    try:
+        return list(map(math.exp, vals))
+    except OverflowError:
+        return list(map(_exp_or_inf, vals))
+
+
+def _fsum(terms: list) -> float:
+    """``math.fsum``, or inf with the sign of the largest term where the
+    sum of finite terms overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.copysign(math.inf, max(terms, key=abs))
+
+
+def _weighted_sum(tv: np.ndarray, e: list) -> float:
+    """``fsum(-tv * e)`` with ``e = _exps(tv)``: a term whose exponential
+    underflowed to 0 adds 0 (not inf * 0 where tv is -inf), and one whose
+    exponential or product overflowed makes the sum -inf."""
+    e = np.fromiter(e, dtype=float, count=len(e))
+    with np.errstate(over="ignore"):
+        terms = np.multiply(-tv, e, out=np.zeros(len(e)), where=e > 0.0)
+    return _fsum(terms.tolist())
+
+
 class DecayPotential(Potential):
     """Additive depth-1 potential on the alphabet 1, 2, 3, ... with
     f_1|[i] = offset - coef*log(i) (law "log") or offset - coef*i ("linear")."""
@@ -297,8 +333,9 @@ class DecayPotential(Potential):
 
     def _law(self, symbols: np.ndarray) -> np.ndarray:
         """``value`` on an array of positive integers: the same float
-        operations (``_log`` maps ``math.log``), without the checks."""
-        return self.offset - self.coef * (_log(symbols) if self.law == "log" else symbols)
+        operations (``_log_ints`` reads ``math.log`` from a table), without
+        the checks."""
+        return self.offset - self.coef * (_log_ints(symbols) if self.law == "log" else symbols)
 
     @property
     def aa_const(self) -> float:
@@ -342,12 +379,15 @@ class DecayPotential(Potential):
         """Upper bound on sum_{i>n} exp(t*f_1|[i]) (exact for the linear law)."""
         if not self.summable(t):
             return math.inf
-        scale = math.exp(t * self.offset)
+        scale = _exp_or_inf(t * self.offset)
         if self.law == "log":
             s = t * self.coef
-            return scale * n ** (1.0 - s) / (s - 1.0)
-        c = t * self.coef
-        return scale * math.exp(-c * (n + 1)) / (1.0 - math.exp(-c))
+            power, den = n ** (1.0 - s), s - 1.0
+        else:
+            c = t * self.coef
+            power, den = math.exp(-c * (n + 1)), 1.0 - math.exp(-c)
+        # a power that underflowed adds 0, also where the scale overflowed
+        return scale * power / den if power else 0.0
 
     def tail_weight_numeric(self, n: int, t: float = 1.0, terms: int = 20000) -> float:
         """Partial tail sum plus a bound on the remainder."""
@@ -365,24 +405,32 @@ class DecayPotential(Potential):
         """
         if not self.summable(t):
             return math.inf
-        partial = math.fsum((-t * self.value(i)) * math.exp(t * self.value(i))
-                            for i in range(n + 1, n + terms + 1))
+        with np.errstate(over="ignore"):
+            tv = t * self._law(np.arange(n + 1, n + terms + 1))
+            partial = _weighted_sum(tv, _exps(tv))
+        # the remainder is w * factor, w = exp(log_w) the common scale
+        # e^{t*offset} X^{1-s} (log law) or e^{t*offset} q^{X+1} (linear),
+        # so no intermediate overflows where the remainder does not
         X = n + terms
-        scale = math.exp(t * self.offset)
         if self.law == "log":
             s = t * self.coef
-            # integral bounds for sum x^{-s} and sum x^{-s} log x beyond X
-            t1 = X ** (1.0 - s) / (s - 1.0)
-            t2 = X ** (1.0 - s) * (math.log(X) / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-            rem = scale * (s * t2 - t * self.offset * t1)
+            inv = 1.0 / (s - 1.0)
+            lx = math.log(X)
+            # integral bounds for sum x^{-s} (X^{1-s} inv) and
+            # sum x^{-s} log x (X^{1-s} (log X inv + inv^2)) beyond X
+            log_w = t * self.offset + (1.0 - s) * lx
+            factor = inv * (s * (lx + inv) - t * self.offset)
         else:
             c = t * self.coef
             q = math.exp(-c)
-            geo = q ** (X + 1) / (1.0 - q)
-            # sum_{i > X} i q^i = q^{X+1} ((X+1) - X q) / (1-q)^2
-            lin = q ** (X + 1) * ((X + 1) - X * q) / (1.0 - q) ** 2
-            rem = scale * (c * lin - t * self.offset * geo)
-        return partial + max(rem, 0.0)
+            p = -math.expm1(-c)     # 1 - q, not 0 where c is tiny
+            # sum_{i > X} q^i = q^{X+1} / p and
+            # sum_{i > X} i q^i = q^{X+1} ((X+1) - X q) / p^2
+            log_w = t * self.offset - c * (X + 1)
+            factor = (c * ((X + 1) - X * q) / p - t * self.offset) / p
+        w = _exp_or_inf(log_w)
+        # a remainder that is not positive, or whose scale underflowed, adds 0
+        return partial + (w * factor if w > 0.0 and factor > 0.0 else 0.0)
 
 
 class MatrixCocycle(Potential):
@@ -606,6 +654,7 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
     so their defect is exactly 0 and only the variation is scanned."""
     if depth < 2:
         raise ValidationError("constants_report needs depth >= 2")
+    _check_positive_int(word_budget, "word_budget")
     levels = []
     try:
         for level in _levels(shift, depth, word_budget):
@@ -650,11 +699,17 @@ class SummabilityReport(NamedTuple):
 
 def _exp_sums(vals: np.ndarray, t: float) -> tuple:
     """``fsum(exp(v))`` and ``fsum(-t v exp(t v))`` over the float array
-    ``vals``, every term the same float the scalar loop gives (``_exp`` is
-    ``math.exp``; numpy's products are the same IEEE products)."""
-    tv = t * vals
-    return (math.fsum(map(math.exp, vals.tolist())),
-            math.fsum(((-tv) * _exp(tv)).tolist()))
+    ``vals``, every term the same float the scalar loop gives (``_exps``
+    maps ``math.exp``; numpy's products are the same IEEE products), but
+    never an error or a nan: an exponential that underflows adds 0, and one
+    that overflows makes its sum inf (-inf for the t-weighted sum).
+    At t = 1, where t v is v, one exp pass serves both sums."""
+    if t == 1.0:
+        e = _exps(vals)
+        return _fsum(e), _weighted_sum(vals, e)
+    with np.errstate(over="ignore"):
+        tv = t * vals
+    return _fsum(_exps(vals)), _weighted_sum(tv, _exps(tv))
 
 
 def summability_report(pot: Potential, t: float = 1.0,

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -484,6 +485,47 @@ def _strict(constant):
     raise ValueError(f"non-JSON constant {constant}")
 
 
+_DECAY_CERTIFY = {"shift": {"rule": "renewal", "truncation": 5},
+                  "potential": {"family": "decay", "law": "log", "coef": 1.7},
+                  "depth": 3}
+
+
+@pytest.mark.parametrize("offset, t", [(0.0, 1e300), (1.0, 800.0)],
+                         ids=["huge_t", "overflow_t"])
+def test_certify_summability_survives_a_large_t(capsys, tmp_path, offset, t):
+    potential = dict(_DECAY_CERTIFY["potential"], offset=offset)
+    docs = []
+    for at in (t, 1.0):
+        code, out, err = run(capsys, tmp_path, "certify",
+                             dict(_DECAY_CERTIFY, potential=potential, t=at))
+        assert code == 0, err
+        docs.append(json.loads(out, parse_constant=_strict)["summability"])
+    assert docs[0].pop("t") == t and docs[1].pop("t") == 1.0
+    assert docs[0].pop("t_variant_summable") and docs[1].pop("t_variant_summable")
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("budget, message", [
+    (0, "word_budget must be a positive integer, got 0"),
+    (-5, "word_budget must be a positive integer, got -5"),
+    (True, "word_budget must be an integer, got True")])
+def test_certify_rejects_a_budget_that_scans_nothing(capsys, tmp_path, budget,
+                                                     message):
+    code, out, err = run(capsys, tmp_path, "certify",
+                         dict(_DECAY_CERTIFY, word_budget=budget))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_certify_with_a_one_word_budget(capsys, tmp_path):
+    code, out, err = run(capsys, tmp_path, "certify",
+                         dict(_DECAY_CERTIFY, word_budget=1))
+    assert code == 0, err
+    constants = json.loads(out)["constants"]
+    assert constants["budget_hit"] is True
+    assert constants["depths_scanned"] < 3
+
+
 def test_non_finite_values_are_null_in_strict_json(capsys, tmp_path):
     # no period-1 orbit runs through symbol 1, so the n = 1 entry is -inf
     cfg = dict(GOLDEN_PRESSURE, route="gurevich", a=1, n_max=4)
@@ -550,6 +592,48 @@ def test_writer_rejects_what_json_rejects(value):
         _json_dumps_text({"v": value})
     with pytest.raises(TypeError):
         cli._text({"v": value}, "\n")
+
+
+def _joined_table(names, lengths):
+    """The thresholds dict as certify built it before: later pairs replace
+    equal keys."""
+    return {a + "->" + b: v for a, row in zip(names, lengths.tolist())
+            for b, v in zip(names, row)}
+
+
+def _assert_pair_table_text(names, lengths):
+    # at certify's nesting: the document, then "mixing", then "thresholds"
+    def doc(table):
+        return {"mixing": {"thresholds": table}}
+
+    written = cli._text(doc(functools.partial(cli._pair_table_text, names,
+                                              lengths)), "\n")
+    table = _joined_table(names, lengths)
+    assert written == json.dumps(doc(table), sort_keys=True, indent=2)
+    assert written == cli._text(doc(table), "\n")
+
+
+@pytest.mark.parametrize("names", [
+    [str(i) for i in range(1, 13)],             # "1->" sorts before "10->"
+    ["b", "a-", "a", "a!", "a b", "é", 'q"', "back\\slash", "-", ""],
+    ["a", "a->b", "b", "b->a"],                 # "->" inside a name: sorted keys
+    ["1", "1", "2"],                            # names that print the same
+    ["x"], [],
+], ids=["integers", "punctuation", "arrows", "repeated", "one", "none"])
+def test_pair_table_writer_matches_the_dict_and_json_dumps(names):
+    rng = np.random.default_rng(len(names))
+    lengths = rng.integers(-3, 200, size=(len(names), len(names)))
+    _assert_pair_table_text(names, lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text("ab->é\"\\ %1", max_size=4), max_size=5), st.data())
+def test_pair_table_writer_matches_json_dumps_on_any_names(names, data):
+    lengths = np.array(data.draw(st.lists(
+        st.lists(st.integers(-10, 10 ** 6), min_size=len(names),
+                 max_size=len(names)), min_size=len(names), max_size=len(names))),
+        dtype=np.int64).reshape(len(names), len(names))
+    _assert_pair_table_text(names, lengths)
 
 
 def test_writer_rejects_a_key_that_is_not_a_string():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoshift import linalg, potentials
 from thermoshift import (AffinePotential, DecayPotential, FullShiftRule,
                          LocallyConstant, MatrixCocycle, RenewalRule,
                          ShiftModel, ValidationError, admissible_words,
@@ -302,6 +303,37 @@ def test_decay_first_level_checks_every_symbol_like_value(symbols):
             assert pot.first_level(shift, levels).tolist() == want
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("symbols", [
+    np.arange(1, 20001),
+    np.array(compact_approximation(RenewalRule(), 3).levels[-1].symbols),
+    # a sparse level alphabet, (1, 2, 7)
+    np.array(compact_approximation(FullShiftRule(), 1, seed=7).levels[0].symbols),
+], ids=["1..20000", "renewal-level", "sparse-level"])
+def test_table_backed_law_is_value_bitwise(symbols):
+    for pot in (DecayPotential("log", 2.0, 0.5), DecayPotential("log", 1.3),
+                DecayPotential("linear", 0.3, -1.0)):
+        assert _bits(pot._law(symbols)) == _bits([pot.value(int(i)) for i in symbols])
+
+
+def test_log_table_grows_without_changing_its_entries():
+    before = linalg._LOG_TABLE
+    assert not before.flags.writeable
+    top = len(before) + 100
+    want = [math.log(i) for i in range(1, top + 1)]
+    assert _bits(linalg._log_ints(np.arange(1, top + 1))) == _bits(want)
+    after = linalg._LOG_TABLE
+    assert len(after) == top + 1 and not after.flags.writeable
+    assert _bits(after[:len(before)]) == _bits(before)
+    # past the cap the integers are mapped directly, and the table stays
+    far = np.array([3, linalg._LOG_TABLE_CAP + 5])
+    assert _bits(linalg._log_ints(far)) == _bits([math.log(3), math.log(int(far[1]))])
+    assert linalg._LOG_TABLE is after
+
+
 # -- configuration ---------------------------------------------------------
 
 
@@ -402,6 +434,24 @@ def test_constants_report_budget(full2, bernoulli):
     assert rep.depths_scanned < 10
 
 
+@pytest.mark.parametrize("budget", [0, -5, True, 2.0])
+def test_constants_report_rejects_a_budget_that_scans_nothing(
+        monkeypatch, full2, bernoulli, budget):
+    def forbidden(*args):
+        raise AssertionError("a level was built before the budget was checked")
+
+    monkeypatch.setattr(potentials, "_levels", forbidden)
+    with pytest.raises(ValidationError,
+                       match="word_budget must be a positive integer"):
+        constants_report(full2, bernoulli, 3, word_budget=budget)
+
+
+def test_constants_report_budget_of_one_word(full2, bernoulli):
+    rep = constants_report(full2, bernoulli, 3, word_budget=1)
+    assert rep.budget_hit
+    assert rep.depths_scanned < 3
+
+
 # -- summability reports ---------------------------------------------------
 
 
@@ -414,13 +464,74 @@ def test_summability_decay_summable():
 
 
 @pytest.mark.parametrize("law, coef, offset, t", [
-    ("log", 2.0, 0.0, 1.3), ("log", 1.5, -0.25, 2.0), ("linear", 0.5, 1.0, 3.0)])
+    ("log", 2.0, 0.0, 1.3), ("log", 1.5, -0.25, 2.0), ("linear", 0.5, 1.0, 3.0),
+    # t = 1 shares one exp pass between the two sums
+    ("log", 2.0, 0.0, 1.0), ("log", 1.5, -0.25, 1.0), ("linear", 0.5, 1.0, 1.0)])
 def test_summability_decay_sums_are_the_per_value_sums(law, coef, offset, t):
     pot = DecayPotential(law, coef, offset)
     rep = summability_report(pot, t=t, terms=3000)
     f = [pot.value(i) for i in range(1, 3001)]
     assert rep.partial_sum == math.fsum(math.exp(v) for v in f)
     assert rep.partial_sum_t == math.fsum((-t * v) * math.exp(t * v) for v in f)
+
+
+@pytest.mark.parametrize("pot, t", [
+    (DecayPotential("log", 1.7), 1e300),          # (s - 1)**2 overflowed
+    (DecayPotential("log", 1.7, 1.0), 800.0),     # exp(t * f) overflowed
+    (DecayPotential("linear", 1e10), 1e300),      # t * f is -inf
+    (DecayPotential("log", 1.7, 1.0), -800.0),
+    (DecayPotential("log", 1.7, 800.0), 1.0),     # exp(f) overflows at t = 1
+    (DecayPotential("linear", 1.0, 800.0), 3.0),
+], ids=["huge-t", "overflow-t", "inf-tf", "negative-t", "huge-offset",
+        "linear-offset"])
+def test_summability_report_never_raises_or_gives_nan(pot, t):
+    with np.errstate(all="raise"):
+        rep = summability_report(pot, t=t)
+    numbers = [rep.partial_sum, rep.tail_bound, rep.partial_sum_t, rep.tail_bound_t]
+    assert not any(math.isnan(x) for x in numbers), rep
+    at_one = summability_report(pot, t=1.0)
+    assert rep[:3] == at_one[:3]
+    assert rep.t == t
+
+
+def test_summability_overflow_rules():
+    # a term whose exponential underflows adds 0, one that overflows makes
+    # its sum inf (-inf for the t-weighted sum, whose large terms are -t f e^{t f})
+    rep = summability_report(DecayPotential("log", 1.7, 1.0), t=800.0)
+    assert rep.partial_sum_t == -math.inf and rep.tail_bound_t == 0.0
+    rep = summability_report(DecayPotential("log", 1.7), t=1e300)
+    assert rep.partial_sum_t == 0.0     # 0 at i = 1, every other term underflows
+    rep = summability_report(DecayPotential("log", 1.7, 800.0), t=1.0)
+    assert rep.partial_sum == math.inf and rep.tail_bound == math.inf
+    assert rep.partial_sum_t == -math.inf
+
+
+def _plain_log_remainder(pot, X, t):
+    """The log-law remainder as the plain formula writes it:
+    e^{t offset} (s X^{1-s} (log X/(s-1) + 1/(s-1)^2) - t offset X^{1-s}/(s-1))."""
+    s = t * pot.coef
+    t1 = X ** (1.0 - s) / (s - 1.0)
+    t2 = X ** (1.0 - s) * (math.log(X) / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
+    return math.exp(t * pot.offset) * (s * t2 - t * pot.offset * t1)
+
+
+def test_weighted_log_tail_remainder_needs_no_overflowing_intermediate():
+    for pot, t in [(DecayPotential("log", 2.0), 2.0),
+                   (DecayPotential("log", 1.5, -0.25), 1.3)]:
+        assert pot.weighted_log_tail(50, t, terms=0) == pytest.approx(
+            _plain_log_remainder(pot, 50, t), rel=1e-13)
+    # e^{t offset} = e^800 overflows a float and X^{1-s} = 10^-399 underflows;
+    # their product, e^{800 - 399 log 10}, does not
+    pot, t, X = DecayPotential("log", 0.5, 1.0), 800.0, 10
+    with pytest.raises(OverflowError):
+        _plain_log_remainder(pot, X, t)
+    s = t * pot.coef
+    want = math.exp(t + (1 - s) * math.log(X)) * (
+        s * (math.log(X) / (s - 1) + 1 / (s - 1) ** 2) - t / (s - 1))
+    assert 0.0 < pot.weighted_log_tail(X, t, terms=0) == pytest.approx(want, rel=1e-12)
+    assert DecayPotential("log", 1.7).weighted_log_tail(X, 1e300, terms=0) == 0.0
+    # 1 - e^{-c} is 0 in floats at c = 1e-20
+    assert math.isfinite(DecayPotential("linear", 1e-20).weighted_log_tail(10, 1.0, terms=0))
 
 
 def test_summability_flat_countable_potential_diverges():
