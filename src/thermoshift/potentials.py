@@ -191,9 +191,11 @@ class LocallyConstant(Potential):
         f = self.first_level(shift, blocks)
         if r == 1:
             sums = []
-            for last, parent, _ in levels:
-                step = f[last]
-                sums.append(step if not sums else sums[-1][parent] + step)
+            # a sum past the float range is its infinity, as the product is
+            with np.errstate(over="ignore"):
+                for last, parent, _ in levels:
+                    step = f[last]
+                    sums.append(step if not sums else sums[-1][parent] + step)
             return [(s, s) for s in sums]
         best, worst = _continuations(shift, blocks, f)
         out = []
@@ -335,7 +337,10 @@ class DecayPotential(Potential):
         """``value`` on an array of positive integers: the same float
         operations (``_log_ints`` reads ``math.log`` from a table), without
         the checks."""
-        return self.offset - self.coef * (_log_ints(symbols) if self.law == "log" else symbols)
+        # a product past the float range is -inf in f: weight 0, as intended
+        with np.errstate(over="ignore"):
+            return self.offset - self.coef * (
+                _log_ints(symbols) if self.law == "log" else symbols)
 
     @property
     def aa_const(self) -> float:
@@ -385,7 +390,7 @@ class DecayPotential(Potential):
             power, den = n ** (1.0 - s), s - 1.0
         else:
             c = t * self.coef
-            power, den = math.exp(-c * (n + 1)), 1.0 - math.exp(-c)
+            power, den = math.exp(-c * (n + 1)), -math.expm1(-c)  # not 0 at tiny c
         # a power that underflowed adds 0, also where the scale overflowed
         return scale * power / den if power else 0.0
 
@@ -664,7 +669,10 @@ def constants_report(shift: ShiftModel, pot: Potential, depth: int,
     scanned = len(levels)
     budget_hit = scanned < depth
     values = pot.level_extrema(shift, levels)
-    variations = [max(0.0, float((hi - lo).max())) for hi, lo in values]
+    # f_n constant on a cylinder varies by 0 there, also where it is one
+    # infinity: fmax passes over the nan of inf - inf
+    with np.errstate(invalid="ignore"):
+        variations = [float(np.fmax.reduce(hi - lo, initial=0.0)) for hi, lo in values]
     bv_emp = max(variations, default=0.0)
     aa_emp = 0.0
     if pot.depth is None:

@@ -708,15 +708,27 @@ def mixing_certificate(shift: ShiftModel) -> MixingCertificate:
     """Certify topological mixing by locating the primitive exponent.
 
     The graph is classified by :func:`_period` first; only a primitive one
-    enters the power loop, which Wielandt's bound (m-1)^2 + 1 ends.
+    enters the power walk of :func:`_walk_certificate`.
     """
     status = _mixing_status(_require_finite(shift))
     if status != "mixing":
         return MixingCertificate(status, None)
-    # The walk ends at the primitive exponent, within Wielandt's bound, so
-    # the thresholds are the true ones and the largest is the exponent.
+    return _walk_certificate(shift)
+
+
+def _walk_certificate(shift: ShiftModel) -> MixingCertificate | None:
+    """The mixing certificate read off the bounded power walk, or None when
+    no power of the adjacency up to Wielandt's bound (m-1)^2 + 1 is all
+    positive, that is, when the shift is not mixing.
+
+    A walk that reaches an all-positive power ends at the primitive
+    exponent, so the thresholds are the true ones and the largest is the
+    exponent: no period needs deciding first.
+    """
     lengths = _edge_thresholds(shift.adjacency.astype(np.float32),
                                slice(None), (shift.n_symbols - 1) ** 2 + 1)
+    if not lengths.all():           # no path of some pair at the bound
+        return None
     exponent = int(lengths.max())
     lengths += 1                    # edge counts to word lengths
     np.maximum(lengths, 2, out=lengths)
@@ -806,32 +818,71 @@ def _plain_interiors(adj: np.ndarray, feas: np.ndarray, starts: np.ndarray,
     return words
 
 
-def _fresh_feasibility(adjf: np.ndarray, feas: np.ndarray,
-                       fresh: np.ndarray) -> np.ndarray:
-    """fresh_feas[r, v]: a completion of r interior symbols from v to the
-    end of ``feas`` (one end's :func:`_feasibility` table) exists with at
-    least one ``fresh`` symbol in it."""
-    fresh_feas = np.zeros(feas.shape, dtype=bool)
-    for r in range(1, len(feas)):
-        fresh_feas[r] = (adjf @ ((fresh & feas[r - 1]) | fresh_feas[r - 1])) > 0.0
-    return fresh_feas
+def _bit_rows(table: np.ndarray) -> list:
+    """The rows of a boolean table as Python ints, bit v for column v (so a
+    set of symbol indices is one int and its smallest member is its lowest
+    bit), in lists nested as the table's leading axes."""
+    packed = np.packbits(table, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[at:at + width], "little")
+            for at in range(0, len(data), width)]
+    for size in reversed(packed.shape[1:-1]):
+        rows = [rows[at:at + size] for at in range(0, len(rows), size)]
+    return rows
 
 
-def _fresh_interior(adj: np.ndarray, feas: np.ndarray, fresh_feas: np.ndarray,
-                    start: int, length: int, fresh: np.ndarray) -> list[int]:
+def _bit_array(bits: int, m: int) -> np.ndarray:
+    """The set ``bits`` of indices below m as a boolean array of length m."""
+    data = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=m, bitorder="little").astype(bool)
+
+
+def _fresh_feasibility(adjf: np.ndarray, feas: np.ndarray, fresh: int) -> list:
+    """Per end of the :func:`_feasibility` table ``feas``, the bit rows of
+    fresh_feas[r, v]: a completion of r interior symbols from v to that end
+    exists with at least one symbol of the set ``fresh`` in it.  The ends
+    go through one matrix product per r."""
+    m = adjf.shape[0]
+    # [r, v, k]: v is fresh and r more symbols reach end k from it
+    through = feas[:, :-1].transpose(1, 2, 0) & _bit_array(fresh, m)[:, None]
+    fresh_feas = np.zeros((feas.shape[1], m, len(feas)), dtype=bool)
+    for r in range(1, feas.shape[1]):
+        np.greater(adjf @ (through[r - 1] | fresh_feas[r - 1]), 0.0,
+                   out=fresh_feas[r])
+    return _bit_rows(fresh_feas.transpose(2, 0, 1))
+
+
+def _fresh_interior(rows: list[int], feas: list[int], fresh_feas: list[int],
+                    start: int, length: int, fresh: int) -> list[int] | None:
     """Lexicographically smallest interior of ``length`` symbols from
-    ``start`` to the end of ``feas`` among those with a ``fresh`` symbol;
-    ``fresh_feas`` (its :func:`_fresh_feasibility` table) must hold at
-    ``[length, start]``.  Exact reachability again spares backtracking."""
+    ``start`` to the end of ``feas`` among those with a symbol of ``fresh``,
+    by a greedy walk on bit rows (``rows``: the adjacency; ``feas`` and
+    ``fresh_feas``: that end's tables).  Exact reachability spares
+    backtracking.
+
+    ``fresh_feas`` may be stale: built under an earlier ``fresh`` that held
+    every symbol of today's, it only over-approximates.  At each step the
+    walk's candidates then contain the exact walk's, and it takes the
+    smallest.  If it ever takes a candidate outside the exact set, that
+    symbol is not fresh and no completion from it reaches a fresh symbol,
+    so no later step finds one either, and the last step, where only a
+    fresh symbol is a candidate (``fresh_feas[0]`` is empty), has none: the
+    walk returns None there, or wherever a step has no candidate.  A word
+    it returns thus took the exact candidate at every step: it is the
+    exact interior.
+    """
     word = []
     v = start
     need_fresh = True
     for r in range(length, 0, -1):
-        allowed = adj[v] & feas[r - 1]
+        allowed = rows[v] & feas[r - 1]
         if need_fresh:
             allowed &= fresh | fresh_feas[r - 1]
-        v = int(np.argmax(allowed))
-        need_fresh = need_fresh and not fresh[v]
+            if not allowed:
+                return None
+        v = (allowed & -allowed).bit_length() - 1
+        need_fresh = need_fresh and not fresh >> v & 1
         word.append(v)
     return word
 
@@ -856,11 +907,14 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     The pairs are searched in order, each seeing the symbols the ones before
     it added.  Exact-length reachability tables make every search a greedy
     walk without backtracking.  The plain walks of all pairs run as one
-    vectorised walk per length; the fresh-preferring walk runs only where a
-    completion through an unused symbol exists, and each such walk adds a
-    symbol, so a level runs at most as many as it gains symbols.  The level
-    alphabet is the union of seeds and connector symbols; the level shift
-    inherits every ambient edge on it.
+    vectorised walk per length.  The fresh-preferring walk runs on bit rows
+    where its end's table admits a completion through an unused symbol.
+    Those tables are built for every end at once and kept across picks: a
+    stale one only over-approximates, so it is rebuilt only when a walk on
+    it is rejected (see :func:`_fresh_interior`), and the search stops once
+    no unused symbol is left.  The level alphabet is the union of seeds and
+    connector symbols; the level shift inherits every ambient edge on it,
+    and the power walk of :func:`_walk_certificate` certifies it.
 
     ``ambient`` may be an :class:`AmbientRule` (countable shift; searches run
     inside an automatically sized working truncation of m symbols, and
@@ -934,38 +988,53 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
         plain = {tag: _symbol_tuples(work, _plain_interiors(adj, feas, idx, n))
                  for tag, n in lengths.items()}
 
-        # Only where a completion through a fresh symbol exists does a
-        # pair's interior differ from its plain one.
-        fresh = np.ones(len(work.symbols), dtype=bool)
-        fresh[idx] = False
-        fresh_tables: dict = {}     # per end, under the current ``fresh``
-        known = set(seeds)
-        level_connectors: dict = {}
-        for i, a in enumerate(order):
-            for k, b in enumerate(order):
-                found = {}
-                for tag, length in lengths.items():
-                    if k not in fresh_tables:
-                        fresh_tables[k] = _fresh_feasibility(adjf, feas[k], fresh)
-                    if fresh_tables[k][length, idx[i]]:
-                        interior = _fresh_interior(adj, feas[k], fresh_tables[k],
-                                                   idx[i], length, fresh)
-                        fresh[interior] = False
-                        fresh_tables.clear()
-                        found[tag] = tuple(work.symbols[v] for v in interior)
-                        known.update(found[tag])
-                    else:
-                        found[tag] = plain[tag][i * len(order) + k]
-                level_connectors[(a, b)] = found
-        level_symbols = sorted(known, key=_symbol_order)
+        # Every pair keeps its plain interior unless a completion through a
+        # fresh symbol exists; the search for one stops once none is left.
+        level_connectors = {(a, b): {tag: plain[tag][i * len(order) + k]
+                                     for tag in lengths}
+                            for i, a in enumerate(order) for k, b in enumerate(order)}
+        starts = idx.tolist()
+        fresh = (1 << len(work.symbols)) - 1 & ~sum(1 << v for v in starts)
+        rows = _bit_rows(adj)
+        end_feas = _bit_rows(feas)
+        # per end, kept across picks; built under the fresh set of the pairs
+        # before, a table only over-approximates, so its 0 is exact
+        fresh_feas = _fresh_feasibility(adjf, feas, fresh)
+        queries = ((i, k, tag) for i in range(len(order)) for k in range(len(order))
+                   for tag in lengths)
+        for i, k, tag in queries:
+            if not fresh:
+                break
+            start, length = starts[i], lengths[tag]
+            if not fresh_feas[k][length] >> start & 1:
+                continue
+            interior = _fresh_interior(rows, end_feas[k], fresh_feas[k], start,
+                                       length, fresh)
+            if interior is None:    # stale: rebuilt, the table is exact
+                fresh_feas[k] = _fresh_feasibility(adjf, feas[k:k + 1], fresh)[0]
+                if not fresh_feas[k][length] >> start & 1:
+                    continue
+                interior = _fresh_interior(rows, end_feas[k], fresh_feas[k], start,
+                                           length, fresh)
+            for v in interior:
+                fresh &= ~(1 << v)
+            level_connectors[(order[i], order[k])][tag] = tuple(
+                work.symbols[v] for v in interior)
+        level_symbols = sorted((s for v, s in enumerate(work.symbols)
+                                if not fresh >> v & 1), key=_symbol_order)
         if rule is not None:
             model = _rule_model(rule, level_symbols, assumed_mixing=False)
         else:
             model = ambient.restrict(level_symbols)
-        cert = mixing_certificate(model)
-        if not cert.mixing:
+        # A level is primitive by construction (each seed pair (a, a) closes
+        # walks of n_k and n_k + 1 edges, and every level symbol lies on a
+        # connector between seeds), so the walk alone certifies it; should
+        # it fail, the period names the status.
+        cert = _walk_certificate(model)
+        if cert is None:
             raise ConstructionFailure(
-                f"level shift on alphabet {level_symbols!r} is not mixing ({cert.status})")
+                f"level shift on alphabet {level_symbols!r} is not mixing "
+                f"({_mixing_status(model)})")
         levels.append(model)
         n_values.append(n_k)
         connectors.append(level_connectors)

@@ -505,6 +505,19 @@ def test_certify_summability_survives_a_large_t(capsys, tmp_path, offset, t):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("law, coef", [("linear", 1e-20), ("log", 1e308)],
+                         ids=["linear_tiny", "coef_huge"])
+def test_certify_decay_tails_at_extreme_coefficients(capsys, tmp_path, law, coef):
+    # a linear rate whose 1 - e^{-c} rounds to 0, and a log law whose
+    # products pass the float range
+    potential = {"family": "decay", "law": law, "coef": coef}
+    code, out, err = run(capsys, tmp_path, "certify",
+                         dict(_DECAY_CERTIFY, potential=potential))
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["summability"]["verdict"] == "summable"
+
+
 @pytest.mark.parametrize("budget, message", [
     (0, "word_budget must be a positive integer, got 0"),
     (-5, "word_budget must be a positive integer, got -5"),

@@ -123,6 +123,15 @@ def test_linear_tail_bound_is_exact_geometric():
     assert got == pytest.approx(brute, rel=1e-12)
 
 
+def test_linear_tail_bound_at_a_rate_below_the_float_spacing_of_one():
+    # 1 - e^{-c} rounds to 0 below c ~ 1.1e-16; the series is still summable
+    for coef in (1e-20, 1e-300):
+        pot = DecayPotential("linear", coef)
+        # sum_{i>10} e^{-ci} = e^{-11c} / (1 - e^{-c}), and e^{-11c} rounds to 1
+        assert pot.tail_weight_bound(10) == pytest.approx(1.0 / coef, rel=1e-12)
+    assert DecayPotential("linear", 1e-20).tail_weight_bound(10, t=1e-300) == math.inf
+
+
 def test_weighted_log_tail_upper_bounds_brute_force():
     pot = DecayPotential("log", 2.0)
     t = 2.0
@@ -317,6 +326,16 @@ def test_table_backed_law_is_value_bitwise(symbols):
     for pot in (DecayPotential("log", 2.0, 0.5), DecayPotential("log", 1.3),
                 DecayPotential("linear", 0.3, -1.0)):
         assert _bits(pot._law(symbols)) == _bits([pot.value(int(i)) for i in symbols])
+
+
+def test_law_past_the_float_range_is_minus_inf_without_a_warning():
+    # the suite turns a RuntimeWarning into an error, so an overflow warning
+    # in the product raises here
+    symbols = np.arange(1, 50)
+    for pot in (DecayPotential("log", 1e308), DecayPotential("linear", 1e308, 2.0)):
+        got = pot._law(symbols)
+        assert _bits(got) == _bits([pot.value(int(i)) for i in symbols])
+        assert np.isneginf(got[-1]) and np.isfinite(got[0])
 
 
 def test_log_table_grows_without_changing_its_entries():

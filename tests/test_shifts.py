@@ -22,8 +22,8 @@ from thermoshift import (BudgetExceeded, ConstructionFailure, DecayPotential,
                          periodic_points, pressure_curve, rpf_equilibrium,
                          shift_from_config, transfer_pressure, word_levels)
 from thermoshift import cli, shifts
-from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _edge_thresholds,
-                                _feasibility, _fresh_feasibility,
+from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _bit_rows,
+                                _edge_thresholds, _feasibility, _fresh_feasibility,
                                 _fresh_interior, _period,
                                 _plain_interiors, _strong_components)
 
@@ -717,11 +717,12 @@ def connector_interior(adj, start, end, length, fresh):
     walk where a fresh completion exists, the plain batched one otherwise."""
     adj = np.array(adj, dtype=bool)
     adjf = adj.astype(np.float32)
-    fresh = np.array(fresh, dtype=bool)
+    fresh = sum(1 << v for v, f in enumerate(fresh) if f)
     feas = _feasibility(adjf, [end], length)
-    fresh_feas = _fresh_feasibility(adjf, feas[0], fresh)
-    if fresh_feas[length, start]:
-        return tuple(_fresh_interior(adj, feas[0], fresh_feas, start, length, fresh))
+    fresh_feas = _fresh_feasibility(adjf, feas, fresh)[0]
+    if fresh_feas[length] >> start & 1:
+        return tuple(_fresh_interior(_bit_rows(adj), _bit_rows(feas[0]), fresh_feas,
+                                     start, length, fresh))
     if feas[0, length, start]:
         return tuple(_plain_interiors(adj, feas, np.array([start]), length)[0].tolist())
     return None
@@ -949,6 +950,103 @@ def test_connector_search_matches_sequential_reference_on_countable_rules(rule):
             assert approximation_fields(approx) == (
                 want[0][:k], want[1][:k], want[2][:k], want[3][:k], want[4])
             assert all(level.ambient is rule for level in approx.levels)
+
+
+@pytest.fixture
+def fresh_search(monkeypatch):
+    """Counts of the fresh-connector search: ends whose fresh table was
+    built, and walks that gave an interior or were rejected (a stale table
+    led them away from every fresh symbol)."""
+    counts = {"tables": 0, "picks": 0, "rejected": 0}
+    build, walk = shifts._fresh_feasibility, shifts._fresh_interior
+
+    def counting_build(adjf, feas, fresh):
+        counts["tables"] += len(feas)
+        return build(adjf, feas, fresh)
+
+    def counting_walk(*args):
+        word = walk(*args)
+        counts["picks" if word is not None else "rejected"] += 1
+        return word
+
+    monkeypatch.setattr(shifts, "_fresh_feasibility", counting_build)
+    monkeypatch.setattr(shifts, "_fresh_interior", counting_walk)
+    return counts
+
+
+def assert_walk_certificates(approx):
+    # each level's certificate, read off the power walk alone, is the one
+    # the period-first public function gives
+    for level, cert in zip(approx.levels, approx.certificates):
+        want = mixing_certificate(level)
+        assert (cert.status, cert.primitive_exponent) == (want.status,
+                                                          want.primitive_exponent)
+        assert np.array_equal(cert.lengths, want.lengths)
+
+
+def random_sparse_ambients(count, rng):
+    """Primitive shifts of 9-30 symbols: a cycle through every symbol and a
+    few random edges, with every pair joined at each length from 20 edges
+    on (the first level's depth bound)."""
+    while count:
+        n = int(rng.integers(9, 31))
+        order = rng.permutation(n)
+        edges = {(int(a), int(b)) for a, b in zip(order, np.roll(order, -1))}
+        extra = rng.integers(0, n, (int(rng.integers(1, n)), 2))
+        edges |= {(int(a), int(b)) for a, b in extra}
+        shift = ShiftModel.from_edges(range(n), sorted(edges))
+        if (mixing_certificate(shift).primitive_exponent or 99) <= 20:
+            yield shift, int(rng.integers(1, 4))
+            count -= 1
+
+
+def test_connector_search_matches_sequential_reference_at_benchmark_sizes(fresh_search):
+    # the benchmark's largest renewal task: tables go stale after every pick
+    rule = RenewalRule()
+    want, _ = reference_approximation(rule, 4, 1)
+    approx = compact_approximation(rule, 4, 1)
+    assert approximation_fields(approx) == want
+    assert_walk_certificates(approx)
+    # one table per end and level, and one more per rejected stale walk
+    assert fresh_search["rejected"] >= 1
+    ends = sum(len(level.symbols) for level in approx.levels[:-1]) + 1
+    assert fresh_search["tables"] == ends + fresh_search["rejected"]
+
+
+def test_full_shift_picks_outnumber_fresh_tables(fresh_search):
+    # on the full shift a stale table keeps serving its end across picks
+    for seed in (1, 6, 12):
+        approx = compact_approximation(FullShiftRule(), 3, seed)
+        assert [level.n_symbols for level in approx.levels] == [3, 21, 144]
+        assert_walk_certificates(approx)
+    assert fresh_search["tables"] < fresh_search["picks"]
+
+
+def test_connector_search_matches_sequential_reference_on_sparse_ambients(fresh_search):
+    stale = 0
+    for ambient, k_max in random_sparse_ambients(30, np.random.default_rng(36)):
+        before = fresh_search["rejected"]
+        want, _ = reference_approximation(ambient, k_max)
+        approx = compact_approximation(ambient, k_max)
+        assert approximation_fields(approx) == want
+        assert_walk_certificates(approx)
+        stale += fresh_search["rejected"] > before
+    assert stale >= 10  # a table went stale between picks in these cases
+
+
+@pytest.mark.parametrize("level, status", [
+    (ShiftModel.from_edges((1, 2), [(1, 2), (2, 1)]), "periodic"),
+    (ShiftModel.from_edges((1, 2), [(1, 1), (1, 2), (2, 2)]), "reducible")])
+def test_a_level_that_is_not_mixing_is_refused(monkeypatch, level, status):
+    build = shifts._rule_model
+
+    def level_model(rule, symbols, assumed_mixing):
+        # the working truncation is built as before; the level is replaced
+        return build(rule, symbols, assumed_mixing) if assumed_mixing else level
+
+    monkeypatch.setattr(shifts, "_rule_model", level_model)
+    with pytest.raises(ConstructionFailure, match=rf"is not mixing \({status}\)"):
+        compact_approximation(RenewalRule(), 1)
 
 
 def test_working_truncation_is_bounded_before_allocation(monkeypatch, capsys, tmp_path):
