@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import NumericalError, ValidationError, config_number
 from .measures import gibbs_certificate, gibbs_construct
 from .potentials import (constants_report, potential_from_config,
@@ -174,6 +176,26 @@ def _pair_table_text(names: list, lengths, nl: str) -> str:
     return "{" + "".join(body)[1:] + nl + "}"
 
 
+def _masses_text(names: list, rows, masses, nl: str) -> str:
+    """``_text(table, nl)`` for ``table = {",".join(names[i] for i in row):
+    mass}`` over the rows of ``rows`` (symbol indices, ``names`` the
+    symbols as str) and their ``masses``, written without building
+    ``table``: each key is spelled and quoted once, and the keys are sorted
+    as strings.  Where two rows spell one key, the dict is built (the later
+    row's mass replacing the earlier) and written."""
+    spelled = np.array(names, dtype=object)[rows].tolist()
+    keys = list(map(",".join, spelled))
+    values = masses.tolist()
+    if not keys or len(set(keys)) < len(keys):
+        return _text(dict(zip(keys, values)), nl)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    body = map(": ".join, zip(map(_quote, map(keys.__getitem__, order)),
+                              map(_SCALAR_TEXT[float],
+                                  map(values.__getitem__, order))))
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join(body) + nl + "}"
+
+
 def _doc(command: str, fields: dict, shift=None) -> str:
     """The JSON document of ``command``: ``fields`` plus the schema version,
     the command name and, given a shift, its fingerprint.  Strict JSON:
@@ -258,7 +280,8 @@ def _cmd_gibbs(cfg: dict) -> str:
         "source": mu.source,
         "pressure": pressure,
         "invariance_defect": mu.invariance_defect(),
-        "masses": {_word_key(w): v for w, v in mu.weights.items()},
+        "masses": functools.partial(_masses_text, list(map(str, shift.symbols)),
+                                    mu.rows, mu.masses),
         "certificate": {
             "c_lower": cert.c_lower,
             "c_upper": cert.c_upper,

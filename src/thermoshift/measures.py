@@ -17,7 +17,10 @@ measure through ``level_masses(levels)``: the mass of every row of each
 level of the word-level engine (:func:`~thermoshift.shifts.word_levels`,
 ``(last, parent, suffix)`` triples), one array per level, as
 ``Potential.level_extrema`` gives the potential.  Both measure types
-provide it, and ``mass(word)`` remains the per-word query.
+provide it, and ``mass(word)`` remains the per-word query.  A measure
+built on engine levels keeps them: the estimators scan its own levels and
+read its level masses, computed once, instead of enumerating the words
+again.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ class CylinderMeasure:
 
     The support is held as arrays in insertion order: ``rows`` holds one
     word per row as symbol indices (positions in ``shift.symbols``) and
-    ``masses`` its normalised mass.  When the measure was built on an engine
-    level, ``_engine`` is that level (of :func:`word_levels`) and ``_at``
-    each row's position in it; else both are ``None``.  Measures compare
-    by identity."""
+    ``masses`` its normalised mass.  When the measure was built on engine
+    levels, ``_engine`` is the list of them (levels 1..depth of
+    :func:`word_levels`) and ``_at`` each row's position in the last; else
+    both are ``None``.  Measures compare by identity."""
 
     def __init__(self, shift: ShiftModel, depth: int, rows: np.ndarray,
                  masses: np.ndarray, source: str = "raw"):
@@ -91,20 +94,21 @@ class CylinderMeasure:
     def _from_level(cls, shift: ShiftModel, levels: list,
                     weights: np.ndarray, source: str) -> "CylinderMeasure":
         """The measure with nonnegative ``weights`` on the rows of the last
-        of ``levels`` (engine levels 1..depth); its words are admissible by
-        construction, so they skip the checks of :meth:`from_weights`."""
+        of ``levels`` (engine levels 1..depth, which it keeps); its words
+        are admissible by construction, so they skip the checks of
+        :meth:`from_weights`."""
         at = np.flatnonzero(weights > 0)
         return cls._normalised(shift, _words(levels, at), weights[at], source,
-                               at, levels[-1])
+                               at, levels)
 
     @classmethod
     def _normalised(cls, shift, rows, masses, source, at=None,
-                    level=None) -> "CylinderMeasure":
+                    levels=None) -> "CylinderMeasure":
         total = _running_sum(masses)
         if total <= 0:
             raise ValidationError("measure has no mass")
         measure = cls(shift, rows.shape[1], rows, masses / total, source)
-        measure._at, measure._engine = at, level
+        measure._at, measure._engine = at, levels
         return measure
 
     @cached_property
@@ -120,18 +124,22 @@ class CylinderMeasure:
         """Mass of every row of each engine level of this measure's shift,
         one array per level as :meth:`Potential.level_extrema` returns them.
         Each support row is mapped to its level-n ancestor and the masses
-        are added in insertion order, the order of :meth:`level`.  Rows that
-        are not engine rows of the last level are located by walk."""
+        are added in insertion order, the order of :meth:`level`.  A measure
+        on engine rows reads the prefix of its own level masses (read-only
+        arrays, computed once); other rows are located by walk."""
         top = len(levels)
         self._require_depth(top)
-        at = (self._at if top == self.depth and self._at is not None
-              else _locate(self.shift, levels, self.rows[:, :top]))
-        out = []
-        for n in range(top, 0, -1):
-            out.append(np.bincount(at, weights=self.masses,
-                                   minlength=len(levels[n - 1].last)))
-            at = levels[n - 1].parent[at]
-        return out[::-1]
+        if self._engine is not None:
+            return self._engine_masses[:top]
+        at = _locate(self.shift, levels, self.rows[:, :top])
+        return _ancestor_masses(levels, at, self.masses)
+
+    @cached_property
+    def _engine_masses(self) -> list[np.ndarray]:
+        out = _ancestor_masses(self._engine, self._at, self.masses)
+        for mu in out:
+            mu.flags.writeable = False
+        return out
 
     def level(self, k: int) -> dict:
         """Depth-k marginal, 1 <= k <= depth."""
@@ -173,8 +181,8 @@ class CylinderMeasure:
             key = np.unique(np.concatenate([self.rows[:, :-1], self.rows[:, 1:]]),
                             axis=0, return_inverse=True)[1].ravel()
         else:
-            key = np.concatenate([self._engine.parent[self._at],
-                                  self._engine.suffix[self._at]])
+            key = np.concatenate([self._engine[-1].parent[self._at],
+                                  self._engine[-1].suffix[self._at]])
         bins = int(key.max()) + 1
         short = np.bincount(key[:n], self.masses, minlength=bins)
         pre = np.bincount(key[n:], self.masses, minlength=bins)
@@ -185,11 +193,28 @@ class CylinderMeasure:
             raise ValidationError(
                 f"cylinder of length {n} not determined at depth {self.depth}")
 
-    def _check_scan(self, shift: ShiftModel, n: int) -> None:
-        """Reject, before any word is enumerated, a scan of another shift or
-        of words longer than the measure determines."""
+    def _scan_levels(self, shift: ShiftModel, n: int) -> list:
+        """Engine levels 1..n for a scan of ``shift`` by this measure: its
+        own where it holds them, else built.  Rejects, before any word is
+        enumerated, a scan of another shift or of words longer than the
+        measure determines."""
         _check_shift(self.shift, shift)
         self._require_depth(n)
+        if self._engine is not None:
+            return self._engine[:n]
+        return word_levels(shift, n)
+
+
+def _ancestor_masses(levels: list, at: np.ndarray,
+                     masses: np.ndarray) -> list[np.ndarray]:
+    """The ``masses`` of rows ``at`` of the last of ``levels`` added up on
+    each level, in row order: row by row, ``at`` is walked up ``parent``."""
+    out = []
+    for n in range(len(levels), 0, -1):
+        out.append(np.bincount(at, weights=masses,
+                               minlength=len(levels[n - 1].last)))
+        at = levels[n - 1].parent[at]
+    return out[::-1]
 
 
 def _check_shift(own: ShiftModel, shift: ShiftModel) -> None:
@@ -364,8 +389,9 @@ class RPFEquilibrium:
         """integral of f_1 for the stationary chain."""
         return math.fsum((self.pi * self.f).tolist())
 
-    def _check_scan(self, shift: ShiftModel, n: int) -> None:
+    def _scan_levels(self, shift: ShiftModel, n: int) -> list:
         _check_shift(self.shift, shift)
+        return word_levels(shift, n)
 
 
 def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
@@ -428,11 +454,10 @@ def entropy_estimate(shift: ShiftModel, measure, n_max: int) -> EntropyEstimate:
     H_n / n decreases to the entropy for invariant measures; the difference
     H_n - H_{n-1} converges faster and is exact for Markov measures."""
     _check_positive_int(n_max, "n_max")
-    measure._check_scan(shift, n_max)
+    levels = measure._scan_levels(shift, n_max)
     seq = []
     prev_H = 0.0
     value = math.nan
-    levels = word_levels(shift, n_max)
     for n, mu in enumerate(measure.level_masses(levels), start=1):
         mu = mu[mu > 0]
         H = math.fsum((-mu * _log(mu)).tolist())
@@ -456,10 +481,9 @@ def lyapunov(shift: ShiftModel, pot: Potential, measure,
     the sequence an upper scheme whose running minimum estimates the
     exponent."""
     _check_positive_int(n_max, "n_max")
-    measure._check_scan(shift, n_max)
+    levels = measure._scan_levels(shift, n_max)
     seq = []
     best = math.inf
-    levels = word_levels(shift, n_max)
     for n, (mu, (hi, _)) in enumerate(
             zip(measure.level_masses(levels), pot.level_extrema(shift, levels)),
             start=1):
@@ -497,8 +521,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
         raise ValidationError("empty range of word lengths")
     for n in ns:
         _check_positive_int(n, "word length")
-    measure._check_scan(shift, max(ns))
-    levels = word_levels(shift, max(ns))
+    levels = measure._scan_levels(shift, max(ns))
     values = pot.level_extrema(shift, levels)
     masses = measure.level_masses(levels)
     c_lo = math.inf
@@ -558,11 +581,13 @@ def tight_set(pot: DecayPotential, t: float, eps: float, m_max: int,
         budget = (eps / 2.0 ** (m + 1)) * scale
         n = _smallest_n(lambda k: pot.tail_weight_bound(k, t), budget)
         # strict numeric confirmation (partial sum + remainder bound)
-        while pot.tail_weight_numeric(n, t) >= budget:
+        tail = pot.tail_weight_numeric(n, t)
+        while tail >= budget:
             n += 1
+            tail = pot.tail_weight_numeric(n, t)
         cutoffs.append(n)
         targets.append(eps / 2.0 ** (m + 1))
-        tails.append(pot.tail_weight_numeric(n, t))
+        tails.append(tail)
     return TightSet(eps, t, s_lower, tuple(cutoffs), tuple(targets),
                     tuple(tails))
 

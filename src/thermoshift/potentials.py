@@ -398,9 +398,13 @@ class DecayPotential(Potential):
         """Partial tail sum plus a bound on the remainder."""
         if not self.summable(t):
             return math.inf
-        partial = math.fsum(math.exp(t * self.value(i))
-                            for i in range(n + 1, n + terms + 1))
-        return partial + self.tail_weight_bound(n + terms, t)
+        if terms > 0:
+            self.value(n + 1)   # a first symbol that is not a positive integer
+        # the floats of math.exp(t * value(i)), inf where a term or the sum
+        # passes the float range
+        with np.errstate(over="ignore"):
+            tv = t * self._law(np.arange(n + 1, n + terms + 1))
+        return _fsum(_exps(tv)) + self.tail_weight_bound(n + terms, t)
 
     def weighted_log_tail(self, n: int, t: float, terms: int = 20000) -> float:
         """sum_{i>n} (-t*f_1|[i]) * exp(t*f_1|[i]), partial sum plus remainder bound.
@@ -495,7 +499,9 @@ class MatrixCocycle(Potential):
     def level_extrema(self, shift, levels):
         """Batched prefix products P[word] = P[parent] @ A[last symbol], each
         row rescaled by its norm (kept in a log scale) once that leaves
-        [1e-100, 1e100]."""
+        [1e-100, 1e100] past level 1.  The products are positive, so the
+        max-row-sum norm needs no ``abs``; it is taken once per row, and
+        again only on the rows just rescaled."""
         mats = [self._mats.get(s) for s in shift.symbols]
         missing = np.array([m is None for m in mats])
         dim = next(iter(self._mats.values())).shape[0]
@@ -510,12 +516,13 @@ class MatrixCocycle(Potential):
                 prod, logscale = stack[last], np.zeros(len(last))
             else:
                 prod, logscale = prod[parent] @ stack[last], logscale[parent]
-                nrm = np.abs(prod).sum(axis=2).max(axis=1)
-                far = (nrm > 1e100) | (nrm < 1e-100)
-                if far.any():
-                    logscale[far] += _log(nrm[far])
-                    prod[far] /= nrm[far, None, None]
-            value = logscale + _log(np.abs(prod).sum(axis=2).max(axis=1))
+            nrm = prod.sum(axis=2).max(axis=1)
+            far = (nrm > 1e100) | (nrm < 1e-100)
+            if out and far.any():
+                logscale[far] += _log(nrm[far])
+                prod[far] /= nrm[far, None, None]
+                nrm[far] = prod[far].sum(axis=2).max(axis=1)
+            value = logscale + _log(nrm)
             out.append((value, value))
         return out
 

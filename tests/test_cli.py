@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import cli, shifts
+from thermoshift import (CylinderMeasure, LocallyConstant, ShiftModel, cli,
+                         gibbs_construct, shifts)
 from thermoshift.cli import main
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -647,6 +649,50 @@ def test_pair_table_writer_matches_json_dumps_on_any_names(names, data):
                  max_size=len(names)), min_size=len(names), max_size=len(names))),
         dtype=np.int64).reshape(len(names), len(names))
     _assert_pair_table_text(names, lengths)
+
+
+def _assert_masses_text(mu):
+    # at gibbs's nesting: the document, then "masses"
+    written = cli._text({"masses": functools.partial(
+        cli._masses_text, [str(s) for s in mu.shift.symbols], mu.rows,
+        mu.masses)}, "\n")
+    table = {cli._word_key(w): v for w, v in mu.weights.items()}
+    assert written == cli._text({"masses": table}, "\n")
+    if np.isfinite(mu.masses).all():
+        assert written == json.dumps({"masses": table}, sort_keys=True, indent=2)
+
+
+def _cesaro(shift, depth, seed):
+    rng = np.random.default_rng(seed)
+    table = {(a, b): float(v) for (a, b), v in zip(
+        ((a, b) for a in shift.symbols for b in shift.symbols),
+        rng.uniform(-1.0, 0.0, shift.n_symbols ** 2))}
+    pot = LocallyConstant(table, 2)
+    return gibbs_construct(shift, pot, 1.3, depth + 1, 2, depth)
+
+
+@pytest.mark.parametrize("symbols, depth", [
+    (list(range(12)), 2),                       # "10" sorts before "2"
+    (["b", "a-", "a", "é", 'q"', "back\\slash", "", "%1"], 3),
+    ([1, "1", "a,b", "a", "b"], 3),             # words that print the same
+], ids=["twelve", "strings", "colliding"])
+def test_masses_writer_matches_the_dict(symbols, depth):
+    shift = ShiftModel(tuple(symbols), np.ones((len(symbols),) * 2, dtype=int))
+    mu = _cesaro(shift, depth, len(symbols))
+    _assert_masses_text(mu)
+    # the same masses given in shuffled order: rows are no longer in
+    # lexicographic order of indices
+    items = list(mu.weights.items())
+    random.Random(len(symbols)).shuffle(items)
+    _assert_masses_text(CylinderMeasure.from_weights(shift, depth, dict(items)))
+
+
+def test_masses_writer_writes_non_finite_masses_as_null():
+    shift = ShiftModel.full(3)
+    mu = _cesaro(shift, 2, 0)
+    masses = mu.masses.copy()
+    masses[[1, 4]] = [math.nan, math.inf]
+    _assert_masses_text(CylinderMeasure(shift, 2, mu.rows, masses))
 
 
 def test_writer_rejects_a_key_that_is_not_a_string():

@@ -399,6 +399,36 @@ def test_estimators_equal_the_per_word_reference(seed):
             (c_lo, c_hi, worst), name
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_scans_read_the_measures_own_levels(seed, monkeypatch):
+    # a Cesaro measure keeps engine levels 1..depth; a scan shallower than
+    # the measure reads a prefix of them and their masses, and gives the
+    # floats that the same rows and masses give through _locate
+    _, shift, pot, t = random_case(seed)
+    depth = 6
+    mu = gibbs_construct(shift, pot, t, depth + 2, 2, depth)
+    bare = CylinderMeasure(shift, depth, mu.rows, mu.masses, mu.source)
+    pressure = topological_pressure(shift, pot, t, depth).value
+    want = {n: (entropy_estimate(shift, bare, n), lyapunov(shift, pot, bare, n),
+                gibbs_certificate(shift, pot, t, bare, pressure, range(1, n + 1)))
+            for n in (1, 3, depth - 1, depth)}
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("an engine measure enumerated or located words")
+
+    monkeypatch.setattr(measures, "word_levels", no_walk)
+    monkeypatch.setattr(measures, "_locate", no_walk)
+    for n, (H, a, cert) in want.items():
+        assert entropy_estimate(shift, mu, n) == H, n
+        assert lyapunov(shift, pot, mu, n) == a, n
+        assert gibbs_certificate(shift, pot, t, mu, pressure,
+                                 range(1, n + 1)) == cert, n
+    # the level masses are computed once and shared, read-only
+    first = mu.level_masses(mu._engine[:2])
+    assert first[1] is mu.level_masses(mu._engine)[1]
+    assert not first[0].flags.writeable
+
+
 def test_estimators_reject_a_measure_of_another_shift(golden_mean,
                                                       bernoulli):
     full3 = ShiftModel.full(3)

@@ -142,6 +142,35 @@ def test_weighted_log_tail_upper_bounds_brute_force():
     assert got == pytest.approx(brute, rel=1e-3)
 
 
+def per_term_tail(pot, n, t, terms):
+    """``tail_weight_numeric`` as a generator over ``value``, term by term."""
+    partial = math.fsum(math.exp(t * pot.value(i))
+                        for i in range(n + 1, n + terms + 1))
+    return partial + pot.tail_weight_bound(n + terms, t)
+
+
+@pytest.mark.parametrize("law", ["log", "linear"])
+def test_numeric_tail_is_the_per_term_sum_bit_for_bit(law):
+    for coef, offset, t, n, terms in itertools.product(
+            (0.3, 2.0, 40.0), (0.0, 2.5), (0.5, 1.3, 7.0), (1, 1000, 70000),
+            (1, 50, 20000)):
+        pot = DecayPotential(law, coef, offset)
+        assert _bits(pot.tail_weight_numeric(n, t, terms)) == \
+            _bits(per_term_tail(pot, n, t, terms)), (coef, offset, t, n, terms)
+
+
+@pytest.mark.parametrize("law", ["log", "linear"])
+def test_numeric_tail_past_the_exp_range_is_infinite(law):
+    # exp(800 * (1 - 0.01 log 4)) overflows, where the per-term sum raised
+    pot = DecayPotential(law, 0.01, 1.0)
+    with pytest.raises(OverflowError):
+        per_term_tail(pot, 3, 800.0, 20000)
+    assert pot.tail_weight_numeric(3, 800.0) == math.inf
+    # a first symbol below 1 is refused, as ``value`` refused it
+    with pytest.raises(ValidationError):
+        pot.tail_weight_numeric(-1, 800.0)
+
+
 # -- matrix cocycles -------------------------------------------------------
 
 
@@ -162,6 +191,40 @@ def test_cocycle_rescaling_handles_long_words():
     pot = MatrixCocycle({0: [[1, 1], [1, 1]], 1: [[1, 1], [1, 1]]})
     # ||A^n|| = 2^n; at n = 600 the raw product would overflow
     assert pot.sup((0,) * 600) == pytest.approx(600 * math.log(2), rel=1e-12)
+
+
+def two_pass_extrema(pot, shift, levels):
+    """``MatrixCocycle.level_extrema`` as it took the norm: once to find the
+    rows to rescale and again, over every row, for the value."""
+    stack = np.stack([pot.matrices[s] for s in shift.symbols])
+    out = []
+    for last, parent, _ in levels:
+        if not out:
+            prod, logscale = stack[last], np.zeros(len(last))
+        else:
+            prod, logscale = prod[parent] @ stack[last], logscale[parent]
+            nrm = np.abs(prod).sum(axis=2).max(axis=1)
+            far = (nrm > 1e100) | (nrm < 1e-100)
+            if far.any():
+                logscale[far] += linalg._log(nrm[far])
+                prod[far] /= nrm[far, None, None]
+        value = logscale + linalg._log(np.abs(prod).sum(axis=2).max(axis=1))
+        out.append((value, value))
+    return out
+
+
+def test_cocycle_rescale_branch_is_the_two_pass_norm_bit_for_bit(full2):
+    # ||A_0^n|| ~ 1e30^n and ||A_1^n|| ~ 1e-30^n leave [1e-100, 1e100] from
+    # n = 4 on, so every level past the third rescales some rows
+    pot = MatrixCocycle({0: [[1e30, 2e30], [3e30, 1e30]],
+                         1: [[1e-30, 5e-31], [2e-30, 1e-30]]})
+    levels = word_levels(full2, 14)
+    got = pot.level_extrema(full2, levels)
+    want = two_pass_extrema(pot, full2, levels)
+    assert len(got) == len(want) == 14
+    for n, ((hi, lo), (w, _)) in enumerate(zip(got, want), start=1):
+        assert _bits(hi) == _bits(w) and hi is lo, n
+    assert got[-1][0].max() > 14 * 60 and got[-1][0].min() < -14 * 60
 
 
 def test_cocycle_validation():
