@@ -196,6 +196,28 @@ def _masses_text(names: list, rows, masses, nl: str) -> str:
     return "{" + inner + ("," + inner).join(body) + nl + "}"
 
 
+def _connectors_text(symbols, names: list, conns: dict, nl: str) -> str:
+    """``_text`` of one level's ``{a + "->" + b: {"c": [...], "e": [...]}}``
+    over its pairs' interiors ``conns``, the level's ``symbols`` spelled
+    (``names``) and quoted once, each key once, the keys sorted as strings.
+    Of two pairs that spell one key, the later in (str(a), str(b)) order is
+    written, as a dict built in that order keeps it."""
+    spelled = dict(zip(symbols, names))
+    quoted = dict(zip(symbols, map(_quote, names)))
+    pairs = sorted(conns.items(), key=lambda kv: (spelled[kv[0][0]], spelled[kv[0][1]]))
+    table = {spelled[a] + "->" + spelled[b]: found for (a, b), found in pairs}
+    pair_nl, tag_nl, word_nl = nl + "  ", nl + "    ", nl + "      "
+
+    def words(word) -> str:
+        return ("[" + word_nl + ("," + word_nl).join(map(quoted.__getitem__, word))
+                + tag_nl + "]") if word else "[]"
+
+    body = [f'{_quote(key)}: {{{tag_nl}"c": {words(found["c"])},'
+            f'{tag_nl}"e": {words(found["e"])}{pair_nl}}}'
+            for key, found in sorted(table.items())]
+    return "{" + pair_nl + ("," + pair_nl).join(body) + nl + "}" if body else "{}"
+
+
 def _doc(command: str, fields: dict, shift=None) -> str:
     """The JSON document of ``command``: ``fields`` plus the schema version,
     the command name and, given a shift, its fingerprint.  Strict JSON:
@@ -316,16 +338,9 @@ def _cmd_approx(cfg: dict) -> str:
     levels = []
     for level, n_k, conns in zip(approx.levels, approx.n_values,
                                  approx.connectors):
-        levels.append({
-            "alphabet": [str(s) for s in level.symbols],
-            "n": n_k,
-            "connectors": {
-                f"{a}->{b}": {"e": [str(s) for s in found["e"]],
-                              "c": [str(s) for s in found["c"]]}
-                for (a, b), found in sorted(conns.items(),
-                                            key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-            },
-        })
+        names = [str(s) for s in level.symbols]
+        levels.append({"alphabet": names, "n": n_k, "connectors": functools.partial(
+            _connectors_text, level.symbols, names, conns)})
     fields = {
         "k_max": k_max,
         "ambient_mixing_assumed": approx.ambient_mixing_assumed,

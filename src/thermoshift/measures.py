@@ -114,7 +114,7 @@ class CylinderMeasure:
     @cached_property
     def weights(self) -> dict:
         """The support as ``{word: mass}``, words as symbol tuples."""
-        return dict(zip(_symbol_tuples(self.shift, self.rows),
+        return dict(zip(_symbol_tuples(self.shift.symbols, self.rows),
                         self.masses.tolist()))
 
     def total(self) -> float:
@@ -152,7 +152,7 @@ class CylinderMeasure:
             keys, inverse = np.unique(self.rows[:, :k], axis=0,
                                       return_inverse=True)
             acc = np.bincount(inverse.ravel(), self.masses, minlength=len(keys))
-            self._levels[k] = dict(zip(_symbol_tuples(self.shift, keys),
+            self._levels[k] = dict(zip(_symbol_tuples(self.shift.symbols, keys),
                                        acc.tolist()))
         return self._levels[k]
 
@@ -408,8 +408,8 @@ def rpf_equilibrium(shift: ShiftModel, pot: Potential, t: float,
 
 def _equilibrium(shift: ShiftModel, block: tuple, t: float) -> RPFEquilibrium:
     """:func:`rpf_equilibrium` at t on a block of ``_spectral_block``."""
-    r, states, f, S1, C1 = block
-    S, rho, right, log_left, log_root = dominant_pair(S1.at(t), C1.at(t))
+    r, states, f, S1, column = block
+    S, rho, right, log_left, log_root = dominant_pair(S1.at(t), column().at(t))
     m, src, dst = S.op.size, S.op.src, S.op.dst
     with np.errstate(divide="ignore"):
         log_pi = log_left + np.log(right)
@@ -539,7 +539,7 @@ def gibbs_certificate(shift: ShiftModel, pot: Potential, t: float, measure,
         c_lo = min(c_lo, float(ratio.min()))
     if c_hi == 0.0:
         raise NumericalError("measure assigns no mass in the scanned range")
-    worst = _symbol_tuples(shift, _words(levels[:worst_n], worst_row))[0]
+    worst = _symbol_tuples(shift.symbols, _words(levels[:worst_n], worst_row))[0]
     bound = math.exp(t * pot.bv_const) * (1.0 + slack)
     passed = c_hi <= bound and c_lo > 0.0
     return GibbsCertificate(c_lo, c_hi, bound, slack, passed,

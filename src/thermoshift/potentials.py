@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, ValidationError, config_number
+from .errors import BudgetExceeded, NumericalError, ValidationError, config_number
 from .linalg import _log, _log_ints
 from .shifts import (Level, ShiftModel, _check_positive_int, _first_children,
                      _levels, _locate, _symbol_tuples, _words, word_levels)
@@ -227,7 +227,7 @@ class LocallyConstant(Potential):
         r = self._depth
         if len(levels) < r:
             raise ValidationError("block depth must cover the potential depth")
-        keys = _symbol_tuples(shift, _words(levels[:r]))
+        keys = _symbol_tuples(shift.symbols, _words(levels[:r]))
         vals = [self._table.get(k) for k in keys]
         if None in vals:
             raise ValidationError(
@@ -501,7 +501,8 @@ class MatrixCocycle(Potential):
         row rescaled by its norm (kept in a log scale) once that leaves
         [1e-100, 1e100] past level 1.  The products are positive, so the
         max-row-sum norm needs no ``abs``; it is taken once per row, and
-        again only on the rows just rescaled."""
+        again only on the rows just rescaled.  A norm that leaves the float
+        range within one step (0 or inf) raises :class:`NumericalError`."""
         mats = [self._mats.get(s) for s in shift.symbols]
         missing = np.array([m is None for m in mats])
         dim = next(iter(self._mats.values())).shape[0]
@@ -518,6 +519,9 @@ class MatrixCocycle(Potential):
                 prod, logscale = prod[parent] @ stack[last], logscale[parent]
             nrm = prod.sum(axis=2).max(axis=1)
             far = (nrm > 1e100) | (nrm < 1e-100)
+            if far.any() and not 0.0 < nrm[far].min() <= nrm[far].max() < math.inf:
+                raise NumericalError(
+                    f"cocycle products leave the float range at length {len(out) + 1}")
             if out and far.any():
                 logscale[far] += _log(nrm[far])
                 prod[far] /= nrm[far, None, None]

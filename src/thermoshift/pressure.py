@@ -30,6 +30,7 @@ difference.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -155,7 +156,7 @@ def weighted_block_matrix(shift: ShiftModel, pot: Potential, t: float,
         raise ValidationError("block depth must be >= 1")
     levels = word_levels(shift, depth + 1)
     B, f = _block_operator(shift, pot, t, levels)
-    return _symbol_tuples(shift, _words(levels[:depth])), B, f
+    return _symbol_tuples(shift.symbols, _words(levels[:depth])), B, f
 
 
 def _block_operator(shift: ShiftModel, pot: Potential, t: float, levels: list):
@@ -174,13 +175,14 @@ def _spectral_applies(shift: ShiftModel, pot: Potential) -> bool:
 
 def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
                     ts: Sequence[float]):
-    """(block depth, states, first-level values per state, row and column
-    scalings S and C) of the block operator at t = 1, whose scalings at t
-    are ``S.at(t)`` and ``C.at(t)``, once the potential is additive locally
-    constant, the shift primitive and every t in ``ts`` finite and >= 0
-    (checked in that order, all before the block is built).  The states
-    are engine levels 1..depth (:class:`~thermoshift.shifts._LevelWords`),
-    spelled as words only where a caller reads them."""
+    """(block depth, states, first-level values per state, row scaling S
+    and column scaling C) of the block operator at t = 1, whose scalings
+    at t are ``S.at(t)`` and ``C().at(t)``, once the potential is additive
+    locally constant, the shift primitive and every t in ``ts`` finite and
+    >= 0 (checked in that order, all before the block is built).  C is
+    solved on its first call, and once.  The states are engine levels
+    1..depth (:class:`~thermoshift.shifts._LevelWords`), spelled as words
+    only where a caller reads them."""
     if pot.depth is None:
         raise ValidationError(
             "spectral route needs an additive locally constant potential")
@@ -199,7 +201,7 @@ def _spectral_block(shift: ShiftModel, pot: Potential, depth: int | None,
     levels = word_levels(shift, r + 1)
     B, f = _block_operator(shift, pot, 1.0, levels)
     return (r, _LevelWords(shift, levels[:r]), f, B.bellman_scaled(),
-            B.T.bellman_scaled())
+            functools.cache(lambda: B.T.bellman_scaled()))
 
 
 def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
@@ -211,9 +213,10 @@ def transfer_pressure(shift: ShiftModel, pot: Potential, t: float,
     solved on whichever of the row scaling of B and the column scaling (the
     row scaling of Bᵀ) has the shallower Howard policy forest
     (:func:`~thermoshift.linalg.root_side`, the first half of
-    :func:`~thermoshift.linalg.dominant_pair`)."""
-    r, _, _, S, C = _spectral_block(shift, pot, depth, [t])
-    first, rho, _ = root_side(S.at(t), C.at(t))
+    :func:`~thermoshift.linalg.dominant_pair`).  Ties go to the row side,
+    so at row depth 0 it stands in for the unsolved column side."""
+    r, _, _, S, column = _spectral_block(shift, pot, depth, [t])
+    first, rho, _ = root_side(S.at(t), (S if S.depth == 0 else column()).at(t))
     return PressureEstimate(first.beta + math.log(rho), "transfer", t, r)
 
 

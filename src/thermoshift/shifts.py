@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +40,22 @@ def _matrix_codes(adjacency, m: int) -> np.ndarray:
     if not (adj.ravel()[edges] == 1).all():    # NaN, negative, 2, ...
         raise ValidationError("adjacency entries must be 0 or 1")
     return edges
+
+
+def _edge_record(codes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat edge codes i*m + j of a graph on m vertices as intp, and its
+    out-degrees, once checked: ascending, an edge in every row and column."""
+    edges = np.asarray(codes, dtype=np.intp)
+    if edges.ndim != 1 or (len(edges) and not (
+            0 <= edges[0] and edges[-1] < m * m and (edges[1:] > edges[:-1]).all())):
+        raise ValidationError("edge codes must be ascending flat indices i*m + j")
+    # row i of the codes is one run, from its start to the next row's
+    degree = np.diff(np.searchsorted(edges, np.arange(0, m * m + 1, m)))
+    if not degree.all():
+        raise ValidationError("adjacency has an all-zero row")
+    if not np.bincount(edges % m, minlength=m).all():
+        raise ValidationError("adjacency has an all-zero column")
+    return edges, degree
 
 
 class ShiftModel:
@@ -92,16 +108,7 @@ class ShiftModel:
             raise ValidationError("alphabet must be nonempty")
         if len(set(symbols)) != m:
             raise ValidationError("alphabet contains duplicate symbols")
-        edges = np.asarray(codes, dtype=np.intp)
-        if edges.ndim != 1 or (len(edges) and not (
-                0 <= edges[0] and edges[-1] < m * m and (edges[1:] > edges[:-1]).all())):
-            raise ValidationError("edge codes must be ascending flat indices i*m + j")
-        # row i of the codes is one run, from its start to the next row's
-        degree = np.diff(np.searchsorted(edges, np.arange(0, m * m + 1, m)))
-        if not degree.all():
-            raise ValidationError("adjacency has an all-zero row")
-        if not np.bincount(edges % m, minlength=m).all():
-            raise ValidationError("adjacency has an all-zero column")
+        edges, degree = _edge_record(codes, m)
         for array in (edges, degree):
             array.setflags(write=False)
         vars(self).update(symbols=symbols, ambient=ambient,
@@ -477,7 +484,7 @@ def word_levels(shift: ShiftModel, n: int, budget: int | None = None) -> list[Le
 
 def admissible_words(shift: ShiftModel, n: int, budget: int | None = None) -> list[tuple]:
     """All admissible words of length n, lexicographic in alphabet order."""
-    return _symbol_tuples(shift, _words(word_levels(shift, n, budget)))
+    return _symbol_tuples(shift.symbols, _words(word_levels(shift, n, budget)))
 
 
 def _words(levels: list, at: np.ndarray | None = None) -> np.ndarray:
@@ -494,12 +501,12 @@ def _words(levels: list, at: np.ndarray | None = None) -> np.ndarray:
     return words
 
 
-def _symbol_tuples(shift: ShiftModel, words: np.ndarray) -> list[tuple]:
-    """Rows of symbol indices as tuples of the shift's symbols."""
-    symbols = np.empty(shift.n_symbols, dtype=object)
-    for i, s in enumerate(shift.symbols):
-        symbols[i] = s
-    return list(map(tuple, symbols[words].tolist()))
+def _symbol_tuples(symbols: Sequence, words: np.ndarray) -> list[tuple]:
+    """Rows of symbol indices as tuples of ``symbols`` (a shift's)."""
+    names = np.empty(len(symbols), dtype=object)
+    for i, s in enumerate(symbols):
+        names[i] = s
+    return list(map(tuple, names[words].tolist()))
 
 
 class _LevelWords:
@@ -511,7 +518,7 @@ class _LevelWords:
 
     @cached_property
     def words(self) -> tuple:
-        return tuple(_symbol_tuples(self.shift, _words(self.levels)))
+        return tuple(_symbol_tuples(self.shift.symbols, _words(self.levels)))
 
 
 def _first_children(parent: np.ndarray) -> np.ndarray:
@@ -575,7 +582,7 @@ def periodic_points(shift: ShiftModel, n: int, a) -> list[tuple]:
     words = _words(word_levels(shift, n))
     words = words[words[:, 0] == ai]
     closes = shift._has_edges(words[:, -1] * shift.n_symbols + ai)
-    return _symbol_tuples(shift, words[closes])
+    return _symbol_tuples(shift.symbols, words[closes])
 
 
 # -- mixing certificates ---------------------------------------------------
@@ -841,8 +848,9 @@ def _bit_array(bits: int, m: int) -> np.ndarray:
 def _fresh_feasibility(adjf: np.ndarray, feas: np.ndarray, fresh: int) -> list:
     """Per end of the :func:`_feasibility` table ``feas``, the bit rows of
     fresh_feas[r, v]: a completion of r interior symbols from v to that end
-    exists with at least one symbol of the set ``fresh`` in it.  The ends
-    go through one matrix product per r."""
+    exists with at least one symbol of the set ``fresh`` in it: row r holds
+    the v with a successor in G[r-1] = (feas[r-1] & fresh) | fresh_feas[r-1].
+    The ends go through one matrix product per r."""
     m = adjf.shape[0]
     # [r, v, k]: v is fresh and r more symbols reach end k from it
     through = feas[:, :-1].transpose(1, 2, 0) & _bit_array(fresh, m)[:, None]
@@ -851,6 +859,32 @@ def _fresh_feasibility(adjf: np.ndarray, feas: np.ndarray, fresh: int) -> list:
         np.greater(adjf @ (through[r - 1] | fresh_feas[r - 1]), 0.0,
                    out=fresh_feas[r])
     return _bit_rows(fresh_feas.transpose(2, 0, 1))
+
+
+def _update_fresh(rows: list[int], preds: list[int], feas: list[int],
+                  table: list[int], old: int, new: int) -> list[int]:
+    """One end's :func:`_fresh_feasibility` bit rows ``table``, exact under
+    the fresh set ``old``, brought to its subset ``new``: bit for bit a
+    build under ``new``.  Each G[r-1] only shrinks, so row r can lose only
+    predecessors (``preds``: the reversed ``rows``) of the vertices G[r-1]
+    lost, and of those it drops the ones with no successor left in it."""
+    out = [0]
+    for r in range(1, len(table)):
+        g_new = feas[r - 1] & new | out[-1]
+        lost = (feas[r - 1] & old | table[r - 1]) & ~g_new
+        doubt = 0
+        while lost:
+            doubt |= preds[(lost & -lost).bit_length() - 1]
+            lost &= lost - 1
+        row = table[r]
+        doubt &= row
+        while doubt:
+            v = (doubt & -doubt).bit_length() - 1
+            if not rows[v] & g_new:
+                row ^= 1 << v
+            doubt &= doubt - 1
+        out.append(row)
+    return out
 
 
 def _fresh_interior(rows: list[int], feas: list[int], fresh_feas: list[int],
@@ -910,16 +944,17 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
     vectorised walk per length.  The fresh-preferring walk runs on bit rows
     where its end's table admits a completion through an unused symbol.
     Those tables are built for every end at once and kept across picks: a
-    stale one only over-approximates, so it is rebuilt only when a walk on
-    it is rejected (see :func:`_fresh_interior`), and the search stops once
-    no unused symbol is left.  The level alphabet is the union of seeds and
-    connector symbols; the level shift inherits every ambient edge on it,
-    and the power walk of :func:`_walk_certificate` certifies it.
+    stale one only over-approximates, so it is updated (exactly,
+    :func:`_update_fresh`) only when a walk on it is rejected (see
+    :func:`_fresh_interior`), and the search stops once no unused symbol is
+    left.  The level alphabet is the union of seeds and connector symbols;
+    the level shift inherits every ambient edge on it, the power walk of
+    :func:`_walk_certificate` certifies it, and it keeps its period, 1.
 
     ``ambient`` may be an :class:`AmbientRule` (countable shift; searches run
-    inside an automatically sized working truncation of m symbols, and
-    :class:`BudgetExceeded` is raised before allocating one with m**2 above
-    ``WORD_BUDGET``) or a finite mixing :class:`ShiftModel`.
+    on the bare adjacency of an automatically sized working truncation of m
+    symbols, and :class:`BudgetExceeded` is raised before allocating one
+    with m**2 above ``WORD_BUDGET``) or a finite mixing :class:`ShiftModel`.
     """
     _check_positive_int(k_max, "k_max")
     rule: AmbientRule | None
@@ -957,15 +992,19 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
                 raise BudgetExceeded(
                     f"working truncation of {m} symbols exceeds budget "
                     f"{WORD_BUDGET} adjacency entries")
-            work = rule.truncate(m)
+            symbols = range(1, m + 1)
+            index = symbols.index
+            # the checks a truncation's edge codes get, but no shift built
+            edges, _ = _edge_record(rule.edge_codes(np.arange(1, m + 1)), m)
+            adj = np.zeros((m, m), dtype=bool)
+            adj.ravel()[edges] = True
         else:
-            work = ambient
-        sym_index = {s: i for i, s in enumerate(work.symbols)}
-        adj = work.adjacency.astype(bool)
+            symbols, index = ambient.symbols, ambient.index
+            adj = ambient.adjacency.astype(bool)
         # a sum of nonnegative terms is positive exactly when one term is, so
         # float32 decides reachability as well as float64 at half the cost
         adjf = adj.astype(np.float32)
-        best = _edge_thresholds(adjf, [sym_index[s] for s in seeds], cap)
+        best = _edge_thresholds(adjf, [index(s) for s in seeds], cap)
         if not best.all():
             pi, pj = np.argwhere(best == 0)[0]
             raise ConstructionFailure(
@@ -973,8 +1012,8 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
                 f"({seeds[pi]!r}, {seeds[pj]!r})")
         n_k = max(2, int(best.max()) + 1)  # word-length convention
 
-        order = sorted(seeds, key=lambda s: sym_index[s])
-        idx = np.array([sym_index[s] for s in order])
+        order = sorted(seeds, key=index)
+        idx = np.array([index(s) for s in order])
         # one table per end serves both connector lengths (n_k - 1 is a prefix)
         feas = _feasibility(adjf, idx, n_k)
         lengths = {"e": n_k - 1, "c": n_k}
@@ -985,21 +1024,22 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
             raise ConstructionFailure(
                 f"no connector of interior length {n_k - 1 + t} for pair "
                 f"({order[i]!r}, {order[k]!r})")
-        plain = {tag: _symbol_tuples(work, _plain_interiors(adj, feas, idx, n))
-                 for tag, n in lengths.items()}
+        plain_e, plain_c = (_symbol_tuples(symbols, _plain_interiors(adj, feas, idx, n))
+                            for n in lengths.values())
 
         # Every pair keeps its plain interior unless a completion through a
         # fresh symbol exists; the search for one stops once none is left.
-        level_connectors = {(a, b): {tag: plain[tag][i * len(order) + k]
-                                     for tag in lengths}
-                            for i, a in enumerate(order) for k, b in enumerate(order)}
+        level_connectors = {pair: {"e": e, "c": c} for pair, e, c in zip(
+            product(order, repeat=2), plain_e, plain_c)}
         starts = idx.tolist()
-        fresh = (1 << len(work.symbols)) - 1 & ~sum(1 << v for v in starts)
+        fresh = (1 << len(symbols)) - 1 & ~sum(1 << v for v in starts)
         rows = _bit_rows(adj)
+        preds = []              # the reversed rows, on the first rejection
         end_feas = _bit_rows(feas)
         # per end, kept across picks; built under the fresh set of the pairs
-        # before, a table only over-approximates, so its 0 is exact
+        # before (``built``), a table only over-approximates, so its 0 is exact
         fresh_feas = _fresh_feasibility(adjf, feas, fresh)
+        built = [fresh] * len(order)
         queries = ((i, k, tag) for i in range(len(order)) for k in range(len(order))
                    for tag in lengths)
         for i, k, tag in queries:
@@ -1010,8 +1050,11 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
                 continue
             interior = _fresh_interior(rows, end_feas[k], fresh_feas[k], start,
                                        length, fresh)
-            if interior is None:    # stale: rebuilt, the table is exact
-                fresh_feas[k] = _fresh_feasibility(adjf, feas[k:k + 1], fresh)[0]
+            if interior is None:    # stale: updated, the table is exact
+                preds = preds or _bit_rows(adj.T)
+                fresh_feas[k] = _update_fresh(rows, preds, end_feas[k],
+                                              fresh_feas[k], built[k], fresh)
+                built[k] = fresh
                 if not fresh_feas[k][length] >> start & 1:
                     continue
                 interior = _fresh_interior(rows, end_feas[k], fresh_feas[k], start,
@@ -1019,9 +1062,9 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
             for v in interior:
                 fresh &= ~(1 << v)
             level_connectors[(order[i], order[k])][tag] = tuple(
-                work.symbols[v] for v in interior)
-        level_symbols = sorted((s for v, s in enumerate(work.symbols)
-                                if not fresh >> v & 1), key=_symbol_order)
+                symbols[v] for v in interior)
+        level_symbols = sorted(map(symbols.__getitem__, np.flatnonzero(
+            ~_bit_array(fresh, len(symbols))).tolist()), key=_symbol_order)
         if rule is not None:
             model = _rule_model(rule, level_symbols, assumed_mixing=False)
         else:
@@ -1035,6 +1078,7 @@ def compact_approximation(ambient, k_max: int, seed=None) -> CompactApproximatio
             raise ConstructionFailure(
                 f"level shift on alphabet {level_symbols!r} is not mixing "
                 f"({_mixing_status(model)})")
+        vars(model)["period"] = 1   # mixing, so primitive: no period search
         levels.append(model)
         n_values.append(n_k)
         connectors.append(level_connectors)

@@ -687,6 +687,48 @@ def test_masses_writer_matches_the_dict(symbols, depth):
     _assert_masses_text(CylinderMeasure.from_weights(shift, depth, dict(items)))
 
 
+def _assert_connectors_text(approx):
+    # at approx's nesting: the document, "levels", a level, "connectors";
+    # the reference is the dict of each level's pairs in (str(a), str(b))
+    # order, a later pair replacing an earlier one that spells its key
+    for level, conns in zip(approx.levels, approx.connectors, strict=True):
+        written = cli._text({"levels": [{"connectors": functools.partial(
+            cli._connectors_text, level.symbols, [str(s) for s in level.symbols],
+            conns)}]}, "\n")
+        table = {f"{a}->{b}": {"e": [str(s) for s in found["e"]],
+                               "c": [str(s) for s in found["c"]]}
+                 for (a, b), found in sorted(
+                     conns.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))}
+        want = {"levels": [{"connectors": table}]}
+        assert written == cli._text(want, "\n")
+        assert written == json.dumps(want, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("ambient, k_max, seed", [
+    (shifts.RenewalRule(), 3, 2),
+    (shifts.FullShiftRule(), 2, 10),            # "10" sorts before "2"
+    (ShiftModel.full(6, ["b", "a-", 'q"', "back\\slash", "é", "%1"]), 3, None),
+    (ShiftModel.full(4, ["a->", "b", "a", "->b"]), 3, None),  # a->->b twice
+    (ShiftModel.full(3, [1, "1", "a"]), 2, None),              # 1->1 four times
+], ids=["renewal", "full", "strings", "arrow_keys", "same_names"])
+def test_connectors_writer_matches_the_dict(ambient, k_max, seed):
+    _assert_connectors_text(shifts.compact_approximation(ambient, k_max, seed))
+
+
+def test_certify_on_a_cocycle_whose_products_vanish(capsys, tmp_path):
+    # A0·A0 underflows to 0 in one multiplication: a numerical failure,
+    # not a traceback
+    matrices = {"0": [["1e-200", "1e-200"], ["1e-200", "1e-200"]],
+                "1": [["1", "1"], ["1", "1"]]}
+    code, out, err = run(capsys, tmp_path, "certify", {
+        "shift": {"alphabet": 2, "edges": "full"},
+        "potential": {"family": "matrix_cocycle", "matrices": matrices},
+        "depth": 4})
+    assert (code, out) == (2, "")
+    assert err == ("numerical failure: cocycle products leave the float range "
+                   "at length 2\n")
+
+
 def test_masses_writer_writes_non_finite_masses_as_null():
     shift = ShiftModel.full(3)
     mu = _cesaro(shift, 2, 0)

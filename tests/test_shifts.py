@@ -21,7 +21,7 @@ from thermoshift import (BudgetExceeded, ConstructionFailure, DecayPotential,
                          gurevich_estimate, is_primitive, mixing_certificate,
                          periodic_points, pressure_curve, rpf_equilibrium,
                          shift_from_config, transfer_pressure, word_levels)
-from thermoshift import cli, shifts
+from thermoshift import cli, pressure, shifts
 from thermoshift.shifts import (WORD_BUDGET, AmbientRule, _bit_rows,
                                 _edge_thresholds, _feasibility, _fresh_feasibility,
                                 _fresh_interior, _period,
@@ -955,14 +955,20 @@ def test_connector_search_matches_sequential_reference_on_countable_rules(rule):
 @pytest.fixture
 def fresh_search(monkeypatch):
     """Counts of the fresh-connector search: ends whose fresh table was
-    built, and walks that gave an interior or were rejected (a stale table
-    led them away from every fresh symbol)."""
-    counts = {"tables": 0, "picks": 0, "rejected": 0}
-    build, walk = shifts._fresh_feasibility, shifts._fresh_interior
+    built, stale tables brought to the fresh set of their walk, and walks
+    that gave an interior or were rejected (a stale table led them away
+    from every fresh symbol)."""
+    counts = {"tables": 0, "updates": 0, "picks": 0, "rejected": 0}
+    build, update, walk = (shifts._fresh_feasibility, shifts._update_fresh,
+                           shifts._fresh_interior)
 
     def counting_build(adjf, feas, fresh):
         counts["tables"] += len(feas)
         return build(adjf, feas, fresh)
+
+    def counting_update(*args):
+        counts["updates"] += 1
+        return update(*args)
 
     def counting_walk(*args):
         word = walk(*args)
@@ -970,6 +976,7 @@ def fresh_search(monkeypatch):
         return word
 
     monkeypatch.setattr(shifts, "_fresh_feasibility", counting_build)
+    monkeypatch.setattr(shifts, "_update_fresh", counting_update)
     monkeypatch.setattr(shifts, "_fresh_interior", counting_walk)
     return counts
 
@@ -1007,10 +1014,12 @@ def test_connector_search_matches_sequential_reference_at_benchmark_sizes(fresh_
     approx = compact_approximation(rule, 4, 1)
     assert approximation_fields(approx) == want
     assert_walk_certificates(approx)
-    # one table per end and level, and one more per rejected stale walk
+    # one table built per end and level; a rejected stale walk updates its
+    # end's table instead of building it again
     assert fresh_search["rejected"] >= 1
     ends = sum(len(level.symbols) for level in approx.levels[:-1]) + 1
-    assert fresh_search["tables"] == ends + fresh_search["rejected"]
+    assert fresh_search["tables"] == ends
+    assert fresh_search["updates"] == fresh_search["rejected"]
 
 
 def test_full_shift_picks_outnumber_fresh_tables(fresh_search):
@@ -1020,6 +1029,7 @@ def test_full_shift_picks_outnumber_fresh_tables(fresh_search):
         assert [level.n_symbols for level in approx.levels] == [3, 21, 144]
         assert_walk_certificates(approx)
     assert fresh_search["tables"] < fresh_search["picks"]
+    assert fresh_search["updates"] == fresh_search["rejected"] == 0
 
 
 def test_connector_search_matches_sequential_reference_on_sparse_ambients(fresh_search):
@@ -1032,6 +1042,64 @@ def test_connector_search_matches_sequential_reference_on_sparse_ambients(fresh_
         assert_walk_certificates(approx)
         stale += fresh_search["rejected"] > before
     assert stale >= 10  # a table went stale between picks in these cases
+
+
+def update_graphs(rng):
+    """Adjacencies with end sets and a table length: random primitive
+    graphs, renewal truncations and full shifts of the sizes the search
+    works in."""
+    for ambient, _ in random_sparse_ambients(12, rng):
+        yield ambient.adjacency.astype(bool)
+    for m in (30, 47, 66, 90):
+        yield RenewalRule().truncate(m).adjacency.astype(bool)
+    for m in (5, 21, 58):
+        yield FullShiftRule().truncate(m).adjacency.astype(bool)
+
+
+def random_bits(rng, m, p):
+    return sum(1 << v for v in np.flatnonzero(rng.random(m) < p).tolist())
+
+
+def test_updated_fresh_table_is_the_rebuilt_table_bit_for_bit():
+    rng = np.random.default_rng(38)
+    updates = changed = 0
+    for adj in update_graphs(rng):
+        m = len(adj)
+        adjf = adj.astype(np.float32)
+        ends = np.sort(rng.permutation(m)[:int(rng.integers(1, 5))])
+        feas = _feasibility(adjf, ends, int(rng.integers(2, 24)))
+        rows, preds, end_feas = _bit_rows(adj), _bit_rows(adj.T), _bit_rows(feas)
+        fresh = random_bits(rng, m, rng.uniform(0.3, 1.0))
+        tables = _fresh_feasibility(adjf, feas, fresh)
+        built = [fresh] * len(ends)
+        while fresh:
+            # remove a random few, or a whole run as a connector pick does
+            fresh &= ~random_bits(rng, m, rng.uniform(0.02, 0.4))
+            k = int(rng.integers(len(ends)))
+            want = _fresh_feasibility(adjf, feas[k:k + 1], fresh)[0]
+            # from a table built or already updated under an older set
+            got = shifts._update_fresh(rows, preds, end_feas[k], tables[k],
+                                       built[k], fresh)
+            assert got == want
+            updates += 1
+            changed += got != tables[k]
+            tables[k], built[k] = got, fresh
+    assert updates >= 200 and changed >= 50    # many updates drop bits
+
+
+def test_levels_carry_their_certified_period(monkeypatch):
+    def no_period(graph):
+        raise AssertionError("period searched")
+
+    for rule, k in ((RenewalRule(), 3), (FullShiftRule(), 2)):
+        monkeypatch.setattr(shifts, "_period", no_period)
+        approx = compact_approximation(rule, k)
+        # the pressure along the levels reads the period the walk certified
+        curve = pressure.truncation_curve(approx, DecayPotential("log", 2.0), 2.0)
+        monkeypatch.undo()
+        assert len(curve.pressures) == k
+        for level in approx.levels:
+            assert vars(level)["period"] == 1 == _period((level.n_symbols, level._edges))
 
 
 @pytest.mark.parametrize("level, status", [

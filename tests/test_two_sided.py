@@ -211,6 +211,28 @@ def test_scaled_block_root_matches_howard_run_at_t(t):
     assert worst <= 1e-13
 
 
+def test_transfer_solves_the_column_side_only_behind_a_deeper_row_forest(monkeypatch):
+    # the side and the bits of the two-sided rule, and Howard on Bᵀ only
+    # where the row forest is deeper than 0
+    howard = linalg._howard
+    cases = [random_model(seed) for seed in range(60)]
+    cases += [(GOLDEN, COLD, t, 1) for t in (1.0, 12.0, 800.0)]
+    cases += [(GOLDEN, COLD, 3.0, 2), (RENEWAL, DECAY, 1.2, 1)]
+    depths = []
+    for shift, pot, t, depth in cases:
+        B = weighted_block_matrix(shift, pot, 1.0, depth=depth)[1]
+        S, C = B.bellman_scaled(), B.T.bellman_scaled()
+        first, rho, _ = root_side(S.at(t), C.at(t))
+        solved = []
+        monkeypatch.setattr(linalg, "_howard", lambda op: solved.append(op) or howard(op))
+        got = transfer_pressure(shift, pot, t, depth=depth).value
+        monkeypatch.undo()
+        assert got == first.beta + math.log(rho)
+        assert len(solved) == 1 + (S.depth > 0)
+        depths.append(S.depth)
+    assert depths.count(0) >= 4 and len(depths) - depths.count(0) >= 50
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_curve_points_are_the_one_t_equilibria(seed):
     shift, pot, _, _ = random_model(seed)
